@@ -1,0 +1,128 @@
+"""Iteration drivers shared by the grid and sector solvers.
+
+Both layers discretize an extremal operator that is piecewise linear in
+the nodal values, so the same three loops serve both:
+
+* ``policy_iterate``: Howard's algorithm (policy iteration; Bokanowski,
+  Maroso and Zidani, SIAM J. Numer. Anal. 47, 2009).  Linearize at the
+  current policy, solve the frozen sparse system, repeat.
+* ``inverse_power``: sup-normalized inverse power iteration for the
+  principal eigenvalue, with the positivity check that keeps it on the
+  principal branch.
+* ``relax``: the explicit damped sweep, a slow oracle needing no linear
+  algebra.
+
+Convergence is declared on the true nonlinear residual,
+sup|r(u)| <= tol * max(1, sup|u|), so a reused factor cannot produce a
+wrong answer, only a slower one.
+"""
+
+import numpy as np
+
+from .errors import IterationLimit, PositivityLoss
+
+# iterates more negative than this (after sup normalization) have left
+# the principal branch
+_POSITIVITY_TOL = -1e-12
+
+
+def _converged(res, u, tol):
+    return res <= tol * max(1.0, float(np.abs(u).max()))
+
+
+def _same_matrix(a, b):
+    """True when two canonical CSR matrices hold bit-identical entries."""
+    return (a is not None and a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+def policy_iterate(residual, jacobian, factor, u0, *, tol, max_steps, cache,
+                   rhs=None):
+    """Newton-Howard iteration u <- u - J(u)^{-1} r(u) on flat arrays.
+
+    ``jacobian(u)`` returns the CSR matrix frozen at the policy active at
+    u, and ``factor(J)`` an object with ``solve``.  ``cache`` (a dict, kept
+    by the caller across calls) holds the last matrix and its factor; the
+    factor is reused exactly when the new frozen matrix is the same matrix,
+    bit for bit, so a new factor is made only for a new matrix.
+
+    For an operator that is positively homogeneous and piecewise linear,
+    J(u) u equals the operator at u exactly, so with r(u) = op(u) - rhs the
+    step lands on J^{-1} rhs.  Passing ``rhs`` takes the step in that form,
+    which keeps the rounding of u out of the next iterate: policies that
+    hinge on near-zero differences then settle instead of flickering.
+    """
+    u = np.array(u0, dtype=float)
+    history = []
+    for _ in range(max_steps):
+        r = residual(u)
+        res = float(np.abs(r).max())
+        history.append(res)
+        if _converged(res, u, tol):
+            return u
+        mat = jacobian(u)
+        if not _same_matrix(cache.get("mat"), mat):
+            cache["mat"] = mat
+            cache["lu"] = factor(mat)
+        lu = cache["lu"]
+        u = u + lu.solve(-r) if rhs is None else lu.solve(rhs)
+        if not np.isfinite(u).all():
+            raise IterationLimit("frozen linear step produced non-finite "
+                                 "values", history=history[-50:])
+    raise IterationLimit(
+        f"policy iteration did not reach tol={tol:g} in {max_steps} steps "
+        f"(last residual {history[-1]:.3e})", history=history[-50:])
+
+
+def relax(residual, u0, tau, *, tol, max_steps):
+    """Explicit damped sweep u <- u + tau * r(u).
+
+    Stable for tau below the inverse of the largest stencil weight; kept as
+    the oracle the policy path is tested against.
+    """
+    u = np.array(u0, dtype=float)
+    history = []
+    for _ in range(max_steps):
+        r = residual(u)
+        res = float(np.abs(r).max())
+        history.append(res)
+        if _converged(res, u, tol):
+            return u
+        u = u + tau * r
+    raise IterationLimit(
+        f"relaxation at residual {history[-1]:.3e} after {max_steps} steps",
+        history=history[-50:])
+
+
+def inverse_power(step, x0, *, tol, max_power):
+    """Principal eigenpair by inverse power iteration in the sup norm.
+
+    ``step(x, prev)`` solves the operator equation with right-hand side
+    -x; ``prev`` is the previous step's output (None on the first step),
+    for use as the inner solver's starting guess.  The eigenvalue is read
+    as 1/sup|step(x)| and the iteration stops when its relative change is
+    at most tol.  Raises PositivityLoss if a normalized iterate dips below
+    -1e-12 anywhere, which is the discrete symptom of leaving the principal
+    branch.  Returns (lambda, normalized eigenvector).
+    """
+    x, prev = x0, None
+    lams = []
+    for _ in range(max_power):
+        nxt = step(x, prev)
+        top = float(np.abs(nxt).max())
+        if top <= 0.0:
+            raise PositivityLoss("inverse power step collapsed to zero")
+        lam = 1.0 / top
+        x_new = nxt / top
+        if x_new.min() < _POSITIVITY_TOL:
+            raise PositivityLoss(
+                f"eigenfunction lost positivity (min {x_new.min():.3e})")
+        if lams and abs(lam - lams[-1]) <= tol * abs(lam):
+            return lam, x_new
+        lams.append(lam)
+        x, prev = x_new, nxt
+    raise IterationLimit(f"inverse power did not settle in {max_power} "
+                         f"steps (last {lams[-1] if lams else None})",
+                         history=lams[-50:])

@@ -78,7 +78,6 @@ config keys and defaults per command:
                   anchor_rel_tol
   properties      a A alpha seed trials grid_h shift break_stencil
 All commands also accept output_dir (overridden by --out).
-PUCCI_LAB_THREADS caps BLAS thread pools and is recorded in report meta.
 """
 
 
@@ -137,23 +136,7 @@ def _write_csv(path, header, rows):
                              for v in row])
 
 
-def _thread_cap():
-    """Read PUCCI_LAB_THREADS and propagate it to the BLAS pool knobs."""
-    raw = os.environ.get("PUCCI_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"PUCCI_LAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise SystemExit(f"PUCCI_LAB_THREADS must be positive, got {n}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    return n
-
-
-def _finish(command, cfg, results, checks, out_dir, started, threads):
+def _finish(command, cfg, results, checks, out_dir, started):
     report = {
         "command": command,
         "parameters": cfg,
@@ -163,7 +146,6 @@ def _finish(command, cfg, results, checks, out_dir, started, threads):
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "wall_time_s": round(time.perf_counter() - started, 3),
             "version": __version__,
-            "threads": threads,
         },
     }
     path = os.path.join(out_dir, f"{command}.report.json")
@@ -561,7 +543,6 @@ def main(argv=None):
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 
-    threads = _thread_cap()
     try:
         cfg = load_config(args.command, args.config,
                           _parse_overrides(args.overrides))
@@ -573,8 +554,7 @@ def main(argv=None):
     except (PucciLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _finish(args.command, cfg, results, checks, out_dir, started,
-                   threads)
+    return _finish(args.command, cfg, results, checks, out_dir, started)
 
 
 if __name__ == "__main__":

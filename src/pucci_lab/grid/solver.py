@@ -12,8 +12,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ..errors import IterationLimit, PositivityLoss
+from .._iterate import inverse_power, policy_iterate, relax
 from ..operators import Variant
+from ..radial import Constant
 from .domain import GridField, boundary_data
 
 _GRAD_FLOOR = 1e-8
@@ -87,38 +88,14 @@ def discretize_F(params, dom, field, stencil=None):
     return GridField(dom, core, None)
 
 
-class _VectorTerm:
-    """Fixed cellwise forcing, used by the eigen solver's inner solves."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def evaluate(self, u, alpha=0.0):
-        return self.values * np.ones_like(u)
-
-    def evaluate_deriv(self, u, alpha=0.0):
-        return np.zeros_like(u)
-
-
-def _source_terms(source, u, alpha):
-    """Value and u-derivative of the zeroth order term, cellwise."""
-    if hasattr(source, "evaluate"):
-        f = source.evaluate(u, alpha)
-        fp = source.evaluate_deriv(u, alpha)
-    else:
-        f = source(u)
-        eps = 1e-7 * max(1.0, float(np.abs(u).max(initial=0.0)))
-        fp = (source(u + eps) - source(u - eps)) / (2.0 * eps)
-    return np.asarray(f) * np.ones_like(u), np.asarray(fp) * np.ones_like(u)
-
-
-def _policy_matrix(params, dom, delta, grad_weight, bvals):
+def _policy_matrix(params, dom, delta, grad_weight):
     """Linearize the pair extremum at the current second differences.
 
     At the active pair the extremum is attained, so F(u) = M u + b holds
-    exactly at the linearization point; M is an M-matrix for positive
-    stencil weights.  Returns (M, b, signature) where the signature
-    identifies the active policy for factorization reuse.
+    exactly at the linearization point, with b carrying the cut-arm
+    boundary values; M is an M-matrix for positive stencil weights.
+    Returns M (the Newton step needs only M, since b enters through the
+    residual).
     """
     n = dom.n_cells
     psum = _pair_sums(params, delta, dom.stencil.pairs)
@@ -131,47 +108,29 @@ def _policy_matrix(params, dom, delta, grad_weight, bvals):
     classes = dom.stencil.pairs[pick]
     idx = np.arange(n)
     rows, cols, vals = [], [], []
-    bvec = np.zeros(n)
-    signs = np.empty((n, 2), dtype=np.int8)
     for k in (0, 1):
         c = classes[:, k]
         d = delta[idx, c]
-        signs[:, k] = d > 0.0
         coef = np.where(d > 0.0, hi, lo) * dom.stencil.weights[c] * grad_weight
         sf = dom.armf[idx, c]
         sb = dom.armb[idx, c]
         denom = sf + sb
-        wf = coef * 2.0 / (sf * denom)
-        wb = coef * 2.0 / (sb * denom)
-        w0 = coef * (-2.0) / (sf * sb)
         rows.append(idx)
         cols.append(idx)
-        vals.append(w0)
-        nf = dom.nbf[idx, c]
-        own = nf >= 0
-        rows.append(idx[own])
-        cols.append(nf[own])
-        vals.append(wf[own])
-        cut = ~own
-        bvec[idx[cut]] += wf[cut] * bvals[dom.cutf[idx[cut], c[cut]]]
-        nb = dom.nbb[idx, c]
-        own = nb >= 0
-        rows.append(idx[own])
-        cols.append(nb[own])
-        vals.append(wb[own])
-        cut = ~own
-        bvec[idx[cut]] += wb[cut] * bvals[dom.cutb[idx[cut], c[cut]]]
-    mat = sp.csr_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n, n))
-    sig = pick.tobytes() + signs.tobytes()
-    return mat, bvec, sig
+        vals.append(coef * (-2.0) / (sf * sb))
+        for nbr, w in ((dom.nbf[idx, c], coef * 2.0 / (sf * denom)),
+                       (dom.nbb[idx, c], coef * 2.0 / (sb * denom))):
+            own = nbr >= 0
+            rows.append(idx[own])
+            cols.append(nbr[own])
+            vals.append(w[own])
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
 
 
-def _residual(params, dom, values, bvals, source):
-    op = discretize_F(params, dom, GridField(dom, values, bvals)).values
-    f, _ = _source_terms(source, values, params.alpha)
-    return op + f
+def _factor(mat):
+    return spla.splu(mat.tocsc())
 
 
 def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
@@ -181,59 +140,43 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
 
     method="policy" linearizes the pair extremum at the current iterate and
     solves the resulting sparse system (one semismooth Newton step, equal
-    to a Howard policy update when f is linear).  method="damped" is the
-    explicit fixed-point iteration u <- u + tau*(F[u] + f(u)); it needs no
-    linear algebra, but the admissible tau shrinks with the smallest cut
-    arm, so it is practical only on coarse grids.
+    to a Howard policy update when f is linear); ``lu_cache`` keeps the
+    last factor across calls and reuses it only for an identical matrix.
+    method="damped" is the explicit fixed-point iteration
+    u <- u + tau*(F[u] + f(u)); it needs no linear algebra, but the
+    admissible tau shrinks with the smallest cut arm, so it is practical
+    only on coarse grids.
 
     Convergence is declared on the true assembled residual:
-    sup |F[u] + f(u)| <= tol * max(1, sup|u|).
+    sup |F[u] + f(u)| <= tol * max(1, sup|u|).  IterationLimit carries
+    the residual history.
     """
+    if method not in ("policy", "damped"):
+        raise ValueError(f"unknown method {method!r}")
     bvals = boundary_data(dom, g)
-    u = np.zeros(dom.n_cells) if u0 is None else np.asarray(u0, float).copy()
+    u = np.zeros(dom.n_cells) if u0 is None else u0
+
+    def residual(v):
+        op = discretize_F(params, dom, GridField(dom, v, bvals)).values
+        return op + source.evaluate(v, params.alpha)
 
     if method == "damped":
         if tau is None:
             wmax = (2.0 / (dom.armf * dom.armb)).max()
             tau = 0.45 / (params.A * wmax)
-        history = []
-        for _ in range(max_damped):
-            r = _residual(params, dom, u, bvals, source)
-            res = float(np.abs(r).max())
-            history.append(res)
-            if res <= tol * max(1.0, np.abs(u).max()):
-                return GridField(dom, u, bvals)
-            u = u + tau * r
-        raise IterationLimit(
-            f"damped iteration at residual {history[-1]:.3e} after "
-            f"{max_damped} steps", history=history[-50:])
+        u = relax(residual, u, tau, tol=tol, max_steps=max_damped)
+        return GridField(dom, u, bvals)
 
-    if method != "policy":
-        raise ValueError(f"unknown method {method!r}")
+    def jacobian(v):
+        gw = _grad_weight(params, dom, v, bvals)
+        delta = _second_differences(dom, v, bvals, dom.stencil.weights)
+        fp = source.evaluate_deriv(v, params.alpha)
+        return _policy_matrix(params, dom, delta, gw) + sp.diags(fp)
 
-    if lu_cache is None:
-        lu_cache = {}
-    res = np.inf
-    for _ in range(max_outer):
-        r = _residual(params, dom, u, bvals, source)
-        res = float(np.abs(r).max())
-        if res <= tol * max(1.0, np.abs(u).max()):
-            return GridField(dom, u, bvals)
-        gw = _grad_weight(params, dom, u, bvals)
-        delta = _second_differences(dom, u, bvals, dom.stencil.weights)
-        mat, _, sig = _policy_matrix(params, dom, delta, gw, bvals)
-        _, fp = _source_terms(source, u, params.alpha)
-        key = sig + fp.tobytes() + gw.tobytes()
-        if lu_cache.get("key") != key:
-            lu_cache["key"] = key
-            lu_cache["lu"] = spla.splu((mat + sp.diags(fp)).tocsc())
-        du = lu_cache["lu"].solve(-r)
-        if not np.isfinite(du).all():
-            raise IterationLimit("linear step produced non-finite values")
-        u = u + du
-    raise IterationLimit(
-        f"policy iteration did not reach tol={tol:g} in {max_outer} steps "
-        f"(last residual {res:.3e})")
+    u = policy_iterate(residual, jacobian, _factor, u, tol=tol,
+                       max_steps=max_outer,
+                       cache={} if lu_cache is None else lu_cache)
+    return GridField(dom, u, bvals)
 
 
 def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
@@ -248,26 +191,12 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     """
     if params.alpha != 0.0:
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
-    phi = np.ones(dom.n_cells)
-    lam_prev = None
-    u_guess = None
     cache = {}
-    for _ in range(max_power):
-        sol = solve_dirichlet(params, dom, _VectorTerm(phi), 0.0,
-                              tol=inner_tol, u0=u_guess, lu_cache=cache)
-        nxt = sol.values
-        top = float(np.abs(nxt).max())
-        if top <= 0.0:
-            raise PositivityLoss("inverse power step collapsed to zero")
-        lam = 1.0 / top
-        phi_new = nxt / top
-        if phi_new.min() < -1e-12:
-            raise PositivityLoss(
-                f"eigenfunction lost positivity (min {phi_new.min():.3e})")
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
-            return lam, GridField(dom, phi_new, np.zeros(len(dom.cut_xy)))
-        lam_prev = lam
-        phi = phi_new
-        u_guess = nxt
-    raise IterationLimit(f"eigen iteration did not settle in {max_power} "
-                         f"sweeps (last {lam_prev})")
+
+    def step(phi, prev):
+        return solve_dirichlet(params, dom, Constant(phi), 0.0,
+                               tol=inner_tol, u0=prev, lu_cache=cache).values
+
+    lam, phi = inverse_power(step, np.ones(dom.n_cells), tol=tol,
+                             max_power=max_power)
+    return lam, GridField(dom, phi, np.zeros(len(dom.cut_xy)))

@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import DegenerateGradient, InvalidMatrix
 
-JACOBI_TOL = 1e-13
-JACOBI_MAX_SWEEPS = 50
-
 
 class Variant(Enum):
     PLUS = "plus"
@@ -94,13 +91,12 @@ class EigenDecomp:
 
 
 def eigen_sym(x):
-    """Diagonalise a small symmetric matrix by cyclic Jacobi rotations.
+    """Diagonalise a small symmetric matrix.
 
     Parameters
     ----------
     x : SymMatrix or array_like
-        The matrix to decompose.  Intended for the small dimensions this
-        package actually meets (2 to 4); the sweep count is capped at 50.
+        The matrix to decompose.
 
     Returns
     -------
@@ -113,40 +109,8 @@ def eigen_sym(x):
         a = SymMatrix.from_full(x).full()
     if not np.isfinite(a).all():
         raise InvalidMatrix("non-finite entries")
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = np.linalg.norm(a)
-    if scale == 0.0 or n == 1:
-        return EigenDecomp(np.diag(a).copy(), v)
-    thresh = JACOBI_TOL * scale
-    for _ in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                rotated = True
-                # symmetric Schur rotation annihilating a[p, q]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        if not rotated:
-            break
-    lam = np.diag(a).copy()
-    order = np.argsort(lam, kind="stable")
-    return EigenDecomp(lam[order], v[:, order])
+    lam, vec = np.linalg.eigh(a)
+    return EigenDecomp(lam, vec)
 
 
 def pucci(params, x):

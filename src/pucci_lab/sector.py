@@ -19,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (CoefficientBlowup, IterationLimit, OutOfDomain,
-                     PositivityLoss)
+from ._iterate import inverse_power, policy_iterate, relax
+from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
 from .operators import PucciParams, SymMatrix, Variant, pucci
 
 _MIN_NODES = 3
@@ -240,12 +240,10 @@ def _frozen_matrix(params, mesh, vals):
         c2 = np.where(d2 >= 0.0, a, A) / mesh.sp1 ** 2
         p1 = (a - A) * np.sign(d1) * (gamma + 1.0) / (2.0 * mesh.sp1)
         idx = np.arange(n)
-        mat = sp.csr_matrix((np.concatenate([
+        return sp.csr_matrix((np.concatenate([
             -2.0 * c2, c2[:-1] + p1[:-1], c2[1:] - p1[1:]]),
             (np.concatenate([idx, idx[:-1], idx[1:]]),
              np.concatenate([idx, idx[1:], idx[:-1]]))), shape=(n, n))
-        sig = np.sign(d2).tobytes() + np.sign(d1).tobytes()
-        return mat, sig
 
     co = coefficients(mesh)
     q1, tan2 = co["q1"], co["tan2"]
@@ -258,6 +256,9 @@ def _frozen_matrix(params, mesh, vals):
     lam_p, lam_m, ang = _sym2_eigen(g11, g12, g22)
     e_p = _eps_select(a, A, lam_p)
     e_m = _eps_select(a, A, lam_m)
+    # with equal coefficients the frame is irrelevant; fixing it keeps the
+    # matrix bit-identical across freezes, so its factor can be reused
+    ang = np.where(e_p == e_m, 0.0, ang)
     cs, sn = np.cos(ang), np.sin(ang)
     b11 = e_p * cs ** 2 + e_m * sn ** 2
     b22 = e_p * sn ** 2 + e_m * cs ** 2
@@ -291,12 +292,13 @@ def _frozen_matrix(params, mesh, vals):
     add(-1, -1, cx)
     add(1, -1, -cx)
     add(-1, 1, -cx)
-    mat = sp.csr_matrix((np.concatenate(entries),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n1 * n2, n1 * n2))
-    sig = e_p.tobytes() + e_m.tobytes() + ang.tobytes() \
-        + np.sign(d1_1).tobytes() + np.sign(d1_2).tobytes()
-    return mat, sig
+    return sp.csr_matrix((np.concatenate(entries),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n1 * n2, n1 * n2))
+
+
+def _factor(mat):
+    return spla.splu(mat.tocsc())
 
 
 def _solve_H(params, mesh, rhs, psi0, *, tol, max_policy=80, lu_cache=None,
@@ -305,43 +307,31 @@ def _solve_H(params, mesh, rhs, psi0, *, tol, max_policy=80, lu_cache=None,
 
     "policy" refreezes signs and frames at each iterate and solves the
     sparse linear system; since M @ psi = H(psi) exactly at the freeze,
-    each step is psi <- M^{-1} rhs, and convergence is declared on the
-    true nonlinear residual.  "relax" is the explicit damped sweep
-    psi <- psi + tau*(H(psi) - rhs) with tau = 0.5*spacing^2, kept as a
-    slow cross-check.
+    each step lands on M^{-1} rhs, and convergence is declared on the true
+    nonlinear residual.  ``lu_cache`` keeps the last factor across calls
+    and reuses it only for an identical matrix.  "relax" is the explicit
+    damped sweep psi <- psi + tau*(H(psi) - rhs) with
+    tau = 0.5*spacing^2, kept as a slow cross-check.
     """
-    psi = psi0.copy()
+    if method not in ("policy", "relax"):
+        raise ValueError(f"unknown inner method {method!r}")
+    rhs = rhs.reshape(-1)
+
+    def residual(v):
+        return _H_values(params, mesh, v.reshape(mesh.shape)).reshape(-1) - rhs
+
     if method == "relax":
         if tau is None:
             tau = 0.5 * min(mesh.sp1, mesh.sp2 or mesh.sp1) ** 2
-        for _ in range(max_relax):
-            r = _H_values(params, mesh, psi) - rhs
-            if np.abs(r).max() <= tol * max(1.0, np.abs(psi).max()):
-                return psi
-            psi = psi + tau * r
-        raise IterationLimit(
-            f"relaxation stalled at residual {np.abs(r).max():.3e}")
-    if method != "policy":
-        raise ValueError(f"unknown inner method {method!r}")
-    if lu_cache is None:
-        lu_cache = {}
-    flat = psi.reshape(-1)
-    res = np.inf
-    for _ in range(max_policy):
-        r = (_H_values(params, mesh, psi) - rhs).reshape(-1)
-        res = float(np.abs(r).max())
-        if res <= tol * max(1.0, np.abs(flat).max()):
-            return psi
-        mat, sig = _frozen_matrix(params, mesh, psi)
-        if lu_cache.get("sig") != sig:
-            lu_cache["sig"] = sig
-            lu_cache["lu"] = spla.splu(mat.tocsc())
-        flat = lu_cache["lu"].solve(rhs.reshape(-1))
-        if not np.isfinite(flat).all():
-            raise IterationLimit("frozen-coefficient solve went non-finite")
-        psi = flat.reshape(mesh.shape)
-    raise IterationLimit(
-        f"inner solve residual {res:.3e} did not reach tol={tol:g}")
+        flat = relax(residual, psi0.reshape(-1), tau, tol=tol,
+                     max_steps=max_relax)
+    else:
+        flat = policy_iterate(
+            residual,
+            lambda v: _frozen_matrix(params, mesh, v.reshape(mesh.shape)),
+            _factor, psi0.reshape(-1), tol=tol, max_steps=max_policy,
+            cache={} if lu_cache is None else lu_cache, rhs=rhs)
+    return flat.reshape(mesh.shape)
 
 
 def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
@@ -353,28 +343,15 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
     change is at most tol.  The eigenfield must stay positive; a dip below
     -1e-12 after normalization raises PositivityLoss.
     """
-    psi = np.ones(mesh.shape)
-    lam_prev = None
     cache = {}
-    guess = psi
-    for _ in range(max_power):
-        nxt = _solve_H(params, mesh, -psi, guess, tol=inner_tol,
-                       lu_cache=cache, method=method)
-        top = float(np.abs(nxt).max())
-        if top <= 0.0:
-            raise PositivityLoss("inverse power step collapsed to zero")
-        lam = 1.0 / top
-        psi_new = nxt / top
-        if psi_new.min() < -1e-12:
-            raise PositivityLoss(
-                f"sector eigenfield lost positivity (min {psi_new.min():.3e})")
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
-            return lam, SectorField(mesh, psi_new)
-        lam_prev = lam
-        psi = psi_new
-        guess = nxt
-    raise IterationLimit(f"sector eigen iteration did not settle "
-                         f"(last {lam_prev})")
+
+    def step(psi, prev):
+        return _solve_H(params, mesh, -psi, psi if prev is None else prev,
+                        tol=inner_tol, lu_cache=cache, method=method)
+
+    lam, psi = inverse_power(step, np.ones(mesh.shape), tol=tol,
+                             max_power=max_power)
+    return lam, SectorField(mesh, psi)
 
 
 def extrapolate_to_zero(xs, ys):

@@ -183,17 +183,6 @@ class TestReportCommand:
 
 
 class TestMeta:
-    def test_thread_cap_recorded(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PUCCI_LAB_THREADS", "2")
-        assert run(tmp_path, "radial") == 0
-        rep = read_report(tmp_path, "radial")
-        assert rep["meta"]["threads"] == 2
-
-    def test_bad_thread_cap_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PUCCI_LAB_THREADS", "zero")
-        with pytest.raises(SystemExit):
-            run(tmp_path, "radial")
-
     def test_report_round_trips(self, tmp_path):
         run(tmp_path, "radial")
         rep = read_report(tmp_path, "radial")

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from pucci_lab import (Constant, EigenPower, PowerPair, PucciParams, Variant,
                        principal_eigenvalue_ball)
-from pucci_lab.errors import (InvalidShape, OutOfDomain,
+from pucci_lab.errors import (InvalidShape, IterationLimit, OutOfDomain,
                               ReflectionOutOfDomain)
 from pucci_lab.grid import (ComparisonReport, Disk, Ellipse, GridField,
                             Polygon, StencilSet, build_domain,
@@ -256,6 +256,13 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             solve_dirichlet(LAP, disk_coarse, Constant(1.0), 0.0,
                             method="cg")
+
+    def test_policy_limit_carries_history(self, disk_coarse):
+        with pytest.raises(IterationLimit) as info:
+            solve_dirichlet(WIDE, disk_coarse, Constant(1.0), 0.0,
+                            max_outer=1)
+        assert len(info.value.history) == 1
+        assert info.value.history[0] > 0.0
 
 
 class TestEigenvalue:

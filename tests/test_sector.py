@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from pucci_lab import PucciParams, SymMatrix, Variant, pucci
@@ -238,6 +239,24 @@ class TestEigenvalue:
         lam_r, _ = sector_principal_eigenvalue(LAP, mesh, method="relax",
                                                inner_tol=1e-8)
         assert lam_r == pytest.approx(lam_p, rel=1e-4)
+
+    def test_lu_reused_only_for_an_unchanged_matrix(self, monkeypatch):
+        calls = []
+        real = spla.splu
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return real(mat, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        mesh = SectorMesh(3, 0.2, np.pi / 40)
+        # at a = A the frozen matrix does not depend on the iterate
+        sector_principal_eigenvalue(LAP, mesh)
+        assert len(calls) == 1
+        # for a < A the frame choices move, and each new matrix is factored
+        calls.clear()
+        sector_principal_eigenvalue(SectorOperatorParams(0.9, 1.0), mesh)
+        assert len(calls) > 1
 
     def test_unknown_inner_method(self):
         mesh = SectorMesh(2, 0.2, np.pi / 60)
