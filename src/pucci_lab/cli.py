@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import textwrap
 import time
 from datetime import datetime, timezone
 
@@ -67,18 +68,11 @@ _DEFAULTS = {
     "report": {},
 }
 
-_EPILOG = """\
-config keys and defaults per command:
-  radial          a A alpha n_dim radius f0 step tol
-  overdetermined  a A alpha n_dim c_values step tol
-  eigen           a A radius h grid_tol cross_tol
-  serrin          a A h disk_radius ellipse directions n_planes
-                  trace_std_tol spread_min oracle_tol hessian_tol
-  sector          a A epsilon n_dim deltas spacing_denom gamma_delta
-                  anchor_rel_tol
-  properties      a A alpha seed trials grid_h shift break_stencil
-All commands also accept output_dir (overridden by --out).
-"""
+_EPILOG = "config keys per command:\n" + "".join(
+    textwrap.fill(" ".join(keys), width=70, initial_indent=f"  {cmd:<16}",
+                  subsequent_indent=" " * 18) + "\n"
+    for cmd, keys in _DEFAULTS.items() if keys
+) + "All commands also accept output_dir (overridden by --out).\n"
 
 
 def _parse_overrides(items):

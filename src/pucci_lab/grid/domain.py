@@ -10,6 +10,7 @@ usable at O(h^2).
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import InvalidShape
 
@@ -235,9 +236,6 @@ class GridDomain:
     def n_cells(self):
         return len(self.pts)
 
-    def cell_centers(self, idx=None):
-        return self.pts if idx is None else self.pts[idx]
-
     def full_array(self, values, fill=np.nan):
         out = np.full((self.nx, self.ny), fill)
         out[self.cells[:, 0], self.cells[:, 1]] = values
@@ -247,22 +245,14 @@ class GridDomain:
         """Bilinear interpolation of interior values at arbitrary points.
 
         Outside cells contribute ``outside`` (appropriate for fields with
-        zero boundary data, where extending by zero is O(h) accurate).
+        zero boundary data, where extending by zero is O(h) accurate);
+        points beyond the lattice take the value at its nearest edge.
         """
-        full = self.full_array(values, fill=outside)
-        pts = np.atleast_2d(pts)
-        px = (pts[:, 0] - self.x0) / self.h - 0.5
-        py = (pts[:, 1] - self.y0) / self.h - 0.5
-        ix = np.clip(np.floor(px).astype(int), 0, self.nx - 2)
-        iy = np.clip(np.floor(py).astype(int), 0, self.ny - 2)
-        fx = np.clip(px - ix, 0.0, 1.0)
-        fy = np.clip(py - iy, 0.0, 1.0)
-        v00 = full[ix, iy]
-        v10 = full[ix + 1, iy]
-        v01 = full[ix, iy + 1]
-        v11 = full[ix + 1, iy + 1]
-        return ((1 - fx) * (1 - fy) * v00 + fx * (1 - fy) * v10
-                + (1 - fx) * fy * v01 + fx * fy * v11)
+        xs = self.x0 + (np.arange(self.nx) + 0.5) * self.h
+        ys = self.y0 + (np.arange(self.ny) + 0.5) * self.h
+        clamped = np.clip(np.atleast_2d(pts), (xs[0], ys[0]), (xs[-1], ys[-1]))
+        return RegularGridInterpolator(
+            (xs, ys), self.full_array(values, fill=outside))(clamped)
 
 
 def _first_crossing(shape, starts, offsets):
@@ -332,7 +322,6 @@ def build_domain(shape, h, stencil=None):
     cutf = np.full((n_in, ndir), -1, dtype=int)
     cutb = np.full((n_in, ndir), -1, dtype=int)
     cut_xy = []
-    cut_meta = []  # (cell, direction index, forward flag)
 
     for j, d in enumerate(stencil.directions):
         full_len = np.hypot(d[0], d[1]) * h
@@ -350,7 +339,6 @@ def build_domain(shape, h, stencil=None):
                 arm[cut] = t * full_len
                 base = len(cut_xy)
                 cut_xy.extend(pts[cut] + t[:, None] * offs)
-                cut_meta.extend((int(c), j, forward) for c in cut)
                 ids = base + np.arange(cut.size)
                 if forward:
                     cutf[cut, j] = ids
@@ -365,7 +353,6 @@ def build_domain(shape, h, stencil=None):
     dom.armf, dom.armb = armf, armb
     dom.cutf, dom.cutb = cutf, cutb
     dom.cut_xy = np.asarray(cut_xy).reshape(-1, 2)
-    dom.cut_meta = cut_meta
 
     _build_boundary_samples(dom)
     return dom

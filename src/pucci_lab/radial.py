@@ -7,12 +7,13 @@ u'/r (tangential, multiplicity N-1), so the extremal operator reduces to
 
 with e1, e2 picked from {a, A} by the sign convention of the variant.  The
 module provides the closed form for constant source, a shooting integrator
-with per-step sign branches, and the principal-eigenvalue bisection on balls.
+with per-step sign branches, and the principal eigenvalue on balls.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (BracketFailure, InvalidNeumannData, IterationLimit,
                      NoZeroCrossing, OutOfDomain, SignBranchFailure)
@@ -188,7 +189,7 @@ def shoot(params, n_dim, source, m, r_max, h):
     with S = (N-1)(1+alpha)+1 and k the variant coefficient for the sign
     pattern near the centre.  Classical fixed-step RK4 follows, with u''
     solved per step by testing both coefficient branches.  The first zero
-    is refined by bisection on a fractional last step.
+    is the root, by Brent's method, of a fractional last step.
 
     Returns
     -------
@@ -230,17 +231,11 @@ def shoot(params, n_dim, source, m, r_max, h):
     cross = np.nonzero(np.sign(u) != s0)[0]
     if s0 != 0.0 and cross.size:
         i = int(cross[0]) - 1
-        # bisect the step fraction, re-integrating a partial RK4 step so the
-        # refined zero stays on the integrator's own trajectory
-        lo, hi = 0.0, heff
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            um, _ = _rk4_step(params, n_dim, source, radii[i], u[i], du[i], mid)
-            if np.sign(um) == s0:
-                lo = mid
-            else:
-                hi = mid
-        frac = 0.5 * (lo + hi)
+        # the zero of a partial RK4 step from the last node keeps the
+        # refined zero on the integrator's own trajectory
+        frac = brentq(lambda t: _rk4_step(params, n_dim, source, radii[i],
+                                          u[i], du[i], t)[0],
+                      0.0, heff, xtol=np.finfo(float).eps * heff)
         first_zero = radii[i] + frac
         _, du_at_zero = _rk4_step(params, n_dim, source, radii[i], u[i], du[i], frac)
     return RadialProfile(radii, u, du, first_zero, du_at_zero)
@@ -257,47 +252,44 @@ def neumann_constant(profile):
 
 def principal_eigenvalue_ball(params, n_dim, radius, *, h=None, rel_tol=1e-8,
                               max_iter=200):
-    """Principal half-eigenvalue on a ball by shooting and bisection.
+    """Principal half-eigenvalue on a ball by shooting and Brent's method.
 
     Finds lam such that the profile of f(u) = lam |u|^alpha u started at
     m = 1 first vanishes exactly at ``radius``.  The first zero decreases
-    monotonically in lam, so plain bisection applies once a bracket is
-    found by doubling/halving from a Laplacian-scale guess.
+    monotonically in lam, so once a bracket is found by doubling/halving
+    from a Laplacian-scale guess, Brent's method converges on lam to
+    relative tolerance ``rel_tol`` within ``max_iter`` iterations.
     """
     if h is None:
         h = radius / 2000.0
     r_stop = 4.0 * radius
+    history = []
 
-    def zero_of(lam):
+    def gap(lam):
+        # a profile with no zero before r_stop counts as vanishing there
         prof = shoot(params, n_dim, EigenPower(lam), 1.0, r_stop, h)
-        return prof.first_zero if prof.first_zero is not None else np.inf
+        history.append(lam)
+        return (r_stop if prof.first_zero is None else prof.first_zero) - radius
 
     guess = 6.0 * params.A / radius ** (2.0 + params.alpha)
     lo, hi = 0.25 * guess, 4.0 * guess
     for _ in range(60):
-        if zero_of(hi) < radius:
+        if gap(hi) < 0.0:
             break
         hi *= 2.0
     else:
         raise BracketFailure("no upper eigenvalue bracket")
     for _ in range(60):
-        if zero_of(lo) > radius:
+        if gap(lo) > 0.0:
             break
         lo *= 0.5
     else:
         raise BracketFailure("no lower eigenvalue bracket")
 
-    history = []
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fz = zero_of(mid)
-        history.append(mid)
-        if abs(fz - radius) <= rel_tol * radius:
-            return mid
-        if fz > radius:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rel_tol * mid:
-            return 0.5 * (lo + hi)
-    raise IterationLimit("eigenvalue bisection did not converge", history)
+    # lam >= lo > 0, so rel_tol * lam dominates this absolute tolerance
+    lam, res = brentq(gap, lo, hi, xtol=1e-3 * rel_tol * lo, rtol=rel_tol,
+                      maxiter=max_iter, full_output=True, disp=False)
+    if not res.converged:
+        raise IterationLimit("eigenvalue root-finding did not converge",
+                             history)
+    return lam

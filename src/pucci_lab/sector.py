@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.interpolate import RegularGridInterpolator
+from scipy.optimize import brentq
 
 from ._iterate import inverse_power, policy_iterate, relax
 from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
@@ -49,7 +51,7 @@ def shrink_angle(n_dim, delta):
 
     For N = 2 the removed set is two arcs, measure 2*delta_prime.  For
     N = 3 the removed measure on the quarter sphere is
-    pi - (pi/2 - 2*dp) * 2*cos(dp), inverted by bisection.
+    pi - (pi/2 - 2*dp) * 2*cos(dp), inverted by Brent's method.
     """
     if delta < 0.0:
         raise ValueError(f"need delta >= 0, got {delta}")
@@ -62,17 +64,10 @@ def shrink_angle(n_dim, delta):
         if delta >= np.pi:
             raise ValueError(f"delta={delta} removes the whole quarter sphere")
 
-        def removed(dp):
-            return np.pi - (np.pi / 2 - 2.0 * dp) * 2.0 * np.cos(dp)
-
-        lo, hi = 0.0, np.pi / 4 - 1e-12
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if removed(mid) < delta:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        # the removed measure rises from 0 at dp = 0 to pi at dp = pi/4
+        return brentq(
+            lambda dp: np.pi - (np.pi / 2 - 2.0 * dp) * 2.0 * np.cos(dp) - delta,
+            0.0, np.pi / 4, xtol=1e-16)
     raise ValueError(f"sector meshes support N = 2 or 3, got N={n_dim}")
 
 
@@ -397,37 +392,18 @@ def gamma_exponent(a, A, epsilon, delta, n_dim, *, spacing=None, tol=1e-6,
 
 def _interp_nodes(mesh):
     """Grid axes padded to the box boundary, where the field is zero."""
-    lo1, hi1 = mesh.box()[:2]
-    ax1 = np.concatenate([[lo1], mesh.theta1, [hi1]])
-    if mesh.n_dim == 2:
-        return (ax1,)
-    lo2, hi2 = mesh.box()[2:]
-    ax2 = np.concatenate([[lo2], mesh.theta2, [hi2]])
-    return ax1, ax2
+    box = mesh.box()
+    thetas = (mesh.theta1, mesh.theta2)[:mesh.n_dim - 1]
+    return tuple(np.concatenate([[lo], th, [hi]])
+                 for lo, hi, th in zip(box[::2], box[1::2], thetas))
 
 
 def _interp_field(mesh, vals, theta):
     axes = _interp_nodes(mesh)
-    if mesh.n_dim == 2:
-        t1 = float(np.atleast_1d(theta)[0])
-        if not (axes[0][0] <= t1 <= axes[0][-1]):
-            raise OutOfDomain(f"theta1={t1:.4f} outside the sector box")
-        padded = np.concatenate([[0.0], vals, [0.0]])
-        return float(np.interp(t1, axes[0], padded))
-    t = np.atleast_1d(theta)
-    t1, t2 = float(t[0]), float(t[1])
-    ax1, ax2 = axes
-    if not (ax1[0] <= t1 <= ax1[-1] and ax2[0] <= t2 <= ax2[-1]):
-        raise OutOfDomain(f"theta=({t1:.4f}, {t2:.4f}) outside the sector box")
-    padded = np.pad(vals, 1)
-    i = np.clip(np.searchsorted(ax1, t1) - 1, 0, len(ax1) - 2)
-    j = np.clip(np.searchsorted(ax2, t2) - 1, 0, len(ax2) - 2)
-    f1 = (t1 - ax1[i]) / (ax1[i + 1] - ax1[i])
-    f2 = (t2 - ax2[j]) / (ax2[j + 1] - ax2[j])
-    return float((1 - f1) * (1 - f2) * padded[i, j]
-                 + f1 * (1 - f2) * padded[i + 1, j]
-                 + (1 - f1) * f2 * padded[i, j + 1]
-                 + f1 * f2 * padded[i + 1, j + 1])
+    t = np.atleast_1d(np.asarray(theta, dtype=float))[:mesh.n_dim - 1]
+    if not all(ax[0] <= ti <= ax[-1] for ax, ti in zip(axes, t)):
+        raise OutOfDomain(f"theta={t.tolist()} outside the sector box")
+    return float(RegularGridInterpolator(axes, np.pad(vals, 1))(t[None])[0])
 
 
 def barrier_eval(gamma, psi, r, theta):

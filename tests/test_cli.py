@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pucci_lab.cli import load_config, main
+from pucci_lab.cli import _DEFAULTS, load_config, main
 
 
 def run(tmp_path, *args):
@@ -40,6 +40,24 @@ class TestConfig:
         path.write_text(json.dumps({"h_grid": 0.1}))
         with pytest.raises(SystemExit):
             load_config("eigen", str(path), None)
+
+    def test_help_names_every_config_key(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        epilog = capsys.readouterr().out.split("config keys per command:")[1]
+        # each command's line and its indented continuations
+        blocks, cmd = {}, None
+        for line in epilog.splitlines():
+            words = line.split()
+            if line.startswith("  ") and not line.startswith("   "):
+                cmd = words.pop(0)
+            elif not line.startswith("   "):
+                cmd = None
+            if cmd:
+                blocks.setdefault(cmd, set()).update(words)
+        assert blocks == {cmd: set(keys)
+                          for cmd, keys in _DEFAULTS.items() if keys}
 
 
 class TestRadialCommand:

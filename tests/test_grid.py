@@ -15,6 +15,7 @@ from pucci_lab.grid import (ComparisonReport, Disk, Ellipse, GridField,
                             principal_eigenvalue_grid, reflect_points,
                             reflection_gap, small_domain_check,
                             solve_dirichlet)
+from pucci_lab.grid.solver import _policy_matrix, _second_differences
 
 DISK_LAPLACE_EIG = brentq(j0, 2.0, 3.0) ** 2
 
@@ -194,6 +195,22 @@ class TestOperator:
         x, y = disk_coarse.pts.T
         grad = np.hypot(-x + 2.0, -y)
         assert_allclose(got, grad * -2.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+    def test_policy_matrix_reproduces_operator(self, disk_coarse, variant):
+        # M @ u = F[u] at the linearization point (zero Dirichlet data,
+        # alpha = 0) is what the Newton step and the reuse of LU factors
+        # rest on
+        params = PucciParams(0.5, 2.0, variant)
+        u = np.random.default_rng(5).standard_normal(disk_coarse.n_cells)
+        zero = np.zeros(len(disk_coarse.cut_xy))
+        delta = _second_differences(disk_coarse, u, zero,
+                                    disk_coarse.stencil.weights)
+        got = _policy_matrix(params, disk_coarse, delta,
+                             np.ones(disk_coarse.n_cells)) @ u
+        want = discretize_F(params, disk_coarse,
+                            GridField(disk_coarse, u, zero)).values
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_broken_stencil_is_inconsistent(self, disk_coarse):
         fld = quad_field(disk_coarse, -0.5, 0.0, -0.5)

@@ -8,9 +8,10 @@ from scipy.optimize import brentq
 from scipy.special import j0
 
 from pucci_lab import (Constant, EigenPower, InvalidNeumannData,
-                       NoZeroCrossing, OutOfDomain, PucciParams, Variant,
-                       closed_form_constant, neumann_constant,
-                       overdetermined_radius, principal_eigenvalue_ball, shoot)
+                       IterationLimit, NoZeroCrossing, OutOfDomain,
+                       PucciParams, Variant, closed_form_constant,
+                       neumann_constant, overdetermined_radius,
+                       principal_eigenvalue_ball, radial, shoot)
 
 # first positive zero of the Bessel function J0, squared: the Dirichlet
 # principal eigenvalue of the Laplacian on the unit disk.  Found by a root
@@ -140,6 +141,29 @@ class TestBallEigenvalue:
         p = PucciParams(1.0, 1.0)
         lam = principal_eigenvalue_ball(p, 2, 1.0, h=1.0 / 800.0)
         assert_allclose(lam, DISK_LAPLACE_EIG, rtol=1e-4)
+
+    def test_brent_lands_on_radius_in_few_shoots(self, monkeypatch):
+        real_shoot = radial.shoot
+        calls = []
+
+        def counting_shoot(*args, **kwargs):
+            calls.append(args)
+            return real_shoot(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "shoot", counting_shoot)
+        p = PucciParams(1.0, 1.0)
+        h = 1.0 / 800.0
+        lam = principal_eigenvalue_ball(p, 2, 1.0, h=h)
+        # bisection to the same rel_tol takes 29 shoots here
+        assert len(calls) <= 20
+        prof = real_shoot(p, 2, EigenPower(lam), 1.0, 4.0, h)
+        assert abs(prof.first_zero - 1.0) <= 1e-7
+
+    def test_iteration_limit_carries_history(self):
+        with pytest.raises(IterationLimit) as exc:
+            principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0,
+                                      h=1.0 / 200.0, max_iter=2)
+        assert exc.value.history
 
     def test_scaling_in_radius(self):
         p = PucciParams(1.0, 1.0, alpha=1.0)

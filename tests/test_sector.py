@@ -11,6 +11,7 @@ from pucci_lab.sector import (SectorField, SectorMesh, SectorOperatorParams,
                               coefficients, export_sector_csv,
                               extrapolate_to_zero, gamma_exponent,
                               sector_principal_eigenvalue, shrink_angle)
+from pucci_lab.sector import _frozen_matrix, _H_values
 
 LAP = SectorOperatorParams(1.0, 1.0)
 
@@ -141,7 +142,8 @@ class TestAssemble:
         assert rel.max() < 10.0 * mesh.spacing ** 2
 
     def test_minus_term_matches_dense_pucci(self):
-        # the vectorized closed-form 2x2 spectra against the Jacobi path
+        # the vectorized closed-form 2x2 spectra against the dense
+        # pucci route, which diagonalizes with numpy.linalg.eigh
         mesh = SectorMesh(3, 0.3, np.pi / 40)
         rng = np.random.default_rng(9)
         vals = rng.standard_normal(mesh.shape)
@@ -165,6 +167,19 @@ class TestAssemble:
             conn = (0.7 if mu >= 0 else 1.6) * mu
             assert out.values[i, j] == pytest.approx(core + pen + conn,
                                                      rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n_dim, spacing", [(2, np.pi / 100),
+                                                (3, np.pi / 40)])
+    @pytest.mark.parametrize("a", [1.0, 0.6])
+    def test_frozen_matrix_reproduces_H(self, n_dim, spacing, a):
+        # M @ psi = H(psi) at the freeze is what the policy step's rhs form
+        # and the reuse of LU factors rest on
+        mesh = SectorMesh(n_dim, 0.2, spacing)
+        vals = np.random.default_rng(4).standard_normal(mesh.shape)
+        p = SectorOperatorParams(a, 1.0, gamma=2.4)
+        want = _H_values(p, mesh, vals).ravel()
+        got = _frozen_matrix(p, mesh, vals) @ vals.ravel()
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_positive_homogeneity(self):
         mesh = SectorMesh(2, 0.1, np.pi / 100)
