@@ -217,7 +217,15 @@ class StencilSet:
 
 
 class GridDomain:
-    """Uniform lattice restricted to a shape, with stencil connectivity."""
+    """Uniform lattice restricted to a shape, with stencil connectivity.
+
+    ``nbf``/``nbb`` are the one arm table, shape (n_cells, n_directions):
+    the forward/backward arm of cell c along direction j ends at entry
+    i = nbf[c, j] (nbb[c, j]).  An entry i < n_cells is the neighbouring
+    cell; an entry i >= n_cells is the cut point ``cut_xy[i - n_cells]``,
+    where the arm leaves the shape.  Each cut point belongs to exactly one
+    arm, so values and boundary data concatenated address every arm end.
+    """
 
     def __init__(self, shape, h, stencil, origin, nx, ny):
         self.shape = shape
@@ -227,10 +235,16 @@ class GridDomain:
         self.nx, self.ny = nx, ny
 
     # filled by build_domain
-    mask: np.ndarray
-    cell_id: np.ndarray
-    cells: np.ndarray
-    pts: np.ndarray
+    mask: np.ndarray      # (nx, ny) bool, lattice centres inside the shape
+    cell_id: np.ndarray   # (nx, ny) cell index, -1 outside
+    cells: np.ndarray     # (n_cells, 2) lattice indices of the cells
+    pts: np.ndarray       # (n_cells, 2) cell centres
+    nbf: np.ndarray       # (n_cells, n_directions) forward arm ends
+    nbb: np.ndarray       # (n_cells, n_directions) backward arm ends
+    armf: np.ndarray      # (n_cells, n_directions) forward arm lengths
+    armb: np.ndarray      # (n_cells, n_directions) backward arm lengths
+    cut_xy: np.ndarray    # (n_cuts, 2) boundary crossings of the cut arms
+    boundary: dict        # trace samples, one per kept axis cut
 
     @property
     def n_cells(self):
@@ -314,45 +328,25 @@ def build_domain(shape, h, stencil=None):
 
     dom.mask, dom.cell_id, dom.cells, dom.pts = mask, cell_id, cells, pts
 
-    ndir = len(stencil.directions)
-    nbf = np.full((n_in, ndir), -1, dtype=int)
-    nbb = np.full((n_in, ndir), -1, dtype=int)
-    armf = np.empty((n_in, ndir))
-    armb = np.empty((n_in, ndir))
-    cutf = np.full((n_in, ndir), -1, dtype=int)
-    cutb = np.full((n_in, ndir), -1, dtype=int)
-    cut_xy = []
+    # every arm family at once, indexed (side, cell, direction) with the
+    # forward side first; an arm whose target is not a cell ends on a cut
+    dirs = stencil.directions
+    steps = np.stack([dirs, -dirs])
+    tgt = cells[None, :, None, :] + steps[:, None, :, :]
+    ok = ((tgt >= 0) & (tgt < (nx, ny))).all(axis=-1)
+    tgt[~ok] = 0
+    nb = np.where(ok, cell_id[tgt[..., 0], tgt[..., 1]], -1)
+    arm = np.broadcast_to(np.hypot(dirs[:, 0], dirs[:, 1]) * h, nb.shape).copy()
+    # cut ids run over directions, then sides, then cells
+    j, side, cut = np.nonzero(nb.transpose(2, 0, 1) < 0)
+    offs = steps[side, j] * h
+    t = _first_crossing(shape, pts[cut], offs)
+    arm[side, cut, j] *= t
+    nb[side, cut, j] = n_in + np.arange(cut.size)
 
-    for j, d in enumerate(stencil.directions):
-        full_len = np.hypot(d[0], d[1]) * h
-        for forward in (True, False):
-            step = d if forward else -d
-            tgt = cells + step
-            ok = (tgt[:, 0] >= 0) & (tgt[:, 0] < nx) & (tgt[:, 1] >= 0) & (tgt[:, 1] < ny)
-            nb = np.full(n_in, -1, dtype=int)
-            nb[ok] = cell_id[tgt[ok, 0], tgt[ok, 1]]
-            arm = np.full(n_in, full_len)
-            cut = np.nonzero(nb < 0)[0]
-            if cut.size:
-                offs = np.tile(step.astype(float) * h, (cut.size, 1))
-                t = _first_crossing(shape, pts[cut], offs)
-                arm[cut] = t * full_len
-                base = len(cut_xy)
-                cut_xy.extend(pts[cut] + t[:, None] * offs)
-                ids = base + np.arange(cut.size)
-                if forward:
-                    cutf[cut, j] = ids
-                else:
-                    cutb[cut, j] = ids
-            if forward:
-                nbf[:, j], armf[:, j] = nb, arm
-            else:
-                nbb[:, j], armb[:, j] = nb, arm
-
-    dom.nbf, dom.nbb = nbf, nbb
-    dom.armf, dom.armb = armf, armb
-    dom.cutf, dom.cutb = cutf, cutb
-    dom.cut_xy = np.asarray(cut_xy).reshape(-1, 2)
+    dom.nbf, dom.nbb = nb
+    dom.armf, dom.armb = arm
+    dom.cut_xy = pts[cut] + t[:, None] * offs
 
     _build_boundary_samples(dom)
     return dom
@@ -360,40 +354,25 @@ def build_domain(shape, h, stencil=None):
 
 def _build_boundary_samples(dom):
     """Pick, per axis cut, the trace sample (cut point, two inward cells)."""
-    shape, h = dom.shape, dom.h
-    recs = []
-    for axis, d in ((0, np.array([1, 0])), (1, np.array([0, 1]))):
-        for forward in (True, False):
-            cut_tab = dom.cutf if forward else dom.cutb
-            sel = np.nonzero(cut_tab[:, axis] >= 0)[0]
-            if not sel.size:
-                continue
-            ids = cut_tab[sel, axis]
-            b = dom.cut_xy[ids]
-            nrm = shape.boundary_normal(b)
-            e = (-d if forward else d).astype(float)  # unit inward axis step
-            en = nrm @ e
-            # keep cuts where this axis is the dominant normal direction and
-            # a second interior cell exists along the inward line
-            keep = np.abs(en) >= 0.5
-            nb2 = (dom.nbb if forward else dom.nbf)[sel, axis]
-            keep &= nb2 >= 0
-            sel, ids, b, nrm, en = sel[keep], ids[keep], b[keep], nrm[keep], en[keep]
-            if not sel.size:
-                continue
-            s = (dom.armf if forward else dom.armb)[sel, axis]
-            recs.append(dict(cell0=sel, cell1=nb2[keep], s=s, point=b,
-                             normal=nrm, e_dot_n=en,
-                             arc=shape.arc_parameter(b)))
-    if not recs:
-        dom.boundary = dict(cell0=np.empty(0, int), cell1=np.empty(0, int),
-                            s=np.empty(0), point=np.empty((0, 2)),
-                            normal=np.empty((0, 2)), e_dot_n=np.empty(0),
-                            arc=np.empty(0))
-        return
-    merged = {k: np.concatenate([r[k] for r in recs]) for k in recs[0]}
-    order = np.argsort(merged["arc"], kind="stable")
-    dom.boundary = {k: v[order] for k, v in merged.items()}
+    n = dom.n_cells
+    # the axis arms of both sides, indexed (side, cell, axis), forward first
+    ends = np.stack([dom.nbf[:, :2], dom.nbb[:, :2]])
+    axis, side, cell = np.nonzero(ends.transpose(2, 0, 1) >= n)
+    point = dom.cut_xy[ends[side, cell, axis] - n]
+    normal = dom.shape.boundary_normal(point)
+    # the unit inward step runs against the cut arm
+    e_dot_n = np.where(side == 0, -1.0, 1.0) * normal[np.arange(len(point)), axis]
+    cell1 = ends[1 - side, cell, axis]
+    s = np.where(side == 0, dom.armf[cell, axis], dom.armb[cell, axis])
+    # keep cuts where this axis is the dominant normal direction and
+    # a second interior cell exists along the inward line
+    keep = (np.abs(e_dot_n) >= 0.5) & (cell1 < n)
+    rec = dict(cell0=cell, cell1=cell1, s=s, point=point, normal=normal,
+               e_dot_n=e_dot_n)
+    rec = {k: v[keep] for k, v in rec.items()}
+    rec["arc"] = dom.shape.arc_parameter(rec["point"])
+    order = np.argsort(rec["arc"], kind="stable")
+    dom.boundary = {k: v[order] for k, v in rec.items()}
 
 
 @dataclass

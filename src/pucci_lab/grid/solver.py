@@ -21,14 +21,13 @@ _GRAD_FLOOR = 1e-8
 
 
 def _arm_values(dom, values, bvals):
-    """Forward/backward neighbour values, taking cuts from boundary data."""
-    vf = np.where(dom.nbf >= 0, values[np.clip(dom.nbf, 0, None)], 0.0)
-    vb = np.where(dom.nbb >= 0, values[np.clip(dom.nbb, 0, None)], 0.0)
-    m = dom.cutf >= 0
-    vf[m] = bvals[dom.cutf[m]]
-    m = dom.cutb >= 0
-    vb[m] = bvals[dom.cutb[m]]
-    return vf, vb
+    """Values at the forward/backward arm ends, shape (n_cells, n_directions).
+
+    An arm ends on a cell (its value) or on a cut (its boundary datum); the
+    arm table indexes cell values followed by cut data.
+    """
+    ends = np.concatenate([values, bvals])
+    return ends[dom.nbf], ends[dom.nbb]
 
 
 def _second_differences(dom, values, bvals, weights):
@@ -120,7 +119,7 @@ def _policy_matrix(params, dom, delta, grad_weight):
         vals.append(coef * (-2.0) / (sf * sb))
         for nbr, w in ((dom.nbf[idx, c], coef * 2.0 / (sf * denom)),
                        (dom.nbb[idx, c], coef * 2.0 / (sb * denom))):
-            own = nbr >= 0
+            own = nbr < n
             rows.append(idx[own])
             cols.append(nbr[own])
             vals.append(w[own])

@@ -263,13 +263,17 @@ def principal_eigenvalue_ball(params, n_dim, radius, *, h=None, rel_tol=1e-8,
     if h is None:
         h = radius / 2000.0
     r_stop = 4.0 * radius
-    history = []
+    gaps = {}
 
     def gap(lam):
-        # a profile with no zero before r_stop counts as vanishing there
-        prof = shoot(params, n_dim, EigenPower(lam), 1.0, r_stop, h)
-        history.append(lam)
-        return (r_stop if prof.first_zero is None else prof.first_zero) - radius
+        # brentq starts by evaluating the bracket ends the search already
+        # shot, so each lam is shot once
+        if lam not in gaps:
+            prof = shoot(params, n_dim, EigenPower(lam), 1.0, r_stop, h)
+            # a profile with no zero before r_stop counts as vanishing there
+            gaps[lam] = (r_stop if prof.first_zero is None
+                         else prof.first_zero) - radius
+        return gaps[lam]
 
     guess = 6.0 * params.A / radius ** (2.0 + params.alpha)
     lo, hi = 0.25 * guess, 4.0 * guess
@@ -291,5 +295,5 @@ def principal_eigenvalue_ball(params, n_dim, radius, *, h=None, rel_tol=1e-8,
                       maxiter=max_iter, full_output=True, disp=False)
     if not res.converged:
         raise IterationLimit("eigenvalue root-finding did not converge",
-                             history)
+                             list(gaps))
     return lam

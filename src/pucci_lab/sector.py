@@ -399,11 +399,17 @@ def _interp_nodes(mesh):
 
 
 def _interp_field(mesh, vals, theta):
+    """Linear interpolation at one angle tuple, or at each row of a 2-D
+    array of angles (then an array comes back)."""
     axes = _interp_nodes(mesh)
-    t = np.atleast_1d(np.asarray(theta, dtype=float))[:mesh.n_dim - 1]
-    if not all(ax[0] <= ti <= ax[-1] for ax, ti in zip(axes, t)):
-        raise OutOfDomain(f"theta={t.tolist()} outside the sector box")
-    return float(RegularGridInterpolator(axes, np.pad(vals, 1))(t[None])[0])
+    theta = np.asarray(theta, dtype=float)
+    t = np.atleast_2d(theta)[:, :mesh.n_dim - 1]
+    inside = np.all([(ax[0] <= c) & (c <= ax[-1]) for ax, c in zip(axes, t.T)],
+                    axis=0)
+    if not inside.all():
+        raise OutOfDomain(f"theta={t[~inside][0].tolist()} outside the sector box")
+    out = RegularGridInterpolator(axes, np.pad(vals, 1))(t)
+    return out if theta.ndim == 2 else float(out[0])
 
 
 def barrier_eval(gamma, psi, r, theta):
@@ -435,21 +441,23 @@ def barrier_eval(gamma, psi, r, theta):
 
 
 def _embed(n_dim, r, theta):
+    """Cartesian points of radii r and angle rows theta."""
+    t1 = theta[:, 0]
     if n_dim == 2:
-        t1 = theta[0]
-        return r * np.array([np.cos(t1), np.sin(t1)])
-    t1, t2 = theta
-    return r * np.array([np.cos(t2) * np.cos(t1),
-                         np.cos(t2) * np.sin(t1),
-                         np.sin(t2)])
+        return r[:, None] * np.stack([np.cos(t1), np.sin(t1)], axis=1)
+    t2 = theta[:, 1]
+    return r[:, None] * np.stack([np.cos(t2) * np.cos(t1),
+                                  np.cos(t2) * np.sin(t1),
+                                  np.sin(t2)], axis=1)
 
 
 def _unembed(n_dim, x):
-    r = float(np.sqrt(x @ x))
-    if n_dim == 2:
-        return r, (float(np.arctan2(x[1], x[0])),)
-    return r, (float(np.arctan2(x[1], x[0])),
-               float(np.arcsin(np.clip(x[2] / r, -1.0, 1.0))))
+    """Radii and angle rows of the points in the rows of x."""
+    r = np.sqrt(np.einsum("ij,ij->i", x, x))
+    theta = [np.arctan2(x[:, 1], x[:, 0])]
+    if n_dim == 3:
+        theta.append(np.arcsin(np.clip(x[:, 2] / r, -1.0, 1.0)))
+    return r, np.stack(theta, axis=1)
 
 
 def barrier_margin(params, psi, gamma, *, n_samples=100, seed=0,
@@ -464,42 +472,40 @@ def barrier_margin(params, psi, gamma, *, n_samples=100, seed=0,
     n_dim = mesh.n_dim
     rng = np.random.default_rng(seed)
     box = mesh.box()
-    lo1, hi1 = box[0], box[1]
-    pad1 = 0.15 * (hi1 - lo1)
-    margins = np.empty(n_samples)
+    lo, hi = np.array(box[::2]), np.array(box[1::2])
+    pad = 0.15 * (hi - lo)
+    # per sample: r, then one angle per box axis
+    draws = rng.uniform([r_range[0], *(lo + pad)], [r_range[1], *(hi - pad)],
+                        size=(n_samples, n_dim))
+    radii = draws[:, 0]
+    etas = 0.5 * radii * np.sqrt(mesh.spacing)
+    # unit offsets of the Hessian stencil: the centre, then +-e_i, then
+    # +(e_i + e_j), -(e_i + e_j), +(e_i - e_j), -(e_i - e_j) for i < j
+    eye = np.eye(n_dim)
+    mixed = [(i, j) for i in range(n_dim) for j in range(i + 1, n_dim)]
+    offsets = np.array([np.zeros(n_dim)]
+                       + [s * eye[i] for i in range(n_dim) for s in (1.0, -1.0)]
+                       + [s * (eye[i] + t * eye[j]) for i, j in mixed
+                          for t in (1.0, -1.0) for s in (1.0, -1.0)])
+    pts = (_embed(n_dim, radii, draws[:, 1:])[:, None, :]
+           + etas[:, None, None] * offsets)
 
-    def w_at(x):
-        r, th = _unembed(n_dim, np.asarray(x))
-        return r ** gamma * _interp_field(mesh, psi.values, th)
+    # w = r^gamma psi at every stencil point of every sample in one call
+    rho, th = _unembed(n_dim, pts.reshape(-1, n_dim))
+    w = (rho ** gamma * _interp_field(mesh, psi.values, th)).reshape(n_samples, -1)
+    w0 = w[:, 0]
+    eta2 = etas ** 2
+    hess = np.empty((n_samples, n_dim, n_dim))
+    for i in range(n_dim):
+        hess[:, i, i] = (w[:, 1 + 2 * i] - 2.0 * w0 + w[:, 2 + 2 * i]) / eta2
+    for k, (i, j) in enumerate(mixed):
+        c = 1 + 2 * n_dim + 4 * k
+        pp, mm, pm, mp = w[:, c:c + 4].T
+        hess[:, i, j] = hess[:, j, i] = (pp + mm - pm - mp) / (4.0 * eta2)
 
     minus = PucciParams(params.a, params.A, Variant.MINUS)
-    for s in range(n_samples):
-        r = rng.uniform(*r_range)
-        th1 = rng.uniform(lo1 + pad1, hi1 - pad1)
-        if n_dim == 2:
-            theta = (th1,)
-        else:
-            lo2, hi2 = box[2], box[3]
-            pad2 = 0.15 * (hi2 - lo2)
-            theta = (th1, rng.uniform(lo2 + pad2, hi2 - pad2))
-        x0 = _embed(n_dim, r, theta)
-        eta = 0.5 * r * np.sqrt(mesh.spacing)
-        dim = n_dim
-        hess = np.empty((dim, dim))
-        w0 = w_at(x0)
-        for i in range(dim):
-            ei = np.zeros(dim)
-            ei[i] = eta
-            hess[i, i] = (w_at(x0 + ei) - 2.0 * w0 + w_at(x0 - ei)) / eta ** 2
-            for j in range(i + 1, dim):
-                ej = np.zeros(dim)
-                ej[j] = eta
-                hess[i, j] = hess[j, i] = (
-                    w_at(x0 + ei + ej) + w_at(x0 - ei - ej)
-                    - w_at(x0 + ei - ej) - w_at(x0 - ei + ej)) / (4.0 * eta ** 2)
-        m_minus = pucci(minus, SymMatrix.from_full(hess))
-        margins[s] = m_minus - params.epsilon * r ** (-2.0) * w0
-    return margins
+    m_minus = np.array([pucci(minus, SymMatrix.from_full(m)) for m in hess])
+    return m_minus - params.epsilon * radii ** (-2.0) * w0
 
 
 def export_sector_csv(field, path):

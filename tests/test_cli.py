@@ -102,8 +102,8 @@ class TestEigenCommand:
         rep = read_report(tmp_path, "eigen")
         assert abs(rep["results"]["disk_grid"]
                    - rep["results"]["bessel_oracle"]) < 0.12
-        methods = {row["method"] for row in
-                   csv.DictReader(open(tmp_path / "eigen_values.csv"))}
+        with open(tmp_path / "eigen_values.csv") as fh:
+            methods = {row["method"] for row in csv.DictReader(fh)}
         assert methods == {"ball_shooting", "disk_grid", "bessel_oracle"}
 
     def test_reversed_bounds_exit_2(self, tmp_path):

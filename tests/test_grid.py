@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import j0
 from scipy.optimize import brentq
 
@@ -15,6 +15,7 @@ from pucci_lab.grid import (ComparisonReport, Disk, Ellipse, GridField,
                             principal_eigenvalue_grid, reflect_points,
                             reflection_gap, small_domain_check,
                             solve_dirichlet)
+from pucci_lab.grid import domain as domain_module
 from pucci_lab.grid.solver import _policy_matrix, _second_differences
 
 DISK_LAPLACE_EIG = brentq(j0, 2.0, 3.0) ** 2
@@ -65,6 +66,58 @@ class TestDomain:
     def test_cut_points_on_boundary(self, disk_dom):
         lev = disk_dom.shape.level(disk_dom.cut_xy)
         assert np.abs(lev).max() < 1e-12
+
+    @pytest.mark.parametrize("shape", [Disk(1.0),
+                                       Polygon([(0, 0), (2, 0), (0.5, 1.5)])],
+                             ids=["disk", "triangle"])
+    def test_arm_table_addresses_cells_and_cuts(self, shape):
+        dom = build_domain(shape, 0.05)
+        n, n_cut = dom.n_cells, len(dom.cut_xy)
+        dirs = dom.stencil.directions
+        for nb, arm, sign in ((dom.nbf, dom.armf, 1), (dom.nbb, dom.armb, -1)):
+            assert nb.shape == (n, len(dirs))
+            assert nb.min() >= 0 and nb.max() < n + n_cut
+            # an interior entry is the lattice cell one step away
+            cell, j = np.nonzero(nb < n)
+            assert_array_equal(dom.cells[nb[cell, j]],
+                               dom.cells[cell] + sign * dirs[j])
+            # a cut entry is where the arm ends, on the boundary
+            cell, j = np.nonzero(nb >= n)
+            unit = sign * dirs[j] / np.hypot(*dirs[j].T)[:, None]
+            assert_allclose(dom.cut_xy[nb[cell, j] - n],
+                            dom.pts[cell] + arm[cell, j, None] * unit,
+                            rtol=0.0, atol=1e-12)
+        ids = np.concatenate([dom.nbf[dom.nbf >= n], dom.nbb[dom.nbb >= n]])
+        assert_array_equal(np.sort(ids), n + np.arange(n_cut))
+
+    def test_one_crossing_solve_per_build(self, monkeypatch):
+        real = domain_module._first_crossing
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(domain_module, "_first_crossing", counting)
+        dom = build_domain(Ellipse(2.0, 1.0), 0.1)
+        assert calls == [len(dom.cut_xy)]
+
+    def test_reentrant_corner_cuts_at_first_crossing(self):
+        shape = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        dom = build_domain(shape, 0.05)
+        assert np.abs(shape.level(dom.cut_xy)).max() < 1e-12
+        dirs = dom.stencil.directions
+        full = np.hypot(*dirs.T) * dom.h
+        for arm, sign in ((dom.armf, 1), (dom.armb, -1)):
+            # cut arms are the ones shorter than a full lattice step
+            cell, j = np.nonzero(arm < full)
+            step = sign * dirs[j] * (arm[cell, j] / full[j])[:, None] * dom.h
+            # the arm stays inside up to its cut, so no earlier crossing
+            # was skipped
+            for frac in (0.25, 0.5, 0.75):
+                assert shape.level(dom.pts[cell] + frac * step).max() < 0.0
+        u = solve_dirichlet(PucciParams(1.0, 1.5), dom, Constant(1.0))
+        assert u.values.min() >= 0.0
 
     def test_mask_symmetric_under_quarter_turn(self, disk_dom):
         m = disk_dom.mask

@@ -159,6 +159,21 @@ class TestBallEigenvalue:
         prof = real_shoot(p, 2, EigenPower(lam), 1.0, 4.0, h)
         assert abs(prof.first_zero - 1.0) <= 1e-7
 
+    @pytest.mark.parametrize("big_a", [1.0, 1.5])
+    def test_each_lambda_shot_once(self, monkeypatch, big_a):
+        real_shoot = radial.shoot
+        shot = []
+
+        def recording_shoot(params, n_dim, source, *args):
+            shot.append(source.lam)
+            return real_shoot(params, n_dim, source, *args)
+
+        monkeypatch.setattr(radial, "shoot", recording_shoot)
+        principal_eigenvalue_ball(PucciParams(1.0, big_a), 2, 1.0,
+                                  h=1.0 / 800.0)
+        # Brent's first two evaluations are the bracket ends, already shot
+        assert len(set(shot)) == len(shot)
+
     def test_iteration_limit_carries_history(self):
         with pytest.raises(IterationLimit) as exc:
             principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0,

@@ -11,6 +11,7 @@ from pucci_lab.sector import (SectorField, SectorMesh, SectorOperatorParams,
                               coefficients, export_sector_csv,
                               extrapolate_to_zero, gamma_exponent,
                               sector_principal_eigenvalue, shrink_angle)
+from pucci_lab import sector as sector_module
 from pucci_lab.sector import _frozen_matrix, _H_values
 
 LAP = SectorOperatorParams(1.0, 1.0)
@@ -331,6 +332,44 @@ def solved():
     return params, psi, gam
 
 
+def _pointwise_margins(params, psi, gam, n_samples, seed, r_range=(0.5, 2.0)):
+    """Reference for barrier_margin: the same samples and finite-difference
+    Hessian, with w interpolated one point at a time by barrier_eval."""
+    mesh = psi.mesh
+    n = mesh.n_dim
+    rng = np.random.default_rng(seed)
+    box = mesh.box()
+    minus = PucciParams(params.a, params.A, Variant.MINUS)
+
+    def w_at(x):
+        r = np.sqrt(x @ x)
+        theta = [np.arctan2(x[1], x[0])]
+        if n == 3:
+            theta.append(np.arcsin(x[2] / r))
+        return barrier_eval(gam, psi, r, theta)[0]
+
+    out = []
+    for _ in range(n_samples):
+        r = rng.uniform(*r_range)
+        t1, t2 = [rng.uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))
+                  for lo, hi in zip(box[::2], box[1::2])] + [0.0] * (3 - n)
+        x0 = r * np.array([np.cos(t2) * np.cos(t1), np.cos(t2) * np.sin(t1),
+                           np.sin(t2)])[:n]
+        eta = 0.5 * r * np.sqrt(mesh.spacing)
+        e = eta * np.eye(n)
+        w0 = w_at(x0)
+        hess = np.empty((n, n))
+        for i in range(n):
+            hess[i, i] = (w_at(x0 + e[i]) - 2.0 * w0 + w_at(x0 - e[i])) / eta ** 2
+            for j in range(i + 1, n):
+                hess[i, j] = hess[j, i] = (
+                    w_at(x0 + e[i] + e[j]) + w_at(x0 - e[i] - e[j])
+                    - w_at(x0 + e[i] - e[j]) - w_at(x0 - e[i] + e[j])) / (4.0 * eta ** 2)
+        out.append(pucci(minus, SymMatrix.from_full(hess))
+                   - params.epsilon * r ** (-2.0) * w0)
+    return np.array(out)
+
+
 class TestBarrier:
     def test_zero_radius_limit(self, solved):
         _, psi, gam = solved
@@ -361,6 +400,28 @@ class TestBarrier:
         params, psi, gam = solved
         margins = barrier_margin(params, psi, gam, n_samples=80, seed=3)
         assert margins.min() >= -10.0 * psi.mesh.spacing
+
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    def test_margins_match_pointwise_reference(self, n_dim):
+        mesh = SectorMesh(n_dim, 0.2, np.pi / 40)
+        _, psi = sector_principal_eigenvalue(LAP, mesh)
+        params = SectorOperatorParams(0.9, 1.0, gamma=2.5, epsilon=0.01)
+        got = barrier_margin(params, psi, 2.5, n_samples=15, seed=5)
+        want = _pointwise_margins(params, psi, 2.5, n_samples=15, seed=5)
+        assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_margins_build_one_interpolator(self, solved, monkeypatch):
+        params, psi, gam = solved
+        real = sector_module.RegularGridInterpolator
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sector_module, "RegularGridInterpolator", counting)
+        barrier_margin(params, psi, gam, n_samples=20, seed=3)
+        assert len(built) <= 1
 
     def test_margins_n3(self):
         mesh = SectorMesh(3, 0.2, np.pi / 100)
