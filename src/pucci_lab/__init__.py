@@ -3,13 +3,13 @@
 __version__ = "0.1.0"
 
 from .errors import (BracketFailure, CoefficientBlowup, DegenerateGradient,
-                     InvalidMatrix, InvalidNeumannData, InvalidShape,
-                     IterationLimit, NoZeroCrossing, OutOfDomain,
+                     IntegrationFailure, InvalidMatrix, InvalidNeumannData,
+                     InvalidShape, IterationLimit, NoZeroCrossing, OutOfDomain,
                      PositivityLoss, PucciLabError, ReflectionOutOfDomain,
                      SignBranchFailure)
 from .operators import (EigenDecomp, PucciParams, SymMatrix, Variant,
                         boundary_hessian, eigen_sym, f_operator, pucci)
-from .radial import (Constant, EigenPower, PowerPair, RadialProfile,
+from .radial import (Constant, EigenPower, PowerPair, RadialProfile, Source,
                      closed_form_constant, neumann_constant,
                      overdetermined_radius, principal_eigenvalue_ball, shoot)
 from . import grid
@@ -28,12 +28,13 @@ __all__ = [
     "neumann_trace", "principal_eigenvalue_grid", "reflection_gap",
     "small_domain_check", "solve_dirichlet",
     "BracketFailure", "CoefficientBlowup", "DegenerateGradient",
-    "InvalidMatrix", "InvalidNeumannData", "InvalidShape", "IterationLimit",
-    "NoZeroCrossing", "OutOfDomain", "PositivityLoss", "PucciLabError",
-    "ReflectionOutOfDomain", "SignBranchFailure",
+    "IntegrationFailure", "InvalidMatrix", "InvalidNeumannData",
+    "InvalidShape", "IterationLimit", "NoZeroCrossing", "OutOfDomain",
+    "PositivityLoss", "PucciLabError", "ReflectionOutOfDomain",
+    "SignBranchFailure",
     "EigenDecomp", "PucciParams", "SymMatrix", "Variant", "boundary_hessian",
     "eigen_sym", "f_operator", "pucci",
-    "Constant", "EigenPower", "PowerPair", "RadialProfile",
+    "Constant", "EigenPower", "PowerPair", "RadialProfile", "Source",
     "closed_form_constant", "neumann_constant", "overdetermined_radius",
     "principal_eigenvalue_ball", "shoot",
     "__version__",

@@ -34,6 +34,10 @@ class SignBranchFailure(PucciLabError):
         self.du = du
 
 
+class IntegrationFailure(PucciLabError):
+    """An adaptive ODE integration stopped before the end of its span."""
+
+
 class NoZeroCrossing(PucciLabError):
     """A radial profile never crosses zero on the integrated range."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import IterationLimit, OutOfDomain, ReflectionOutOfDomain
-from ..radial import Constant, EigenPower, PowerPair
+from ..radial import Source
 from .domain import boundary_data, build_domain
 from .solver import solve_dirichlet
 
@@ -132,13 +132,11 @@ class ComparisonReport:
 
 def _comparison_case(source):
     """Classify the zeroth order term against the comparison hypotheses."""
-    if isinstance(source, Constant):
-        return "nonincreasing"
-    if isinstance(source, EigenPower):
-        return "nonincreasing" if source.lam <= 0.0 else "homogeneous"
-    if isinstance(source, PowerPair):
-        return "nonincreasing" if source.lam <= 0.0 else "homogeneous"
-    raise ValueError("source term is outside the comparison hypotheses")
+    if not isinstance(source, Source):
+        raise ValueError("source term is outside the comparison hypotheses")
+    # c is constant and the mu term (mu >= 0) nonincreasing, so the sign
+    # of lam decides
+    return "nonincreasing" if source.lam <= 0.0 else "homogeneous"
 
 
 def comparison_check(params, dom, source, g1, g2, *, tol=1e-8):
@@ -176,29 +174,17 @@ class SmallDomainReport:
     passed: bool
 
 
-class _ShiftedUnit:
-    """Zeroth order term L*u - 1, the probe for the small-domain check."""
-
-    def __init__(self, shift):
-        self.shift = float(shift)
-
-    def evaluate(self, u, alpha=0.0):
-        return self.shift * u - 1.0
-
-    def evaluate_deriv(self, u, alpha=0.0):
-        return np.full_like(u, self.shift)
-
-
 def small_domain_check(params, shift, base_shape, *,
                        scales=(1.0, 0.5, 0.25, 0.125, 0.0625),
                        cells_across=24, tol=1e-8):
     """Probe the maximum principle for M + shift on shrinking copies.
 
-    On each scaled copy, solves M[w] + shift*w = 1 with zero data and
-    records sup w.  Where the principle holds the solution is nonpositive;
-    the report gives the largest size from which every smaller copy has
-    sup w <= tol, or None when even the smallest fails.  Solver breakdown
-    (near-resonant shift) counts as a failure for that size.
+    On each scaled copy, solves M[w] + shift*|w|^alpha w = 1 with zero data
+    and records sup w; the probe term is shift*w only at alpha = 0.  Where
+    the principle holds the solution is nonpositive; the report gives the
+    largest size from which every smaller copy has sup w <= tol, or None
+    when even the smallest fails.  Solver breakdown (near-resonant shift)
+    counts as a failure for that size.
     """
     xmin, ymin, xmax, ymax = base_shape.bbox()
     diam0 = float(np.hypot(xmax - xmin, ymax - ymin))
@@ -210,7 +196,7 @@ def small_domain_check(params, shift, base_shape, *,
         sizes.append(diam0 * s)
         try:
             dom = build_domain(shape, h)
-            sol = solve_dirichlet(params, dom, _ShiftedUnit(shift), 0.0,
+            sol = solve_dirichlet(params, dom, Source(c=-1.0, lam=shift), 0.0,
                                   tol=tol)
             sups.append(float(sol.values.max()))
         except (IterationLimit, RuntimeError):

@@ -7,7 +7,7 @@ u'/r (tangential, multiplicity N-1), so the extremal operator reduces to
 
 with e1, e2 picked from {a, A} by the sign convention of the variant.  The
 module provides the closed form for constant source, a shooting integrator
-with per-step sign branches, and the principal eigenvalue on balls.
+with per-stage sign branches, and the principal eigenvalue on balls.
 """
 
 from dataclasses import dataclass, field
@@ -15,70 +15,72 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (BracketFailure, InvalidNeumannData, IterationLimit,
-                     NoZeroCrossing, OutOfDomain, SignBranchFailure)
+from .errors import (BracketFailure, IntegrationFailure, InvalidNeumannData,
+                     IterationLimit, NoZeroCrossing, OutOfDomain,
+                     SignBranchFailure)
 from .operators import Variant, _directional_coef
 
-# |u'|^(-alpha) guard for alpha > 0, only reachable past the first zero
-# where oscillating profiles may stall
+# |u'|^(-alpha) guard for alpha > 0: a trial stage of the integrator may
+# land on u' = 0, where the weight is infinite
 _DU_FLOOR = 1e-14
+# DOP853 tolerances of the shooter; at h = R/2000 they keep the ball
+# eigenvalue within 1e-9 relative of fixed-step RK4
+_RTOL, _ATOL = 1e-11, 1e-14
 
 
 @dataclass(frozen=True)
-class Constant:
-    """Source f(u) = value, independent of u."""
+class Source:
+    """Source f(u) = c + lam |u|^alpha u - mu |u|^(beta-1) u.
 
-    value: float
-
-    def evaluate(self, u, alpha):
-        return self.value if np.isscalar(u) else np.full_like(u, self.value)
-
-    def evaluate_deriv(self, u, alpha):
-        return 0.0 if np.isscalar(u) else np.zeros_like(u)
-
-
-@dataclass(frozen=True)
-class EigenPower:
-    """Eigenvalue-type source f(u) = lam * |u|^alpha * u."""
-
-    lam: float
-
-    def evaluate(self, u, alpha):
-        # written as sign(u)*|u|^(1+alpha) so u = 0 is safe for alpha < 0
-        return self.lam * np.sign(u) * np.abs(u) ** (1.0 + alpha)
-
-    def evaluate_deriv(self, u, alpha):
-        return self.lam * (1.0 + alpha) * np.abs(u) ** alpha
-
-
-@dataclass(frozen=True)
-class PowerPair:
-    """Source f(u) = lam * |u|^alpha * u - mu * |u|^(beta-1) * u.
-
-    The second exponent must be supercritical, beta > 1 + alpha, for the
-    comparison structure this source is meant to exercise.
+    A term whose coefficient is 0 is skipped, so f and f' stay finite where
+    |u|^alpha is not (alpha < 0 at u = 0).  Both methods return arrays
+    shaped like ``u``; ``c`` may itself be an array of that shape.  The
+    absorbing term needs mu >= 0 and a supercritical exponent,
+    beta > 1 + alpha, for the comparison structure it exercises.
     """
 
-    lam: float
-    mu: float
-    beta: float
+    c: float = 0.0
+    lam: float = 0.0
+    mu: float = 0.0
+    beta: float = np.inf  # passes the beta check when there is no mu term
 
-    def validate(self, alpha):
+    def evaluate(self, u, alpha):
         if self.mu < 0.0:
             raise ValueError(f"need mu >= 0, got {self.mu}")
         if not (self.beta > 1.0 + alpha):
             raise ValueError(
                 f"need beta > 1 + alpha, got beta={self.beta}, alpha={alpha}")
-
-    def evaluate(self, u, alpha):
-        self.validate(alpha)
-        au = np.abs(u)
-        return np.sign(u) * (self.lam * au ** (1.0 + alpha) - self.mu * au ** self.beta)
+        if not (self.lam or self.mu):
+            return np.full_like(u, self.c, dtype=float)
+        # written as sign(u)*|u|^p so u = 0 is safe for alpha < 0
+        g = self.lam * np.abs(u) ** (1.0 + alpha) if self.lam else 0.0
+        if self.mu:
+            g = g - self.mu * np.abs(u) ** self.beta
+        f = np.sign(u) * g
+        return f + self.c if np.any(self.c) else f
 
     def evaluate_deriv(self, u, alpha):
-        au = np.abs(u)
-        return self.lam * (1.0 + alpha) * au ** alpha \
-            - self.mu * self.beta * au ** (self.beta - 1.0)
+        d = np.zeros_like(u, dtype=float)
+        if self.lam:
+            d = self.lam * (1.0 + alpha) * np.abs(u) ** alpha
+        if self.mu:
+            d = d - self.mu * self.beta * np.abs(u) ** (self.beta - 1.0)
+        return d
+
+
+def Constant(value):
+    """Source f(u) = value, independent of u."""
+    return Source(c=value)
+
+
+def EigenPower(lam):
+    """Eigenvalue-type source f(u) = lam * |u|^alpha * u."""
+    return Source(lam=lam)
+
+
+def PowerPair(lam, mu, beta):
+    """Source f(u) = lam * |u|^alpha * u - mu * |u|^(beta-1) * u."""
+    return Source(lam=lam, mu=mu, beta=beta)
 
 
 @dataclass
@@ -167,6 +169,7 @@ def _curvature_rhs(params, n_dim, source, r, u, v):
 
 
 def _rk4_step(params, n_dim, source, r, u, v, h):
+    """One classical RK4 step, the fixed-step oracle for ``shoot``."""
     def f(rr, uu, vv):
         return vv, _curvature_rhs(params, n_dim, source, rr, uu, vv)
 
@@ -187,28 +190,29 @@ def shoot(params, n_dim, source, m, r_max, h):
         u'(r) = -sign(f(m)) * (|f(m)| (1+alpha) r / (k S))^(1/(1+alpha))
 
     with S = (N-1)(1+alpha)+1 and k the variant coefficient for the sign
-    pattern near the centre.  Classical fixed-step RK4 follows, with u''
-    solved per step by testing both coefficient branches.  The first zero
-    is the root, by Brent's method, of a fractional last step.
+    pattern near the centre.  Adaptive DOP853 follows, with u'' solved at
+    each stage by testing both coefficient branches, and stops at the first
+    zero, located by a terminal event.  Besides the start radius, ``h``
+    sets the spacing (at most h) of the returned nodes, which run from r0
+    towards ``r_max`` and end at the last node before the first zero; the
+    accuracy is that of the module tolerances.
 
     Returns
     -------
     RadialProfile
-        ``first_zero`` is None when the profile never crosses zero (in
-        particular for the degenerate f(m) = 0 flat profile).
+        ``first_zero`` is None when the profile never crosses zero before
+        ``r_max`` (in particular for the degenerate f(m) = 0 flat profile).
     """
     if r_max <= 0.0 or h <= 0.0 or r_max <= 20.0 * h:
         raise ValueError("need 0 < h and r_max > 20 h")
     alpha = params.alpha
     fm = float(source.evaluate(m, alpha))
     r0 = 10.0 * h
-    steps = int(np.ceil((r_max - r0) / h))
-    heff = (r_max - r0) / steps
-    radii = r0 + heff * np.arange(steps + 1)
+    radii = np.linspace(r0, r_max, int(np.ceil((r_max - r0) / h)) + 1)
 
     if fm == 0.0:
-        flat = np.full(steps + 1, float(m))
-        return RadialProfile(radii, flat, np.zeros(steps + 1), None)
+        return RadialProfile(radii, np.full(len(radii), float(m)),
+                             np.zeros(len(radii)), None)
 
     sgn = 1.0 if fm > 0.0 else -1.0
     # decreasing profile from a maximum has both Hessian eigenvalues
@@ -219,26 +223,25 @@ def shoot(params, n_dim, source, m, r_max, h):
     u0 = m - sgn * (1.0 + alpha) / (2.0 + alpha) * big_k ** ex * r0 ** ((2.0 + alpha) * ex)
     v0 = -sgn * (big_k * r0) ** ex
 
-    u = np.empty(steps + 1)
-    du = np.empty(steps + 1)
-    u[0], du[0] = u0, v0
-    for i in range(steps):
-        u[i + 1], du[i + 1] = _rk4_step(params, n_dim, source, radii[i], u[i], du[i], heff)
+    # imported on first use: scipy.integrate would slow every package import
+    from scipy.integrate import solve_ivp
 
-    first_zero = None
-    du_at_zero = None
-    s0 = np.sign(u[0])
-    cross = np.nonzero(np.sign(u) != s0)[0]
-    if s0 != 0.0 and cross.size:
-        i = int(cross[0]) - 1
-        # the zero of a partial RK4 step from the last node keeps the
-        # refined zero on the integrator's own trajectory
-        frac = brentq(lambda t: _rk4_step(params, n_dim, source, radii[i],
-                                          u[i], du[i], t)[0],
-                      0.0, heff, xtol=np.finfo(float).eps * heff)
-        first_zero = radii[i] + frac
-        _, du_at_zero = _rk4_step(params, n_dim, source, radii[i], u[i], du[i], frac)
-    return RadialProfile(radii, u, du, first_zero, du_at_zero)
+    def rhs(r, y):
+        return y[1], _curvature_rhs(params, n_dim, source, r, y[0], y[1])
+
+    def zero(r, y):
+        return y[0]
+    zero.terminal = True
+
+    sol = solve_ivp(rhs, (r0, r_max), (u0, v0), method="DOP853",
+                    t_eval=radii, events=zero, rtol=_RTOL, atol=_ATOL)
+    if sol.status < 0:
+        raise IntegrationFailure(sol.message)
+    first_zero = du_at_zero = None
+    if sol.status == 1:
+        first_zero = float(sol.t_events[0][0])
+        du_at_zero = float(sol.y_events[0][0][1])
+    return RadialProfile(sol.t, sol.y[0], sol.y[1], first_zero, du_at_zero)
 
 
 def neumann_constant(profile):

@@ -16,6 +16,7 @@ from pucci_lab.grid import (ComparisonReport, Disk, Ellipse, GridField,
                             reflection_gap, small_domain_check,
                             solve_dirichlet)
 from pucci_lab.grid import domain as domain_module
+from pucci_lab.grid.diagnostics import _comparison_case
 from pucci_lab.grid.solver import _policy_matrix, _second_differences
 
 DISK_LAPLACE_EIG = brentq(j0, 2.0, 3.0) ** 2
@@ -444,6 +445,18 @@ class TestComparison:
         assert rep.case == "nonincreasing"
         assert rep.passed
         assert rep.gap <= 0.0 + 1e-10
+
+    @pytest.mark.parametrize("source, case", [
+        (Constant(1.0), "nonincreasing"), (EigenPower(-1.0), "nonincreasing"),
+        (EigenPower(1.0), "homogeneous"),
+        (PowerPair(-1.0, 1.0, 3.0), "nonincreasing"),
+        (PowerPair(2.0, 1.0, 3.0), "homogeneous")])
+    def test_case_read_from_sign_of_lam(self, source, case):
+        assert _comparison_case(source) == case
+
+    def test_foreign_source_rejected(self):
+        with pytest.raises(ValueError):
+            _comparison_case(object())
 
     def test_decreasing_zeroth_order(self, disk_coarse):
         rep = comparison_check(WIDE, disk_coarse, EigenPower(-1.0), -0.2, 0.0)

@@ -1,15 +1,18 @@
 """Radial module: closed form against an ODE-residual oracle, shooting,
 overdetermined radius round trips, and the ball eigenvalue."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import brentq
 from scipy.special import j0
 
-from pucci_lab import (Constant, EigenPower, InvalidNeumannData,
-                       IterationLimit, NoZeroCrossing, OutOfDomain,
-                       PucciParams, Variant, closed_form_constant,
+from pucci_lab import (Constant, EigenPower, IntegrationFailure,
+                       InvalidNeumannData, IterationLimit, NoZeroCrossing,
+                       OutOfDomain, PowerPair, PucciParams, SignBranchFailure,
+                       Source, Variant, closed_form_constant,
                        neumann_constant, overdetermined_radius,
                        principal_eigenvalue_ball, radial, shoot)
 
@@ -28,6 +31,64 @@ def ode_residual(params, n_dim, radius, r, step=1e-5):
     # the profile is decreasing and concave, so the plus variant applies
     # its lower coefficient on both Hessian eigenvalues
     return abs(d1) ** params.alpha * params.a * (d2 + (n_dim - 1) * d1 / r) + 1.0
+
+
+def assert_bits_equal(actual, expected):
+    """Equal as IEEE bit patterns, so the sign of a zero counts too."""
+    assert_array_equal(np.asarray(actual, float).view(np.int64),
+                       np.asarray(expected, float).view(np.int64))
+
+
+class TestSource:
+    U = np.linspace(-2.0, 2.0, 41)
+
+    # the three source classes this type replaced, written out
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 1.0])
+    @pytest.mark.parametrize("source, f, df", [
+        (Constant(1.5), lambda u, al: np.full_like(u, 1.5),
+         lambda u, al: np.zeros_like(u)),
+        (EigenPower(2.5),
+         lambda u, al: 2.5 * np.sign(u) * np.abs(u) ** (1 + al),
+         lambda u, al: 2.5 * (1 + al) * np.abs(u) ** al),
+        (EigenPower(-0.7),
+         lambda u, al: -0.7 * np.sign(u) * np.abs(u) ** (1 + al),
+         lambda u, al: -0.7 * (1 + al) * np.abs(u) ** al),
+        (PowerPair(2.0, 1.0, 3.0),
+         lambda u, al: np.sign(u) * (2.0 * np.abs(u) ** (1 + al)
+                                     - 1.0 * np.abs(u) ** 3.0),
+         lambda u, al: 2.0 * (1 + al) * np.abs(u) ** al
+         - 1.0 * 3.0 * np.abs(u) ** 2.0),
+        (PowerPair(-2.0, 1.0, 3.0),
+         lambda u, al: np.sign(u) * (-2.0 * np.abs(u) ** (1 + al)
+                                     - 1.0 * np.abs(u) ** 3.0),
+         lambda u, al: -2.0 * (1 + al) * np.abs(u) ** al
+         - 1.0 * 3.0 * np.abs(u) ** 2.0),
+    ], ids=["constant", "eigen", "eigen_negative", "pair", "pair_negative"])
+    def test_constructors_match_former_classes(self, source, f, df, alpha):
+        assert isinstance(source, Source)
+        with np.errstate(divide="ignore"):
+            assert_bits_equal(source.evaluate(self.U, alpha), f(self.U, alpha))
+            assert_bits_equal(source.evaluate_deriv(self.U, alpha),
+                              df(self.U, alpha))
+
+    def test_shifted_unit_probe_at_alpha_zero(self):
+        # the small-domain probe, formerly shift*u - 1 with derivative shift
+        probe = Source(c=-1.0, lam=30.0)
+        assert_bits_equal(probe.evaluate(self.U, 0.0), 30.0 * self.U - 1.0)
+        assert_bits_equal(probe.evaluate_deriv(self.U, 0.0),
+                          np.full_like(self.U, 30.0))
+
+    def test_constant_derivative_finite_at_singular_power(self):
+        # |u|^alpha is infinite at u = 0 for alpha < 0; the skipped term
+        # must not turn 0 * inf into NaN
+        d = Constant(1.0).evaluate_deriv(np.zeros(3), -0.5)
+        assert_bits_equal(d, np.zeros(3))
+
+    def test_power_pair_checks(self):
+        with pytest.raises(ValueError):
+            PowerPair(1.0, 1.0, 1.5).evaluate(self.U, 1.0)
+        with pytest.raises(ValueError):
+            PowerPair(1.0, -1.0, 3.0).evaluate(self.U, 0.0)
 
 
 class TestClosedForm:
@@ -126,6 +187,51 @@ class TestShoot:
             c = neumann_constant(prof)
             assert_allclose(overdetermined_radius(p, 2, c), prof.first_zero,
                             atol=1e-5)
+
+    @pytest.mark.parametrize("big_a, alpha", [(1.5, 0.0), (1.5, 1.0),
+                                              (2.0, -0.5)])
+    def test_matches_fixed_step_rk4_oracle(self, big_a, alpha):
+        # a < A has no closed form: step the RK4 oracle over the returned
+        # nodes from the returned first node.  u' is not compared: at
+        # alpha < 0, f is not Lipschitz at u = 0 and RK4 loses its order
+        # on the last steps before the zero
+        p = PucciParams(1.0, big_a, alpha=alpha)
+        source = EigenPower(5.0)
+        prof = shoot(p, 2, source, 1.0, 4.0, 1.0 / 2000.0)
+        u, du = [prof.u[0]], [prof.du[0]]
+        for r, step in zip(prof.radii[:-1], np.diff(prof.radii)):
+            un, dun = radial._rk4_step(p, 2, source, r, u[-1], du[-1], step)
+            u.append(un)
+            du.append(dun)
+        assert np.abs(np.array(u) - prof.u).max() <= 1e-7
+
+    @pytest.mark.parametrize("source, m", [(EigenPower(5.0), 1.0),
+                                           (Constant(1.0), 0.25),
+                                           (Constant(-1.0), -0.25)])
+    def test_profile_stops_at_first_zero(self, source, m):
+        prof = shoot(PucciParams(1.0, 1.5), 2, source, m, 4.0, 1e-3)
+        assert prof.first_zero is not None
+        assert prof.du_at_zero is not None
+        assert prof.radii[-1] <= prof.first_zero
+        assert np.all(np.sign(prof.u) == np.sign(m))
+
+    def test_sign_branch_failure_propagates(self):
+        class NanBelowHalf:
+            def evaluate(self, u, alpha):
+                return 1.0 if u > 0.5 else np.nan
+
+        with pytest.raises(SignBranchFailure):
+            shoot(PucciParams(1.0, 1.0), 2, NanBelowHalf(), 1.0, 10.0, 1e-3)
+
+    def test_integrator_failure_raises(self, monkeypatch):
+        import scipy.integrate
+
+        def failed(*args, **kwargs):
+            return SimpleNamespace(status=-1, message="step size too small")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+        with pytest.raises(IntegrationFailure, match="step size"):
+            shoot(PucciParams(1.0, 1.0), 2, Constant(1.0), 0.25, 1.5, 1e-3)
 
     def test_flat_profile_flagged(self):
         p = PucciParams(1.0, 1.0)
