@@ -285,7 +285,8 @@ def cmd_serrin(cfg, out_dir):
     h = float(cfg["h"])
     results, checks = {}, []
 
-    disk = Disk(float(cfg["disk_radius"]))
+    radius = float(cfg["disk_radius"])
+    disk = Disk(radius)
     dom = build_domain(disk, h)
     u = solve_dirichlet(params, dom, Constant(1.0))
     arc, trace = neumann_trace(u)
@@ -335,7 +336,6 @@ def cmd_serrin(cfg, out_dir):
 
     # boundary Hessian against a second difference of the closed form
     # along the radius, at the disk boundary
-    radius = disk.radius
     c_exact = -radius / (2.0 * params.a)
     curv = SymMatrix(1, np.array([1.0 / radius]))
     hess = boundary_hessian(params, c_exact, 1.0, curv)

@@ -16,7 +16,7 @@ from .domain import boundary_data, build_domain
 from .solver import solve_dirichlet
 
 
-def neumann_trace(field, dom=None):
+def neumann_trace(field):
     """Outward normal derivative at the axis-aligned boundary cuts.
 
     Requires zero Dirichlet data.  Each sample fits a quadratic through
@@ -28,8 +28,7 @@ def neumann_trace(field, dom=None):
     Returns (arc, dn): arc parameters sorted ascending and the outward
     normal derivative at each sample.
     """
-    if dom is None:
-        dom = field.domain
+    dom = field.domain
     if field.boundary_values is None or np.abs(field.boundary_values).max(initial=0.0) > 1e-10:
         raise ValueError("neumann_trace needs a field with zero boundary data")
     b = dom.boundary

@@ -11,44 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
+from scipy.optimize.elementwise import find_root
 
 from ..errors import InvalidShape
 
-_BISECT_STEPS = 60
 _SCAN_POINTS = 16
-
-
-@dataclass(frozen=True)
-class Disk:
-    radius: float
-
-    def level(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.hypot(pts[:, 0], pts[:, 1]) - self.radius
-
-    def bbox(self):
-        r = self.radius
-        return (-r, -r, r, r)
-
-    def boundary_normal(self, pts):
-        pts = np.atleast_2d(pts)
-        nrm = np.hypot(pts[:, 0], pts[:, 1])
-        return pts / nrm[:, None]
-
-    def arc_parameter(self, pts):
-        pts = np.atleast_2d(pts)
-        return np.arctan2(pts[:, 1], pts[:, 0])
-
-    def boundary_points(self, n):
-        t = np.linspace(-np.pi, np.pi, n, endpoint=False)
-        return self.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
-
-    def scaled(self, s):
-        return Disk(self.radius * s)
-
-    def validate(self):
-        if self.radius <= 0.0:
-            raise InvalidShape(f"radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +49,12 @@ class Ellipse:
     def validate(self):
         if self.ax <= 0.0 or self.ay <= 0.0:
             raise InvalidShape("ellipse semi-axes must be positive")
+
+
+def Disk(radius):
+    """The disk of the given radius about the origin, an ellipse with
+    equal axes."""
+    return Ellipse(radius, radius)
 
 
 class Polygon:
@@ -155,10 +128,6 @@ class Polygon:
 
     def validate(self):
         pass  # the constructor already rejects degenerate inputs
-
-
-def inside(shape, pts):
-    return shape.level(pts) < 0.0
 
 
 # the 8 orthogonal pairs of lattice directions with offsets up to 3;
@@ -255,45 +224,50 @@ class GridDomain:
         out[self.cells[:, 0], self.cells[:, 1]] = values
         return out
 
-    def interp(self, values, pts, outside=0.0):
+    def interp(self, values, pts):
         """Bilinear interpolation of interior values at arbitrary points.
 
-        Outside cells contribute ``outside`` (appropriate for fields with
-        zero boundary data, where extending by zero is O(h) accurate);
-        points beyond the lattice take the value at its nearest edge.
+        Outside cells contribute 0 (appropriate for fields with zero
+        boundary data, where extending by zero is O(h) accurate); points
+        beyond the lattice take the value at its nearest edge.
         """
         xs = self.x0 + (np.arange(self.nx) + 0.5) * self.h
         ys = self.y0 + (np.arange(self.ny) + 0.5) * self.h
         clamped = np.clip(np.atleast_2d(pts), (xs[0], ys[0]), (xs[-1], ys[-1]))
         return RegularGridInterpolator(
-            (xs, ys), self.full_array(values, fill=outside))(clamped)
+            (xs, ys), self.full_array(values, fill=0.0))(clamped)
 
 
 def _first_crossing(shape, starts, offsets):
-    """Fraction t in (0, 1] where each segment start + t*offset first exits."""
+    """First exit of each segment start + t*offset, t in (0, 1].
+
+    A coarse scan brackets the first crossing, so re-entrant boundaries
+    resolve to it, and Chandrupatla's method (scipy's elementwise
+    ``find_root``) solves level = 0 on the bracket to machine precision.
+    Returns (t, crossed); a segment that never leaves has t = 1.
+    """
     n = len(starts)
-    t_in = np.zeros(n)
-    t_out = np.ones(n)
-    # coarse scan so re-entrant boundaries resolve to their first crossing
-    found = np.zeros(n, dtype=bool)
+    t = np.ones(n)
+    crossed = np.zeros(n, dtype=bool)
     for k in range(1, _SCAN_POINTS + 1):
-        t = k / _SCAN_POINTS
-        out = shape.level(starts + t * offsets) >= 0.0
-        newly = out & ~found
-        t_out[newly] = t
-        t_in[newly] = (k - 1) / _SCAN_POINTS
-        found |= out
-    t_out[~found] = 1.0
-    t_in[~found] = 1.0 - 1.0 / _SCAN_POINTS
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (t_in + t_out)
-        out = shape.level(starts + mid[:, None] * offsets) >= 0.0
-        t_out = np.where(out, mid, t_out)
-        t_in = np.where(out, t_in, mid)
-    return 0.5 * (t_in + t_out)
+        out = shape.level(starts + k / _SCAN_POINTS * offsets) >= 0.0
+        t[out & ~crossed] = k / _SCAN_POINTS
+        crossed |= out
+
+    def level(s, x, y, dx, dy):
+        return shape.level(np.stack([x + s * dx, y + s * dy], axis=-1))
+
+    res = find_root(level, (t[crossed] - 1.0 / _SCAN_POINTS, t[crossed]),
+                    args=(*starts[crossed].T, *offsets[crossed].T),
+                    tolerances=dict(fatol=0.0, frtol=0.0))
+    if not res.success.all():
+        raise InvalidShape(f"boundary crossing not resolved on "
+                           f"{int((~res.success).sum())} stencil arms")
+    t[crossed] = res.x
+    return t, crossed
 
 
-def build_domain(shape, h, stencil=None):
+def build_domain(shape, h):
     """Mask the lattice, wire stencil neighbours, and resolve all cuts.
 
     Raises
@@ -302,8 +276,7 @@ def build_domain(shape, h, stencil=None):
         For degenerate shapes or grids with fewer than 100 interior cells.
     """
     shape.validate()
-    if stencil is None:
-        stencil = StencilSet.default()
+    stencil = StencilSet.default()
     xmin, ymin, xmax, ymax = shape.bbox()
     margin = 5.0 * h
     nx = int(np.ceil((xmax - xmin + 2.0 * margin) / h))
@@ -316,7 +289,8 @@ def build_domain(shape, h, stencil=None):
     dom = GridDomain(shape, h, stencil, (x0, y0), nx, ny)
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     centers = np.stack([x0 + (ii + 0.5) * h, y0 + (jj + 0.5) * h], axis=-1)
-    mask = inside(shape, centers.reshape(-1, 2)).reshape(nx, ny)
+    level = shape.level(centers.reshape(-1, 2)).reshape(nx, ny)
+    mask = level < 0.0
     n_in = int(mask.sum())
     if n_in < 100:
         raise InvalidShape(f"only {n_in} interior cells at h={h}; refine")
@@ -329,7 +303,7 @@ def build_domain(shape, h, stencil=None):
     dom.mask, dom.cell_id, dom.cells, dom.pts = mask, cell_id, cells, pts
 
     # every arm family at once, indexed (side, cell, direction) with the
-    # forward side first; an arm whose target is not a cell ends on a cut
+    # forward side first
     dirs = stencil.directions
     steps = np.stack([dirs, -dirs])
     tgt = cells[None, :, None, :] + steps[:, None, :, :]
@@ -337,16 +311,25 @@ def build_domain(shape, h, stencil=None):
     tgt[~ok] = 0
     nb = np.where(ok, cell_id[tgt[..., 0], tgt[..., 1]], -1)
     arm = np.broadcast_to(np.hypot(dirs[:, 0], dirs[:, 1]) * h, nb.shape).copy()
+    # an arm is cut where it ends off the cells (at t = 1 if its end rounds
+    # inside the shape) or where it crosses the boundary before reaching a
+    # cell, which needs the cell to lie within one arm length of it (level
+    # is a signed distance for polygons; a convex shape holds every segment
+    # between two of its cells)
+    exits = nb < 0
+    near = level[mask][None, :, None] > -arm
     # cut ids run over directions, then sides, then cells
-    j, side, cut = np.nonzero(nb.transpose(2, 0, 1) < 0)
+    j, side, cell = np.nonzero((exits | near).transpose(2, 0, 1))
     offs = steps[side, j] * h
-    t = _first_crossing(shape, pts[cut], offs)
-    arm[side, cut, j] *= t
-    nb[side, cut, j] = n_in + np.arange(cut.size)
+    t, crossed = _first_crossing(shape, pts[cell], offs)
+    cut = crossed | exits[side, cell, j]
+    j, side, cell, t, offs = j[cut], side[cut], cell[cut], t[cut], offs[cut]
+    arm[side, cell, j] *= t
+    nb[side, cell, j] = n_in + np.arange(cell.size)
 
     dom.nbf, dom.nbb = nb
     dom.armf, dom.armb = arm
-    dom.cut_xy = pts[cut] + t[:, None] * offs
+    dom.cut_xy = pts[cell] + t[:, None] * offs
 
     _build_boundary_samples(dom)
     return dom

@@ -18,6 +18,7 @@ from ..radial import Constant
 from .domain import GridField, boundary_data
 
 _GRAD_FLOOR = 1e-8
+_MAX_DAMPED = 400_000
 
 
 def _arm_values(dom, values, bvals):
@@ -133,8 +134,7 @@ def _factor(mat):
 
 
 def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
-                    tol=1e-8, max_outer=80, max_damped=400_000, tau=None,
-                    u0=None, lu_cache=None):
+                    tol=1e-8, max_outer=80, u0=None, lu_cache=None):
     """Solve F[u] + f(u) = 0 with Dirichlet data g on the cut boundary.
 
     method="policy" linearizes the pair extremum at the current iterate and
@@ -142,9 +142,9 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     to a Howard policy update when f is linear); ``lu_cache`` keeps the
     last factor across calls and reuses it only for an identical matrix.
     method="damped" is the explicit fixed-point iteration
-    u <- u + tau*(F[u] + f(u)); it needs no linear algebra, but the
-    admissible tau shrinks with the smallest cut arm, so it is practical
-    only on coarse grids.
+    u <- u + tau*(F[u] + f(u)) with tau = 0.45 / (A * max 2/(s_f s_b)); it
+    needs no linear algebra, but tau shrinks with the smallest cut arm, so
+    it is practical only on coarse grids.
 
     Convergence is declared on the true assembled residual:
     sup |F[u] + f(u)| <= tol * max(1, sup|u|).  IterationLimit carries
@@ -160,10 +160,9 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         return op + source.evaluate(v, params.alpha)
 
     if method == "damped":
-        if tau is None:
-            wmax = (2.0 / (dom.armf * dom.armb)).max()
-            tau = 0.45 / (params.A * wmax)
-        u = relax(residual, u, tau, tol=tol, max_steps=max_damped)
+        wmax = (2.0 / (dom.armf * dom.armb)).max()
+        u = relax(residual, u, 0.45 / (params.A * wmax), tol=tol,
+                  max_steps=_MAX_DAMPED)
         return GridField(dom, u, bvals)
 
     def jacobian(v):

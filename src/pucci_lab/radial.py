@@ -98,6 +98,8 @@ class RadialProfile:
             raise ValueError("profile arrays must share a length")
         if np.any(np.diff(self.radii) <= 0.0):
             raise ValueError("radii must be strictly ascending")
+        if (self.first_zero is None) != (self.du_at_zero is None):
+            raise ValueError("first_zero and du_at_zero are set together")
 
 
 def _scale_const(n_dim, alpha):
@@ -248,9 +250,7 @@ def neumann_constant(profile):
     """Normal derivative of the profile at its first zero."""
     if profile.first_zero is None:
         raise NoZeroCrossing("profile has no first zero")
-    if profile.du_at_zero is not None:
-        return float(profile.du_at_zero)
-    return float(np.interp(profile.first_zero, profile.radii, profile.du))
+    return float(profile.du_at_zero)
 
 
 def principal_eigenvalue_ball(params, n_dim, radius, *, h=None, rel_tol=1e-8,

@@ -26,6 +26,9 @@ from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
 from .operators import PucciParams, SymMatrix, Variant, pucci
 
 _MIN_NODES = 3
+# iteration caps of the inner solve, policy and relax
+_MAX_POLICY = 80
+_MAX_RELAX = 400_000
 
 
 @dataclass(frozen=True)
@@ -296,8 +299,7 @@ def _factor(mat):
     return spla.splu(mat.tocsc())
 
 
-def _solve_H(params, mesh, rhs, psi0, *, tol, max_policy=80, lu_cache=None,
-             method="policy", tau=None, max_relax=400_000):
+def _solve_H(params, mesh, rhs, psi0, *, tol, lu_cache=None, method="policy"):
     """Solve H(psi) = rhs by frozen-coefficient resolution.
 
     "policy" refreezes signs and frames at each iterate and solves the
@@ -316,15 +318,14 @@ def _solve_H(params, mesh, rhs, psi0, *, tol, max_policy=80, lu_cache=None,
         return _H_values(params, mesh, v.reshape(mesh.shape)).reshape(-1) - rhs
 
     if method == "relax":
-        if tau is None:
-            tau = 0.5 * min(mesh.sp1, mesh.sp2 or mesh.sp1) ** 2
+        tau = 0.5 * min(mesh.sp1, mesh.sp2 or mesh.sp1) ** 2
         flat = relax(residual, psi0.reshape(-1), tau, tol=tol,
-                     max_steps=max_relax)
+                     max_steps=_MAX_RELAX)
     else:
         flat = policy_iterate(
             residual,
             lambda v: _frozen_matrix(params, mesh, v.reshape(mesh.shape)),
-            _factor, psi0.reshape(-1), tol=tol, max_steps=max_policy,
+            _factor, psi0.reshape(-1), tol=tol, max_steps=_MAX_POLICY,
             cache={} if lu_cache is None else lu_cache, rhs=rhs)
     return flat.reshape(mesh.shape)
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -20,6 +22,7 @@ from pucci_lab.grid.diagnostics import _comparison_case
 from pucci_lab.grid.solver import _policy_matrix, _second_differences
 
 DISK_LAPLACE_EIG = brentq(j0, 2.0, 3.0) ** 2
+L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
 
 LAP = PucciParams(1.0, 1.0)
 WIDE = PucciParams(0.5, 2.0)
@@ -64,9 +67,13 @@ class TestDomain:
         assert np.all(disk_dom.armf <= norms[None, :] * (1 + 1e-12))
         assert np.all(disk_dom.armb <= norms[None, :] * (1 + 1e-12))
 
-    def test_cut_points_on_boundary(self, disk_dom):
-        lev = disk_dom.shape.level(disk_dom.cut_xy)
-        assert np.abs(lev).max() < 1e-12
+    @pytest.mark.parametrize("shape", [Disk(1.0), Ellipse(2.0, 1.0),
+                                       Polygon([(0, 0), (2, 0), (0.5, 1.5)]),
+                                       Polygon(L_SHAPE)],
+                             ids=["disk", "ellipse", "triangle", "L"])
+    def test_cut_points_on_boundary(self, shape):
+        dom = build_domain(shape, 0.05)
+        assert np.abs(shape.level(dom.cut_xy)).max() < 1e-12
 
     @pytest.mark.parametrize("shape", [Disk(1.0),
                                        Polygon([(0, 0), (2, 0), (0.5, 1.5)])],
@@ -101,10 +108,26 @@ class TestDomain:
 
         monkeypatch.setattr(domain_module, "_first_crossing", counting)
         dom = build_domain(Ellipse(2.0, 1.0), 0.1)
-        assert calls == [len(dom.cut_xy)]
+        # the candidates are the cut arms and every arm of a cell within
+        # one arm length of the boundary
+        full = np.hypot(*dom.stencil.directions.T) * dom.h
+        near = dom.shape.level(dom.pts)[:, None] > -full
+        n = dom.n_cells
+        assert calls == [int(((dom.nbf >= n) | near).sum()
+                             + ((dom.nbb >= n) | near).sum())]
+
+    def test_failed_crossing_solve_raises(self, monkeypatch):
+        def failed(f, init, **kwargs):
+            xl, xr = init
+            return SimpleNamespace(success=np.zeros(len(xl), dtype=bool),
+                                   x=np.full(len(xl), np.nan))
+
+        monkeypatch.setattr(domain_module, "find_root", failed)
+        with pytest.raises(InvalidShape, match="crossing not resolved"):
+            build_domain(Disk(1.0), 0.1)
 
     def test_reentrant_corner_cuts_at_first_crossing(self):
-        shape = Polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        shape = Polygon(L_SHAPE)
         dom = build_domain(shape, 0.05)
         assert np.abs(shape.level(dom.cut_xy)).max() < 1e-12
         dirs = dom.stencil.directions
@@ -119,6 +142,20 @@ class TestDomain:
                 assert shape.level(dom.pts[cell] + frac * step).max() < 0.0
         u = solve_dirichlet(PucciParams(1.0, 1.5), dom, Constant(1.0))
         assert u.values.min() >= 0.0
+
+    def test_no_arm_leaves_the_shape_before_its_end(self):
+        # arms between two cells that pass the exterior notch of the L are
+        # cut too, so every arm, cut or not, runs inside up to its end
+        shape = Polygon(L_SHAPE)
+        dom = build_domain(shape, 0.05)
+        dirs = dom.stencil.directions
+        unit = dirs / np.hypot(*dirs.T)[:, None]
+        frac = np.arange(31) / 31
+        for arm, sign in ((dom.armf, 1), (dom.armb, -1)):
+            for j in range(len(dirs)):
+                step = sign * unit[j] * arm[:, j, None]
+                pts = dom.pts[:, None, :] + frac[:, None] * step[:, None, :]
+                assert shape.level(pts.reshape(-1, 2)).max() < 0.0
 
     def test_mask_symmetric_under_quarter_turn(self, disk_dom):
         m = disk_dom.mask

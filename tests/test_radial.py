@@ -179,6 +179,13 @@ class TestShoot:
         prof = shoot(p, 2, Constant(1.0), 0.25, 1.5, 1e-3)
         assert neumann_constant(prof) == pytest.approx(-0.5, abs=1e-6)
 
+    def test_first_zero_needs_its_derivative(self):
+        # the derivative at the zero is the Neumann datum, so a profile
+        # that has a zero without it is rejected at construction
+        r = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="set together"):
+            radial.RadialProfile(r, 1.0 - r, -np.ones(5), first_zero=1.0)
+
     def test_round_trip_radius(self):
         for alpha in (-0.5, 0.0, 1.0):
             p = PucciParams(1.0, 1.0, alpha=alpha)
