@@ -1,27 +1,28 @@
 """Masked uniform grids on curved domains with cut-cell boundary data.
 
 Cells are the points of a uniform lattice whose centres fall inside the
-shape.  Every stencil arm that leaves the domain is resolved to its exact
-boundary crossing, and those cut distances drive one-sided differences of
-the same order as the interior scheme, which is what keeps boundary traces
-usable at O(h^2).
+shape.  Every stencil arm that leaves the domain ends where it first
+crosses the boundary, which each shape computes in closed form, and those
+cut distances drive one-sided differences of the same order as the
+interior scheme, which is what keeps boundary traces usable at O(h^2).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize.elementwise import find_root
 
 from ..errors import InvalidShape
-
-_SCAN_POINTS = 16
 
 
 @dataclass(frozen=True)
 class Ellipse:
     ax: float
     ay: float
+
+    def __post_init__(self):
+        if not (self.ax > 0.0 and self.ay > 0.0):
+            raise InvalidShape("ellipse semi-axes must be positive")
 
     def level(self, pts):
         pts = np.atleast_2d(pts)
@@ -43,12 +44,20 @@ class Ellipse:
         t = np.linspace(-np.pi, np.pi, n, endpoint=False)
         return np.stack([self.ax * np.cos(t), self.ay * np.sin(t)], axis=1)
 
+    def exit_fraction(self, starts, offsets):
+        """First t in (0, 1] where start + t*offset leaves the ellipse, or
+        1 where the segment stays inside; starts lie inside."""
+        p, d = starts / (self.ax, self.ay), offsets / (self.ax, self.ay)
+        # |p + t d| = 1 is a t^2 + 2 b t + c = 0 with c < 0; its positive
+        # root, in the form that does not cancel
+        a, b = (d * d).sum(axis=1), (p * d).sum(axis=1)
+        c = (p * p).sum(axis=1) - 1.0
+        root = np.sqrt(b * b - a * c)
+        t = np.where(b > 0.0, -c / (b + root), (root - b) / a)
+        return np.minimum(t, 1.0)
+
     def scaled(self, s):
         return Ellipse(self.ax * s, self.ay * s)
-
-    def validate(self):
-        if self.ax <= 0.0 or self.ay <= 0.0:
-            raise InvalidShape("ellipse semi-axes must be positive")
 
 
 def Disk(radius):
@@ -123,11 +132,28 @@ class Polygon:
         frac = (s - self._cum_len[idx]) / self._edge_len[idx]
         return self.vertices[idx] + frac[:, None] * self._edges[idx]
 
+    def exit_fraction(self, starts, offsets):
+        """First t in (0, 1] where start + t*offset leaves the polygon, or
+        1 where the segment stays inside; starts lie inside.  The exit is
+        the nearest crossing of an edge e with cross(offset, e) > 0, the
+        outward sense of a counter-clockwise edge."""
+        def cross(u, v):
+            return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+        d, e = offsets[:, None, :], self._edges[None, :, :]
+        rel = self.vertices[None, :, :] - starts[:, None, :]
+        denom = cross(d, e)
+        # an arm parallel to an edge up to rounding does not cross it
+        out = denom > 1e-12 * np.hypot(*offsets.T)[:, None] * self._edge_len
+        denom = np.where(out, denom, 1.0)
+        t, s = cross(rel, e) / denom, cross(rel, d) / denom
+        # the slack on the edge parameter s keeps an arm through a vertex
+        # from slipping between the two edges that meet there
+        hit = out & (t > 0.0) & (s >= -1e-12) & (s <= 1.0 + 1e-12)
+        return np.where(hit, t, 1.0).min(axis=1, initial=1.0)
+
     def scaled(self, s):
         return Polygon(self.vertices * s)
-
-    def validate(self):
-        pass  # the constructor already rejects degenerate inputs
 
 
 # the 8 orthogonal pairs of lattice directions with offsets up to 3;
@@ -238,35 +264,6 @@ class GridDomain:
             (xs, ys), self.full_array(values, fill=0.0))(clamped)
 
 
-def _first_crossing(shape, starts, offsets):
-    """First exit of each segment start + t*offset, t in (0, 1].
-
-    A coarse scan brackets the first crossing, so re-entrant boundaries
-    resolve to it, and Chandrupatla's method (scipy's elementwise
-    ``find_root``) solves level = 0 on the bracket to machine precision.
-    Returns (t, crossed); a segment that never leaves has t = 1.
-    """
-    n = len(starts)
-    t = np.ones(n)
-    crossed = np.zeros(n, dtype=bool)
-    for k in range(1, _SCAN_POINTS + 1):
-        out = shape.level(starts + k / _SCAN_POINTS * offsets) >= 0.0
-        t[out & ~crossed] = k / _SCAN_POINTS
-        crossed |= out
-
-    def level(s, x, y, dx, dy):
-        return shape.level(np.stack([x + s * dx, y + s * dy], axis=-1))
-
-    res = find_root(level, (t[crossed] - 1.0 / _SCAN_POINTS, t[crossed]),
-                    args=(*starts[crossed].T, *offsets[crossed].T),
-                    tolerances=dict(fatol=0.0, frtol=0.0))
-    if not res.success.all():
-        raise InvalidShape(f"boundary crossing not resolved on "
-                           f"{int((~res.success).sum())} stencil arms")
-    t[crossed] = res.x
-    return t, crossed
-
-
 def build_domain(shape, h):
     """Mask the lattice, wire stencil neighbours, and resolve all cuts.
 
@@ -275,7 +272,6 @@ def build_domain(shape, h):
     InvalidShape
         For degenerate shapes or grids with fewer than 100 interior cells.
     """
-    shape.validate()
     stencil = StencilSet.default()
     xmin, ymin, xmax, ymax = shape.bbox()
     margin = 5.0 * h
@@ -290,7 +286,8 @@ def build_domain(shape, h):
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     centers = np.stack([x0 + (ii + 0.5) * h, y0 + (jj + 0.5) * h], axis=-1)
     level = shape.level(centers.reshape(-1, 2)).reshape(nx, ny)
-    mask = level < 0.0
+    # a centre on the boundary up to rounding would get a zero-length arm
+    mask = level < -1e-12 * h
     n_in = int(mask.sum())
     if n_in < 100:
         raise InvalidShape(f"only {n_in} interior cells at h={h}; refine")
@@ -321,8 +318,8 @@ def build_domain(shape, h):
     # cut ids run over directions, then sides, then cells
     j, side, cell = np.nonzero((exits | near).transpose(2, 0, 1))
     offs = steps[side, j] * h
-    t, crossed = _first_crossing(shape, pts[cell], offs)
-    cut = crossed | exits[side, cell, j]
+    t = shape.exit_fraction(pts[cell], offs)
+    cut = (t < 1.0) | exits[side, cell, j]
     j, side, cell, t, offs = j[cut], side[cut], cell[cut], t[cut], offs[cut]
     arm[side, cell, j] *= t
     nb[side, cell, j] = n_in + np.arange(cell.size)

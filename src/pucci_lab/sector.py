@@ -23,7 +23,6 @@ from scipy.optimize import brentq
 
 from ._iterate import inverse_power, policy_iterate, relax
 from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
-from .operators import PucciParams, SymMatrix, Variant, pucci
 
 _MIN_NODES = 3
 # iteration caps of the inner solve, policy and relax
@@ -504,8 +503,10 @@ def barrier_margin(params, psi, gamma, *, n_samples=100, seed=0,
         pp, mm, pm, mp = w[:, c:c + 4].T
         hess[:, i, j] = hess[:, j, i] = (pp + mm - pm - mp) / (4.0 * eta2)
 
-    minus = PucciParams(params.a, params.A, Variant.MINUS)
-    m_minus = np.array([pucci(minus, SymMatrix.from_full(m)) for m in hess])
+    # M^-: a on the positive eigenvalues, A on the negative ones
+    lam = np.linalg.eigvalsh(hess)
+    m_minus = (params.a * np.maximum(lam, 0.0).sum(axis=1)
+               + params.A * np.minimum(lam, 0.0).sum(axis=1))
     return m_minus - params.epsilon * radii ** (-2.0) * w0
 
 

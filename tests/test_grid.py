@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -17,7 +15,6 @@ from pucci_lab.grid import (ComparisonReport, Disk, Ellipse, GridField,
                             principal_eigenvalue_grid, reflect_points,
                             reflection_gap, small_domain_check,
                             solve_dirichlet)
-from pucci_lab.grid import domain as domain_module
 from pucci_lab.grid.diagnostics import _comparison_case
 from pucci_lab.grid.solver import _policy_matrix, _second_differences
 
@@ -98,33 +95,26 @@ class TestDomain:
         ids = np.concatenate([dom.nbf[dom.nbf >= n], dom.nbb[dom.nbb >= n]])
         assert_array_equal(np.sort(ids), n + np.arange(n_cut))
 
-    def test_one_crossing_solve_per_build(self, monkeypatch):
-        real = domain_module._first_crossing
-        calls = []
+    @pytest.mark.parametrize("shape, start, offset, t", [
+        # the chord from (0, 0.5) along +x leaves at x = 2 sqrt(3/4)
+        (Ellipse(2.0, 1.0), (0.0, 0.5), (4.0, 0.0), np.sqrt(0.75) / 2.0),
+        (Ellipse(2.0, 1.0), (0.0, 0.5), (1.0, 0.0), 1.0),
+        # the arm across the notch vertex (1, 1) of the L
+        (Polygon(L_SHAPE), (0.975, 0.975), (0.05, 0.05), 0.5),
+        (Polygon(L_SHAPE), (0.5, 0.5), (0.2, 0.1), 1.0),
+    ], ids=["ellipse-chord", "ellipse-inside", "L-notch-vertex", "L-inside"])
+    def test_exit_fraction_matches_hand_computed_exit(self, shape, start,
+                                                      offset, t):
+        got = shape.exit_fraction(np.array([start], dtype=float),
+                                  np.array([offset], dtype=float))
+        assert_allclose(got, [t], rtol=1e-12)
 
-        def counting(*args):
-            calls.append(len(args[1]))
-            return real(*args)
-
-        monkeypatch.setattr(domain_module, "_first_crossing", counting)
-        dom = build_domain(Ellipse(2.0, 1.0), 0.1)
-        # the candidates are the cut arms and every arm of a cell within
-        # one arm length of the boundary
-        full = np.hypot(*dom.stencil.directions.T) * dom.h
-        near = dom.shape.level(dom.pts)[:, None] > -full
-        n = dom.n_cells
-        assert calls == [int(((dom.nbf >= n) | near).sum()
-                             + ((dom.nbb >= n) | near).sum())]
-
-    def test_failed_crossing_solve_raises(self, monkeypatch):
-        def failed(f, init, **kwargs):
-            xl, xr = init
-            return SimpleNamespace(success=np.zeros(len(xl), dtype=bool),
-                                   x=np.full(len(xl), np.nan))
-
-        monkeypatch.setattr(domain_module, "find_root", failed)
-        with pytest.raises(InvalidShape, match="crossing not resolved"):
-            build_domain(Disk(1.0), 0.1)
+    def test_no_cell_on_the_boundary(self):
+        # seven lattice centres lie on the edge y = 3x up to rounding; as
+        # cells they would get outward arms of zero length
+        dom = build_domain(Polygon([(0, 0), (2, 0), (0.5, 1.5)]), 0.05)
+        assert dom.shape.level(dom.pts).max() < -1e-12 * dom.h
+        assert min(dom.armf.min(), dom.armb.min()) > 1e-3 * dom.h
 
     def test_reentrant_corner_cuts_at_first_crossing(self):
         shape = Polygon(L_SHAPE)
