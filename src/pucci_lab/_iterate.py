@@ -1,23 +1,30 @@
 """Iteration drivers shared by the grid and sector solvers.
 
 Both layers discretize an extremal operator that is piecewise linear in
-the nodal values, so the same three loops serve both:
+the nodal values, so the same four loops serve both:
 
 * ``policy_iterate``: Howard's algorithm (policy iteration; Bokanowski,
   Maroso and Zidani, SIAM J. Numer. Anal. 47, 2009).  Linearize at the
   current policy, solve the frozen sparse system, repeat.
+* ``policy_eigen``: Howard's algorithm on the eigenproblem.  Freeze the
+  policy at the current eigenfunction, take the principal eigenpair of the
+  frozen matrix with one shift-invert ``eigs`` call, repeat (the principal
+  half-eigenvalues of Pucci operators: Busca, Esteban and Quaas, Ann. IHP
+  22, 2005).
 * ``inverse_power``: sup-normalized inverse power iteration for the
   principal eigenvalue, with the positivity check that keeps it on the
-  principal branch.
+  principal branch; kept as the oracle ``policy_eigen`` is tested against.
 * ``relax``: the explicit damped sweep, a slow oracle needing no linear
   algebra.
 
 Convergence is declared on the true nonlinear residual,
-sup|r(u)| <= tol * max(1, sup|u|), so a reused factor cannot produce a
-wrong answer, only a slower one.
+sup|r(u)| <= tol * max(1, sup|u|) (sup|F[phi] + lam*phi| <= tol * lam for
+the eigenpair), so a reused factor cannot produce a wrong answer, only a
+slower one.
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .errors import IterationLimit, PositivityLoss
 
@@ -36,6 +43,14 @@ def _same_matrix(a, b):
             and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.data, b.data))
+
+
+def _cached_factor(mat, factor, cache):
+    """The factor of mat: the cached one if mat is the cached matrix."""
+    if not _same_matrix(cache.get("mat"), mat):
+        cache["mat"] = mat
+        cache["lu"] = factor(mat)
+    return cache["lu"]
 
 
 def policy_iterate(residual, jacobian, factor, u0, *, tol, max_steps, cache,
@@ -62,11 +77,7 @@ def policy_iterate(residual, jacobian, factor, u0, *, tol, max_steps, cache,
         history.append(res)
         if _converged(res, u, tol):
             return u
-        mat = jacobian(u)
-        if not _same_matrix(cache.get("mat"), mat):
-            cache["mat"] = mat
-            cache["lu"] = factor(mat)
-        lu = cache["lu"]
+        lu = _cached_factor(jacobian(u), factor, cache)
         u = u + lu.solve(-r) if rhs is None else lu.solve(rhs)
         if not np.isfinite(u).all():
             raise IterationLimit("frozen linear step produced non-finite "
@@ -126,3 +137,47 @@ def inverse_power(step, x0, *, tol, max_power):
     raise IterationLimit(f"inverse power did not settle in {max_power} "
                          f"steps (last {lams[-1] if lams else None})",
                          history=lams[-50:])
+
+
+def policy_eigen(operator, jacobian, factor, x0, *, tol, eig_tol, max_steps,
+                 cache):
+    """Principal eigenpair of -operator by policy iteration on the pair.
+
+    ``operator(x)`` is the positively 1-homogeneous, piecewise linear
+    operator F on flat arrays and ``jacobian(x)`` its CSR matrix frozen at
+    the policy active at x, so F[x] = jacobian(x) @ x.  Each step freezes
+    the policy at phi, takes the Perron pair of M = -jacobian(phi) by
+    shift-invert ``eigs`` about 0 (relative tolerance ``eig_tol``) with
+    ``factor(M).solve`` as the inverse, and scales the vector so its
+    largest-magnitude entry is +1.  ``cache`` keeps the factor as in
+    ``policy_iterate``.  Stops when sup|F[phi] + lam*phi| <= tol * lam.
+    Raises PositivityLoss if phi dips below -1e-12 anywhere, and
+    IterationLimit, carrying the residual history, after ``max_steps``
+    freezes or when ARPACK fails.  Returns (lambda, phi).
+    """
+    phi = np.array(x0, dtype=float)
+    history = []
+    for _ in range(max_steps):
+        mat = -jacobian(phi)
+        lu = _cached_factor(mat, factor, cache)
+        try:
+            vals, vecs = spla.eigs(
+                mat, k=1, sigma=0.0, v0=phi, tol=eig_tol,
+                OPinv=spla.LinearOperator(mat.shape, matvec=lu.solve,
+                                          dtype=float))
+        except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
+            raise IterationLimit(f"eigs failed on a frozen matrix: {exc}",
+                                 history=history[-50:]) from exc
+        lam = float(vals[0].real)
+        vec = vecs[:, 0].real
+        phi = vec / vec[np.argmax(np.abs(vec))]
+        if phi.min() < _POSITIVITY_TOL:
+            raise PositivityLoss(
+                f"eigenfunction lost positivity (min {phi.min():.3e})")
+        res = float(np.abs(operator(phi) + lam * phi).max())
+        history.append(res)
+        if res <= tol * lam:
+            return lam, phi
+    raise IterationLimit(
+        f"policy eigen iteration did not reach tol={tol:g} in {max_steps} "
+        f"freezes (residuals {history[-3:]})", history=history[-50:])

@@ -12,9 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .._iterate import inverse_power, policy_iterate, relax
+from .._iterate import policy_eigen, policy_iterate, relax
 from ..operators import Variant
-from ..radial import Constant
 from .domain import GridField, boundary_data
 
 _GRAD_FLOOR = 1e-8
@@ -130,7 +129,11 @@ def _policy_matrix(params, dom, delta, grad_weight):
 
 
 def _factor(mat):
-    return spla.splu(mat.tocsc())
+    # on these diagonally dominant matrices a minimum-degree order of
+    # A^T + A with diagonal pivots makes several times less fill than COLAMD
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.01,
+                     options=dict(SymmetricMode=True))
 
 
 def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
@@ -179,22 +182,29 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
 
 def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
                               inner_tol=1e-10):
-    """Principal half-eigenvalue by inverse power iteration.
+    """Principal half-eigenvalue by policy iteration on the eigenpair.
 
-    Repeatedly solves F[phi_next] = -phi with zero boundary data and reads
-    the eigenvalue from the sup norm of the new iterate.  Requires
-    alpha = 0, where the operator is positively 1-homogeneous.  Raises
-    PositivityLoss if the normalized iterate dips below -1e-12 anywhere,
-    which is the discrete symptom of leaving the principal branch.
+    Freezes the pair policy at phi (zero boundary data), takes the
+    principal eigenpair of the frozen M-matrix with one ``eigs`` call of
+    relative tolerance ``inner_tol``, and refreezes; at most ``max_power``
+    freezes.  Stops when sup|F[phi] + lambda*phi| <= tol * lambda, with
+    phi scaled to sup 1.  Requires alpha = 0, where the operator is
+    positively 1-homogeneous.  Raises PositivityLoss if phi dips below
+    -1e-12 anywhere, which is the discrete symptom of leaving the
+    principal branch.
     """
     if params.alpha != 0.0:
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
-    cache = {}
+    bvals = np.zeros(len(dom.cut_xy))
+    ones = np.ones(dom.n_cells)
 
-    def step(phi, prev):
-        return solve_dirichlet(params, dom, Constant(phi), 0.0,
-                               tol=inner_tol, u0=prev, lu_cache=cache).values
+    def operator(v):
+        return discretize_F(params, dom, GridField(dom, v, bvals)).values
 
-    lam, phi = inverse_power(step, np.ones(dom.n_cells), tol=tol,
-                             max_power=max_power)
-    return lam, GridField(dom, phi, np.zeros(len(dom.cut_xy)))
+    def jacobian(v):
+        delta = _second_differences(dom, v, bvals, dom.stencil.weights)
+        return _policy_matrix(params, dom, delta, ones)
+
+    lam, phi = policy_eigen(operator, jacobian, _factor, ones, tol=tol,
+                            eig_tol=inner_tol, max_steps=max_power, cache={})
+    return lam, GridField(dom, phi, bvals)

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
-from ._iterate import inverse_power, policy_iterate, relax
+from ._iterate import inverse_power, policy_eigen, policy_iterate, relax
 from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
 
 _MIN_NODES = 3
@@ -295,7 +295,11 @@ def _frozen_matrix(params, mesh, vals):
 
 
 def _factor(mat):
-    return spla.splu(mat.tocsc())
+    # on these diagonally dominant matrices a minimum-degree order of
+    # A^T + A with diagonal pivots makes several times less fill than COLAMD
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.01,
+                     options=dict(SymmetricMode=True))
 
 
 def _solve_H(params, mesh, rhs, psi0, *, tol, lu_cache=None, method="policy"):
@@ -333,16 +337,30 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
                                 inner_tol=1e-10, method="policy"):
     """Principal eigenvalue of -H on the sector, with its eigenfield.
 
-    Inverse power iteration: solve H(psi_next) = -psi, normalize in sup
-    norm, read lambda from the norm; stops when the relative eigenvalue
-    change is at most tol.  The eigenfield must stay positive; a dip below
+    method="policy" is policy iteration on the eigenpair: freeze signs and
+    frames at psi, take the principal eigenpair of the frozen matrix with
+    one ``eigs`` call of relative tolerance ``inner_tol``, refreeze, and
+    stop when sup|H(psi) + lambda*psi| <= tol * lambda, with psi scaled to
+    sup 1; at most ``max_power`` freezes.  method="relax" is the slow
+    oracle: inverse power iteration (solve H(psi_next) = -psi by relax
+    sweeps to ``inner_tol``, normalize in sup norm, read lambda from the
+    norm) until the relative eigenvalue change is at most tol, in at most
+    ``max_power`` steps.  The eigenfield must stay positive; a dip below
     -1e-12 after normalization raises PositivityLoss.
     """
-    cache = {}
+    if method not in ("policy", "relax"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "policy":
+        lam, psi = policy_eigen(
+            lambda v: _H_values(params, mesh, v.reshape(mesh.shape)).ravel(),
+            lambda v: _frozen_matrix(params, mesh, v.reshape(mesh.shape)),
+            _factor, np.ones(mesh.n_nodes), tol=tol, eig_tol=inner_tol,
+            max_steps=max_power, cache={})
+        return lam, SectorField(mesh, psi.reshape(mesh.shape))
 
     def step(psi, prev):
         return _solve_H(params, mesh, -psi, psi if prev is None else prev,
-                        tol=inner_tol, lu_cache=cache, method=method)
+                        tol=inner_tol, method="relax")
 
     lam, psi = inverse_power(step, np.ones(mesh.shape), tol=tol,
                              max_power=max_power)

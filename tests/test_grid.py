@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse.linalg._eigen.arpack import arpack
 from scipy.special import j0
 from scipy.optimize import brentq
 
@@ -15,6 +17,8 @@ from pucci_lab.grid import (ComparisonReport, Disk, Ellipse, GridField,
                             principal_eigenvalue_grid, reflect_points,
                             reflection_gap, small_domain_check,
                             solve_dirichlet)
+from pucci_lab._iterate import _same_matrix, inverse_power
+from pucci_lab.grid import solver as solver_module
 from pucci_lab.grid.diagnostics import _comparison_case
 from pucci_lab.grid.solver import _policy_matrix, _second_differences
 
@@ -388,6 +392,59 @@ class TestEigenvalue:
         with pytest.raises(ValueError):
             principal_eigenvalue_grid(PucciParams(1.0, 1.0, alpha=1.0),
                                       disk_coarse)
+
+    @pytest.mark.parametrize("params", [LAP, PucciParams(1.0, 1.5)])
+    def test_matches_inverse_power(self, disk_dom, params):
+        cache = {}
+
+        def step(phi, prev):
+            return solve_dirichlet(params, disk_dom, Constant(phi), 0.0,
+                                   tol=1e-12, u0=prev, lu_cache=cache).values
+
+        lam_ip, phi_ip = inverse_power(step, np.ones(disk_dom.n_cells),
+                                       tol=1e-10, max_power=400)
+        lam, phi = principal_eigenvalue_grid(params, disk_dom)
+        assert lam == pytest.approx(lam_ip, rel=1e-6)
+        assert np.abs(phi.values - phi_ip).max() < 1e-4
+        assert phi.values.min() > 0.0 and phi_ip.min() > 0.0
+
+    def test_one_factor_per_new_frozen_matrix(self, disk_dom, monkeypatch):
+        calls, mats = [], []
+        real_splu, real_matrix = spla.splu, solver_module._policy_matrix
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return real_splu(mat, *args, **kwargs)
+
+        def recording(*args):
+            mats.append(real_matrix(*args))
+            return mats[-1]
+
+        # ARPACK's own splu is counted too: without OPinv eigs would factor
+        monkeypatch.setattr(spla, "splu", counting)
+        monkeypatch.setattr(arpack, "splu", counting)
+        monkeypatch.setattr(solver_module, "_policy_matrix", recording)
+        principal_eigenvalue_grid(LAP, disk_dom)
+        new = 1 + sum(not _same_matrix(a, b) for a, b in zip(mats, mats[1:]))
+        assert 0 < len(calls) == new
+        # inverse power with policy inner solves made 34 on this mesh
+        assert len(calls) < 34
+
+    def test_limit_carries_history(self, disk_coarse):
+        with pytest.raises(IterationLimit) as info:
+            principal_eigenvalue_grid(WIDE, disk_coarse, max_power=1)
+        assert len(info.value.history) == 1
+        assert info.value.history[0] > 0.0
+
+    def test_arpack_failure_is_an_iteration_limit(self, disk_coarse,
+                                                  monkeypatch):
+        def failing(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigs", failing)
+        with pytest.raises(IterationLimit) as info:
+            principal_eigenvalue_grid(LAP, disk_coarse)
+        assert isinstance(info.value.__cause__, spla.ArpackNoConvergence)
 
 
 class TestNeumannTrace:

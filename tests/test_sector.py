@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
@@ -12,7 +13,8 @@ from pucci_lab.sector import (SectorField, SectorMesh, SectorOperatorParams,
                               extrapolate_to_zero, gamma_exponent,
                               sector_principal_eigenvalue, shrink_angle)
 from pucci_lab import sector as sector_module
-from pucci_lab.sector import _frozen_matrix, _H_values
+from pucci_lab._iterate import inverse_power, policy_eigen
+from pucci_lab.sector import _frozen_matrix, _H_values, _solve_H
 
 LAP = SectorOperatorParams(1.0, 1.0)
 
@@ -273,6 +275,34 @@ class TestEigenvalue:
         calls.clear()
         sector_principal_eigenvalue(SectorOperatorParams(0.9, 1.0), mesh)
         assert len(calls) > 1
+
+    @pytest.mark.parametrize("n_dim, delta, spacing, a", [
+        (2, 0.1, np.pi / 200, 1.0), (2, 0.1, np.pi / 200, 0.9),
+        (3, 0.2, np.pi / 60, 0.9)])
+    def test_matches_inverse_power(self, n_dim, delta, spacing, a):
+        mesh = SectorMesh(n_dim, delta, spacing)
+        params = SectorOperatorParams(a, 1.0)
+        cache = {}
+
+        def step(psi, prev):
+            return _solve_H(params, mesh, -psi, psi if prev is None else prev,
+                            tol=1e-12, lu_cache=cache)
+
+        lam_ip, psi_ip = inverse_power(step, np.ones(mesh.shape), tol=1e-10,
+                                       max_power=500)
+        lam, psi = sector_principal_eigenvalue(params, mesh)
+        assert lam == pytest.approx(lam_ip, rel=1e-6)
+        assert np.abs(psi.values - psi_ip).max() < 1e-4
+        assert psi.values.min() > 0.0 and psi_ip.min() > 0.0
+
+    def test_sign_changing_pair_is_a_positivity_loss(self):
+        # not an M-matrix: the pair nearest 0 is (2 - sqrt 2, (1, -sqrt 2, 1))
+        mat = sp.csr_matrix([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0],
+                             [0.0, 1.0, 2.0]])
+        with pytest.raises(PositivityLoss):
+            policy_eigen(lambda v: -(mat @ v), lambda v: -mat,
+                         sector_module._factor, np.ones(3), tol=1e-10,
+                         eig_tol=1e-12, max_steps=5, cache={})
 
     def test_unknown_inner_method(self):
         mesh = SectorMesh(2, 0.2, np.pi / 60)
