@@ -17,10 +17,11 @@ the nodal values, so the same four loops serve both:
 * ``relax``: the explicit damped sweep, a slow oracle needing no linear
   algebra.
 
+The policy and eigenpair loops factor each frozen matrix once, with the
+layer's own ``factor``, and keep no factor from one freeze to the next.
 Convergence is declared on the true nonlinear residual,
 sup|r(u)| <= tol * max(1, sup|u|) (sup|F[phi] + lam*phi| <= tol * lam for
-the eigenpair), so a reused factor cannot produce a wrong answer, only a
-slower one.
+the eigenpair).
 """
 
 import numpy as np
@@ -37,37 +38,12 @@ def _converged(res, u, tol):
     return res <= tol * max(1.0, float(np.abs(u).max()))
 
 
-def _same_matrix(a, b):
-    """True when two canonical CSR matrices hold bit-identical entries."""
-    return (a is not None and a.shape == b.shape
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
-
-
-def _cached_factor(mat, factor, cache):
-    """The factor of mat: the cached one if mat is the cached matrix."""
-    if not _same_matrix(cache.get("mat"), mat):
-        cache["mat"] = mat
-        cache["lu"] = factor(mat)
-    return cache["lu"]
-
-
-def policy_iterate(residual, jacobian, factor, u0, *, tol, max_steps, cache,
-                   rhs=None):
+def policy_iterate(residual, jacobian, factor, u0, *, tol, max_steps):
     """Newton-Howard iteration u <- u - J(u)^{-1} r(u) on flat arrays.
 
     ``jacobian(u)`` returns the CSR matrix frozen at the policy active at
-    u, and ``factor(J)`` an object with ``solve``.  ``cache`` (a dict, kept
-    by the caller across calls) holds the last matrix and its factor; the
-    factor is reused exactly when the new frozen matrix is the same matrix,
-    bit for bit, so a new factor is made only for a new matrix.
-
-    For an operator that is positively homogeneous and piecewise linear,
-    J(u) u equals the operator at u exactly, so with r(u) = op(u) - rhs the
-    step lands on J^{-1} rhs.  Passing ``rhs`` takes the step in that form,
-    which keeps the rounding of u out of the next iterate: policies that
-    hinge on near-zero differences then settle instead of flickering.
+    u, and ``factor(J)`` an object with ``solve``; each step factors its
+    frozen matrix once.
     """
     u = np.array(u0, dtype=float)
     history = []
@@ -77,8 +53,7 @@ def policy_iterate(residual, jacobian, factor, u0, *, tol, max_steps, cache,
         history.append(res)
         if _converged(res, u, tol):
             return u
-        lu = _cached_factor(jacobian(u), factor, cache)
-        u = u + lu.solve(-r) if rhs is None else lu.solve(rhs)
+        u = u + factor(jacobian(u)).solve(-r)
         if not np.isfinite(u).all():
             raise IterationLimit("frozen linear step produced non-finite "
                                  "values", history=history[-50:])
@@ -139,8 +114,7 @@ def inverse_power(step, x0, *, tol, max_power):
                          history=lams[-50:])
 
 
-def policy_eigen(operator, jacobian, factor, x0, *, tol, eig_tol, max_steps,
-                 cache):
+def policy_eigen(operator, jacobian, factor, x0, *, tol, eig_tol, max_steps):
     """Principal eigenpair of -operator by policy iteration on the pair.
 
     ``operator(x)`` is the positively 1-homogeneous, piecewise linear
@@ -149,9 +123,8 @@ def policy_eigen(operator, jacobian, factor, x0, *, tol, eig_tol, max_steps,
     the policy at phi, takes the Perron pair of M = -jacobian(phi) by
     shift-invert ``eigs`` about 0 (relative tolerance ``eig_tol``) with
     ``factor(M).solve`` as the inverse, and scales the vector so its
-    largest-magnitude entry is +1.  ``cache`` keeps the factor as in
-    ``policy_iterate``.  Stops when sup|F[phi] + lam*phi| <= tol * lam.
-    Raises PositivityLoss if phi dips below -1e-12 anywhere, and
+    largest-magnitude entry is +1.  Stops when sup|F[phi] + lam*phi| <=
+    tol * lam.  Raises PositivityLoss if phi dips below -1e-12 anywhere, and
     IterationLimit, carrying the residual history, after ``max_steps``
     freezes or when ARPACK fails.  Returns (lambda, phi).
     """
@@ -159,11 +132,10 @@ def policy_eigen(operator, jacobian, factor, x0, *, tol, eig_tol, max_steps,
     history = []
     for _ in range(max_steps):
         mat = -jacobian(phi)
-        lu = _cached_factor(mat, factor, cache)
         try:
             vals, vecs = spla.eigs(
                 mat, k=1, sigma=0.0, v0=phi, tol=eig_tol,
-                OPinv=spla.LinearOperator(mat.shape, matvec=lu.solve,
+                OPinv=spla.LinearOperator(mat.shape, matvec=factor(mat).solve,
                                           dtype=float))
         except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
             raise IterationLimit(f"eigs failed on a frozen matrix: {exc}",

@@ -137,13 +137,13 @@ def _factor(mat):
 
 
 def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
-                    tol=1e-8, max_outer=80, u0=None, lu_cache=None):
+                    tol=1e-8, max_outer=80, u0=None):
     """Solve F[u] + f(u) = 0 with Dirichlet data g on the cut boundary.
 
     method="policy" linearizes the pair extremum at the current iterate and
     solves the resulting sparse system (one semismooth Newton step, equal
-    to a Howard policy update when f is linear); ``lu_cache`` keeps the
-    last factor across calls and reuses it only for an identical matrix.
+    to a Howard policy update when f is linear), with one new LU factor per
+    step.
     method="damped" is the explicit fixed-point iteration
     u <- u + tau*(F[u] + f(u)) with tau = 0.45 / (A * max 2/(s_f s_b)); it
     needs no linear algebra, but tau shrinks with the smallest cut arm, so
@@ -175,8 +175,7 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         return _policy_matrix(params, dom, delta, gw) + sp.diags(fp)
 
     u = policy_iterate(residual, jacobian, _factor, u, tol=tol,
-                       max_steps=max_outer,
-                       cache={} if lu_cache is None else lu_cache)
+                       max_steps=max_outer)
     return GridField(dom, u, bvals)
 
 
@@ -206,5 +205,5 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
         return _policy_matrix(params, dom, delta, ones)
 
     lam, phi = policy_eigen(operator, jacobian, _factor, ones, tol=tol,
-                            eig_tol=inner_tol, max_steps=max_power, cache={})
+                            eig_tol=inner_tol, max_steps=max_power)
     return lam, GridField(dom, phi, bvals)

@@ -253,9 +253,6 @@ def _frozen_matrix(params, mesh, vals):
     lam_p, lam_m, ang = _sym2_eigen(g11, g12, g22)
     e_p = _eps_select(a, A, lam_p)
     e_m = _eps_select(a, A, lam_m)
-    # with equal coefficients the frame is irrelevant; fixing it keeps the
-    # matrix bit-identical across freezes, so its factor can be reused
-    ang = np.where(e_p == e_m, 0.0, ang)
     cs, sn = np.cos(ang), np.sin(ang)
     b11 = e_p * cs ** 2 + e_m * sn ** 2
     b22 = e_p * sn ** 2 + e_m * cs ** 2
@@ -302,16 +299,15 @@ def _factor(mat):
                      options=dict(SymmetricMode=True))
 
 
-def _solve_H(params, mesh, rhs, psi0, *, tol, lu_cache=None, method="policy"):
+def _solve_H(params, mesh, rhs, psi0, *, tol, method="policy"):
     """Solve H(psi) = rhs by frozen-coefficient resolution.
 
-    "policy" refreezes signs and frames at each iterate and solves the
-    sparse linear system; since M @ psi = H(psi) exactly at the freeze,
-    each step lands on M^{-1} rhs, and convergence is declared on the true
-    nonlinear residual.  ``lu_cache`` keeps the last factor across calls
-    and reuses it only for an identical matrix.  "relax" is the explicit
-    damped sweep psi <- psi + tau*(H(psi) - rhs) with
-    tau = 0.5*spacing^2, kept as a slow cross-check.
+    "policy" refreezes signs and frames at each iterate and takes the
+    Newton-Howard step psi - M^{-1}(H(psi) - rhs) with a new LU factor of
+    the frozen matrix M; convergence is declared on the true nonlinear
+    residual.  "relax" is the explicit damped sweep
+    psi <- psi + tau*(H(psi) - rhs) with tau = 0.5*spacing^2.  Both serve
+    as oracles: the inverse-power cross-checks solve with them.
     """
     if method not in ("policy", "relax"):
         raise ValueError(f"unknown inner method {method!r}")
@@ -328,8 +324,7 @@ def _solve_H(params, mesh, rhs, psi0, *, tol, lu_cache=None, method="policy"):
         flat = policy_iterate(
             residual,
             lambda v: _frozen_matrix(params, mesh, v.reshape(mesh.shape)),
-            _factor, psi0.reshape(-1), tol=tol, max_steps=_MAX_POLICY,
-            cache={} if lu_cache is None else lu_cache, rhs=rhs)
+            _factor, psi0.reshape(-1), tol=tol, max_steps=_MAX_POLICY)
     return flat.reshape(mesh.shape)
 
 
@@ -355,7 +350,7 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
             lambda v: _H_values(params, mesh, v.reshape(mesh.shape)).ravel(),
             lambda v: _frozen_matrix(params, mesh, v.reshape(mesh.shape)),
             _factor, np.ones(mesh.n_nodes), tol=tol, eig_tol=inner_tol,
-            max_steps=max_power, cache={})
+            max_steps=max_power)
         return lam, SectorField(mesh, psi.reshape(mesh.shape))
 
     def step(psi, prev):

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from pucci_lab import Variant, cli
 from pucci_lab.cli import _DEFAULTS, load_config, main
+from pucci_lab.grid import GridField
 
 
 def run(tmp_path, *args):
@@ -158,6 +160,28 @@ class TestPropertiesCommand:
         names = {c["name"]: c["passed"] for c in rep["checks"]}
         assert names["monotone_scheme"] is False
         assert names["matrix_duality"] is True
+
+    def test_scheme_duality_reports_the_worst_trial(self, tmp_path,
+                                                     monkeypatch):
+        real, minus_calls = cli.discretize_F, []
+
+        def skewed(params, dom, field, stencil=None):
+            out = real(params, dom, field, stencil)
+            if params.variant is Variant.MINUS:
+                minus_calls.append(field)
+                if len(minus_calls) == 1:
+                    # only the first trial's duality gap is 1e-6
+                    return GridField(dom, out.values + 1e-6,
+                                     out.boundary_values)
+            return out
+
+        monkeypatch.setattr(cli, "discretize_F", skewed)
+        assert run(tmp_path, "properties", "--set", "trials=5") == 1
+        rep = read_report(tmp_path, "properties")
+        names = {c["name"]: c["passed"] for c in rep["checks"]}
+        assert names["scheme_duality"] is False
+        assert rep["results"]["worst"]["scheme_duality"] == \
+            pytest.approx(1e-6, rel=1e-3)
 
     def test_verdicts_stable_across_seeds(self, tmp_path):
         run(tmp_path / "s0", "properties", "--set", "trials=25")

@@ -175,8 +175,8 @@ class TestAssemble:
                                                 (3, np.pi / 40)])
     @pytest.mark.parametrize("a", [1.0, 0.6])
     def test_frozen_matrix_reproduces_H(self, n_dim, spacing, a):
-        # M @ psi = H(psi) at the freeze is what the policy step's rhs form
-        # and the reuse of LU factors rest on
+        # M @ psi = H(psi) at the freeze is what the policy step and the
+        # eigenpair freeze rest on
         mesh = SectorMesh(n_dim, 0.2, spacing)
         vals = np.random.default_rng(4).standard_normal(mesh.shape)
         p = SectorOperatorParams(a, 1.0, gamma=2.4)
@@ -258,7 +258,7 @@ class TestEigenvalue:
                                                inner_tol=1e-8)
         assert lam_r == pytest.approx(lam_p, rel=1e-4)
 
-    def test_lu_reused_only_for_an_unchanged_matrix(self, monkeypatch):
+    def test_one_freeze_at_equal_bounds_more_below(self, monkeypatch):
         calls = []
         real = spla.splu
 
@@ -268,10 +268,11 @@ class TestEigenvalue:
 
         monkeypatch.setattr(spla, "splu", counting)
         mesh = SectorMesh(3, 0.2, np.pi / 40)
-        # at a = A the frozen matrix does not depend on the iterate
+        # at a = A every freeze is A times the Laplace-Beltrami matrix up to
+        # rounding, so the first freeze already holds the pair
         sector_principal_eigenvalue(LAP, mesh)
         assert len(calls) == 1
-        # for a < A the frame choices move, and each new matrix is factored
+        # for a < A the frame choices move, and each freeze is factored
         calls.clear()
         sector_principal_eigenvalue(SectorOperatorParams(0.9, 1.0), mesh)
         assert len(calls) > 1
@@ -282,11 +283,10 @@ class TestEigenvalue:
     def test_matches_inverse_power(self, n_dim, delta, spacing, a):
         mesh = SectorMesh(n_dim, delta, spacing)
         params = SectorOperatorParams(a, 1.0)
-        cache = {}
 
         def step(psi, prev):
             return _solve_H(params, mesh, -psi, psi if prev is None else prev,
-                            tol=1e-12, lu_cache=cache)
+                            tol=1e-12)
 
         lam_ip, psi_ip = inverse_power(step, np.ones(mesh.shape), tol=1e-10,
                                        max_power=500)
@@ -302,7 +302,7 @@ class TestEigenvalue:
         with pytest.raises(PositivityLoss):
             policy_eigen(lambda v: -(mat @ v), lambda v: -mat,
                          sector_module._factor, np.ones(3), tol=1e-10,
-                         eig_tol=1e-12, max_steps=5, cache={})
+                         eig_tol=1e-12, max_steps=5)
 
     def test_unknown_inner_method(self):
         mesh = SectorMesh(2, 0.2, np.pi / 60)
