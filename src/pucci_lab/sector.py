@@ -228,7 +228,10 @@ def _frozen_matrix(params, mesh, vals):
 
     H is positively 1-homogeneous and piecewise linear in the nodal
     values, so at the frozen choices M satisfies M @ vals = H(vals)
-    exactly; the eigen/policy loops exploit that.
+    exactly; the eigen/policy loops exploit that.  Entries that vanish
+    (all four cross-derivative ones of a row whose frame weights agree, as
+    everywhere at a = A) are not stored, so the LU orders and factors only
+    the real pattern.
     """
     a, A, gamma = params.a, params.A, params.gamma
     if mesh.n_dim == 2:
@@ -237,10 +240,12 @@ def _frozen_matrix(params, mesh, vals):
         c2 = np.where(d2 >= 0.0, a, A) / mesh.sp1 ** 2
         p1 = (a - A) * np.sign(d1) * (gamma + 1.0) / (2.0 * mesh.sp1)
         idx = np.arange(n)
-        return sp.csr_matrix((np.concatenate([
+        mat = sp.csr_matrix((np.concatenate([
             -2.0 * c2, c2[:-1] + p1[:-1], c2[1:] - p1[1:]]),
             (np.concatenate([idx, idx[:-1], idx[1:]]),
              np.concatenate([idx, idx[1:], idx[:-1]]))), shape=(n, n))
+        mat.eliminate_zeros()
+        return mat
 
     co = coefficients(mesh)
     q1, tan2 = co["q1"], co["tan2"]
@@ -286,9 +291,11 @@ def _frozen_matrix(params, mesh, vals):
     add(-1, -1, cx)
     add(1, -1, -cx)
     add(-1, 1, -cx)
-    return sp.csr_matrix((np.concatenate(entries),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n1 * n2, n1 * n2))
+    mat = sp.csr_matrix((np.concatenate(entries),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n1 * n2, n1 * n2))
+    mat.eliminate_zeros()
+    return mat
 
 
 def _factor(mat):
@@ -380,24 +387,31 @@ def gamma_exponent(a, A, epsilon, delta, n_dim, *, spacing=None, tol=1e-6,
                    max_iter=100, damping=0.5, eigen_tol=1e-8):
     """Barrier exponent: fixed point of a*g*(g + N - 2) = epsilon + lambda.
 
-    lambda is the sector principal eigenvalue of H at exponent g; it
-    depends on g only through first-order coefficients, so a damped
-    update on g converges quickly.  Starts at g = 2.
+    lambda is the sector principal eigenvalue of H at exponent g, and
+    root(lambda) the g >= 0 that solves the quadratic for it.  G(g) =
+    root(lambda(g)) - g is solved by the secant method from g = 2; the
+    first step is the damped update g + damping*G(g), and so is any step
+    whose secant value is not finite or falls below 2.  Each step costs one
+    eigen solve; stops when |G| <= tol and returns root.
     """
     if spacing is None:
         spacing = np.pi / 400 if n_dim == 2 else np.pi / 200
     mesh = SectorMesh(n_dim, delta, spacing)
-    gam = 2.0
+    k = n_dim - 2
+    gam, prev = 2.0, None
     for _ in range(max_iter):
         params = SectorOperatorParams(a, A, gamma=gam, epsilon=epsilon)
         lam, _ = sector_principal_eigenvalue(params, mesh, tol=eigen_tol)
-        k = n_dim - 2
-        root = 0.5 * (-k + np.sqrt(k * k + 4.0 * (epsilon + lam) / a))
-        if abs(root - gam) <= tol:
-            return float(root)
-        gam = gam + damping * (root - gam)
-        if gam < 2.0:
-            gam = 2.0
+        root = float(0.5 * (-k + np.sqrt(k * k + 4.0 * (epsilon + lam) / a)))
+        g_val = root - gam
+        if abs(g_val) <= tol:
+            return root
+        nxt = np.nan
+        if prev is not None and g_val != prev[1]:
+            nxt = gam - g_val * (gam - prev[0]) / (g_val - prev[1])
+        if not (np.isfinite(nxt) and nxt >= 2.0):
+            nxt = max(2.0, gam + damping * g_val)
+        prev, gam = (gam, g_val), nxt
     raise IterationLimit(
         f"gamma fixed point did not settle in {max_iter} iterations "
         f"(last {gam})")

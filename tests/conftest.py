@@ -1,0 +1,27 @@
+from types import SimpleNamespace
+
+import pytest
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """count_solves(module) wraps the layer's _factor; the returned list
+    holds, per factor made after that, the number of solves with it."""
+    def install(module):
+        per_factor = []
+        real = module._factor
+
+        def counting(mat):
+            lu = real(mat)
+            per_factor.append(0)
+
+            def solve(rhs):
+                per_factor[-1] += 1
+                return lu.solve(rhs)
+
+            return SimpleNamespace(solve=solve)
+
+        monkeypatch.setattr(module, "_factor", counting)
+        return per_factor
+
+    return install

@@ -435,17 +435,21 @@ class TestEigenvalue:
                                       disk_coarse)
 
     @pytest.mark.parametrize("params", [LAP, PucciParams(1.0, 1.5)])
-    def test_matches_inverse_power(self, disk_dom, params):
+    def test_matches_inverse_power(self, disk_dom, params, count_solves):
         def step(phi, prev):
             return solve_dirichlet(params, disk_dom, Constant(phi), 0.0,
                                    tol=1e-12, u0=prev).values
 
         lam_ip, phi_ip = inverse_power(step, np.ones(disk_dom.n_cells),
                                        tol=1e-10, max_power=400)
+        solves = count_solves(solver_module)
         lam, phi = principal_eigenvalue_grid(params, disk_dom)
         assert lam == pytest.approx(lam_ip, rel=1e-6)
         assert np.abs(phi.values - phi_ip).max() < 1e-4
         assert phi.values.min() > 0.0 and phi_ip.min() > 0.0
+        # a one-pair Krylov space: scipy's default of 20 vectors makes 21
+        # solves per freeze
+        assert 0 < max(solves) <= 12
 
     def test_one_factor_per_new_frozen_matrix(self, disk_dom, monkeypatch):
         factors, freezes = count_factors(

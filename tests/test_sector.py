@@ -181,8 +181,14 @@ class TestAssemble:
         vals = np.random.default_rng(4).standard_normal(mesh.shape)
         p = SectorOperatorParams(a, 1.0, gamma=2.4)
         want = _H_values(p, mesh, vals).ravel()
-        got = _frozen_matrix(p, mesh, vals) @ vals.ravel()
+        mat = _frozen_matrix(p, mesh, vals)
+        got = mat @ vals.ravel()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # no stored zeros: at a = A the cross-derivative entries vanish and
+        # each row keeps the 2N - 1 entries of the axis stencil
+        assert np.all(mat.data != 0.0)
+        if a == 1.0:
+            assert np.diff(mat.indptr).max() <= 2 * n_dim - 1
 
     def test_positive_homogeneity(self):
         mesh = SectorMesh(2, 0.1, np.pi / 100)
@@ -280,7 +286,8 @@ class TestEigenvalue:
     @pytest.mark.parametrize("n_dim, delta, spacing, a", [
         (2, 0.1, np.pi / 200, 1.0), (2, 0.1, np.pi / 200, 0.9),
         (3, 0.2, np.pi / 60, 0.9)])
-    def test_matches_inverse_power(self, n_dim, delta, spacing, a):
+    def test_matches_inverse_power(self, n_dim, delta, spacing, a,
+                                   count_solves):
         mesh = SectorMesh(n_dim, delta, spacing)
         params = SectorOperatorParams(a, 1.0)
 
@@ -290,10 +297,14 @@ class TestEigenvalue:
 
         lam_ip, psi_ip = inverse_power(step, np.ones(mesh.shape), tol=1e-10,
                                        max_power=500)
+        solves = count_solves(sector_module)
         lam, psi = sector_principal_eigenvalue(params, mesh)
         assert lam == pytest.approx(lam_ip, rel=1e-6)
         assert np.abs(psi.values - psi_ip).max() < 1e-4
         assert psi.values.min() > 0.0 and psi_ip.min() > 0.0
+        # a one-pair Krylov space: scipy's default of 20 vectors makes 21
+        # solves per freeze
+        assert 0 < max(solves) <= 12
 
     def test_sign_changing_pair_is_a_positivity_loss(self):
         # not an M-matrix: the pair nearest 0 is (2 - sqrt 2, (1, -sqrt 2, 1))
@@ -344,6 +355,27 @@ class TestGammaExponent:
         lam, _ = sector_principal_eigenvalue(LAP, mesh)
         want = 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * lam))
         assert gam == pytest.approx(want, abs=2e-6)
+
+    @pytest.mark.parametrize("damping", [0.5, 1.0])
+    @pytest.mark.parametrize("a", [0.9, 1.0])
+    def test_secant_from_a_damped_first_step(self, a, damping, monkeypatch):
+        real = sector_module.sector_principal_eigenvalue
+        gams, lams = [], []
+
+        def spy(params, mesh, **kwargs):
+            lam, psi = real(params, mesh, **kwargs)
+            gams.append(params.gamma)
+            lams.append(lam)
+            return lam, psi
+
+        monkeypatch.setattr(sector_module, "sector_principal_eigenvalue", spy)
+        gamma_exponent(a, 1.0, 0.0, 0.05, 2, spacing=np.pi / 400,
+                       damping=damping)
+        # the damped fixed point made 21 (a = 0.9) and 18 (a = A) solves
+        assert len(gams) <= 6
+        assert gams[0] == 2.0
+        assert gams[1] == pytest.approx(
+            2.0 + damping * (np.sqrt(lams[0] / a) - 2.0), rel=1e-14)
 
     def test_iteration_limit(self):
         with pytest.raises(IterationLimit):
