@@ -358,22 +358,22 @@ def cmd_sector(cfg, out_dir):
     deltas = [float(d) for d in cfg["deltas"]]
     if len(deltas) < 2:
         raise ValueError("need at least two deltas to extrapolate")
+    sparams = SectorOperatorParams(a, A, gamma=2.0, epsilon=eps)
     rows = []
     psi_last = None
     for delta in deltas:
         mesh = SectorMesh(n_dim, delta, spacing)
-        sparams = SectorOperatorParams(a, A, gamma=2.0, epsilon=eps)
         lam, psi_last = sector_principal_eigenvalue(sparams, mesh)
         rows.append((delta, lam))
     lam_extrap = extrapolate_to_zero([r[0] for r in rows],
                                      [r[1] for r in rows])
     gam = gamma_exponent(a, A, eps, cfg["gamma_delta"], n_dim,
                          spacing=spacing)
+    anchor = 2.0 * n_dim * A
     results = {"table": [{"delta": d, "lambda_bar": l} for d, l in rows],
                "lambda_extrapolated": lam_extrap, "gamma": gam,
-               "anchor": 2.0 * n_dim * A}
+               "anchor": anchor}
     checks = []
-    anchor = 2.0 * n_dim * A
     if a == A:
         rel = abs(lam_extrap - anchor) / anchor
         checks.append(_check("anchor_eigenvalue",

@@ -74,7 +74,11 @@ def shrink_angle(n_dim, delta):
 
 
 class SectorMesh:
-    """Tensor grid strictly inside the shrunken angular box."""
+    """Tensor grid strictly inside the shrunken angular box.
+
+    ``bounds`` holds one (lo, hi) per angular axis, ``axes`` its interior
+    nodes and ``spacings`` their steps: theta_1, then theta_2 for N = 3.
+    """
 
     def __init__(self, n_dim, delta, spacing):
         if n_dim not in (2, 3):
@@ -83,42 +87,25 @@ class SectorMesh:
             raise ValueError(f"need positive spacing, got {spacing}")
         self.n_dim = n_dim
         self.delta = float(delta)
-        self.delta_prime = shrink_angle(n_dim, delta)
-        dp = self.delta_prime
-        w1 = np.pi / 2 - 2.0 * dp
-        m1 = int(round(w1 / spacing))
-        if m1 < _MIN_NODES + 1:
-            raise ValueError(f"spacing {spacing} too coarse for box width {w1:.4f}")
-        self.sp1 = w1 / m1
-        self.theta1 = dp + self.sp1 * np.arange(1, m1)
-        if n_dim == 3:
-            w2 = np.pi - 2.0 * dp
-            m2 = int(round(w2 / spacing))
-            if m2 < _MIN_NODES + 1:
-                raise ValueError(f"spacing {spacing} too coarse for box width {w2:.4f}")
-            self.sp2 = w2 / m2
-            self.theta2 = -np.pi / 2 + dp + self.sp2 * np.arange(1, m2)
-        else:
-            self.sp2 = None
-            self.theta2 = None
-        self.spacing = max(self.sp1, self.sp2 or 0.0)
+        self.delta_prime = dp = shrink_angle(n_dim, delta)
+        self.bounds, self.axes, self.spacings = [], [], []
+        for lo, width in ((dp, np.pi / 2 - 2.0 * dp),
+                          (-np.pi / 2 + dp, np.pi - 2.0 * dp))[:n_dim - 1]:
+            m = int(round(width / spacing))
+            if m < _MIN_NODES + 1:
+                raise ValueError(f"spacing {spacing} too coarse for box width {width:.4f}")
+            self.bounds.append((lo, np.pi / 2 - dp))
+            self.spacings.append(width / m)
+            self.axes.append(lo + self.spacings[-1] * np.arange(1, m))
+        self.spacing = max(self.spacings)
 
     @property
     def shape(self):
-        if self.n_dim == 2:
-            return (len(self.theta1),)
-        return (len(self.theta1), len(self.theta2))
+        return tuple(len(ax) for ax in self.axes)
 
     @property
     def n_nodes(self):
         return int(np.prod(self.shape))
-
-    def box(self):
-        dp = self.delta_prime
-        lo1, hi1 = dp, np.pi / 2 - dp
-        if self.n_dim == 2:
-            return (lo1, hi1)
-        return (lo1, hi1, -np.pi / 2 + dp, np.pi / 2 - dp)
 
 
 @dataclass
@@ -138,28 +125,21 @@ class SectorField:
 
 
 def coefficients(mesh):
-    """Per-node angular ratios: q_i = r/r_{i+1}, and the connection factor.
+    """Per-node angular ratio q1 = r/r_2 and the connection factor tan2.
 
     With r_i/r = prod_{k=i}^{N-1} cos(theta_k) and r_N = r these are
-    functions of the angles alone.  N=2: q1 = 1.  N=3: q1 = 1/cos(theta2),
-    q2 = 1, and the single connection eigenvalue factor is tan(theta2).
+    functions of the angles alone: q1 = 1/cos(theta2) and tan2 = tan(theta2)
+    for N = 3.  N = 2 is the equator theta2 = 0, where q1 = 1 and tan2 = 0.
     """
-    if mesh.n_dim == 2:
-        n = len(mesh.theta1)
-        return {"q1": np.ones(n)}
-    c2 = np.cos(mesh.theta2)
+    lat = (*mesh.axes, np.zeros(1))[1]
+    c2 = np.cos(lat)
     if np.any(c2 <= 1e-12):
         raise CoefficientBlowup("node at or beyond the latitude poles")
-    lo1, hi1, lo2, hi2 = mesh.box()
-    if (mesh.theta1.min() <= lo1 or mesh.theta1.max() >= hi1
-            or mesh.theta2.min() <= lo2 or mesh.theta2.max() >= hi2):
+    if any(ax.min() <= lo or ax.max() >= hi
+           for ax, (lo, hi) in zip(mesh.axes, mesh.bounds)):
         raise CoefficientBlowup("mesh node outside the open angular box")
-    n1, n2 = mesh.shape
-    return {
-        "q1": np.broadcast_to(1.0 / c2, (n1, n2)),
-        "q2": np.ones((n1, n2)),
-        "tan2": np.broadcast_to(np.tan(mesh.theta2), (n1, n2)),
-    }
+    return {"q1": np.broadcast_to(1.0 / c2, mesh.shape),
+            "tan2": np.broadcast_to(np.tan(lat), mesh.shape)}
 
 
 def _eps_select(a, A, t):
@@ -167,22 +147,22 @@ def _eps_select(a, A, t):
     return np.where(t >= 0.0, a, A)
 
 
-def _diffs_1d(vals, sp):
-    p = np.concatenate([[0.0], vals, [0.0]])
-    d1 = (p[2:] - p[:-2]) / (2.0 * sp)
-    d2 = (p[2:] - 2.0 * p[1:-1] + p[:-2]) / sp ** 2
-    return d1, d2
-
-
-def _diffs_2d(vals, sp1, sp2):
+def _diffs(vals, spacings):
+    """Central differences d1_1, d1_2, d2_11, d2_22, d2_12 of vals, which
+    are zero beyond the box; those along an absent theta2 axis are 0."""
     p = np.pad(vals, 1)
-    d1_1 = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * sp1)
-    d1_2 = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * sp2)
-    d2_11 = (p[2:, 1:-1] - 2.0 * vals + p[:-2, 1:-1]) / sp1 ** 2
-    d2_22 = (p[1:-1, 2:] - 2.0 * vals + p[1:-1, :-2]) / sp2 ** 2
-    d2_12 = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) \
-        / (4.0 * sp1 * sp2)
-    return d1_1, d1_2, d2_11, d2_22, d2_12
+    mid = (slice(1, -1),) * vals.ndim
+    d1, d2 = [0.0, 0.0], [0.0, 0.0]
+    for k, h in enumerate(spacings):
+        up = p[mid[:k] + (slice(2, None),) + mid[k + 1:]]
+        down = p[mid[:k] + (slice(None, -2),) + mid[k + 1:]]
+        d1[k] = (up - down) / (2.0 * h)
+        d2[k] = (up - 2.0 * vals + down) / h ** 2
+    d2_12 = 0.0
+    if len(spacings) == 2:
+        d2_12 = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) \
+            / (4.0 * spacings[0] * spacings[1])
+    return d1[0], d1[1], d2[0], d2[1], d2_12
 
 
 def _sym2_eigen(g11, g12, g22):
@@ -194,23 +174,25 @@ def _sym2_eigen(g11, g12, g22):
     return half_tr + rad, half_tr - rad, ang
 
 
-def _H_values(params, mesh, vals):
-    a, A, gamma = params.a, params.A, params.gamma
+def _linearize(params, mesh, vals):
+    """What H and its frozen matrix share at vals: the first differences,
+    the frame spectrum (lam_p, lam_m, angle) of the scaled angular Hessian,
+    the penalty weights of |d1_1| and |d1_2|, q1 and tan2."""
     co = coefficients(mesh)
-    if mesh.n_dim == 2:
-        d1, d2 = _diffs_1d(vals, mesh.sp1)
-        core = a * np.maximum(d2, 0.0) + A * np.minimum(d2, 0.0)
-        return core + (a - A) * np.abs(d1) * (gamma + 1.0)
     q1, tan2 = co["q1"], co["tan2"]
-    d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs_2d(vals, mesh.sp1, mesh.sp2)
-    g11 = q1 ** 2 * d2_11
-    g12 = q1 * d2_12
-    g22 = d2_22
-    lam_p, lam_m, _ = _sym2_eigen(g11, g12, g22)
+    d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh.spacings)
+    frame = _sym2_eigen(q1 ** 2 * d2_11, q1 * d2_12, d2_22)
+    weights = (params.gamma * q1 + q1 ** 2, params.gamma + 1.0)
+    return (d1_1, d1_2), frame, weights, q1, tan2
+
+
+def _H_values(params, mesh, vals):
+    a, A = params.a, params.A
+    (d1_1, d1_2), (lam_p, lam_m, _), (w1, w2), _, tan2 = \
+        _linearize(params, mesh, vals)
     core = a * np.maximum(lam_p, 0.0) + A * np.minimum(lam_p, 0.0) \
         + a * np.maximum(lam_m, 0.0) + A * np.minimum(lam_m, 0.0)
-    penalty = (a - A) * (np.abs(d1_1) * (gamma * q1 + q1 ** 2)
-                         + np.abs(d1_2) * (gamma + 1.0))
+    penalty = (a - A) * (np.abs(d1_1) * w1 + np.abs(d1_2) * w2)
     mu = -d1_2 * tan2
     connection = _eps_select(a, A, mu) * mu
     return core + penalty + connection
@@ -231,69 +213,47 @@ def _frozen_matrix(params, mesh, vals):
     exactly; the eigen/policy loops exploit that.  Entries that vanish
     (all four cross-derivative ones of a row whose frame weights agree, as
     everywhere at a = A) are not stored, so the LU orders and factors only
-    the real pattern.
+    the real pattern.  On the arc the frame angle is 0 or pi/2, so the
+    diagonal weight is a where d2 >= 0 and A elsewhere.
     """
-    a, A, gamma = params.a, params.A, params.gamma
-    if mesh.n_dim == 2:
-        n = len(mesh.theta1)
-        d1, d2 = _diffs_1d(vals, mesh.sp1)
-        c2 = np.where(d2 >= 0.0, a, A) / mesh.sp1 ** 2
-        p1 = (a - A) * np.sign(d1) * (gamma + 1.0) / (2.0 * mesh.sp1)
-        idx = np.arange(n)
-        mat = sp.csr_matrix((np.concatenate([
-            -2.0 * c2, c2[:-1] + p1[:-1], c2[1:] - p1[1:]]),
-            (np.concatenate([idx, idx[:-1], idx[1:]]),
-             np.concatenate([idx, idx[1:], idx[:-1]]))), shape=(n, n))
-        mat.eliminate_zeros()
-        return mat
-
-    co = coefficients(mesh)
-    q1, tan2 = co["q1"], co["tan2"]
-    n1, n2 = mesh.shape
-    sp1, sp2 = mesh.sp1, mesh.sp2
-    d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs_2d(vals, sp1, sp2)
-    g11 = q1 ** 2 * d2_11
-    g12 = q1 * d2_12
-    g22 = d2_22
-    lam_p, lam_m, ang = _sym2_eigen(g11, g12, g22)
+    a, A = params.a, params.A
+    (d1_1, d1_2), (lam_p, lam_m, ang), (w1, w2), q1, tan2 = \
+        _linearize(params, mesh, vals)
     e_p = _eps_select(a, A, lam_p)
     e_m = _eps_select(a, A, lam_m)
     cs, sn = np.cos(ang), np.sin(ang)
-    b11 = e_p * cs ** 2 + e_m * sn ** 2
-    b22 = e_p * sn ** 2 + e_m * cs ** 2
-    b12 = (e_p - e_m) * sn * cs
-    c11 = q1 ** 2 * b11
-    c12 = q1 * b12
-    c22 = b22
     mu = -d1_2 * tan2
-    p1 = (a - A) * np.sign(d1_1) * (gamma * q1 + q1 ** 2)
-    p2 = (a - A) * np.sign(d1_2) * (gamma + 1.0) - _eps_select(a, A, mu) * tan2
+    # per axis: the frame weight of the second difference and the
+    # coefficient of the first one
+    second = (q1 ** 2 * (e_p * cs ** 2 + e_m * sn ** 2),
+              e_p * sn ** 2 + e_m * cs ** 2)
+    first = ((a - A) * np.sign(d1_1) * w1,
+             (a - A) * np.sign(d1_2) * w2 - _eps_select(a, A, mu) * tan2)
 
-    ids = np.arange(n1 * n2).reshape(n1, n2)
+    ids = np.arange(mesh.n_nodes).reshape(mesh.shape)
     rows, cols, entries = [], [], []
 
-    def add(di, dj, coef):
-        r0, r1 = max(0, -di), min(n1, n1 - di)
-        c0, c1 = max(0, -dj), min(n2, n2 - dj)
-        rr = ids[r0:r1, c0:c1]
-        cc = ids[r0 + di:r1 + di, c0 + dj:c1 + dj]
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        entries.append(coef[r0:r1, c0:c1].ravel())
+    def add(offset, coef):
+        src = tuple(slice(max(0, -o), min(m, m - o))
+                    for o, m in zip(offset, mesh.shape))
+        dst = tuple(slice(s.start + o, s.stop + o) for s, o in zip(src, offset))
+        rows.append(ids[src].ravel())
+        cols.append(ids[dst].ravel())
+        entries.append(coef[src].ravel())
 
-    add(0, 0, -2.0 * c11 / sp1 ** 2 - 2.0 * c22 / sp2 ** 2)
-    add(1, 0, c11 / sp1 ** 2 + p1 / (2.0 * sp1))
-    add(-1, 0, c11 / sp1 ** 2 - p1 / (2.0 * sp1))
-    add(0, 1, c22 / sp2 ** 2 + p2 / (2.0 * sp2))
-    add(0, -1, c22 / sp2 ** 2 - p2 / (2.0 * sp2))
-    cx = c12 / (2.0 * sp1 * sp2)
-    add(1, 1, cx)
-    add(-1, -1, cx)
-    add(1, -1, -cx)
-    add(-1, 1, -cx)
+    sps = mesh.spacings
+    add((0,) * len(sps), sum(-2.0 * c / h ** 2 for c, h in zip(second, sps)))
+    for step, c, f, h in zip(np.eye(len(sps), dtype=int), second, first, sps):
+        add(step, c / h ** 2 + f / (2.0 * h))
+        add(-step, c / h ** 2 - f / (2.0 * h))
+    if len(sps) == 2:
+        cx = q1 * ((e_p - e_m) * sn * cs) / (2.0 * sps[0] * sps[1])
+        for offset, sign in (((1, 1), 1.0), ((-1, -1), 1.0),
+                             ((1, -1), -1.0), ((-1, 1), -1.0)):
+            add(offset, sign * cx)
     mat = sp.csr_matrix((np.concatenate(entries),
                          (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n1 * n2, n1 * n2))
+                        shape=(mesh.n_nodes, mesh.n_nodes))
     mat.eliminate_zeros()
     return mat
 
@@ -324,7 +284,7 @@ def _solve_H(params, mesh, rhs, psi0, *, tol, method="policy"):
         return _H_values(params, mesh, v.reshape(mesh.shape)).reshape(-1) - rhs
 
     if method == "relax":
-        tau = 0.5 * min(mesh.sp1, mesh.sp2 or mesh.sp1) ** 2
+        tau = 0.5 * min(mesh.spacings) ** 2
         flat = relax(residual, psi0.reshape(-1), tau, tol=tol,
                      max_steps=_MAX_RELAX)
     else:
@@ -392,7 +352,8 @@ def gamma_exponent(a, A, epsilon, delta, n_dim, *, spacing=None, tol=1e-6,
     root(lambda(g)) - g is solved by the secant method from g = 2; the
     first step is the damped update g + damping*G(g), and so is any step
     whose secant value is not finite or falls below 2.  Each step costs one
-    eigen solve; stops when |G| <= tol and returns root.
+    eigen solve; stops when |G| <= tol and returns root.  At a = A lambda
+    does not depend on g, so the first root is the answer.
     """
     if spacing is None:
         spacing = np.pi / 400 if n_dim == 2 else np.pi / 200
@@ -404,7 +365,8 @@ def gamma_exponent(a, A, epsilon, delta, n_dim, *, spacing=None, tol=1e-6,
         lam, _ = sector_principal_eigenvalue(params, mesh, tol=eigen_tol)
         root = float(0.5 * (-k + np.sqrt(k * k + 4.0 * (epsilon + lam) / a)))
         g_val = root - gam
-        if abs(g_val) <= tol:
+        # at a = A the factor a - A zeroes every g-dependent term of H
+        if abs(g_val) <= tol or a == A:
             return root
         nxt = np.nan
         if prev is not None and g_val != prev[1]:
@@ -419,10 +381,8 @@ def gamma_exponent(a, A, epsilon, delta, n_dim, *, spacing=None, tol=1e-6,
 
 def _interp_nodes(mesh):
     """Grid axes padded to the box boundary, where the field is zero."""
-    box = mesh.box()
-    thetas = (mesh.theta1, mesh.theta2)[:mesh.n_dim - 1]
-    return tuple(np.concatenate([[lo], th, [hi]])
-                 for lo, hi, th in zip(box[::2], box[1::2], thetas))
+    return tuple(np.concatenate([[lo], ax, [hi]])
+                 for (lo, hi), ax in zip(mesh.bounds, mesh.axes))
 
 
 def _interp_field(mesh, vals, theta):
@@ -430,7 +390,7 @@ def _interp_field(mesh, vals, theta):
     array of angles (then an array comes back)."""
     axes = _interp_nodes(mesh)
     theta = np.asarray(theta, dtype=float)
-    t = np.atleast_2d(theta)[:, :mesh.n_dim - 1]
+    t = np.atleast_2d(theta)[:, :len(axes)]
     inside = np.all([(ax[0] <= c) & (c <= ax[-1]) for ax, c in zip(axes, t.T)],
                     axis=0)
     if not inside.all():
@@ -449,17 +409,12 @@ def barrier_eval(gamma, psi, r, theta):
         raise ValueError(f"need r >= 0, got {r}")
     mesh = psi.mesh
     val = _interp_field(mesh, psi.values, theta)
-    if mesh.n_dim == 2:
-        d1, _ = _diffs_1d(psi.values, mesh.sp1)
-        g1 = _interp_field(mesh, d1, theta)
-        ang_sq = g1 * g1
-    else:
-        d1_1, d1_2 = _diffs_2d(psi.values, mesh.sp1, mesh.sp2)[:2]
-        g1 = _interp_field(mesh, d1_1, theta)
-        g2 = _interp_field(mesh, d1_2, theta)
-        t2 = float(np.atleast_1d(theta)[1])
-        q1 = 1.0 / np.cos(t2)
-        ang_sq = (q1 * g1) ** 2 + g2 * g2
+    t = np.atleast_1d(theta)[:len(mesh.axes)]
+    # frame scales q1 = 1/cos(theta2) and 1; the arc is the equator
+    scales = (1.0 / np.cos((*t, 0.0)[1]), 1.0)
+    grads = _diffs(psi.values, mesh.spacings)[:len(mesh.axes)]
+    ang_sq = sum((q * _interp_field(mesh, g, theta)) ** 2
+                 for q, g in zip(scales, grads))
     if r == 0.0:
         return 0.0, 0.0
     w = r ** gamma * val
@@ -498,8 +453,7 @@ def barrier_margin(params, psi, gamma, *, n_samples=100, seed=0,
     mesh = psi.mesh
     n_dim = mesh.n_dim
     rng = np.random.default_rng(seed)
-    box = mesh.box()
-    lo, hi = np.array(box[::2]), np.array(box[1::2])
+    lo, hi = np.array(mesh.bounds).T
     pad = 0.15 * (hi - lo)
     # per sample: r, then one angle per box axis
     draws = rng.uniform([r_range[0], *(lo + pad)], [r_range[1], *(hi - pad)],
@@ -540,11 +494,7 @@ def barrier_margin(params, psi, gamma, *, n_samples=100, seed=0,
 def export_sector_csv(field, path):
     """Write (theta1[, theta2], value) rows for the mesh nodes."""
     mesh = field.mesh
-    if mesh.n_dim == 2:
-        data = np.column_stack([mesh.theta1, field.values])
-        header = "theta1,value"
-    else:
-        t1, t2 = np.meshgrid(mesh.theta1, mesh.theta2, indexing="ij")
-        data = np.column_stack([t1.ravel(), t2.ravel(), field.values.ravel()])
-        header = "theta1,theta2,value"
+    nodes = np.meshgrid(*mesh.axes, indexing="ij")
+    data = np.column_stack([t.ravel() for t in nodes] + [field.values.ravel()])
+    header = ",".join([f"theta{k + 1}" for k in range(len(nodes))] + ["value"])
     np.savetxt(path, data, delimiter=",", header=header, comments="")

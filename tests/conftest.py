@@ -1,6 +1,7 @@
 from types import SimpleNamespace
 
 import pytest
+import scipy.sparse.linalg as spla
 
 
 @pytest.fixture
@@ -25,3 +26,18 @@ def count_solves(monkeypatch):
         return per_factor
 
     return install
+
+
+@pytest.fixture
+def count_splu(monkeypatch):
+    """The shapes of the matrices given to scipy's splu from now on, one
+    entry per factorization."""
+    calls = []
+    real = spla.splu
+
+    def counting(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return real(mat, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls

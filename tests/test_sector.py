@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 from pucci_lab import PucciParams, SymMatrix, Variant, pucci
@@ -48,10 +47,9 @@ class TestGeometry:
 
     def test_mesh_nodes_inside_open_box(self):
         mesh = SectorMesh(3, 0.1, np.pi / 80)
-        lo1, hi1, lo2, hi2 = mesh.box()
-        assert mesh.theta1.min() > lo1 and mesh.theta1.max() < hi1
-        assert mesh.theta2.min() > lo2 and mesh.theta2.max() < hi2
-        assert mesh.shape == (len(mesh.theta1), len(mesh.theta2))
+        for ax, (lo, hi) in zip(mesh.axes, mesh.bounds):
+            assert ax.min() > lo and ax.max() < hi
+        assert mesh.shape == (len(mesh.axes[0]), len(mesh.axes[1]))
 
     def test_mesh_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
@@ -86,21 +84,21 @@ class TestCoefficients:
         mesh = SectorMesh(2, 0.1, np.pi / 100)
         co = coefficients(mesh)
         assert_allclose(co["q1"], 1.0)
+        assert_allclose(co["tan2"], 0.0)
 
     def test_n3_secant_of_latitude(self):
         mesh = SectorMesh(3, 0.1, np.pi / 80)
         co = coefficients(mesh)
-        assert_allclose(co["q1"][0], 1.0 / np.cos(mesh.theta2), rtol=1e-14)
-        assert_allclose(co["q2"], 1.0)
+        theta2 = mesh.axes[1]
+        assert_allclose(co["q1"][0], 1.0 / np.cos(theta2), rtol=1e-14)
         # at the equator row q1 = 1 and the connection factor vanishes
-        j = np.argmin(np.abs(mesh.theta2))
-        assert abs(co["tan2"][0, j]) == pytest.approx(
-            abs(np.tan(mesh.theta2[j])))
+        j = np.argmin(np.abs(theta2))
+        assert abs(co["tan2"][0, j]) == pytest.approx(abs(np.tan(theta2[j])))
 
     def test_blowup_outside_box(self):
         mesh = SectorMesh(3, 0.1, np.pi / 80)
-        mesh.theta2 = mesh.theta2.copy()
-        mesh.theta2[-1] = np.pi / 2 - 1e-15  # pushed to the pole edge
+        mesh.axes[1] = mesh.axes[1].copy()
+        mesh.axes[1][-1] = np.pi / 2 - 1e-15  # pushed to the pole edge
         with pytest.raises(CoefficientBlowup):
             coefficients(mesh)
 
@@ -113,14 +111,14 @@ class TestAssemble:
 
     def test_n2_eigenfunction_anchor(self):
         mesh = SectorMesh(2, 0.0, np.pi / 200)
-        psi = np.sin(2.0 * mesh.theta1)
+        psi = np.sin(2.0 * mesh.axes[0])
         out = assemble_H(LAP, mesh, SectorField(mesh, psi))
         err = np.abs(out.values + 4.0 * psi)
-        assert err.max() < 5.0 * mesh.sp1 ** 2
+        assert err.max() < 5.0 * mesh.spacing ** 2
 
     def test_n3_harmonic_anchor(self):
         mesh = SectorMesh(3, 0.0, np.pi / 200)
-        t1, t2 = np.meshgrid(mesh.theta1, mesh.theta2, indexing="ij")
+        t1, t2 = np.meshgrid(*mesh.axes, indexing="ij")
         psi = np.cos(t2) ** 2 * np.sin(2.0 * t1)
         out = assemble_H(LAP, mesh, SectorField(mesh, psi))
         err = np.abs(out.values + 6.0 * psi)
@@ -128,10 +126,10 @@ class TestAssemble:
 
     def test_equal_bounds_reduce_to_laplace_beltrami(self):
         mesh = SectorMesh(3, 0.2, np.pi / 150)
-        lo1, hi1, lo2, hi2 = mesh.box()
+        (lo1, hi1), (lo2, hi2) = mesh.bounds
         k1 = 2.0 * np.pi / (hi1 - lo1)
         k2 = np.pi / (hi2 - lo2)
-        t1, t2 = np.meshgrid(mesh.theta1, mesh.theta2, indexing="ij")
+        t1, t2 = np.meshgrid(*mesh.axes, indexing="ij")
         s1, c1 = np.sin(k1 * (t1 - lo1)), np.cos(k1 * (t1 - lo1))
         s2, c2 = np.sin(k2 * (t2 - lo2)), np.cos(k2 * (t2 - lo2))
         psi = s1 * s2
@@ -153,9 +151,9 @@ class TestAssemble:
         p = SectorOperatorParams(0.7, 1.6, gamma=2.4, epsilon=0.0)
         out = assemble_H(p, mesh, SectorField(mesh, vals))
 
-        from pucci_lab.sector import _diffs_2d, coefficients as coeff
+        from pucci_lab.sector import _diffs, coefficients as coeff
         co = coeff(mesh)
-        d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs_2d(vals, mesh.sp1, mesh.sp2)
+        d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh.spacings)
         minus = PucciParams(0.7, 1.6, Variant.MINUS)
         n1, n2 = mesh.shape
         idx = [(3, 4), (n1 // 2, n2 // 2), (n1 - 2, 1), (1, n2 - 3)]
@@ -170,6 +168,21 @@ class TestAssemble:
             conn = (0.7 if mu >= 0 else 1.6) * mu
             assert out.values[i, j] == pytest.approx(core + pen + conn,
                                                      rel=1e-12, abs=1e-12)
+
+    def test_arc_matches_1d_formula(self):
+        # N = 2 through the N = 3 formulas with no theta2 axis, against the
+        # arc operator written out: a*d2+ + A*d2- + (a - A)(gamma + 1)|d1|
+        mesh = SectorMesh(2, 0.3, np.pi / 100)
+        vals = np.random.default_rng(9).standard_normal(mesh.shape)
+        a, A, gamma = 0.7, 1.6, 2.4
+        p = np.pad(vals, 1)
+        h = mesh.spacing
+        d1 = (p[2:] - p[:-2]) / (2.0 * h)
+        d2 = (p[2:] - 2.0 * vals + p[:-2]) / h ** 2
+        want = (a * np.maximum(d2, 0.0) + A * np.minimum(d2, 0.0)
+                + (a - A) * (gamma + 1.0) * np.abs(d1))
+        got = _H_values(SectorOperatorParams(a, A, gamma=gamma), mesh, vals)
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("n_dim, spacing", [(2, np.pi / 100),
                                                 (3, np.pi / 40)])
@@ -264,24 +277,16 @@ class TestEigenvalue:
                                                inner_tol=1e-8)
         assert lam_r == pytest.approx(lam_p, rel=1e-4)
 
-    def test_one_freeze_at_equal_bounds_more_below(self, monkeypatch):
-        calls = []
-        real = spla.splu
-
-        def counting(mat, *args, **kwargs):
-            calls.append(mat.shape)
-            return real(mat, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", counting)
+    def test_one_freeze_at_equal_bounds_more_below(self, count_splu):
         mesh = SectorMesh(3, 0.2, np.pi / 40)
         # at a = A every freeze is A times the Laplace-Beltrami matrix up to
         # rounding, so the first freeze already holds the pair
         sector_principal_eigenvalue(LAP, mesh)
-        assert len(calls) == 1
+        assert len(count_splu) == 1
         # for a < A the frame choices move, and each freeze is factored
-        calls.clear()
+        count_splu.clear()
         sector_principal_eigenvalue(SectorOperatorParams(0.9, 1.0), mesh)
-        assert len(calls) > 1
+        assert len(count_splu) > 1
 
     @pytest.mark.parametrize("n_dim, delta, spacing, a", [
         (2, 0.1, np.pi / 200, 1.0), (2, 0.1, np.pi / 200, 0.9),
@@ -371,11 +376,21 @@ class TestGammaExponent:
         monkeypatch.setattr(sector_module, "sector_principal_eigenvalue", spy)
         gamma_exponent(a, 1.0, 0.0, 0.05, 2, spacing=np.pi / 400,
                        damping=damping)
-        # the damped fixed point made 21 (a = 0.9) and 18 (a = A) solves
-        assert len(gams) <= 6
         assert gams[0] == 2.0
+        if a == 1.0:
+            # lambda does not depend on gamma at a = A: the first root holds
+            assert len(gams) == 1
+            return
+        # the damped fixed point made 21 solves
+        assert len(gams) <= 6
         assert gams[1] == pytest.approx(
             2.0 + damping * (np.sqrt(lams[0] / a) - 2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    def test_equal_bounds_factor_once(self, n_dim, count_splu):
+        # at a = A lambda(gamma) is one constant: one eigen solve, one freeze
+        gamma_exponent(1.0, 1.0, 0.0, 0.2, n_dim, spacing=np.pi / 40)
+        assert len(count_splu) == 1
 
     def test_iteration_limit(self):
         with pytest.raises(IterationLimit):
@@ -400,7 +415,6 @@ def _pointwise_margins(params, psi, gam, n_samples, seed, r_range=(0.5, 2.0)):
     mesh = psi.mesh
     n = mesh.n_dim
     rng = np.random.default_rng(seed)
-    box = mesh.box()
     minus = PucciParams(params.a, params.A, Variant.MINUS)
 
     def w_at(x):
@@ -414,7 +428,7 @@ def _pointwise_margins(params, psi, gam, n_samples, seed, r_range=(0.5, 2.0)):
     for _ in range(n_samples):
         r = rng.uniform(*r_range)
         t1, t2 = [rng.uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo))
-                  for lo, hi in zip(box[::2], box[1::2])] + [0.0] * (3 - n)
+                  for lo, hi in mesh.bounds] + [0.0] * (3 - n)
         x0 = r * np.array([np.cos(t2) * np.cos(t1), np.cos(t2) * np.sin(t1),
                            np.sin(t2)])[:n]
         eta = 0.5 * r * np.sqrt(mesh.spacing)
@@ -507,10 +521,12 @@ class TestUtilities:
         vals = np.ones(mesh.shape)
         path = tmp_path / "sector.csv"
         export_sector_csv(SectorField(mesh, vals), path)
+        assert path.read_text().splitlines()[0] == "theta1,theta2,value"
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (mesh.n_nodes, 3)
         mesh2 = SectorMesh(2, 0.2, np.pi / 40)
         path2 = tmp_path / "sector1d.csv"
         export_sector_csv(SectorField(mesh2, np.ones(mesh2.shape)), path2)
+        assert path2.read_text().splitlines()[0] == "theta1,value"
         data2 = np.loadtxt(path2, delimiter=",", skiprows=1)
         assert data2.shape == (mesh2.n_nodes, 2)
