@@ -539,8 +539,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.command, args.config,
                           _parse_overrides(args.overrides))
-        out_dir = args.out or cfg.pop("output_dir", None) or "."
-        cfg.pop("output_dir", None)
+        out_dir = cfg.pop("output_dir", None)
+        out_dir = args.out or out_dir or "."
         os.makedirs(out_dir, exist_ok=True)
         started = time.perf_counter()
         results, checks = _COMMANDS[args.command](cfg, out_dir)

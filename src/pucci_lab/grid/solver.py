@@ -12,22 +12,27 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .._iterate import policy_eigen, policy_iterate, relax
-from ..operators import Variant
+from .._iterate import LU_OPTIONS, policy_eigen, policy_iterate, relax
+from ..operators import Variant, _directional_coef
 from .domain import GridField, boundary_data
 
+# The weight |grad_h u|^alpha meets g = 0 two ways.  The operator floors g
+# for alpha < 0 only, where the weight is singular; for alpha > 0 it is
+# 0^alpha * core = 0, the degenerate operator itself.  The frozen matrix
+# floors g for every alpha != 0, so that no row vanishes: at u0 = 0 every
+# gradient is 0.
 _GRAD_FLOOR = 1e-8
 _MAX_DAMPED = 400_000
 
 
-def _arm_values(dom, values, bvals):
-    """Values at the forward/backward arm ends, shape (n_cells, n_directions).
+def _arm_values(dom, values, bvals, arms=slice(None)):
+    """Values at the forward/backward ends of ``arms`` (all by default).
 
     An arm ends on a cell (its value) or on a cut (its boundary datum); the
     arm table indexes cell values followed by cut data.
     """
     ends = np.concatenate([values, bvals])
-    return ends[dom.nbf], ends[dom.nbb]
+    return ends[dom.nbf[:, arms]], ends[dom.nbb[:, arms]]
 
 
 def _second_differences(dom, values, bvals, weights):
@@ -38,29 +43,26 @@ def _second_differences(dom, values, bvals, weights):
     return delta * weights
 
 
-def _gradient(dom, values, bvals):
-    """Centered first differences along the two axis directions."""
-    vf, vb = _arm_values(dom, values, bvals)
+def _grad_norm(dom, values, bvals):
+    """|grad_h u| from centered first differences along the two axis arms."""
+    vf, vb = _arm_values(dom, values, bvals, slice(0, 2))
     sf, sb = dom.armf[:, :2], dom.armb[:, :2]
     v0 = values[:, None]
-    num = sb ** 2 * vf[:, :2] - sf ** 2 * vb[:, :2] + (sf ** 2 - sb ** 2) * v0
-    return num / (sf * sb * (sf + sb))
+    num = sb ** 2 * vf - sf ** 2 * vb + (sf ** 2 - sb ** 2) * v0
+    gx, gy = (num / (sf * sb * (sf + sb))).T
+    return np.hypot(gx, gy)
 
 
-def _pair_sums(params, delta, pairs):
-    if params.variant is Variant.PLUS:
-        contrib = params.A * np.maximum(delta, 0.0) + params.a * np.minimum(delta, 0.0)
-    else:
-        contrib = params.a * np.maximum(delta, 0.0) + params.A * np.minimum(delta, 0.0)
-    return contrib[:, pairs[:, 0]] + contrib[:, pairs[:, 1]]
-
-
-def _grad_weight(params, dom, values, bvals):
-    if params.alpha == 0.0:
-        return np.ones(dom.n_cells)
-    gx, gy = _gradient(dom, values, bvals).T
-    g = np.maximum(np.hypot(gx, gy), _GRAD_FLOOR)
-    return g ** params.alpha
+def _active_pairs(params, delta, pairs):
+    """Each cell's extremal orthogonal pair and that pair's sum: the max
+    (Plus) or min (Minus) over pairs of the second differences, each taken
+    with the coefficient the variant puts on its sign."""
+    hi, lo = _directional_coef(params, True), _directional_coef(params, False)
+    contrib = hi * np.maximum(delta, 0.0) + lo * np.minimum(delta, 0.0)
+    psum = contrib[:, pairs[:, 0]] + contrib[:, pairs[:, 1]]
+    pick = (psum.argmax(axis=1) if params.variant is Variant.PLUS
+            else psum.argmin(axis=1))
+    return pairs[pick], psum[np.arange(len(pick)), pick]
 
 
 def discretize_F(params, dom, field, stencil=None):
@@ -75,42 +77,40 @@ def discretize_F(params, dom, field, stencil=None):
     st = dom.stencil if stencil is None else stencil
     delta = _second_differences(dom, field.values, field.boundary_values,
                                 st.weights)
-    psum = _pair_sums(params, delta, st.pairs)
-    core = psum.max(axis=1) if params.variant is Variant.PLUS else psum.min(axis=1)
+    _, core = _active_pairs(params, delta, st.pairs)
     if params.alpha != 0.0:
-        gx, gy = _gradient(dom, field.values, field.boundary_values).T
-        g = np.hypot(gx, gy)
+        g = _grad_norm(dom, field.values, field.boundary_values)
         if params.alpha < 0.0:
             g = np.maximum(g, _GRAD_FLOOR)
-        core = np.where(g > 0.0, g ** params.alpha * core,
-                        0.0 if params.alpha > 0.0 else core)
+        core = g ** params.alpha * core
     return GridField(dom, core, None)
 
 
-def _policy_matrix(params, dom, delta, grad_weight):
-    """Linearize the pair extremum at the current second differences.
+def _policy_matrix(params, dom, values, bvals):
+    """Frozen matrix of the operator at the policy active at the iterate.
 
-    At the active pair the extremum is attained, so F(u) = M u + b holds
-    exactly at the linearization point, with b carrying the cut-arm
-    boundary values; M is an M-matrix for positive stencil weights.
-    Returns M (the Newton step needs only M, since b enters through the
-    residual).
+    Freezes at ``values`` (cut data ``bvals``) each cell's extremal pair,
+    the coefficient of the sign of each of its second differences and the
+    floored gradient weight.  There F(u) = M u + b holds exactly wherever
+    the gradient is above the floor, with b carrying the cut-arm boundary
+    values; M is an M-matrix for positive stencil weights.  Returns M (the
+    Newton step needs only M, since b enters through the residual).
     """
     n = dom.n_cells
-    psum = _pair_sums(params, delta, dom.stencil.pairs)
-    if params.variant is Variant.PLUS:
-        pick = psum.argmax(axis=1)
-        hi, lo = params.A, params.a
-    else:
-        pick = psum.argmin(axis=1)
-        hi, lo = params.a, params.A
-    classes = dom.stencil.pairs[pick]
+    st = dom.stencil
+    delta = _second_differences(dom, values, bvals, st.weights)
+    classes, _ = _active_pairs(params, delta, st.pairs)
+    hi, lo = _directional_coef(params, True), _directional_coef(params, False)
+    weight = 1.0
+    if params.alpha != 0.0:
+        weight = np.maximum(_grad_norm(dom, values, bvals),
+                            _GRAD_FLOOR) ** params.alpha
     idx = np.arange(n)
     rows, cols, vals = [], [], []
     for k in (0, 1):
         c = classes[:, k]
         d = delta[idx, c]
-        coef = np.where(d > 0.0, hi, lo) * dom.stencil.weights[c] * grad_weight
+        coef = np.where(d > 0.0, hi, lo) * st.weights[c] * weight
         sf = dom.armf[idx, c]
         sb = dom.armb[idx, c]
         denom = sf + sb
@@ -129,11 +129,7 @@ def _policy_matrix(params, dom, delta, grad_weight):
 
 
 def _factor(mat):
-    # on these diagonally dominant matrices a minimum-degree order of
-    # A^T + A with diagonal pivots makes several times less fill than COLAMD
-    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.01,
-                     options=dict(SymmetricMode=True))
+    return spla.splu(mat.tocsc(), **LU_OPTIONS)
 
 
 def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
@@ -169,10 +165,8 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         return GridField(dom, u, bvals)
 
     def jacobian(v):
-        gw = _grad_weight(params, dom, v, bvals)
-        delta = _second_differences(dom, v, bvals, dom.stencil.weights)
-        fp = source.evaluate_deriv(v, params.alpha)
-        return _policy_matrix(params, dom, delta, gw) + sp.diags(fp)
+        return _policy_matrix(params, dom, v, bvals) \
+            + sp.diags(source.evaluate_deriv(v, params.alpha))
 
     u = policy_iterate(residual, jacobian, _factor, u, tol=tol,
                        max_steps=max_outer)
@@ -195,15 +189,12 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     if params.alpha != 0.0:
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
     bvals = np.zeros(len(dom.cut_xy))
-    ones = np.ones(dom.n_cells)
 
     def operator(v):
         return discretize_F(params, dom, GridField(dom, v, bvals)).values
 
-    def jacobian(v):
-        delta = _second_differences(dom, v, bvals, dom.stencil.weights)
-        return _policy_matrix(params, dom, delta, ones)
-
-    lam, phi = policy_eigen(operator, jacobian, _factor, ones, tol=tol,
+    lam, phi = policy_eigen(operator,
+                            lambda v: _policy_matrix(params, dom, v, bvals),
+                            _factor, np.ones(dom.n_cells), tol=tol,
                             eig_tol=inner_tol, max_steps=max_power)
     return lam, GridField(dom, phi, bvals)

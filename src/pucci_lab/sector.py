@@ -21,12 +21,11 @@ import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
-from ._iterate import inverse_power, policy_eigen, policy_iterate, relax
+from ._iterate import LU_OPTIONS, inverse_power, policy_eigen, relax
 from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
 
 _MIN_NODES = 3
-# iteration caps of the inner solve, policy and relax
-_MAX_POLICY = 80
+# iteration cap of the relax inner solve
 _MAX_RELAX = 400_000
 
 
@@ -259,40 +258,7 @@ def _frozen_matrix(params, mesh, vals):
 
 
 def _factor(mat):
-    # on these diagonally dominant matrices a minimum-degree order of
-    # A^T + A with diagonal pivots makes several times less fill than COLAMD
-    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.01,
-                     options=dict(SymmetricMode=True))
-
-
-def _solve_H(params, mesh, rhs, psi0, *, tol, method="policy"):
-    """Solve H(psi) = rhs by frozen-coefficient resolution.
-
-    "policy" refreezes signs and frames at each iterate and takes the
-    Newton-Howard step psi - M^{-1}(H(psi) - rhs) with a new LU factor of
-    the frozen matrix M; convergence is declared on the true nonlinear
-    residual.  "relax" is the explicit damped sweep
-    psi <- psi + tau*(H(psi) - rhs) with tau = 0.5*spacing^2.  Both serve
-    as oracles: the inverse-power cross-checks solve with them.
-    """
-    if method not in ("policy", "relax"):
-        raise ValueError(f"unknown inner method {method!r}")
-    rhs = rhs.reshape(-1)
-
-    def residual(v):
-        return _H_values(params, mesh, v.reshape(mesh.shape)).reshape(-1) - rhs
-
-    if method == "relax":
-        tau = 0.5 * min(mesh.spacings) ** 2
-        flat = relax(residual, psi0.reshape(-1), tau, tol=tol,
-                     max_steps=_MAX_RELAX)
-    else:
-        flat = policy_iterate(
-            residual,
-            lambda v: _frozen_matrix(params, mesh, v.reshape(mesh.shape)),
-            _factor, psi0.reshape(-1), tol=tol, max_steps=_MAX_POLICY)
-    return flat.reshape(mesh.shape)
+    return spla.splu(mat.tocsc(), **LU_OPTIONS)
 
 
 def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
@@ -312,21 +278,28 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
     """
     if method not in ("policy", "relax"):
         raise ValueError(f"unknown method {method!r}")
+
+    def operator(v):
+        return _H_values(params, mesh, v.reshape(mesh.shape)).ravel()
+
     if method == "policy":
         lam, psi = policy_eigen(
-            lambda v: _H_values(params, mesh, v.reshape(mesh.shape)).ravel(),
+            operator,
             lambda v: _frozen_matrix(params, mesh, v.reshape(mesh.shape)),
             _factor, np.ones(mesh.n_nodes), tol=tol, eig_tol=inner_tol,
             max_steps=max_power)
-        return lam, SectorField(mesh, psi.reshape(mesh.shape))
+    else:
+        # step of the relax sweeps that solve H(psi) = -x
+        tau = 0.5 * min(mesh.spacings) ** 2
 
-    def step(psi, prev):
-        return _solve_H(params, mesh, -psi, psi if prev is None else prev,
-                        tol=inner_tol, method="relax")
+        def step(x, prev):
+            return relax(lambda v: operator(v) + x,
+                         x if prev is None else prev, tau, tol=inner_tol,
+                         max_steps=_MAX_RELAX)
 
-    lam, psi = inverse_power(step, np.ones(mesh.shape), tol=tol,
-                             max_power=max_power)
-    return lam, SectorField(mesh, psi)
+        lam, psi = inverse_power(step, np.ones(mesh.n_nodes), tol=tol,
+                                 max_power=max_power)
+    return lam, SectorField(mesh, psi.reshape(mesh.shape))
 
 
 def extrapolate_to_zero(xs, ys):

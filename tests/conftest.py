@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._eigen.arpack import arpack
 
 
 @pytest.fixture
@@ -31,7 +32,8 @@ def count_solves(monkeypatch):
 @pytest.fixture
 def count_splu(monkeypatch):
     """The shapes of the matrices given to scipy's splu from now on, one
-    entry per factorization."""
+    entry per factorization.  ARPACK's own splu is counted too: without
+    OPinv eigs would factor."""
     calls = []
     real = spla.splu
 
@@ -40,4 +42,5 @@ def count_splu(monkeypatch):
         return real(mat, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(arpack, "splu", counting)
     return calls

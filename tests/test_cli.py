@@ -43,6 +43,17 @@ class TestConfig:
         with pytest.raises(SystemExit):
             load_config("eigen", str(path), None)
 
+    def test_output_dir_key_sets_directory(self, tmp_path):
+        out = tmp_path / "configured"
+        assert main(["radial", "--set", f"output_dir={out}"]) == 0
+        assert "output_dir" not in read_report(out, "radial")["parameters"]
+
+    def test_out_flag_overrides_output_dir(self, tmp_path):
+        other = tmp_path / "configured"
+        assert run(tmp_path, "radial", "--set", f"output_dir={other}") == 0
+        assert "output_dir" not in read_report(tmp_path, "radial")["parameters"]
+        assert not other.exists()
+
     def test_help_names_every_config_key(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

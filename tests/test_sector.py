@@ -12,8 +12,8 @@ from pucci_lab.sector import (SectorField, SectorMesh, SectorOperatorParams,
                               extrapolate_to_zero, gamma_exponent,
                               sector_principal_eigenvalue, shrink_angle)
 from pucci_lab import sector as sector_module
-from pucci_lab._iterate import inverse_power, policy_eigen
-from pucci_lab.sector import _frozen_matrix, _H_values, _solve_H
+from pucci_lab._iterate import inverse_power, policy_eigen, policy_iterate
+from pucci_lab.sector import _frozen_matrix, _H_values
 
 LAP = SectorOperatorParams(1.0, 1.0)
 
@@ -296,12 +296,20 @@ class TestEigenvalue:
         mesh = SectorMesh(n_dim, delta, spacing)
         params = SectorOperatorParams(a, 1.0)
 
-        def step(psi, prev):
-            return _solve_H(params, mesh, -psi, psi if prev is None else prev,
-                            tol=1e-12)
+        def grid(v):
+            return v.reshape(mesh.shape)
 
-        lam_ip, psi_ip = inverse_power(step, np.ones(mesh.shape), tol=1e-10,
-                                       max_power=500)
+        # each inverse-power step solves H(psi) = -x by policy iteration
+        def step(x, prev):
+            return policy_iterate(
+                lambda v: _H_values(params, mesh, grid(v)).ravel() + x,
+                lambda v: _frozen_matrix(params, mesh, grid(v)),
+                sector_module._factor, x if prev is None else prev,
+                tol=1e-12, max_steps=80)
+
+        lam_ip, psi_ip = inverse_power(step, np.ones(mesh.n_nodes),
+                                       tol=1e-10, max_power=500)
+        psi_ip = psi_ip.reshape(mesh.shape)
         solves = count_solves(sector_module)
         lam, psi = sector_principal_eigenvalue(params, mesh)
         assert lam == pytest.approx(lam_ip, rel=1e-6)
