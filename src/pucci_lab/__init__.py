@@ -14,16 +14,16 @@ from .radial import (Constant, EigenPower, PowerPair, RadialProfile, Source,
                      overdetermined_radius, principal_eigenvalue_ball, shoot)
 from . import grid
 from . import sector
-from .grid import (Disk, Ellipse, GridDomain, GridField, Polygon, StencilSet,
-                   boundary_data, build_domain, comparison_check,
-                   critical_plane_position, discretize_F, export_field_csv,
-                   neumann_trace, principal_eigenvalue_grid, reflection_gap,
-                   small_domain_check, solve_dirichlet)
+from .grid import (Disk, Ellipse, GridDomain, GridField, Polygon,
+                   boundary_data, broken_weights, build_domain,
+                   comparison_check, critical_plane_position, discretize_F,
+                   export_field_csv, neumann_trace, principal_eigenvalue_grid,
+                   reflection_gap, small_domain_check, solve_dirichlet)
 
 __all__ = [
     "grid", "sector",
-    "Disk", "Ellipse", "GridDomain", "GridField", "Polygon", "StencilSet",
-    "boundary_data", "build_domain", "comparison_check",
+    "Disk", "Ellipse", "GridDomain", "GridField", "Polygon",
+    "boundary_data", "broken_weights", "build_domain", "comparison_check",
     "critical_plane_position", "discretize_F", "export_field_csv",
     "neumann_trace", "principal_eigenvalue_grid", "reflection_gap",
     "small_domain_check", "solve_dirichlet",

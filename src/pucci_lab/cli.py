@@ -27,10 +27,10 @@ from .operators import PucciParams, SymMatrix, Variant, boundary_hessian, pucci
 from .radial import (Constant, EigenPower, closed_form_constant,
                      neumann_constant, overdetermined_radius,
                      principal_eigenvalue_ball, shoot)
-from .grid import (Disk, Ellipse, GridField, Polygon, StencilSet, boundary_data,
-                   build_domain, comparison_check, critical_plane_position,
-                   discretize_F, export_field_csv, neumann_trace,
-                   principal_eigenvalue_grid, reflection_gap,
+from .grid import (Disk, Ellipse, GridField, Polygon, boundary_data,
+                   broken_weights, build_domain, comparison_check,
+                   critical_plane_position, discretize_F, export_field_csv,
+                   neumann_trace, principal_eigenvalue_grid, reflection_gap,
                    small_domain_check, solve_dirichlet)
 from .sector import (SectorMesh, SectorOperatorParams, export_sector_csv,
                      extrapolate_to_zero, gamma_exponent,
@@ -121,6 +121,14 @@ def _check(name, passed, value=None, bound=None):
     return entry
 
 
+def _at_most(name, value, bound):
+    return _check(name, value <= bound, value, bound)
+
+
+def _at_least(name, value, bound):
+    return _check(name, value >= bound, value, bound)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -176,7 +184,7 @@ def cmd_radial(cfg, out_dir):
                      cfg["step"])
         flat = float(np.abs(prof.u - 1.0).max())
         results.update(degenerate=True, flat_deviation=flat)
-        checks.append(_check("flat_profile", flat == 0.0, flat, 0.0))
+        checks.append(_at_most("flat_profile", flat, 0.0))
     else:
         scale = f0 ** (1.0 / (1.0 + params.alpha))
         m = scale * closed_form_constant(params, n_dim, radius, 0.0)
@@ -187,13 +195,11 @@ def cmd_radial(cfg, out_dir):
         sup_err = float(np.abs(prof.u[keep] - exact).max())
         results.update(degenerate=False, centre_value=m, sup_error=sup_err,
                        first_zero=prof.first_zero)
-        checks.append(_check("closed_form_sup_error", sup_err <= cfg["tol"],
-                             sup_err, cfg["tol"]))
+        checks.append(_at_most("closed_form_sup_error", sup_err, cfg["tol"]))
         if prof.first_zero is not None:
             zero_err = abs(prof.first_zero - radius)
-            checks.append(_check("first_zero_at_radius",
-                                 zero_err <= 10.0 * cfg["tol"],
-                                 zero_err, 10.0 * cfg["tol"]))
+            checks.append(_at_most("first_zero_at_radius", zero_err,
+                                   10.0 * cfg["tol"]))
         _write_csv(os.path.join(out_dir, "radial_profile.csv"),
                    ["r", "u", "exact"],
                    zip(prof.radii[keep], prof.u[keep], exact))
@@ -219,15 +225,13 @@ def cmd_overdetermined(cfg, out_dir):
     results = {"table": [{"c": r[0], "radius": r[1], "c_back": r[2]}
                          for r in rows],
                "max_residual": residual}
-    checks = [_check("round_trip_residual", residual <= cfg["tol"],
-                     residual, cfg["tol"])]
+    checks = [_at_most("round_trip_residual", residual, cfg["tol"])]
     if cfg["a"] == cfg["A"] and cfg["alpha"] == 0.0:
         # the scale constant degenerates to a*N, so radius 1 pairs with
         # c = -1/(a N) up to round-off
         r1 = overdetermined_radius(params, n_dim, -1.0 / (cfg["a"] * n_dim))
         results["laplacian_radius"] = r1
-        checks.append(_check("laplacian_link", abs(r1 - 1.0) <= 1e-10,
-                             abs(r1 - 1.0), 1e-10))
+        checks.append(_at_most("laplacian_link", abs(r1 - 1.0), 1e-10))
     _write_csv(os.path.join(out_dir, "overdetermined_roundtrip.csv"),
                ["c", "radius", "c_back", "residual"], rows)
     return results, checks
@@ -254,13 +258,10 @@ def cmd_eigen(cfg, out_dir):
         results["bessel_oracle"] = bessel
         rows.append(("bessel_oracle", bessel))
         rel = abs(lam_grid - bessel) / bessel
-        checks.append(_check("grid_vs_bessel", rel <= cfg["grid_tol"],
-                             rel, cfg["grid_tol"]))
+        checks.append(_at_most("grid_vs_bessel", rel, cfg["grid_tol"]))
     rel_cross = abs(lam_grid - lam_ball) / lam_ball
-    checks.append(_check("grid_vs_shooting", rel_cross <= cfg["cross_tol"],
-                         rel_cross, cfg["cross_tol"]))
-    checks.append(_check("radius_scaling", scale_gap <= 1e-6,
-                         scale_gap, 1e-6))
+    checks.append(_at_most("grid_vs_shooting", rel_cross, cfg["cross_tol"]))
+    checks.append(_at_most("radius_scaling", scale_gap, 1e-6))
     _write_csv(os.path.join(out_dir, "eigen_values.csv"),
                ["method", "value"], rows)
     return results, checks
@@ -293,8 +294,7 @@ def cmd_serrin(cfg, out_dir):
     trace_std = float(trace.std())
     results["disk_trace_mean"] = float(trace.mean())
     results["disk_trace_std"] = trace_std
-    checks.append(_check("disk_trace_std", trace_std <= cfg["trace_std_tol"],
-                         trace_std, cfg["trace_std_tol"]))
+    checks.append(_at_most("disk_trace_std", trace_std, cfg["trace_std_tol"]))
     export_field_csv(u, os.path.join(out_dir, "serrin_disk_field.csv"))
     _write_csv(os.path.join(out_dir, "serrin_disk_trace.csv"),
                ["arc", "dn"], zip(arc, trace))
@@ -311,8 +311,7 @@ def cmd_serrin(cfg, out_dir):
             gap_rows.append((direction[0], direction[1], float(t), gap))
             worst_gap = max(worst_gap, gap)
     results["max_reflection_gap"] = worst_gap
-    checks.append(_check("reflection_gaps", worst_gap <= 2.0 * h,
-                         worst_gap, 2.0 * h))
+    checks.append(_at_most("reflection_gaps", worst_gap, 2.0 * h))
     _write_csv(os.path.join(out_dir, "serrin_reflection_gaps.csv"),
                ["dir_x", "dir_y", "t", "gap"], gap_rows)
 
@@ -322,15 +321,13 @@ def cmd_serrin(cfg, out_dir):
     earc, etrace = neumann_trace(ue)
     spread = float(etrace.max() - etrace.min())
     results["ellipse_trace_spread"] = spread
-    checks.append(_check("ellipse_trace_spread", spread >= cfg["spread_min"],
-                         spread, cfg["spread_min"]))
+    checks.append(_at_least("ellipse_trace_spread", spread, cfg["spread_min"]))
     if cfg["a"] == cfg["A"]:
         exact = _ellipse_exact_trace(ellipse, edom.boundary["point"], cfg["a"])
         oracle_err = float(np.abs(etrace - exact).max())
         results["ellipse_oracle_error"] = oracle_err
-        checks.append(_check("ellipse_vs_oracle",
-                             oracle_err <= cfg["oracle_tol"],
-                             oracle_err, cfg["oracle_tol"]))
+        checks.append(_at_most("ellipse_vs_oracle", oracle_err,
+                               cfg["oracle_tol"]))
     _write_csv(os.path.join(out_dir, "serrin_ellipse_trace.csv"),
                ["arc", "dn"], zip(earc, etrace))
 
@@ -345,8 +342,7 @@ def cmd_serrin(cfg, out_dir):
     gap_nn = abs(hess.full()[1, 1] - u_nn_fd)
     results["boundary_hessian_nn"] = float(hess.full()[1, 1])
     results["boundary_hessian_fd"] = float(u_nn_fd)
-    checks.append(_check("boundary_hessian", gap_nn <= cfg["hessian_tol"],
-                         gap_nn, cfg["hessian_tol"]))
+    checks.append(_at_most("boundary_hessian", gap_nn, cfg["hessian_tol"]))
     return results, checks
 
 
@@ -376,9 +372,8 @@ def cmd_sector(cfg, out_dir):
     checks = []
     if a == A:
         rel = abs(lam_extrap - anchor) / anchor
-        checks.append(_check("anchor_eigenvalue",
-                             rel <= cfg["anchor_rel_tol"],
-                             rel, cfg["anchor_rel_tol"]))
+        checks.append(_at_most("anchor_eigenvalue", rel,
+                               cfg["anchor_rel_tol"]))
     else:
         checks.append(_check("eigenvalue_above_anchor", lam_extrap > anchor,
                              lam_extrap, anchor))
@@ -417,12 +412,12 @@ def cmd_properties(cfg, out_dir):
         scaled = SymMatrix.from_full(s * x.full())
         hom_gap = max(hom_gap, abs(pucci(plus, scaled) - s * pucci(plus, x)))
     checks = [
-        _check("matrix_duality", dual_gap <= 1e-10, dual_gap, 1e-10),
-        _check("matrix_monotone", mono_gap >= -1e-12, mono_gap, -1e-12),
-        _check("matrix_homogeneous", hom_gap <= 1e-10, hom_gap, 1e-10),
+        _at_most("matrix_duality", dual_gap, 1e-10),
+        _at_least("matrix_monotone", mono_gap, -1e-12),
+        _at_most("matrix_homogeneous", hom_gap, 1e-10),
     ]
 
-    stencil = StencilSet.broken() if cfg["break_stencil"] else None
+    weights = broken_weights() if cfg["break_stencil"] else None
     dom = build_domain(Disk(1.0), cfg["grid_h"])
     bv = boundary_data(dom, 0.0)
     pts = dom.pts
@@ -442,19 +437,17 @@ def cmd_properties(cfg, out_dir):
             v = (q[0] * pts[:, 0] ** 2 + q[1] * pts[:, 0] * pts[:, 1]
                  + q[2] * pts[:, 1] ** 2 + q[3] * pts[:, 0] + q[4] * pts[:, 1])
             j = int(rng.integers(dom.n_cells))
-        base = discretize_F(plus, dom, GridField(dom, v, bv), stencil).values
+        base = discretize_F(plus, dom, GridField(dom, v, bv), weights).values
         vp = v.copy()
         vp[j] += 1e-3
-        pert = discretize_F(plus, dom, GridField(dom, vp, bv), stencil).values
+        pert = discretize_F(plus, dom, GridField(dom, vp, bv), weights).values
         diff = np.delete(pert - base, j)
         scheme_gap = min(scheme_gap, float(diff.min()))
         dual = base + discretize_F(minus, dom, GridField(dom, -v, bv),
-                                   stencil).values
+                                   weights).values
         grid_dual = max(grid_dual, float(np.abs(dual).max()))
-    checks.append(_check("monotone_scheme", scheme_gap >= -1e-11,
-                         scheme_gap, -1e-11))
-    checks.append(_check("scheme_duality", grid_dual <= 1e-10,
-                         grid_dual, 1e-10))
+    checks.append(_at_least("monotone_scheme", scheme_gap, -1e-11))
+    checks.append(_at_most("scheme_duality", grid_dual, 1e-10))
 
     comp1 = comparison_check(plus, dom, Constant(1.0), 0.0, 0.2)
     comp2 = comparison_check(plus, dom, EigenPower(1.0), 0.0, 0.0)

@@ -7,7 +7,7 @@ cut distances drive one-sided differences of the same order as the
 interior scheme, which is what keeps boundary traces usable at O(h^2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -156,9 +156,9 @@ class Polygon:
         return Polygon(self.vertices * s)
 
 
-# the 8 orthogonal pairs of lattice directions with offsets up to 3;
+# the 16 lattice directions with offsets up to 3, in 8 orthogonal pairs;
 # each row of PAIRS indexes two perpendicular entries of DIRECTIONS
-_DIRECTIONS = np.array([
+DIRECTIONS = np.array([
     (1, 0), (0, 1),
     (1, 1), (1, -1),
     (2, 1), (1, -2),
@@ -168,47 +168,16 @@ _DIRECTIONS = np.array([
     (3, 2), (2, -3),
     (2, 3), (3, -2),
 ], dtype=int)
-_PAIRS = np.array([(0, 1), (2, 3), (4, 5), (6, 7),
-                   (8, 9), (10, 11), (12, 13), (14, 15)], dtype=int)
+PAIRS = np.arange(len(DIRECTIONS)).reshape(-1, 2)
 
 
-@dataclass
-class StencilSet:
-    """Directions, their orthogonal pairing, and per-direction weights.
-
-    Weights are 1 for the consistent scheme; they exist so a deliberately
-    broken stencil can be injected as a negative control.
-    """
-
-    directions: np.ndarray
-    pairs: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def default(cls):
-        st = cls(_DIRECTIONS.copy(), _PAIRS.copy(),
-                 np.ones(len(_DIRECTIONS)))
-        st.validate()
-        return st
-
-    @classmethod
-    def broken(cls):
-        """Negative control: one direction enters with a flipped sign,
-        which destroys monotonicity of the assembled scheme."""
-        st = cls(_DIRECTIONS.copy(), _PAIRS.copy(), np.ones(len(_DIRECTIONS)))
-        st.weights[2] = -1.0
-        return st
-
-    def validate(self):
-        d = self.directions
-        for i, j in self.pairs:
-            if int(d[i] @ d[j]) != 0:
-                raise InvalidShape(f"pair ({d[i]}, {d[j]}) is not orthogonal")
-        used = sorted(int(k) for pair in self.pairs for k in pair)
-        if used != list(range(len(d))):
-            raise InvalidShape("pairs must cover each direction exactly once")
-        if np.any(self.weights <= 0.0):
-            raise InvalidShape("stencil weights must be positive")
+def broken_weights():
+    """Negative control: per-direction weights of the second differences,
+    1 except direction 2, which enters with a flipped sign and so destroys
+    monotonicity of the scheme."""
+    weights = np.ones(len(DIRECTIONS))
+    weights[2] = -1.0
+    return weights
 
 
 class GridDomain:
@@ -222,10 +191,9 @@ class GridDomain:
     arm, so values and boundary data concatenated address every arm end.
     """
 
-    def __init__(self, shape, h, stencil, origin, nx, ny):
+    def __init__(self, shape, h, origin, nx, ny):
         self.shape = shape
         self.h = float(h)
-        self.stencil = stencil
         self.x0, self.y0 = origin
         self.nx, self.ny = nx, ny
 
@@ -272,7 +240,6 @@ def build_domain(shape, h):
     InvalidShape
         For degenerate shapes or grids with fewer than 100 interior cells.
     """
-    stencil = StencilSet.default()
     xmin, ymin, xmax, ymax = shape.bbox()
     margin = 5.0 * h
     nx = int(np.ceil((xmax - xmin + 2.0 * margin) / h))
@@ -282,7 +249,7 @@ def build_domain(shape, h):
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
     x0, y0 = cx - 0.5 * nx * h, cy - 0.5 * ny * h
 
-    dom = GridDomain(shape, h, stencil, (x0, y0), nx, ny)
+    dom = GridDomain(shape, h, (x0, y0), nx, ny)
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     centers = np.stack([x0 + (ii + 0.5) * h, y0 + (jj + 0.5) * h], axis=-1)
     level = shape.level(centers.reshape(-1, 2)).reshape(nx, ny)
@@ -301,13 +268,12 @@ def build_domain(shape, h):
 
     # every arm family at once, indexed (side, cell, direction) with the
     # forward side first
-    dirs = stencil.directions
-    steps = np.stack([dirs, -dirs])
+    steps = np.stack([DIRECTIONS, -DIRECTIONS])
     tgt = cells[None, :, None, :] + steps[:, None, :, :]
     ok = ((tgt >= 0) & (tgt < (nx, ny))).all(axis=-1)
     tgt[~ok] = 0
     nb = np.where(ok, cell_id[tgt[..., 0], tgt[..., 1]], -1)
-    arm = np.broadcast_to(np.hypot(dirs[:, 0], dirs[:, 1]) * h, nb.shape).copy()
+    arm = np.broadcast_to(np.hypot(*DIRECTIONS.T) * h, nb.shape).copy()
     # an arm is cut where it ends off the cells (at t = 1 if its end rounds
     # inside the shape) or where it crosses the boundary before reaching a
     # cell, which needs the cell to lie within one arm length of it (level

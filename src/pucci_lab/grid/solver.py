@@ -13,8 +13,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .._iterate import LU_OPTIONS, policy_eigen, policy_iterate, relax
-from ..operators import Variant, _directional_coef
-from .domain import GridField, boundary_data
+from ..operators import Variant, _coef
+from .domain import PAIRS, GridField, boundary_data
 
 # The weight |grad_h u|^alpha meets g = 0 two ways.  The operator floors g
 # for alpha < 0 only, where the weight is singular; for alpha > 0 it is
@@ -35,12 +35,11 @@ def _arm_values(dom, values, bvals, arms=slice(None)):
     return ends[dom.nbf[:, arms]], ends[dom.nbb[:, arms]]
 
 
-def _second_differences(dom, values, bvals, weights):
+def _second_differences(dom, values, bvals):
     vf, vb = _arm_values(dom, values, bvals)
     sf, sb = dom.armf, dom.armb
     v0 = values[:, None]
-    delta = 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
-    return delta * weights
+    return 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
 
 
 def _grad_norm(dom, values, bvals):
@@ -53,31 +52,30 @@ def _grad_norm(dom, values, bvals):
     return np.hypot(gx, gy)
 
 
-def _active_pairs(params, delta, pairs):
+def _active_pairs(params, delta):
     """Each cell's extremal orthogonal pair and that pair's sum: the max
     (Plus) or min (Minus) over pairs of the second differences, each taken
     with the coefficient the variant puts on its sign."""
-    hi, lo = _directional_coef(params, True), _directional_coef(params, False)
-    contrib = hi * np.maximum(delta, 0.0) + lo * np.minimum(delta, 0.0)
-    psum = contrib[:, pairs[:, 0]] + contrib[:, pairs[:, 1]]
+    contrib = _coef(params, delta) * delta
+    psum = contrib[:, PAIRS[:, 0]] + contrib[:, PAIRS[:, 1]]
     pick = (psum.argmax(axis=1) if params.variant is Variant.PLUS
             else psum.argmin(axis=1))
-    return pairs[pick], psum[np.arange(len(pick)), pick]
+    return PAIRS[pick], psum[np.arange(len(pick)), pick]
 
 
-def discretize_F(params, dom, field, stencil=None):
+def discretize_F(params, dom, field, weights=None):
     """Apply the discrete operator |grad u|^alpha * M(D^2 u) cellwise.
 
-    ``field.boundary_values`` must be set; cut arms read from it.  Passing
-    ``stencil`` overrides the stencil stored on the domain (the negative
-    controls inject a broken one this way).
+    ``field.boundary_values`` must be set; cut arms read from it.
+    ``weights``, one per stencil direction, scale the second differences;
+    the negative controls inject ``broken_weights()`` this way.
     """
     if field.boundary_values is None:
         raise ValueError("field needs boundary_values to apply the operator")
-    st = dom.stencil if stencil is None else stencil
-    delta = _second_differences(dom, field.values, field.boundary_values,
-                                st.weights)
-    _, core = _active_pairs(params, delta, st.pairs)
+    delta = _second_differences(dom, field.values, field.boundary_values)
+    if weights is not None:
+        delta = delta * weights
+    _, core = _active_pairs(params, delta)
     if params.alpha != 0.0:
         g = _grad_norm(dom, field.values, field.boundary_values)
         if params.alpha < 0.0:
@@ -93,14 +91,12 @@ def _policy_matrix(params, dom, values, bvals):
     the coefficient of the sign of each of its second differences and the
     floored gradient weight.  There F(u) = M u + b holds exactly wherever
     the gradient is above the floor, with b carrying the cut-arm boundary
-    values; M is an M-matrix for positive stencil weights.  Returns M (the
-    Newton step needs only M, since b enters through the residual).
+    values; M is an M-matrix.  Returns M (the Newton step needs only M,
+    since b enters through the residual).
     """
     n = dom.n_cells
-    st = dom.stencil
-    delta = _second_differences(dom, values, bvals, st.weights)
-    classes, _ = _active_pairs(params, delta, st.pairs)
-    hi, lo = _directional_coef(params, True), _directional_coef(params, False)
+    delta = _second_differences(dom, values, bvals)
+    classes, _ = _active_pairs(params, delta)
     weight = 1.0
     if params.alpha != 0.0:
         weight = np.maximum(_grad_norm(dom, values, bvals),
@@ -109,8 +105,7 @@ def _policy_matrix(params, dom, values, bvals):
     rows, cols, vals = [], [], []
     for k in (0, 1):
         c = classes[:, k]
-        d = delta[idx, c]
-        coef = np.where(d > 0.0, hi, lo) * st.weights[c] * weight
+        coef = _coef(params, delta[idx, c]) * weight
         sf = dom.armf[idx, c]
         sb = dom.armb[idx, c]
         denom = sf + sb

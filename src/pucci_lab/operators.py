@@ -116,11 +116,7 @@ def eigen_sym(x):
 def pucci(params, x):
     """Evaluate the extremal operator of ``params.variant`` at matrix ``x``."""
     lam = eigen_sym(x).eigenvalues
-    pos = lam[lam > 0.0].sum()
-    neg = -lam[lam < 0.0].sum()
-    if params.variant is Variant.PLUS:
-        return params.A * pos - params.a * neg
-    return params.a * pos - params.A * neg
+    return (_coef(params, lam) * lam).sum()
 
 
 def f_operator(params, grad, x):
@@ -146,6 +142,15 @@ def _directional_coef(params, positive):
     if params.variant is Variant.PLUS:
         return params.A if positive else params.a
     return params.a if positive else params.A
+
+
+def _coef(params, t):
+    """Coefficient the variant applies on each entry of the array t: the
+    positive-side one where t > 0, the negative-side one elsewhere.  Any
+    choice at t = 0 gives the same operator, but the frozen matrices of the
+    grid and the sector see it, so every layer takes it from here."""
+    return np.where(t > 0.0, _directional_coef(params, True),
+                    _directional_coef(params, False))
 
 
 def boundary_hessian(params, c, f0, curv):

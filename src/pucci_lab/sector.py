@@ -23,6 +23,7 @@ from scipy.optimize import brentq
 
 from ._iterate import LU_OPTIONS, inverse_power, policy_eigen, relax
 from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
+from .operators import Variant, _coef
 
 _MIN_NODES = 3
 # iteration cap of the relax inner solve
@@ -31,12 +32,14 @@ _MAX_RELAX = 400_000
 
 @dataclass(frozen=True)
 class SectorOperatorParams:
-    """Ellipticity window plus the barrier exponent and shift."""
+    """Ellipticity window plus the barrier exponent and shift.  The sector
+    operator is built on M-minus, so ``variant`` is fixed, not a field."""
 
     a: float
     A: float
     gamma: float = 2.0
     epsilon: float = 0.0
+    variant = Variant.MINUS
 
     def __post_init__(self):
         if not (0.0 < self.a <= self.A):
@@ -141,11 +144,6 @@ def coefficients(mesh):
             "tan2": np.broadcast_to(np.tan(lat), mesh.shape)}
 
 
-def _eps_select(a, A, t):
-    """Coefficient a on the nonnegative part, A on the negative part."""
-    return np.where(t >= 0.0, a, A)
-
-
 def _diffs(vals, spacings):
     """Central differences d1_1, d1_2, d2_11, d2_22, d2_12 of vals, which
     are zero beyond the box; those along an absent theta2 axis are 0."""
@@ -186,15 +184,12 @@ def _linearize(params, mesh, vals):
 
 
 def _H_values(params, mesh, vals):
-    a, A = params.a, params.A
     (d1_1, d1_2), (lam_p, lam_m, _), (w1, w2), _, tan2 = \
         _linearize(params, mesh, vals)
-    core = a * np.maximum(lam_p, 0.0) + A * np.minimum(lam_p, 0.0) \
-        + a * np.maximum(lam_m, 0.0) + A * np.minimum(lam_m, 0.0)
-    penalty = (a - A) * (np.abs(d1_1) * w1 + np.abs(d1_2) * w2)
+    core = _coef(params, lam_p) * lam_p + _coef(params, lam_m) * lam_m
+    penalty = (params.a - params.A) * (np.abs(d1_1) * w1 + np.abs(d1_2) * w2)
     mu = -d1_2 * tan2
-    connection = _eps_select(a, A, mu) * mu
-    return core + penalty + connection
+    return core + penalty + _coef(params, mu) * mu
 
 
 def assemble_H(params, mesh, psi):
@@ -213,13 +208,12 @@ def _frozen_matrix(params, mesh, vals):
     (all four cross-derivative ones of a row whose frame weights agree, as
     everywhere at a = A) are not stored, so the LU orders and factors only
     the real pattern.  On the arc the frame angle is 0 or pi/2, so the
-    diagonal weight is a where d2 >= 0 and A elsewhere.
+    diagonal weight is a where d2 > 0 and A elsewhere.
     """
     a, A = params.a, params.A
     (d1_1, d1_2), (lam_p, lam_m, ang), (w1, w2), q1, tan2 = \
         _linearize(params, mesh, vals)
-    e_p = _eps_select(a, A, lam_p)
-    e_m = _eps_select(a, A, lam_m)
+    e_p, e_m = _coef(params, lam_p), _coef(params, lam_m)
     cs, sn = np.cos(ang), np.sin(ang)
     mu = -d1_2 * tan2
     # per axis: the frame weight of the second difference and the
@@ -227,7 +221,7 @@ def _frozen_matrix(params, mesh, vals):
     second = (q1 ** 2 * (e_p * cs ** 2 + e_m * sn ** 2),
               e_p * sn ** 2 + e_m * cs ** 2)
     first = ((a - A) * np.sign(d1_1) * w1,
-             (a - A) * np.sign(d1_2) * w2 - _eps_select(a, A, mu) * tan2)
+             (a - A) * np.sign(d1_2) * w2 - _coef(params, mu) * tan2)
 
     ids = np.arange(mesh.n_nodes).reshape(mesh.shape)
     rows, cols, entries = [], [], []
@@ -457,10 +451,8 @@ def barrier_margin(params, psi, gamma, *, n_samples=100, seed=0,
         pp, mm, pm, mp = w[:, c:c + 4].T
         hess[:, i, j] = hess[:, j, i] = (pp + mm - pm - mp) / (4.0 * eta2)
 
-    # M^-: a on the positive eigenvalues, A on the negative ones
     lam = np.linalg.eigvalsh(hess)
-    m_minus = (params.a * np.maximum(lam, 0.0).sum(axis=1)
-               + params.A * np.minimum(lam, 0.0).sum(axis=1))
+    m_minus = (_coef(params, lam) * lam).sum(axis=1)
     return m_minus - params.epsilon * radii ** (-2.0) * w0
 
 

@@ -24,7 +24,6 @@ So the criterion asserts the limit, not a value at one point:
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 from scipy.special import j0
 

@@ -3,7 +3,6 @@
 import csv
 import json
 
-import numpy as np
 import pytest
 
 from pucci_lab import Variant, cli
@@ -176,8 +175,8 @@ class TestPropertiesCommand:
                                                      monkeypatch):
         real, minus_calls = cli.discretize_F, []
 
-        def skewed(params, dom, field, stencil=None):
-            out = real(params, dom, field, stencil)
+        def skewed(params, dom, field, weights=None):
+            out = real(params, dom, field, weights)
             if params.variant is Variant.MINUS:
                 minus_calls.append(field)
                 if len(minus_calls) == 1:

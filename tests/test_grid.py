@@ -9,10 +9,11 @@ from pucci_lab import (Constant, EigenPower, PowerPair, PucciParams, Variant,
                        principal_eigenvalue_ball)
 from pucci_lab.errors import (InvalidShape, IterationLimit, OutOfDomain,
                               ReflectionOutOfDomain)
-from pucci_lab.grid import (ComparisonReport, Disk, Ellipse, GridField,
-                            Polygon, StencilSet, build_domain,
-                            comparison_check, critical_plane_position,
-                            discretize_F, field_from_function, neumann_trace,
+from pucci_lab.grid import (DIRECTIONS, PAIRS, ComparisonReport, Disk,
+                            Ellipse, GridField, Polygon, broken_weights,
+                            build_domain, comparison_check,
+                            critical_plane_position, discretize_F,
+                            field_from_function, neumann_trace,
                             principal_eigenvalue_grid, reflect_points,
                             reflection_gap, small_domain_check,
                             solve_dirichlet)
@@ -78,7 +79,7 @@ class TestDomain:
         assert r.max() < 1.0
 
     def test_arm_lengths_positive_and_bounded(self, disk_dom):
-        norms = np.hypot(*disk_dom.stencil.directions.T) * disk_dom.h
+        norms = np.hypot(*DIRECTIONS.T) * disk_dom.h
         assert disk_dom.armf.min() > 0.0
         assert np.all(disk_dom.armf <= norms[None, :] * (1 + 1e-12))
         assert np.all(disk_dom.armb <= norms[None, :] * (1 + 1e-12))
@@ -97,7 +98,7 @@ class TestDomain:
     def test_arm_table_addresses_cells_and_cuts(self, shape):
         dom = build_domain(shape, 0.05)
         n, n_cut = dom.n_cells, len(dom.cut_xy)
-        dirs = dom.stencil.directions
+        dirs = DIRECTIONS
         for nb, arm, sign in ((dom.nbf, dom.armf, 1), (dom.nbb, dom.armb, -1)):
             assert nb.shape == (n, len(dirs))
             assert nb.min() >= 0 and nb.max() < n + n_cut
@@ -139,7 +140,7 @@ class TestDomain:
         shape = Polygon(L_SHAPE)
         dom = build_domain(shape, 0.05)
         assert np.abs(shape.level(dom.cut_xy)).max() < 1e-12
-        dirs = dom.stencil.directions
+        dirs = DIRECTIONS
         full = np.hypot(*dirs.T) * dom.h
         for arm, sign in ((dom.armf, 1), (dom.armb, -1)):
             # cut arms are the ones shorter than a full lattice step
@@ -157,7 +158,7 @@ class TestDomain:
         # cut too, so every arm, cut or not, runs inside up to its end
         shape = Polygon(L_SHAPE)
         dom = build_domain(shape, 0.05)
-        dirs = dom.stencil.directions
+        dirs = DIRECTIONS
         unit = dirs / np.hypot(*dirs.T)[:, None]
         frac = np.arange(31) / 31
         for arm, sign in ((dom.armf, 1), (dom.armb, -1)):
@@ -195,15 +196,13 @@ class TestDomain:
         assert lev[0] < 0 and lev[1] > 0 and lev[2] < 0
 
     def test_stencil_validation(self):
-        st = StencilSet.default()
-        st.validate()
-        bad = StencilSet.default()
-        bad.weights[3] = -1.0
-        with pytest.raises(InvalidShape):
-            bad.validate()
-        with pytest.raises(InvalidShape):
-            StencilSet(np.array([[1, 0], [1, 1]]), np.array([[0, 1]]),
-                       np.ones(2)).validate()
+        # 8 orthogonal pairs that use each of the 16 directions once
+        assert PAIRS.shape == (8, 2) and len(DIRECTIONS) == 16
+        assert np.all((DIRECTIONS[PAIRS[:, 0]] * DIRECTIONS[PAIRS[:, 1]])
+                      .sum(axis=1) == 0)
+        assert_array_equal(np.sort(PAIRS.ravel()), np.arange(16))
+        assert len({tuple(d) for d in DIRECTIONS}
+                   | {tuple(-d) for d in DIRECTIONS}) == 32
 
 
 class TestOperator:
@@ -312,10 +311,25 @@ class TestOperator:
                             GridField(disk_coarse, u, zero)).values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("variant, tie", [(Variant.PLUS, 0.5),
+                                              (Variant.MINUS, 2.0)])
+    def test_policy_matrix_tie_takes_negative_side(self, disk_coarse,
+                                                   variant, tie):
+        # at u = 0 every second difference is 0, and the frozen matrix
+        # carries the variant's coefficient of a negative eigenvalue
+        zero_u = np.zeros(disk_coarse.n_cells)
+        zero = np.zeros(len(disk_coarse.cut_xy))
+
+        def frozen(a, A):
+            return _policy_matrix(PucciParams(a, A, variant), disk_coarse,
+                                  zero_u, zero)
+
+        assert (frozen(0.5, 2.0) != frozen(tie, tie)).nnz == 0
+
     def test_broken_stencil_is_inconsistent(self, disk_coarse):
         fld = quad_field(disk_coarse, -0.5, 0.0, -0.5)
         good = discretize_F(LAP, disk_coarse, fld).values
-        bad = discretize_F(LAP, disk_coarse, fld, stencil=StencilSet.broken()).values
+        bad = discretize_F(LAP, disk_coarse, fld, broken_weights()).values
         assert np.abs(good + 1.0).max() < 1e-10
         assert np.abs(bad + 1.0).max() > 0.5
 

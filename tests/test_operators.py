@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from pucci_lab import (DegenerateGradient, InvalidMatrix, PucciParams,
                        SymMatrix, Variant, boundary_hessian, eigen_sym,
                        f_operator, pucci)
+from pucci_lab.operators import _coef
 
 TRIALS = 200
 
@@ -74,6 +75,14 @@ class TestPucci:
         assert_allclose(pucci(p, x), 1.0)
         assert_allclose(pucci(m, x), -1.0)
         assert pucci(p, SymMatrix.diag([0.0, 0.0])) == 0.0
+
+    def test_coefficient_tie_goes_to_negative_side(self):
+        # one rule for every layer: t = 0 takes the negative-side coefficient
+        t = np.array([-1.0, 0.0, 1.0])
+        assert_allclose(_coef(PucciParams(0.5, 2.0, Variant.PLUS), t),
+                        [0.5, 0.5, 2.0], rtol=0.0)
+        assert_allclose(_coef(PucciParams(0.5, 2.0, Variant.MINUS), t),
+                        [2.0, 2.0, 0.5], rtol=0.0)
 
     def test_reduces_to_trace_when_a_equals_A(self):
         rng = np.random.default_rng(21)

@@ -203,6 +203,22 @@ class TestAssemble:
         if a == 1.0:
             assert np.diff(mat.indptr).max() <= 2 * n_dim - 1
 
+    @pytest.mark.parametrize("n_dim, spacing", [(2, np.pi / 40),
+                                                (3, np.pi / 20)])
+    def test_frozen_matrix_tie_takes_A(self, n_dim, spacing):
+        # a flat field has every eigenvalue and mu at 0, where M-minus
+        # takes A as on the grid, so the wide window freezes to the
+        # (A, A) matrix and not to the (a, a) one
+        mesh = SectorMesh(n_dim, 0.2, spacing)
+        zero = np.zeros(mesh.shape)
+
+        def frozen(a, A):
+            return _frozen_matrix(SectorOperatorParams(a, A), mesh, zero)
+
+        wide = frozen(0.5, 1.0)
+        assert (wide != frozen(1.0, 1.0)).nnz == 0
+        assert (wide != frozen(0.5, 0.5)).nnz > 0
+
     def test_positive_homogeneity(self):
         mesh = SectorMesh(2, 0.1, np.pi / 100)
         rng = np.random.default_rng(4)
