@@ -51,25 +51,43 @@ def _check_positive(x):
             f"eigenfunction lost positivity (min {x.min():.3e})")
 
 
-def policy_iterate(residual, jacobian, factor, u0, *, tol, max_steps):
+def _check_cap(max_steps):
+    if max_steps < 1:
+        raise ValueError(f"step cap must be at least 1, got {max_steps}")
+
+
+def _sup_residual(r, history):
+    """Append sup|r| to the history and return it; a non-finite residual
+    ends the iteration."""
+    res = float(np.abs(r).max())
+    history.append(res)
+    if not np.isfinite(res):
+        raise IterationLimit("residual is not finite", history=history[-50:])
+    return res
+
+
+def policy_iterate(linearize, factor, u0, *, tol, max_steps):
     """Newton-Howard iteration u <- u - J(u)^{-1} r(u) on flat arrays.
 
-    ``jacobian(u)`` returns the CSR matrix frozen at the policy active at
-    u, and ``factor(J)`` an object with ``solve``; each step factors its
+    ``linearize(u)`` returns r(u) and a callable that builds the CSR matrix
+    J(u) frozen at the policy active at u, so the residual and the matrix
+    share one linearization and a converged step builds no matrix.
+    ``factor(J)`` returns an object with ``solve``; each step factors its
     frozen matrix once.
     """
+    _check_cap(max_steps)
     u = np.array(u0, dtype=float)
     history = []
     for _ in range(max_steps):
-        r = residual(u)
-        res = float(np.abs(r).max())
-        history.append(res)
-        if _converged(res, u, tol):
+        r, freeze = linearize(u)
+        if _converged(_sup_residual(r, history), u, tol):
             return u
-        u = u + factor(jacobian(u)).solve(-r)
-        if not np.isfinite(u).all():
-            raise IterationLimit("frozen linear step produced non-finite "
-                                 "values", history=history[-50:])
+        mat = freeze()
+        # freeze may hold a whole linearization (about 40 MB on a 63k-cell
+        # grid); the factor, which sets the peak memory, needs only the
+        # matrix
+        del freeze
+        u = u + factor(mat).solve(-r)
     raise IterationLimit(
         f"policy iteration did not reach tol={tol:g} in {max_steps} steps "
         f"(last residual {history[-1]:.3e})", history=history[-50:])
@@ -81,13 +99,12 @@ def relax(residual, u0, tau, *, tol, max_steps):
     Stable for tau below the inverse of the largest stencil weight; kept as
     the oracle the policy path is tested against.
     """
+    _check_cap(max_steps)
     u = np.array(u0, dtype=float)
     history = []
     for _ in range(max_steps):
         r = residual(u)
-        res = float(np.abs(r).max())
-        history.append(res)
-        if _converged(res, u, tol):
+        if _converged(_sup_residual(r, history), u, tol):
             return u
         u = u + tau * r
     raise IterationLimit(

@@ -169,6 +169,8 @@ DIRECTIONS = np.array([
     (2, 3), (3, -2),
 ], dtype=int)
 PAIRS = np.arange(len(DIRECTIONS)).reshape(-1, 2)
+# the arm table's entry type, which bounds cells plus cuts
+_INDEX = np.int32
 
 
 def broken_weights():
@@ -183,12 +185,15 @@ def broken_weights():
 class GridDomain:
     """Uniform lattice restricted to a shape, with stencil connectivity.
 
-    ``nbf``/``nbb`` are the one arm table, shape (n_cells, n_directions):
-    the forward/backward arm of cell c along direction j ends at entry
-    i = nbf[c, j] (nbb[c, j]).  An entry i < n_cells is the neighbouring
-    cell; an entry i >= n_cells is the cut point ``cut_xy[i - n_cells]``,
-    where the arm leaves the shape.  Each cut point belongs to exactly one
-    arm, so values and boundary data concatenated address every arm end.
+    ``nb`` is the one arm table, int32 of shape (2, n_cells, n_directions),
+    the forward side first (``nbf, nbb = nb``): the forward/backward arm of
+    cell c along direction j ends at entry i = nbf[c, j] (nbb[c, j]).  An
+    entry i < n_cells is the neighbouring cell; an entry i >= n_cells is
+    the cut point ``cut_xy[i - n_cells]``, where the arm leaves the shape.
+    Each cut point belongs to exactly one arm, so values and boundary data
+    concatenated address every arm end.  The domain stores no arm lengths:
+    an arm along d has length |d| h, times ``cut_frac`` where it is cut, and
+    ``arm_lengths()`` derives them; the solver asks once per linearization.
     """
 
     def __init__(self, shape, h, origin, nx, ny):
@@ -202,16 +207,25 @@ class GridDomain:
     cell_id: np.ndarray   # (nx, ny) cell index, -1 outside
     cells: np.ndarray     # (n_cells, 2) lattice indices of the cells
     pts: np.ndarray       # (n_cells, 2) cell centres
-    nbf: np.ndarray       # (n_cells, n_directions) forward arm ends
-    nbb: np.ndarray       # (n_cells, n_directions) backward arm ends
-    armf: np.ndarray      # (n_cells, n_directions) forward arm lengths
-    armb: np.ndarray      # (n_cells, n_directions) backward arm lengths
+    nb: np.ndarray        # (2, n_cells, n_directions) int32 arm ends
+    nbf: np.ndarray       # nb[0], the forward arm ends
+    nbb: np.ndarray       # nb[1], the backward arm ends
+    cut_frac: np.ndarray  # (n_cuts,) share of its full length a cut arm keeps
+    cut_at: np.ndarray    # (n_cuts,) flat position of each cut in nb
     cut_xy: np.ndarray    # (n_cuts, 2) boundary crossings of the cut arms
     boundary: dict        # trace samples, one per kept axis cut
 
     @property
     def n_cells(self):
         return len(self.pts)
+
+    def arm_lengths(self):
+        """Arm lengths shaped like ``nb``: |d| h for an arm along d, times
+        the cut fraction where the arm is cut."""
+        arms = np.broadcast_to(np.hypot(*DIRECTIONS.T) * self.h,
+                               self.nb.shape).copy()
+        arms.reshape(-1)[self.cut_at] *= self.cut_frac
+        return arms
 
     def full_array(self, values, fill=np.nan):
         out = np.full((self.nx, self.ny), fill)
@@ -238,8 +252,13 @@ def build_domain(shape, h):
     Raises
     ------
     InvalidShape
-        For degenerate shapes or grids with fewer than 100 interior cells.
+        For degenerate shapes, a spacing h that is not finite and positive,
+        grids with fewer than 100 interior cells, or more cells and cuts
+        than the int32 arm table can address.
     """
+    if not 0.0 < h < np.inf:
+        raise InvalidShape(f"grid spacing must be finite and positive, "
+                           f"got h={h}")
     xmin, ymin, xmax, ymax = shape.bbox()
     margin = 5.0 * h
     nx = int(np.ceil((xmax - xmin + 2.0 * margin) / h))
@@ -266,32 +285,40 @@ def build_domain(shape, h):
 
     dom.mask, dom.cell_id, dom.cells, dom.pts = mask, cell_id, cells, pts
 
-    # every arm family at once, indexed (side, cell, direction) with the
-    # forward side first
-    steps = np.stack([DIRECTIONS, -DIRECTIONS])
-    tgt = cells[None, :, None, :] + steps[:, None, :, :]
-    ok = ((tgt >= 0) & (tgt < (nx, ny))).all(axis=-1)
-    tgt[~ok] = 0
-    nb = np.where(ok, cell_id[tgt[..., 0], tgt[..., 1]], -1)
-    arm = np.broadcast_to(np.hypot(*DIRECTIONS.T) * h, nb.shape).copy()
-    # an arm is cut where it ends off the cells (at t = 1 if its end rounds
-    # inside the shape) or where it crosses the boundary before reaching a
-    # cell, which needs the cell to lie within one arm length of it (level
-    # is a signed distance for polygons; a convex shape holds every segment
-    # between two of its cells)
-    exits = nb < 0
-    near = level[mask][None, :, None] > -arm
-    # cut ids run over directions, then sides, then cells
-    j, side, cell = np.nonzero((exits | near).transpose(2, 0, 1))
-    offs = steps[side, j] * h
+    # the arm table, filled one direction and side at a time; the 5h margin
+    # keeps every arm end of a cell on the lattice
+    nb = np.empty((2, n_in, len(DIRECTIONS)), dtype=_INDEX)
+    inside, flat_id = level[mask], cell_id.reshape(-1)
+    at = cells[:, 0] * ny + cells[:, 1]
+    near = []
+    for j, full in enumerate(np.hypot(*DIRECTIONS.T) * h):
+        # an arm is cut where it ends off the cells (at t = 1 if its end
+        # rounds inside the shape) or where it crosses the boundary before
+        # reaching a cell, which needs the cell to lie within one arm length
+        # of it (level is a signed distance for polygons; a convex shape
+        # holds every segment between two of its cells)
+        close = inside > -full
+        for side, sign in enumerate((1, -1)):
+            end = flat_id[at + sign * (DIRECTIONS[j] @ (ny, 1))]
+            nb[side, :, j] = end
+            near.append((side * n_in + np.flatnonzero((end < 0) | close))
+                        * len(DIRECTIONS) + j)
+    # the candidate arms as flat positions in nb, ordered by direction,
+    # then side, then cell, which is the order of the cut ids
+    pos = np.concatenate(near)
+    side, cell, j = np.unravel_index(pos, nb.shape)
+    offs = np.where(side == 0, 1, -1)[:, None] * DIRECTIONS[j] * h
     t = shape.exit_fraction(pts[cell], offs)
-    cut = (t < 1.0) | exits[side, cell, j]
-    j, side, cell, t, offs = j[cut], side[cut], cell[cut], t[cut], offs[cut]
-    arm[side, cell, j] *= t
-    nb[side, cell, j] = n_in + np.arange(cell.size)
+    cut = (t < 1.0) | (nb.reshape(-1)[pos] < 0)
+    pos, cell, t, offs = pos[cut], cell[cut], t[cut], offs[cut]
+    if n_in + pos.size > np.iinfo(_INDEX).max:
+        raise InvalidShape(f"{n_in} cells and {pos.size} cuts at h={h} "
+                           f"overflow the {_INDEX.__name__} arm table")
+    nb.reshape(-1)[pos] = n_in + np.arange(pos.size)
 
+    dom.nb = nb
     dom.nbf, dom.nbb = nb
-    dom.armf, dom.armb = arm
+    dom.cut_at, dom.cut_frac = pos, t
     dom.cut_xy = pts[cell] + t[:, None] * offs
 
     _build_boundary_samples(dom)
@@ -302,14 +329,16 @@ def _build_boundary_samples(dom):
     """Pick, per axis cut, the trace sample (cut point, two inward cells)."""
     n = dom.n_cells
     # the axis arms of both sides, indexed (side, cell, axis), forward first
-    ends = np.stack([dom.nbf[:, :2], dom.nbb[:, :2]])
+    ends = dom.nb[:, :, :2]
     axis, side, cell = np.nonzero(ends.transpose(2, 0, 1) >= n)
-    point = dom.cut_xy[ends[side, cell, axis] - n]
+    cut = ends[side, cell, axis] - n
+    point = dom.cut_xy[cut]
     normal = dom.shape.boundary_normal(point)
     # the unit inward step runs against the cut arm
     e_dot_n = np.where(side == 0, -1.0, 1.0) * normal[np.arange(len(point)), axis]
     cell1 = ends[1 - side, cell, axis]
-    s = np.where(side == 0, dom.armf[cell, axis], dom.armb[cell, axis])
+    # an axis arm is h long before its cut
+    s = dom.cut_frac[cut] * dom.h
     # keep cuts where this axis is the dominant normal direction and
     # a second interior cell exists along the inward line
     keep = (np.abs(e_dot_n) >= 0.5) & (cell1 < n)

@@ -8,6 +8,8 @@ consistent, and solutions that happen to be quadratic are reproduced to
 rounding.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -25,31 +27,35 @@ _GRAD_FLOOR = 1e-8
 _MAX_DAMPED = 400_000
 
 
-def _arm_values(dom, values, bvals, arms=slice(None)):
-    """Values at the forward/backward ends of ``arms`` (all by default).
+def _linearize(params, dom, values, bvals, weights=None):
+    """The scheme at one iterate, read by the operator and the frozen
+    matrix alike.
 
-    An arm ends on a cell (its value) or on a cut (its boundary datum); the
-    arm table indexes cell values followed by cut data.
+    Holds the values at the arm ends (the arm table indexes cell values
+    followed by cut data), the arm lengths, the 16 second differences
+    (scaled by ``weights``, one per direction, if given), each cell's
+    active pair and the core M_h(D^2 u).  For alpha != 0 it also holds the
+    centred axis gradients gx, gy and g = |grad_h u|.  ``value`` is the
+    operator and ``weight`` the frozen matrix's gradient weight.
     """
-    ends = np.concatenate([values, bvals])
-    return ends[dom.nbf[:, arms]], ends[dom.nbb[:, arms]]
-
-
-def _second_differences(dom, values, bvals):
-    vf, vb = _arm_values(dom, values, bvals)
-    sf, sb = dom.armf, dom.armb
-    v0 = values[:, None]
-    return 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
-
-
-def _grad_norm(dom, values, bvals):
-    """|grad_h u| from centered first differences along the two axis arms."""
-    vf, vb = _arm_values(dom, values, bvals, slice(0, 2))
-    sf, sb = dom.armf[:, :2], dom.armb[:, :2]
-    v0 = values[:, None]
-    num = sb ** 2 * vf - sf ** 2 * vb + (sf ** 2 - sb ** 2) * v0
-    gx, gy = (num / (sf * sb * (sf + sb))).T
-    return np.hypot(gx, gy)
+    ends = np.concatenate([values, bvals]).take(dom.nb)
+    arms = dom.arm_lengths()
+    (vf, vb), (sf, sb), v0 = ends, arms, values[:, None]
+    delta = 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
+    if weights is not None:
+        delta = delta * weights
+    pairs, core = _active_pairs(params, delta)
+    lin = SimpleNamespace(ends=ends, arms=arms, delta=delta, pairs=pairs,
+                          core=core, value=core, weight=1.0)
+    if params.alpha != 0.0:
+        sf, sb, vf, vb = sf[:, :2], sb[:, :2], vf[:, :2], vb[:, :2]
+        num = sb ** 2 * vf - sf ** 2 * vb + (sf ** 2 - sb ** 2) * v0
+        lin.gx, lin.gy = (num / (sf * sb * (sf + sb))).T
+        lin.g = np.hypot(lin.gx, lin.gy)
+        lin.weight = np.maximum(lin.g, _GRAD_FLOOR) ** params.alpha
+        lin.value = (lin.weight if params.alpha < 0.0
+                     else lin.g ** params.alpha) * core
+    return lin
 
 
 def _active_pairs(params, delta):
@@ -72,42 +78,27 @@ def discretize_F(params, dom, field, weights=None):
     """
     if field.boundary_values is None:
         raise ValueError("field needs boundary_values to apply the operator")
-    delta = _second_differences(dom, field.values, field.boundary_values)
-    if weights is not None:
-        delta = delta * weights
-    _, core = _active_pairs(params, delta)
-    if params.alpha != 0.0:
-        g = _grad_norm(dom, field.values, field.boundary_values)
-        if params.alpha < 0.0:
-            g = np.maximum(g, _GRAD_FLOOR)
-        core = g ** params.alpha * core
-    return GridField(dom, core, None)
+    return GridField(dom, _linearize(params, dom, field.values,
+                                     field.boundary_values, weights).value)
 
 
-def _policy_matrix(params, dom, values, bvals):
+def _policy_matrix(params, dom, lin):
     """Frozen matrix of the operator at the policy active at the iterate.
 
-    Freezes at ``values`` (cut data ``bvals``) each cell's extremal pair,
-    the coefficient of the sign of each of its second differences and the
-    floored gradient weight.  There F(u) = M u + b holds exactly wherever
-    the gradient is above the floor, with b carrying the cut-arm boundary
-    values; M is an M-matrix.  Returns M (the Newton step needs only M,
-    since b enters through the residual).
+    Freezes at the iterate of the linearization ``lin`` each cell's
+    extremal pair, the coefficient of the sign of each of its second
+    differences and the floored gradient weight.  There F(u) = M u + b
+    holds exactly wherever the gradient is above the floor, with b carrying
+    the cut-arm boundary values; M is an M-matrix.  Returns M (the Newton
+    step needs only M, since b enters through the residual).
     """
     n = dom.n_cells
-    delta = _second_differences(dom, values, bvals)
-    classes, _ = _active_pairs(params, delta)
-    weight = 1.0
-    if params.alpha != 0.0:
-        weight = np.maximum(_grad_norm(dom, values, bvals),
-                            _GRAD_FLOOR) ** params.alpha
     idx = np.arange(n)
     rows, cols, vals = [], [], []
     for k in (0, 1):
-        c = classes[:, k]
-        coef = _coef(params, delta[idx, c]) * weight
-        sf = dom.armf[idx, c]
-        sb = dom.armb[idx, c]
+        c = lin.pairs[:, k]
+        coef = _coef(params, lin.delta[idx, c]) * lin.weight
+        sf, sb = lin.arms[:, idx, c]
         denom = sf + sb
         rows.append(idx)
         cols.append(idx)
@@ -147,24 +138,24 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     if method not in ("policy", "damped"):
         raise ValueError(f"unknown method {method!r}")
     bvals = boundary_data(dom, g)
-    u = np.zeros(dom.n_cells) if u0 is None else u0
+    u = np.zeros(dom.n_cells) if u0 is None else GridField(dom, u0).values
 
-    def residual(v):
-        op = discretize_F(params, dom, GridField(dom, v, bvals)).values
-        return op + source.evaluate(v, params.alpha)
+    def linearize(v):
+        lin = _linearize(params, dom, v, bvals)
+
+        def freeze():
+            return _policy_matrix(params, dom, lin) \
+                + sp.diags(source.evaluate_deriv(v, params.alpha))
+        return lin.value + source.evaluate(v, params.alpha), freeze
 
     if method == "damped":
-        wmax = (2.0 / (dom.armf * dom.armb)).max()
-        u = relax(residual, u, 0.45 / (params.A * wmax), tol=tol,
+        sf, sb = dom.arm_lengths()
+        u = relax(lambda v: linearize(v)[0], u,
+                  0.45 / (params.A * (2.0 / (sf * sb)).max()), tol=tol,
                   max_steps=_MAX_DAMPED)
-        return GridField(dom, u, bvals)
-
-    def jacobian(v):
-        return _policy_matrix(params, dom, v, bvals) \
-            + sp.diags(source.evaluate_deriv(v, params.alpha))
-
-    u = policy_iterate(residual, jacobian, _factor, u, tol=tol,
-                       max_steps=max_outer)
+    else:
+        u = policy_iterate(linearize, _factor, u, tol=tol,
+                           max_steps=max_outer)
     return GridField(dom, u, bvals)
 
 
@@ -186,10 +177,11 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     bvals = np.zeros(len(dom.cut_xy))
 
     def operator(v):
-        return discretize_F(params, dom, GridField(dom, v, bvals)).values
+        return _linearize(params, dom, v, bvals).value
 
-    lam, phi = policy_eigen(operator,
-                            lambda v: _policy_matrix(params, dom, v, bvals),
-                            _factor, np.ones(dom.n_cells), tol=tol,
-                            eig_tol=inner_tol, max_steps=max_power)
+    def frozen(v):
+        return _policy_matrix(params, dom, _linearize(params, dom, v, bvals))
+
+    lam, phi = policy_eigen(operator, frozen, _factor, np.ones(dom.n_cells),
+                            tol=tol, eig_tol=inner_tol, max_steps=max_power)
     return lam, GridField(dom, phi, bvals)

@@ -123,6 +123,12 @@ class TestEigenCommand:
 
 
 class TestSerrinCommand:
+    @pytest.mark.parametrize("h", ["0", "-0.05"])
+    def test_bad_spacing_exits_2(self, tmp_path, capsys, h):
+        assert run(tmp_path, "serrin", "--set", f"h={h}") == 2
+        assert "error: grid spacing must be finite and positive" \
+            in capsys.readouterr().err
+
     def test_disk_and_ellipse_diagnostics(self, tmp_path):
         assert run(tmp_path, "serrin", "--set", "h=0.04") == 0
         rep = read_report(tmp_path, "serrin")

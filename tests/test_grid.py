@@ -17,10 +17,11 @@ from pucci_lab.grid import (DIRECTIONS, PAIRS, ComparisonReport, Disk,
                             principal_eigenvalue_grid, reflect_points,
                             reflection_gap, small_domain_check,
                             solve_dirichlet)
-from pucci_lab._iterate import inverse_power
+from pucci_lab._iterate import inverse_power, policy_iterate, relax
+from pucci_lab.grid import domain as domain_module
 from pucci_lab.grid import solver as solver_module
 from pucci_lab.grid.diagnostics import _comparison_case
-from pucci_lab.grid.solver import _policy_matrix
+from pucci_lab.grid.solver import _linearize, _policy_matrix
 
 DISK_LAPLACE_EIG = brentq(j0, 2.0, 3.0) ** 2
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -80,9 +81,10 @@ class TestDomain:
 
     def test_arm_lengths_positive_and_bounded(self, disk_dom):
         norms = np.hypot(*DIRECTIONS.T) * disk_dom.h
-        assert disk_dom.armf.min() > 0.0
-        assert np.all(disk_dom.armf <= norms[None, :] * (1 + 1e-12))
-        assert np.all(disk_dom.armb <= norms[None, :] * (1 + 1e-12))
+        armf, armb = disk_dom.arm_lengths()
+        assert armf.min() > 0.0
+        assert np.all(armf <= norms[None, :] * (1 + 1e-12))
+        assert np.all(armb <= norms[None, :] * (1 + 1e-12))
 
     @pytest.mark.parametrize("shape", [Disk(1.0), Ellipse(2.0, 1.0),
                                        Polygon([(0, 0), (2, 0), (0.5, 1.5)]),
@@ -99,7 +101,8 @@ class TestDomain:
         dom = build_domain(shape, 0.05)
         n, n_cut = dom.n_cells, len(dom.cut_xy)
         dirs = DIRECTIONS
-        for nb, arm, sign in ((dom.nbf, dom.armf, 1), (dom.nbb, dom.armb, -1)):
+        armf, armb = dom.arm_lengths()
+        for nb, arm, sign in ((dom.nbf, armf, 1), (dom.nbb, armb, -1)):
             assert nb.shape == (n, len(dirs))
             assert nb.min() >= 0 and nb.max() < n + n_cut
             # an interior entry is the lattice cell one step away
@@ -114,6 +117,49 @@ class TestDomain:
                             rtol=0.0, atol=1e-12)
         ids = np.concatenate([dom.nbf[dom.nbf >= n], dom.nbb[dom.nbb >= n]])
         assert_array_equal(np.sort(ids), n + np.arange(n_cut))
+
+    @pytest.mark.parametrize("shape", [Disk(1.0), Polygon(L_SHAPE)],
+                             ids=["disk", "L"])
+    def test_arm_lengths_from_the_cut_fractions(self, shape):
+        # the table stores ends only: an arm along d is |d| h long, times
+        # its cut fraction where it is cut
+        dom = build_domain(shape, 0.05)
+        n = dom.n_cells
+        assert dom.nbf.dtype == dom.nbb.dtype == np.int32
+        full = np.broadcast_to(np.hypot(*DIRECTIONS.T) * dom.h,
+                               dom.nb.shape)
+        arms, cut = dom.arm_lengths(), dom.nb >= n
+        assert_array_equal(arms[~cut], full[~cut])
+        assert_array_equal(arms[cut],
+                           full[cut] * dom.cut_frac[dom.nb[cut] - n])
+
+    def test_kept_arrays_per_cell(self):
+        # the unit disk at h = 0.02 kept 578 bytes per cell when the
+        # domain stored int64 ends and float arm lengths
+        dom = build_domain(Disk(1.0), 0.02)
+        assert (dom.n_cells, len(dom.cut_xy)) == (7860, 8172)
+        arrays = [v for v in vars(dom).values() if isinstance(v, np.ndarray)]
+        arrays += list(dom.boundary.values())
+        buffers = {}
+        for a in arrays:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers[id(a)] = a.nbytes
+        kept = sum(buffers.values())
+        assert kept <= 250 * dom.n_cells
+
+    @pytest.mark.parametrize("h", [0.0, -0.05, np.nan, np.inf])
+    def test_rejects_bad_spacing(self, h):
+        with pytest.raises(InvalidShape, match="finite and positive"):
+            build_domain(Disk(1.0), h)
+
+    def test_rejects_tables_past_the_index_type(self, monkeypatch):
+        # cells plus cuts must fit the arm table's entries: 7,860 + 8,172
+        # do in int16, and 31,4xx cells with their cuts do not
+        monkeypatch.setattr(domain_module, "_INDEX", np.int16)
+        assert build_domain(Disk(1.0), 0.02).nb.dtype == np.int16
+        with pytest.raises(InvalidShape, match="int16"):
+            build_domain(Disk(1.0), 0.01)
 
     @pytest.mark.parametrize("shape, start, offset, t", [
         # the chord from (0, 0.5) along +x leaves at x = 2 sqrt(3/4)
@@ -134,7 +180,8 @@ class TestDomain:
         # cells they would get outward arms of zero length
         dom = build_domain(Polygon([(0, 0), (2, 0), (0.5, 1.5)]), 0.05)
         assert dom.shape.level(dom.pts).max() < -1e-12 * dom.h
-        assert min(dom.armf.min(), dom.armb.min()) > 1e-3 * dom.h
+        armf, armb = dom.arm_lengths()
+        assert min(armf.min(), armb.min()) > 1e-3 * dom.h
 
     def test_reentrant_corner_cuts_at_first_crossing(self):
         shape = Polygon(L_SHAPE)
@@ -142,7 +189,8 @@ class TestDomain:
         assert np.abs(shape.level(dom.cut_xy)).max() < 1e-12
         dirs = DIRECTIONS
         full = np.hypot(*dirs.T) * dom.h
-        for arm, sign in ((dom.armf, 1), (dom.armb, -1)):
+        armf, armb = dom.arm_lengths()
+        for arm, sign in ((armf, 1), (armb, -1)):
             # cut arms are the ones shorter than a full lattice step
             cell, j = np.nonzero(arm < full)
             step = sign * dirs[j] * (arm[cell, j] / full[j])[:, None] * dom.h
@@ -161,7 +209,8 @@ class TestDomain:
         dirs = DIRECTIONS
         unit = dirs / np.hypot(*dirs.T)[:, None]
         frac = np.arange(31) / 31
-        for arm, sign in ((dom.armf, 1), (dom.armb, -1)):
+        armf, armb = dom.arm_lengths()
+        for arm, sign in ((armf, 1), (armb, -1)):
             for j in range(len(dirs)):
                 step = sign * unit[j] * arm[:, j, None]
                 pts = dom.pts[:, None, :] + frac[:, None] * step[:, None, :]
@@ -306,7 +355,8 @@ class TestOperator:
         params = PucciParams(0.5, 2.0, variant, alpha)
         u = np.random.default_rng(5).standard_normal(disk_coarse.n_cells)
         zero = np.zeros(len(disk_coarse.cut_xy))
-        got = _policy_matrix(params, disk_coarse, u, zero) @ u
+        got = _policy_matrix(params, disk_coarse,
+                             _linearize(params, disk_coarse, u, zero)) @ u
         want = discretize_F(params, disk_coarse,
                             GridField(disk_coarse, u, zero)).values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -321,10 +371,27 @@ class TestOperator:
         zero = np.zeros(len(disk_coarse.cut_xy))
 
         def frozen(a, A):
-            return _policy_matrix(PucciParams(a, A, variant), disk_coarse,
-                                  zero_u, zero)
+            params = PucciParams(a, A, variant)
+            lin = _linearize(params, disk_coarse, zero_u, zero)
+            return _policy_matrix(params, disk_coarse, lin)
 
         assert (frozen(0.5, 2.0) != frozen(tie, tie)).nnz == 0
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5])
+    def test_one_linearization_serves_operator_and_matrix(self, disk_coarse,
+                                                          alpha):
+        params = PucciParams(0.5, 2.0, Variant.PLUS, alpha)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(disk_coarse.n_cells)
+        b = rng.standard_normal(len(disk_coarse.cut_xy))
+        lin = _linearize(params, disk_coarse, u, b)
+        assert_array_equal(lin.value, discretize_F(
+            params, disk_coarse, GridField(disk_coarse, u, b)).values)
+        got = _policy_matrix(params, disk_coarse, lin)
+        want = _policy_matrix(params, disk_coarse,
+                              _linearize(params, disk_coarse, u, b))
+        for part in ("data", "indices", "indptr"):
+            assert_array_equal(getattr(got, part), getattr(want, part))
 
     def test_broken_stencil_is_inconsistent(self, disk_coarse):
         fld = quad_field(disk_coarse, -0.5, 0.0, -0.5)
@@ -408,6 +475,37 @@ class TestDirichlet:
             errs.append(np.abs(sol.values
                                - closed_form_constant(p, 2, 1.0, r)).max())
         assert np.log2(errs[0] / errs[1]) >= 1.2
+
+    def test_converged_start_builds_no_matrix(self, disk_coarse,
+                                              count_freezes):
+        u = solve_dirichlet(WIDE, disk_coarse, Constant(1.0))
+        count_freezes.clear()
+        again = solve_dirichlet(WIDE, disk_coarse, Constant(1.0),
+                                u0=u.values)
+        assert count_freezes == []
+        assert_array_equal(again.values, u.values)
+
+    def test_rejects_bad_start(self, disk_coarse):
+        for u0 in (np.zeros(5), np.full(disk_coarse.n_cells, np.nan)):
+            with pytest.raises(ValueError):
+                solve_dirichlet(WIDE, disk_coarse, Constant(1.0), u0=u0)
+
+    def test_step_cap_below_one_rejected(self, disk_coarse):
+        with pytest.raises(ValueError, match="at least 1"):
+            solve_dirichlet(WIDE, disk_coarse, Constant(1.0), 0.0,
+                            max_outer=0)
+
+    @pytest.mark.parametrize("loop", [
+        lambda r, cap: policy_iterate(lambda v: (r(v), None), None,
+                                      np.ones(3), tol=1e-8, max_steps=cap),
+        lambda r, cap: relax(r, np.ones(3), 0.1, tol=1e-8, max_steps=cap),
+    ], ids=["policy_iterate", "relax"])
+    def test_loop_caps_and_non_finite_residuals(self, loop):
+        with pytest.raises(ValueError, match="at least 1"):
+            loop(lambda v: v, 0)
+        with pytest.raises(IterationLimit, match="not finite") as info:
+            loop(lambda v: v * np.nan, 5)
+        assert len(info.value.history) == 1
 
     def test_policy_limit_carries_history(self, disk_coarse):
         with pytest.raises(IterationLimit) as info:

@@ -318,8 +318,8 @@ class TestEigenvalue:
         # each inverse-power step solves H(psi) = -x by policy iteration
         def step(x, prev):
             return policy_iterate(
-                lambda v: _H_values(params, mesh, grid(v)).ravel() + x,
-                lambda v: _frozen_matrix(params, mesh, grid(v)),
+                lambda v: (_H_values(params, mesh, grid(v)).ravel() + x,
+                           lambda: _frozen_matrix(params, mesh, grid(v))),
                 sector_module._factor, x if prev is None else prev,
                 tol=1e-12, max_steps=80)
 
