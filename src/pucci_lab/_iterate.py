@@ -5,7 +5,10 @@ the nodal values, so the same four loops serve both:
 
 * ``policy_iterate``: Howard's algorithm (policy iteration; Bokanowski,
   Maroso and Zidani, SIAM J. Numer. Anal. 47, 2009).  Linearize at the
-  current policy, solve the frozen sparse system, repeat.
+  current policy, solve the frozen sparse system, repeat.  Given the
+  whole Jacobian of a semismooth residual it is Newton's method (Qi and
+  Sun, Math. Program. 58, 1993), which may ask for its backtracking line
+  search on sup|r|.
 * ``policy_eigen``: Howard's algorithm on the eigenproblem.  Freeze the
   policy at the current eigenfunction, take the principal eigenpair of the
   frozen matrix with one shift-invert ``eigs`` call, repeat (the principal
@@ -35,6 +38,8 @@ from .errors import IterationLimit, PositivityLoss
 _POSITIVITY_TOL = -1e-12
 # Krylov size of the one-pair eigs call of policy_eigen
 _NCV = 6
+# the shortest step the line search of policy_iterate tries
+_MIN_STEP = 2.0 ** -10
 # on the diagonally dominant frozen matrices a minimum-degree order of
 # A^T + A with diagonal pivots makes several times less fill than COLAMD
 LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
@@ -66,28 +71,43 @@ def _sup_residual(r, history):
     return res
 
 
-def policy_iterate(linearize, factor, u0, *, tol, max_steps):
+def policy_iterate(linearize, factor, u0, *, tol, max_steps,
+                   line_search=False):
     """Newton-Howard iteration u <- u - J(u)^{-1} r(u) on flat arrays.
 
     ``linearize(u)`` returns r(u) and a callable that builds the CSR matrix
-    J(u) frozen at the policy active at u, so the residual and the matrix
-    share one linearization and a converged step builds no matrix.
-    ``factor(J)`` returns an object with ``solve``; each step factors its
-    frozen matrix once.
+    J(u), so the residual and the matrix share one linearization and a
+    converged step builds no matrix.  ``factor(J)`` returns an object with
+    ``solve``; each step factors its matrix once.  With ``line_search`` a
+    step is halved until sup|r| falls below its value at u, down to a
+    step of ``_MIN_STEP`` that is taken whatever its residual; the
+    accepted trial's linearization serves the next step, so a full step
+    linearizes once.  Without it every step is a full one, as Howard's
+    algorithm on an M-matrix needs no guard.
     """
     _check_cap(max_steps)
     u = np.array(u0, dtype=float)
     history = []
+    r, freeze = linearize(u)
     for _ in range(max_steps):
-        r, freeze = linearize(u)
-        if _converged(_sup_residual(r, history), u, tol):
+        res = _sup_residual(r, history)
+        if _converged(res, u, tol):
             return u
         mat = freeze()
         # freeze may hold a whole linearization (about 40 MB on a 63k-cell
         # grid); the factor, which sets the peak memory, needs only the
         # matrix
         del freeze
-        u = u + factor(mat).solve(-r)
+        du = factor(mat).solve(-r)
+        step = 1.0
+        while True:
+            trial = u + step * du
+            r, freeze = linearize(trial)
+            if (not line_search or step <= _MIN_STEP
+                    or np.abs(r).max() < res):
+                break
+            step *= 0.5
+        u = trial
     raise IterationLimit(
         f"policy iteration did not reach tol={tol:g} in {max_steps} steps "
         f"(last residual {history[-1]:.3e})", history=history[-50:])
@@ -142,29 +162,32 @@ def inverse_power(step, x0, *, tol, max_power):
                          history=lams[-50:])
 
 
-def policy_eigen(operator, jacobian, factor, x0, *, tol, eig_tol, max_steps):
-    """Principal eigenpair of -operator by policy iteration on the pair.
+def policy_eigen(linearize, factor, x0, *, tol, eig_tol, max_steps):
+    """Principal eigenpair of -F by policy iteration on the pair.
 
-    ``operator(x)`` is the positively 1-homogeneous, piecewise linear
-    operator F on flat arrays and ``jacobian(x)`` its CSR matrix frozen at
-    the policy active at x, so F[x] = jacobian(x) @ x.  Each step freezes
-    the policy at phi, takes the Perron pair of M = -jacobian(phi) by
-    shift-invert ``eigs`` about 0 (relative tolerance ``eig_tol``) with
-    ``factor(M).solve`` as the inverse, and scales the vector so its
-    largest-magnitude entry is +1.  The Krylov space is min(6, n) vectors
-    wide: for one pair ARPACK needs only ncv > k + 1 (Lehoucq, Sorensen
-    and Yang, ARPACK Users' Guide, 1998), and each vector costs one solve,
-    so with the warm start v0 = phi a freeze takes 7 to 10 solves where
-    scipy's default of 20 vectors takes 21.  Stops when
-    sup|F[phi] + lam*phi| <= tol * lam.  Raises PositivityLoss if phi dips
-    below -1e-12 anywhere, and IterationLimit, carrying the residual
-    history, after ``max_steps`` freezes or when ARPACK fails.  Returns
-    (lambda, phi).
+    F is a positively 1-homogeneous, piecewise linear operator on flat
+    arrays.  ``linearize(x)`` returns F[x] and a callable that builds its
+    CSR matrix frozen at the policy active at x, so F[x] = J(x) @ x, and
+    one linearization per freeze serves both the residual of the last
+    freeze and the matrix of the next.  Each step freezes the policy at
+    phi, takes the Perron pair of M = -J(phi) by shift-invert ``eigs``
+    about 0 (relative tolerance ``eig_tol``) with ``factor(M).solve`` as
+    the inverse, and scales the vector so its largest-magnitude entry is
+    +1.  The Krylov space is min(6, n) vectors wide: for one pair ARPACK
+    needs only ncv > k + 1 (Lehoucq, Sorensen and Yang, ARPACK Users'
+    Guide, 1998), and each vector costs one solve, so with the warm start
+    v0 = phi a freeze takes 7 to 10 solves where scipy's default of 20
+    vectors takes 21.  Stops when sup|F[phi] + lam*phi| <= tol * lam.
+    Raises PositivityLoss if phi dips below -1e-12 anywhere, and
+    IterationLimit, carrying the residual history, after ``max_steps``
+    freezes or when ARPACK fails.  Returns (lambda, phi).
     """
     phi = np.array(x0, dtype=float)
     history = []
+    _, freeze = linearize(phi)
     for _ in range(max_steps):
-        mat = -jacobian(phi)
+        mat = -freeze()
+        del freeze
         try:
             vals, vecs = spla.eigs(
                 mat, k=1, sigma=0.0, v0=phi, tol=eig_tol,
@@ -178,7 +201,8 @@ def policy_eigen(operator, jacobian, factor, x0, *, tol, eig_tol, max_steps):
         vec = vecs[:, 0].real
         phi = vec / vec[np.argmax(np.abs(vec))]
         _check_positive(phi)
-        res = float(np.abs(operator(phi) + lam * phi).max())
+        value, freeze = linearize(phi)
+        res = float(np.abs(value + lam * phi).max())
         history.append(res)
         if res <= tol * lam:
             return lam, phi

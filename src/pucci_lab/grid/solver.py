@@ -114,6 +114,40 @@ def _policy_matrix(params, dom, lin):
                          shape=(n, n))
 
 
+def _gradient_matrix(params, dom, lin):
+    """The weight's part of the Jacobian, which the frozen matrix drops.
+
+    At the iterate of ``lin`` the operator is w(g) * core with
+    g = |grad_h u|, so its Jacobian is the frozen matrix plus
+    diag(c gx) Gx + diag(c gy) Gy, with c = alpha g^(alpha - 2) core where
+    g is above the floor and 0 elsewhere.  Gx and Gy are the centred axis
+    differences of ``_linearize``; a cut end reads boundary data, so it
+    has no column.
+    """
+    n = dom.n_cells
+    idx = np.arange(n)
+    above = lin.g > _GRAD_FLOOR
+    c = np.zeros(n)
+    c[above] = (params.alpha * lin.g[above] ** (params.alpha - 2.0)
+                * lin.core[above])
+    rows, cols, vals = [], [], []
+    for k, grad in enumerate((lin.gx, lin.gy)):
+        sf, sb = lin.arms[:, :, k]
+        coef = c * grad / (sf * sb * (sf + sb))
+        rows.append(idx)
+        cols.append(idx)
+        vals.append(coef * (sf ** 2 - sb ** 2))
+        for nbr, w in ((dom.nbf[:, k], coef * sb ** 2),
+                       (dom.nbb[:, k], -coef * sf ** 2)):
+            own = nbr < n
+            rows.append(idx[own])
+            cols.append(nbr[own])
+            vals.append(w[own])
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
 def _factor(mat):
     return spla.splu(mat.tocsc(), **LU_OPTIONS)
 
@@ -122,10 +156,15 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
                     tol=1e-8, max_outer=80, u0=None):
     """Solve F[u] + f(u) = 0 with Dirichlet data g on the cut boundary.
 
-    method="policy" linearizes the pair extremum at the current iterate and
-    solves the resulting sparse system (one semismooth Newton step, equal
-    to a Howard policy update when f is linear), with one new LU factor per
-    step.
+    method="policy" is semismooth Newton with one new LU factor per step.
+    At alpha = 0 a step linearizes the pair extremum at the current
+    iterate, which is Howard's policy update when f is linear; its matrix
+    is an M-matrix and every step is a full one.  For alpha != 0 the
+    matrix also keeps the derivative of the gradient weight
+    |grad_h u|^alpha, where the gradient is above the floor, so the step
+    is Newton's in the weight too and not a fixed point in it.  That
+    Jacobian is not an M-matrix, so each step is halved until sup|r|
+    falls, down to a fixed shortest step.
     method="damped" is the explicit fixed-point iteration
     u <- u + tau*(F[u] + f(u)) with tau = 0.45 / (A * max 2/(s_f s_b)); it
     needs no linear algebra, but tau shrinks with the smallest cut arm, so
@@ -144,8 +183,10 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         lin = _linearize(params, dom, v, bvals)
 
         def freeze():
-            return _policy_matrix(params, dom, lin) \
-                + sp.diags(source.evaluate_deriv(v, params.alpha))
+            mat = _policy_matrix(params, dom, lin)
+            if params.alpha != 0.0:
+                mat = mat + _gradient_matrix(params, dom, lin)
+            return mat + sp.diags(source.evaluate_deriv(v, params.alpha))
         return lin.value + source.evaluate(v, params.alpha), freeze
 
     if method == "damped":
@@ -154,8 +195,11 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
                   0.45 / (params.A * (2.0 / (sf * sb)).max()), tol=tol,
                   max_steps=_MAX_DAMPED)
     else:
+        # the Jacobian is an M-matrix only at alpha = 0, where Howard's
+        # full steps converge unguarded
         u = policy_iterate(linearize, _factor, u, tol=tol,
-                           max_steps=max_outer)
+                           max_steps=max_outer,
+                           line_search=params.alpha != 0.0)
     return GridField(dom, u, bvals)
 
 
@@ -176,12 +220,10 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
     bvals = np.zeros(len(dom.cut_xy))
 
-    def operator(v):
-        return _linearize(params, dom, v, bvals).value
+    def linearize(v):
+        lin = _linearize(params, dom, v, bvals)
+        return lin.value, lambda: _policy_matrix(params, dom, lin)
 
-    def frozen(v):
-        return _policy_matrix(params, dom, _linearize(params, dom, v, bvals))
-
-    lam, phi = policy_eigen(operator, frozen, _factor, np.ones(dom.n_cells),
+    lam, phi = policy_eigen(linearize, _factor, np.ones(dom.n_cells),
                             tol=tol, eig_tol=inner_tol, max_steps=max_power)
     return lam, GridField(dom, phi, bvals)

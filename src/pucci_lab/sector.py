@@ -14,6 +14,7 @@ shrinking each coordinate interval by a margin delta_prime.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -172,50 +173,52 @@ def _sym2_eigen(g11, g12, g22):
 
 
 def _linearize(params, mesh, vals):
-    """What H and its frozen matrix share at vals: the first differences,
-    the frame spectrum (lam_p, lam_m, angle) of the scaled angular Hessian,
-    the penalty weights of |d1_1| and |d1_2|, q1 and tan2."""
+    """The sector operator at vals, read by H and its frozen matrix alike.
+
+    Holds the first differences ``d1``, the frame spectrum
+    (lam_p, lam_m, angle) of the scaled angular Hessian, the penalty
+    weights of |d1_1| and |d1_2|, q1, tan2, the connection term's argument
+    mu = -d1_2 * tan2 and ``value``, H(vals).
+    """
     co = coefficients(mesh)
     q1, tan2 = co["q1"], co["tan2"]
     d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh.spacings)
-    frame = _sym2_eigen(q1 ** 2 * d2_11, q1 * d2_12, d2_22)
-    weights = (params.gamma * q1 + q1 ** 2, params.gamma + 1.0)
-    return (d1_1, d1_2), frame, weights, q1, tan2
-
-
-def _H_values(params, mesh, vals):
-    (d1_1, d1_2), (lam_p, lam_m, _), (w1, w2), _, tan2 = \
-        _linearize(params, mesh, vals)
+    lam_p, lam_m, ang = _sym2_eigen(q1 ** 2 * d2_11, q1 * d2_12, d2_22)
+    w1, w2 = params.gamma * q1 + q1 ** 2, params.gamma + 1.0
     core = _coef(params, lam_p) * lam_p + _coef(params, lam_m) * lam_m
     penalty = (params.a - params.A) * (np.abs(d1_1) * w1 + np.abs(d1_2) * w2)
     mu = -d1_2 * tan2
-    return core + penalty + _coef(params, mu) * mu
+    return SimpleNamespace(d1=(d1_1, d1_2), frame=(lam_p, lam_m, ang),
+                           weights=(w1, w2), q1=q1, tan2=tan2, mu=mu,
+                           value=core + penalty + _coef(params, mu) * mu)
 
 
 def assemble_H(params, mesh, psi):
     """Nodewise value of the sector operator H applied to psi."""
     if psi.mesh is not mesh and psi.mesh.shape != mesh.shape:
         raise ValueError("field and mesh disagree")
-    return SectorField(mesh, _H_values(params, mesh, psi.values))
+    return SectorField(mesh, _linearize(params, mesh, psi.values).value)
 
 
-def _frozen_matrix(params, mesh, vals):
-    """Sparse linearization of H at the current sign/frame choices.
+def _frozen_matrix(params, mesh, lin):
+    """Sparse linearization of H at the sign/frame choices of ``lin``.
 
     H is positively 1-homogeneous and piecewise linear in the nodal
     values, so at the frozen choices M satisfies M @ vals = H(vals)
-    exactly; the eigen/policy loops exploit that.  Entries that vanish
-    (all four cross-derivative ones of a row whose frame weights agree, as
-    everywhere at a = A) are not stored, so the LU orders and factors only
-    the real pattern.  On the arc the frame angle is 0 or pi/2, so the
-    diagonal weight is a where d2 > 0 and A elsewhere.
+    exactly at the linearization's vals; the eigen/policy loops exploit
+    that.  Entries that vanish (all four cross-derivative ones of a row
+    whose frame weights agree, as everywhere at a = A) are not stored, so
+    the LU orders and factors only the real pattern.  On the arc the frame
+    angle is 0 or pi/2, so the diagonal weight is a where d2 > 0 and A
+    elsewhere.
     """
     a, A = params.a, params.A
-    (d1_1, d1_2), (lam_p, lam_m, ang), (w1, w2), q1, tan2 = \
-        _linearize(params, mesh, vals)
+    d1_1, d1_2 = lin.d1
+    lam_p, lam_m, ang = lin.frame
+    w1, w2 = lin.weights
+    q1, tan2, mu = lin.q1, lin.tan2, lin.mu
     e_p, e_m = _coef(params, lam_p), _coef(params, lam_m)
     cs, sn = np.cos(ang), np.sin(ang)
-    mu = -d1_2 * tan2
     # per axis: the frame weight of the second difference and the
     # coefficient of the first one
     second = (q1 ** 2 * (e_p * cs ** 2 + e_m * sn ** 2),
@@ -273,21 +276,20 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
     if method not in ("policy", "relax"):
         raise ValueError(f"unknown method {method!r}")
 
-    def operator(v):
-        return _H_values(params, mesh, v.reshape(mesh.shape)).ravel()
+    def linearize(v):
+        lin = _linearize(params, mesh, v.reshape(mesh.shape))
+        return lin.value.ravel(), lambda: _frozen_matrix(params, mesh, lin)
 
     if method == "policy":
-        lam, psi = policy_eigen(
-            operator,
-            lambda v: _frozen_matrix(params, mesh, v.reshape(mesh.shape)),
-            _factor, np.ones(mesh.n_nodes), tol=tol, eig_tol=inner_tol,
-            max_steps=max_power)
+        lam, psi = policy_eigen(linearize, _factor, np.ones(mesh.n_nodes),
+                                tol=tol, eig_tol=inner_tol,
+                                max_steps=max_power)
     else:
         # step of the relax sweeps that solve H(psi) = -x
         tau = 0.5 * min(mesh.spacings) ** 2
 
         def step(x, prev):
-            return relax(lambda v: operator(v) + x,
+            return relax(lambda v: linearize(v)[0] + x,
                          x if prev is None else prev, tau, tol=inner_tol,
                          max_steps=_MAX_RELAX)
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -21,7 +23,7 @@ from pucci_lab._iterate import inverse_power, policy_iterate, relax
 from pucci_lab.grid import domain as domain_module
 from pucci_lab.grid import solver as solver_module
 from pucci_lab.grid.diagnostics import _comparison_case
-from pucci_lab.grid.solver import _linearize, _policy_matrix
+from pucci_lab.grid.solver import _GRAD_FLOOR, _linearize, _policy_matrix
 
 DISK_LAPLACE_EIG = brentq(j0, 2.0, 3.0) ** 2
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -393,6 +395,40 @@ class TestOperator:
         for part in ("data", "indices", "indptr"):
             assert_array_equal(getattr(got, part), getattr(want, part))
 
+    @pytest.mark.parametrize("alpha", [-0.5, 0.5])
+    @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+    def test_newton_matrix_is_the_jacobian(self, disk_coarse, monkeypatch,
+                                           variant, alpha):
+        # for alpha != 0 the solver's matrix keeps the derivative of the
+        # gradient weight; a random u keeps every gradient above the floor
+        # and, along a short enough segment, every policy fixed
+        params = PucciParams(0.5, 2.0, variant, alpha)
+        source = EigenPower(2.0)
+        captured = []
+
+        def capture(linearize, factor, u0, **kwargs):
+            captured.append(linearize)
+            return u0
+
+        monkeypatch.setattr(solver_module, "policy_iterate", capture)
+        solve_dirichlet(params, disk_coarse, source, 0.0)
+        linearize, = captured
+        rng = np.random.default_rng(11)
+        u, v = rng.standard_normal((2, disk_coarse.n_cells))
+        zero = np.zeros(len(disk_coarse.cut_xy))
+        lin = _linearize(params, disk_coarse, u, zero)
+        assert lin.g.min() > _GRAD_FLOOR
+        eps = 1e-6
+        fd = (linearize(u + eps * v)[0] - linearize(u - eps * v)[0]) \
+            / (2.0 * eps)
+        scale = np.abs(fd).max()
+        assert np.abs(linearize(u)[1]() @ v - fd).max() <= 1e-6 * scale
+        # the frozen matrix alone, which drops the weight's derivative,
+        # is far from it
+        howard = _policy_matrix(params, disk_coarse, lin) @ v \
+            + source.evaluate_deriv(u, alpha) * v
+        assert np.abs(howard - fd).max() > 1e-2 * scale
+
     def test_broken_stencil_is_inconsistent(self, disk_coarse):
         fld = quad_field(disk_coarse, -0.5, 0.0, -0.5)
         good = discretize_F(LAP, disk_coarse, fld).values
@@ -463,8 +499,10 @@ class TestDirichlet:
         assert 1 < len(count_splu) == len(count_freezes)
 
     def test_gradient_degenerate_case_converges(self):
-        # the paper's operator with alpha = 0.5: about order h^1.4 against
-        # the closed form (alpha = 1 does not solve yet)
+        # the paper's operator with alpha = 0.5: errors 1.83e-2 and 7.34e-3
+        # against the closed form, order 1.32.  alpha = 1 solves too
+        # (4.07e-2 and 1.65e-2), but for alpha > 0 the scheme has more than
+        # one discrete solution and the path picks which one is reached
         from pucci_lab import closed_form_constant
         p = PucciParams(1.0, 1.0, alpha=0.5)
         errs = []
@@ -475,6 +513,35 @@ class TestDirichlet:
             errs.append(np.abs(sol.values
                                - closed_form_constant(p, 2, 1.0, r)).max())
         assert np.log2(errs[0] / errs[1]) >= 1.2
+
+    def test_singular_case_solves_by_newton(self, disk_dom, count_splu):
+        from pucci_lab import closed_form_constant
+        p = PucciParams(0.5, 2.0, Variant.PLUS, -0.5)
+        sol = solve_dirichlet(p, disk_dom, Constant(1.0), 0.0)
+        r = np.hypot(disk_dom.pts[:, 0], disk_dom.pts[:, 1])
+        err = np.abs(sol.values - closed_form_constant(p, 2, 1.0, r)).max()
+        # 2.757e-3 measured, by Newton and by the fixed point in the weight
+        assert err <= 2.8e-3
+        # the fixed point in the frozen weight took 33 factorizations
+        assert len(count_splu) <= 12
+
+    def test_newton_steps_stable_under_last_bit_cuts(self, disk_dom,
+                                                     count_splu):
+        # cut fractions moved in their last bits: Newton takes 10, 9, 9
+        # and 10 factorizations here, the fixed point in the frozen weight
+        # took 33, 30, 31 and 30
+        p = PucciParams(1.0, 1.5, Variant.PLUS, -0.5)
+        counts = []
+        for seed in (None, 1, 2, 3):
+            dom = copy.copy(disk_dom)
+            if seed is not None:
+                noise = np.random.default_rng(seed).standard_normal(
+                    len(dom.cut_frac))
+                dom.cut_frac = dom.cut_frac * (1.0 + 1e-14 * noise)
+            count_splu.clear()
+            solve_dirichlet(p, dom, Constant(1.0), 0.0)
+            counts.append(len(count_splu))
+        assert max(abs(c - counts[0]) for c in counts[1:]) <= 1
 
     def test_converged_start_builds_no_matrix(self, disk_coarse,
                                               count_freezes):
@@ -564,6 +631,21 @@ class TestEigenvalue:
         assert 0 < len(count_splu) == len(count_freezes)
         # inverse power with policy inner solves made 34 on this mesh
         assert len(count_splu) < 34
+
+    def test_one_linearization_per_freeze(self, disk_dom, count_freezes,
+                                          monkeypatch):
+        # the residual of one freeze and the matrix of the next share a
+        # linearization (18 for 9 freezes when each made its own)
+        calls = []
+        real = solver_module._linearize
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "_linearize", counting)
+        principal_eigenvalue_grid(WIDE, disk_dom)
+        assert 0 < len(count_freezes) and len(calls) <= len(count_freezes) + 1
 
     def test_limit_carries_history(self, disk_coarse):
         with pytest.raises(IterationLimit) as info:

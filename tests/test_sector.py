@@ -13,7 +13,7 @@ from pucci_lab.sector import (SectorField, SectorMesh, SectorOperatorParams,
                               sector_principal_eigenvalue, shrink_angle)
 from pucci_lab import sector as sector_module
 from pucci_lab._iterate import inverse_power, policy_eigen, policy_iterate
-from pucci_lab.sector import _frozen_matrix, _H_values
+from pucci_lab.sector import _frozen_matrix, _linearize
 
 LAP = SectorOperatorParams(1.0, 1.0)
 
@@ -181,7 +181,8 @@ class TestAssemble:
         d2 = (p[2:] - 2.0 * vals + p[:-2]) / h ** 2
         want = (a * np.maximum(d2, 0.0) + A * np.minimum(d2, 0.0)
                 + (a - A) * (gamma + 1.0) * np.abs(d1))
-        got = _H_values(SectorOperatorParams(a, A, gamma=gamma), mesh, vals)
+        got = _linearize(SectorOperatorParams(a, A, gamma=gamma), mesh,
+                         vals).value
         assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("n_dim, spacing", [(2, np.pi / 100),
@@ -193,8 +194,9 @@ class TestAssemble:
         mesh = SectorMesh(n_dim, 0.2, spacing)
         vals = np.random.default_rng(4).standard_normal(mesh.shape)
         p = SectorOperatorParams(a, 1.0, gamma=2.4)
-        want = _H_values(p, mesh, vals).ravel()
-        mat = _frozen_matrix(p, mesh, vals)
+        lin = _linearize(p, mesh, vals)
+        want = lin.value.ravel()
+        mat = _frozen_matrix(p, mesh, lin)
         got = mat @ vals.ravel()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # no stored zeros: at a = A the cross-derivative entries vanish and
@@ -213,7 +215,9 @@ class TestAssemble:
         zero = np.zeros(mesh.shape)
 
         def frozen(a, A):
-            return _frozen_matrix(SectorOperatorParams(a, A), mesh, zero)
+            params = SectorOperatorParams(a, A)
+            return _frozen_matrix(params, mesh,
+                                  _linearize(params, mesh, zero))
 
         wide = frozen(0.5, 1.0)
         assert (wide != frozen(1.0, 1.0)).nnz == 0
@@ -315,13 +319,17 @@ class TestEigenvalue:
         def grid(v):
             return v.reshape(mesh.shape)
 
+        def linearize(v, x):
+            lin = _linearize(params, mesh, grid(v))
+            return (lin.value.ravel() + x,
+                    lambda: _frozen_matrix(params, mesh, lin))
+
         # each inverse-power step solves H(psi) = -x by policy iteration
         def step(x, prev):
-            return policy_iterate(
-                lambda v: (_H_values(params, mesh, grid(v)).ravel() + x,
-                           lambda: _frozen_matrix(params, mesh, grid(v))),
-                sector_module._factor, x if prev is None else prev,
-                tol=1e-12, max_steps=80)
+            return policy_iterate(lambda v: linearize(v, x),
+                                  sector_module._factor,
+                                  x if prev is None else prev, tol=1e-12,
+                                  max_steps=80)
 
         lam_ip, psi_ip = inverse_power(step, np.ones(mesh.n_nodes),
                                        tol=1e-10, max_power=500)
@@ -340,7 +348,7 @@ class TestEigenvalue:
         mat = sp.csr_matrix([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0],
                              [0.0, 1.0, 2.0]])
         with pytest.raises(PositivityLoss):
-            policy_eigen(lambda v: -(mat @ v), lambda v: -mat,
+            policy_eigen(lambda v: (-(mat @ v), lambda: -mat),
                          sector_module._factor, np.ones(3), tol=1e-10,
                          eig_tol=1e-12, max_steps=5)
 
