@@ -20,6 +20,9 @@ the nodal values, so the same four loops serve both:
 * ``relax``: the explicit damped sweep, a slow oracle needing no linear
   algebra.
 
+Both layers assemble their frozen matrices with ``stencil_matrix``, where
+a stencil end of index >= n is not an unknown (a grid cut point, a node
+beyond the sector box) and gets no entry.
 The policy and eigenpair loops factor each frozen matrix once, with the
 layer's own ``factor``, and keep no factor from one freeze to the next.
 Every layer's ``factor`` is ``splu`` with ``LU_OPTIONS``.
@@ -29,6 +32,7 @@ the eigenpair).
 """
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import IterationLimit, PositivityLoss
@@ -44,6 +48,27 @@ _MIN_STEP = 2.0 ** -10
 # A^T + A with diagonal pivots makes several times less fill than COLAMD
 LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                   options=dict(SymmetricMode=True))
+
+
+def stencil_matrix(centre, ends, weights):
+    """The n x n CSR matrix of a stencil on n nodes.
+
+    Row i holds ``centre[i]`` on the diagonal and ``weights[..., i, k]`` at
+    column ``ends[..., i, k]``; an end >= n is not an unknown and makes no
+    entry.  Repeated (row, column) pairs are summed, and entries that come
+    out zero are not stored, so the LU orders and factors only the real
+    pattern.
+    """
+    n = len(centre)
+    # scipy's index type, so the COO-to-CSR conversion copies no index
+    idx = np.arange(n, dtype=np.int32)
+    own = ends < n
+    rows = np.broadcast_to(idx[:, None], ends.shape)[own]
+    mat = sp.csr_matrix((np.concatenate([centre, weights[own]]),
+                         (np.concatenate([idx, rows]),
+                          np.concatenate([idx, ends[own]]))), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
 
 
 def _converged(res, u, tol):

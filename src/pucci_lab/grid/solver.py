@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .._iterate import LU_OPTIONS, policy_eigen, policy_iterate, relax
+from .._iterate import (LU_OPTIONS, policy_eigen, policy_iterate, relax,
+                        stencil_matrix)
 from ..operators import Variant, _coef
 from .domain import PAIRS, GridField, boundary_data
 
@@ -31,12 +32,13 @@ def _linearize(params, dom, values, bvals, weights=None):
     """The scheme at one iterate, read by the operator and the frozen
     matrix alike.
 
-    Holds the values at the arm ends (the arm table indexes cell values
-    followed by cut data), the arm lengths, the 16 second differences
-    (scaled by ``weights``, one per direction, if given), each cell's
-    active pair and the core M_h(D^2 u).  For alpha != 0 it also holds the
-    centred axis gradients gx, gy and g = |grad_h u|.  ``value`` is the
-    operator and ``weight`` the frozen matrix's gradient weight.
+    Holds the arm lengths, the 16 second differences (scaled by
+    ``weights``, one per direction, if given), each cell's active pair and
+    the core M_h(D^2 u), all read from the arm-end values (the arm table
+    indexes cell values followed by cut data).  For alpha != 0 it also
+    holds the centred axis gradients ``grad`` (gx, gy per cell) and
+    g = |grad_h u|.  ``value`` is the operator and ``weight`` the frozen
+    matrix's gradient weight.
     """
     ends = np.concatenate([values, bvals]).take(dom.nb)
     arms = dom.arm_lengths()
@@ -45,13 +47,13 @@ def _linearize(params, dom, values, bvals, weights=None):
     if weights is not None:
         delta = delta * weights
     pairs, core = _active_pairs(params, delta)
-    lin = SimpleNamespace(ends=ends, arms=arms, delta=delta, pairs=pairs,
-                          core=core, value=core, weight=1.0)
+    lin = SimpleNamespace(arms=arms, delta=delta, pairs=pairs, core=core,
+                          value=core, weight=1.0)
     if params.alpha != 0.0:
         sf, sb, vf, vb = sf[:, :2], sb[:, :2], vf[:, :2], vb[:, :2]
         num = sb ** 2 * vf - sf ** 2 * vb + (sf ** 2 - sb ** 2) * v0
-        lin.gx, lin.gy = (num / (sf * sb * (sf + sb))).T
-        lin.g = np.hypot(lin.gx, lin.gy)
+        lin.grad = num / (sf * sb * (sf + sb))
+        lin.g = np.hypot(*lin.grad.T)
         lin.weight = np.maximum(lin.g, _GRAD_FLOOR) ** params.alpha
         lin.value = (lin.weight if params.alpha < 0.0
                      else lin.g ** params.alpha) * core
@@ -92,26 +94,14 @@ def _policy_matrix(params, dom, lin):
     the cut-arm boundary values; M is an M-matrix.  Returns M (the Newton
     step needs only M, since b enters through the residual).
     """
-    n = dom.n_cells
-    idx = np.arange(n)
-    rows, cols, vals = [], [], []
-    for k in (0, 1):
-        c = lin.pairs[:, k]
-        coef = _coef(params, lin.delta[idx, c]) * lin.weight
-        sf, sb = lin.arms[:, idx, c]
-        denom = sf + sb
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(coef * (-2.0) / (sf * sb))
-        for nbr, w in ((dom.nbf[idx, c], coef * 2.0 / (sf * denom)),
-                       (dom.nbb[idx, c], coef * 2.0 / (sb * denom))):
-            own = nbr < n
-            rows.append(idx[own])
-            cols.append(nbr[own])
-            vals.append(w[own])
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+    idx = np.arange(dom.n_cells)[:, None]
+    coef = (_coef(params, lin.delta[idx, lin.pairs])
+            * np.reshape(lin.weight, (-1, 1)))
+    arms = lin.arms[:, idx, lin.pairs]
+    sf, sb = arms
+    diag = coef * (-2.0) / (sf * sb)
+    return stencil_matrix(diag[:, 0] + diag[:, 1], dom.nb[:, idx, lin.pairs],
+                          coef * 2.0 / (arms * (sf + sb)))
 
 
 def _gradient_matrix(params, dom, lin):
@@ -124,28 +114,15 @@ def _gradient_matrix(params, dom, lin):
     differences of ``_linearize``; a cut end reads boundary data, so it
     has no column.
     """
-    n = dom.n_cells
-    idx = np.arange(n)
     above = lin.g > _GRAD_FLOOR
-    c = np.zeros(n)
+    c = np.zeros(dom.n_cells)
     c[above] = (params.alpha * lin.g[above] ** (params.alpha - 2.0)
                 * lin.core[above])
-    rows, cols, vals = [], [], []
-    for k, grad in enumerate((lin.gx, lin.gy)):
-        sf, sb = lin.arms[:, :, k]
-        coef = c * grad / (sf * sb * (sf + sb))
-        rows.append(idx)
-        cols.append(idx)
-        vals.append(coef * (sf ** 2 - sb ** 2))
-        for nbr, w in ((dom.nbf[:, k], coef * sb ** 2),
-                       (dom.nbb[:, k], -coef * sf ** 2)):
-            own = nbr < n
-            rows.append(idx[own])
-            cols.append(nbr[own])
-            vals.append(w[own])
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n, n))
+    sf, sb = lin.arms[:, :, :2]
+    coef = c[:, None] * lin.grad / (sf * sb * (sf + sb))
+    diag = coef * (sf ** 2 - sb ** 2)
+    return stencil_matrix(diag[:, 0] + diag[:, 1], dom.nb[:, :, :2],
+                          np.stack([coef * sb ** 2, -coef * sf ** 2]))
 
 
 def _factor(mat):

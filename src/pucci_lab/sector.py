@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
-from ._iterate import LU_OPTIONS, inverse_power, policy_eigen, relax
+from ._iterate import (LU_OPTIONS, inverse_power, policy_eigen, relax,
+                       stencil_matrix)
 from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
 from .operators import Variant, _coef
 
@@ -207,10 +207,9 @@ def _frozen_matrix(params, mesh, lin):
     values, so at the frozen choices M satisfies M @ vals = H(vals)
     exactly at the linearization's vals; the eigen/policy loops exploit
     that.  Entries that vanish (all four cross-derivative ones of a row
-    whose frame weights agree, as everywhere at a = A) are not stored, so
-    the LU orders and factors only the real pattern.  On the arc the frame
-    angle is 0 or pi/2, so the diagonal weight is a where d2 > 0 and A
-    elsewhere.
+    whose frame weights agree, as everywhere at a = A) are not stored.  On
+    the arc the frame angle is 0 or pi/2, so the diagonal weight is a
+    where d2 > 0 and A elsewhere.
     """
     a, A = params.a, params.A
     d1_1, d1_2 = lin.d1
@@ -226,19 +225,17 @@ def _frozen_matrix(params, mesh, lin):
     first = ((a - A) * np.sign(d1_1) * w1,
              (a - A) * np.sign(d1_2) * w2 - _coef(params, mu) * tan2)
 
-    ids = np.arange(mesh.n_nodes).reshape(mesh.shape)
-    rows, cols, entries = [], [], []
+    # node ids, padded beyond the box with n, the index of no unknown
+    ids = np.pad(np.arange(mesh.n_nodes).reshape(mesh.shape), 1,
+                 constant_values=mesh.n_nodes)
+    ends, weights = [], []
 
     def add(offset, coef):
-        src = tuple(slice(max(0, -o), min(m, m - o))
-                    for o, m in zip(offset, mesh.shape))
-        dst = tuple(slice(s.start + o, s.stop + o) for s, o in zip(src, offset))
-        rows.append(ids[src].ravel())
-        cols.append(ids[dst].ravel())
-        entries.append(coef[src].ravel())
+        ends.append(ids[tuple(slice(1 + o, m + 1 + o)
+                              for o, m in zip(offset, mesh.shape))].ravel())
+        weights.append(coef.ravel())
 
     sps = mesh.spacings
-    add((0,) * len(sps), sum(-2.0 * c / h ** 2 for c, h in zip(second, sps)))
     for step, c, f, h in zip(np.eye(len(sps), dtype=int), second, first, sps):
         add(step, c / h ** 2 + f / (2.0 * h))
         add(-step, c / h ** 2 - f / (2.0 * h))
@@ -247,11 +244,9 @@ def _frozen_matrix(params, mesh, lin):
         for offset, sign in (((1, 1), 1.0), ((-1, -1), 1.0),
                              ((1, -1), -1.0), ((-1, 1), -1.0)):
             add(offset, sign * cx)
-    mat = sp.csr_matrix((np.concatenate(entries),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(mesh.n_nodes, mesh.n_nodes))
-    mat.eliminate_zeros()
-    return mat
+    centre = sum(-2.0 * c / h ** 2 for c, h in zip(second, sps))
+    return stencil_matrix(centre.ravel(), np.stack(ends, axis=-1),
+                          np.stack(weights, axis=-1))
 
 
 def _factor(mat):

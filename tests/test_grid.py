@@ -395,6 +395,29 @@ class TestOperator:
         for part in ("data", "indices", "indptr"):
             assert_array_equal(getattr(got, part), getattr(want, part))
 
+    @pytest.mark.parametrize("shape", [Disk(1.0), Polygon(L_SHAPE)],
+                             ids=["disk", "L"])
+    @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+    def test_policy_matrix_is_an_m_matrix(self, shape, variant):
+        # rows lose their zero sum only through active arms that end on a
+        # cut, whose weight moves into the boundary term
+        dom = build_domain(shape, 0.1)
+        params = PucciParams(0.5, 2.0, variant)
+        rng = np.random.default_rng(5)
+        lin = _linearize(params, dom, rng.standard_normal(dom.n_cells),
+                         rng.standard_normal(len(dom.cut_xy)))
+        mat = _policy_matrix(params, dom, lin).tocoo()
+        off = mat.row != mat.col
+        assert np.all(mat.data[off] > 0.0)
+        diag = mat.diagonal()
+        assert np.all(diag < 0.0)
+        idx = np.arange(dom.n_cells)[:, None]
+        cut = (dom.nb[:, idx, lin.pairs] >= dom.n_cells).any(axis=(0, 2))
+        assert cut.any() and not cut.all()
+        rel = np.asarray(mat.sum(axis=1)).ravel() / np.abs(diag)
+        assert np.abs(rel[~cut]).max() <= 1e-12
+        assert np.all(rel[cut] < 0.0)
+
     @pytest.mark.parametrize("alpha", [-0.5, 0.5])
     @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
     def test_newton_matrix_is_the_jacobian(self, disk_coarse, monkeypatch,

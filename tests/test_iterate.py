@@ -1,0 +1,58 @@
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from pucci_lab._iterate import inverse_power, relax, stencil_matrix
+from pucci_lab.errors import IterationLimit, PositivityLoss
+
+
+class TestStencilMatrix:
+    def test_assembly(self):
+        # node 0 names node 1 twice, node 2 names itself and two ends that
+        # are not unknowns (3 = n and 7 > n)
+        centre = np.array([-4.0, -3.0, -2.0])
+        ends = np.array([[1, 1, 3], [0, 2, 2], [2, 3, 7]])
+        weights = np.array([[1.0, 0.5, 9.0],
+                            [2.0, 1.0, 0.25],
+                            [0.5, 9.0, 9.0]])
+        mat = stencil_matrix(centre, ends, weights)
+        assert mat.shape == (3, 3)
+        assert_array_equal(mat.toarray(), [[-4.0, 1.5, 0.0],
+                                           [2.0, -3.0, 1.25],
+                                           [0.0, 0.0, -1.5]])
+        assert mat.nnz == 6
+
+    def test_leading_axes_and_zeros(self):
+        # ends[..., i, k] belongs to row i whatever the leading axes; a
+        # sum that comes out zero is not stored
+        ends = np.array([[[1], [0]], [[1], [2]]])
+        weights = np.array([[[1.0], [2.0]], [[-1.0], [3.0]]])
+        mat = stencil_matrix(np.array([-1.0, -5.0]), ends, weights)
+        assert_array_equal(mat.toarray(), [[-1.0, 0.0], [2.0, -5.0]])
+        assert mat.nnz == 3
+
+
+class TestFailurePaths:
+    def test_relax_step_cap(self):
+        with pytest.raises(IterationLimit, match="after 3 steps") as info:
+            relax(lambda v: -v, np.ones(3), 0.1, tol=1e-8, max_steps=3)
+        assert_array_equal(info.value.history, [1.0, 0.9, 0.9 ** 2])
+
+    def test_inverse_power_collapse(self):
+        with pytest.raises(PositivityLoss, match="collapsed to zero"):
+            inverse_power(lambda x, prev: np.zeros_like(x), np.ones(3),
+                          tol=1e-6, max_power=5)
+
+    def test_inverse_power_step_cap(self):
+        # step k scales by k + 1, so lambda runs 1, 1/2, 1/3, ... and
+        # never settles
+        calls = []
+
+        def step(x, prev):
+            calls.append(prev)
+            return x * len(calls)
+
+        with pytest.raises(IterationLimit, match="4 steps") as info:
+            inverse_power(step, np.ones(3), tol=1e-6, max_power=4)
+        assert info.value.history == [1.0, 0.5, 1.0 / 3.0, 0.25]
+        assert calls[0] is None

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import brentq
-from scipy.special import j0
+from scipy.special import j0, jn_zeros
 
 from pucci_lab import (Constant, EigenPower, IntegrationFailure,
                        InvalidNeumannData, IterationLimit, NoZeroCrossing,
@@ -286,6 +286,24 @@ class TestBallEigenvalue:
                                   h=1.0 / 800.0)
         # Brent's first two evaluations are the bracket ends, already shot
         assert len(set(shot)) == len(shot)
+
+    def test_bracket_grows_upward(self):
+        # at R = 1 the first bracket is [1.5, 24]; the N = 10 Laplacian's
+        # eigenvalue j_{4,1}^2 lies above it
+        lam = principal_eigenvalue_ball(PucciParams(1.0, 1.0), 10, 1.0)
+        assert lam > 24.0
+        assert_allclose(lam, jn_zeros(4, 1)[0] ** 2, rtol=1e-8)
+
+    def test_bracket_grows_downward(self):
+        # with a = 0.1 the eigenvalue lies below the first bracket at both
+        # radii; M+ >= a Laplacian bounds it by a j0^2 / R^2, and the
+        # operator's 2-homogeneity in 1/R fixes the ratio
+        p = PucciParams(0.1, 1.0)
+        lam1 = principal_eigenvalue_ball(p, 2, 1.0)
+        lam2 = principal_eigenvalue_ball(p, 2, 2.0)
+        assert lam1 < 1.5
+        assert lam1 <= p.a * DISK_LAPLACE_EIG
+        assert abs(4.0 * lam2 - lam1) <= 1e-7
 
     def test_iteration_limit_carries_history(self):
         with pytest.raises(IterationLimit) as exc:
