@@ -20,9 +20,9 @@ the nodal values, so the same four loops serve both:
 * ``relax``: the explicit damped sweep, a slow oracle needing no linear
   algebra.
 
-Both layers assemble their frozen matrices with ``stencil_matrix``, where
-a stencil end of index >= n is not an unknown (a grid cut point, a node
-beyond the sector box) and gets no entry.
+Both layers assemble their frozen CSC matrices with ``stencil_matrix``,
+where a stencil end of index >= n is not an unknown (a grid cut point, a
+node beyond the sector box) and gets no entry.
 The policy and eigenpair loops factor each frozen matrix once, with the
 layer's own ``factor``, and keep no factor from one freeze to the next.
 Every layer's ``factor`` is ``splu`` with ``LU_OPTIONS``.
@@ -51,7 +51,7 @@ LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
 
 
 def stencil_matrix(centre, ends, weights):
-    """The n x n CSR matrix of a stencil on n nodes.
+    """The n x n CSC matrix of a stencil on n nodes.
 
     Row i holds ``centre[i]`` on the diagonal and ``weights[..., i, k]`` at
     column ``ends[..., i, k]``; an end >= n is not an unknown and makes no
@@ -60,11 +60,11 @@ def stencil_matrix(centre, ends, weights):
     pattern.
     """
     n = len(centre)
-    # scipy's index type, so the COO-to-CSR conversion copies no index
+    # scipy's index type, so the COO-to-CSC conversion copies no index
     idx = np.arange(n, dtype=np.int32)
     own = ends < n
     rows = np.broadcast_to(idx[:, None], ends.shape)[own]
-    mat = sp.csr_matrix((np.concatenate([centre, weights[own]]),
+    mat = sp.csc_matrix((np.concatenate([centre, weights[own]]),
                          (np.concatenate([idx, rows]),
                           np.concatenate([idx, ends[own]]))), shape=(n, n))
     mat.eliminate_zeros()
@@ -100,7 +100,7 @@ def policy_iterate(linearize, factor, u0, *, tol, max_steps,
                    line_search=False):
     """Newton-Howard iteration u <- u - J(u)^{-1} r(u) on flat arrays.
 
-    ``linearize(u)`` returns r(u) and a callable that builds the CSR matrix
+    ``linearize(u)`` returns r(u) and a callable that builds the CSC matrix
     J(u), so the residual and the matrix share one linearization and a
     converged step builds no matrix.  ``factor(J)`` returns an object with
     ``solve``; each step factors its matrix once.  With ``line_search`` a
@@ -168,6 +168,7 @@ def inverse_power(step, x0, *, tol, max_power):
     -1e-12 anywhere, which is the discrete symptom of leaving the principal
     branch.  Returns (lambda, normalized eigenvector).
     """
+    _check_cap(max_power)
     x, prev = x0, None
     lams = []
     for _ in range(max_power):
@@ -183,7 +184,7 @@ def inverse_power(step, x0, *, tol, max_power):
         lams.append(lam)
         x, prev = x_new, nxt
     raise IterationLimit(f"inverse power did not settle in {max_power} "
-                         f"steps (last {lams[-1] if lams else None})",
+                         f"steps (last {lams[-1]})",
                          history=lams[-50:])
 
 
@@ -192,7 +193,7 @@ def policy_eigen(linearize, factor, x0, *, tol, eig_tol, max_steps):
 
     F is a positively 1-homogeneous, piecewise linear operator on flat
     arrays.  ``linearize(x)`` returns F[x] and a callable that builds its
-    CSR matrix frozen at the policy active at x, so F[x] = J(x) @ x, and
+    CSC matrix frozen at the policy active at x, so F[x] = J(x) @ x, and
     one linearization per freeze serves both the residual of the last
     freeze and the matrix of the next.  Each step freezes the policy at
     phi, takes the Perron pair of M = -J(phi) by shift-invert ``eigs``
@@ -204,9 +205,10 @@ def policy_eigen(linearize, factor, x0, *, tol, eig_tol, max_steps):
     v0 = phi a freeze takes 7 to 10 solves where scipy's default of 20
     vectors takes 21.  Stops when sup|F[phi] + lam*phi| <= tol * lam.
     Raises PositivityLoss if phi dips below -1e-12 anywhere, and
-    IterationLimit, carrying the residual history, after ``max_steps``
-    freezes or when ARPACK fails.  Returns (lambda, phi).
+    IterationLimit (with the residual history) after ``max_steps`` freezes,
+    on a non-finite residual or when ARPACK fails.  Returns (lambda, phi).
     """
+    _check_cap(max_steps)
     phi = np.array(x0, dtype=float)
     history = []
     _, freeze = linearize(phi)
@@ -227,9 +229,7 @@ def policy_eigen(linearize, factor, x0, *, tol, eig_tol, max_steps):
         phi = vec / vec[np.argmax(np.abs(vec))]
         _check_positive(phi)
         value, freeze = linearize(phi)
-        res = float(np.abs(value + lam * phi).max())
-        history.append(res)
-        if res <= tol * lam:
+        if _sup_residual(value + lam * phi, history) <= tol * lam:
             return lam, phi
     raise IterationLimit(
         f"policy eigen iteration did not reach tol={tol:g} in {max_steps} "

@@ -69,22 +69,18 @@ def reflection_gap(field, direction, t):
     d = np.asarray(direction, dtype=float)
     d = d / np.hypot(d[0], d[1])
     proj = dom.pts @ d
-    swept = proj < t
-    if np.any(swept):
-        refl = reflect_points(dom.pts[swept], d, t)
-        lev = dom.shape.level(refl)
-        bad = lev > 1e-9
-        if np.any(bad):
-            raise ReflectionOutOfDomain(
-                f"{int(bad.sum())} reflected points leave the domain at "
-                f"t={t:.6g} (max level {lev.max():.3e})")
-    cap = proj > t
-    if np.any(cap):
-        refl = reflect_points(dom.pts[cap], d, t)
-        cap[cap] = dom.shape.level(refl) < 0.0
+    refl = reflect_points(dom.pts, d, t)
+    lev = dom.shape.level(refl)
+    swept = lev[proj < t]
+    bad = swept > 1e-9
+    if np.any(bad):
+        raise ReflectionOutOfDomain(
+            f"{int(bad.sum())} reflected points leave the domain at "
+            f"t={t:.6g} (max level {swept.max():.3e})")
+    cap = (proj > t) & (lev < 0.0)
     if not np.any(cap):
         raise OutOfDomain(f"reflected cap is empty at t={t:.6g}")
-    mirrored = dom.interp(field.values, reflect_points(dom.pts[cap], d, t))
+    mirrored = dom.interp(field.values, refl[cap])
     return float((mirrored - field.values[cap]).max())
 
 

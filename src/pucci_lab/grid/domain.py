@@ -79,6 +79,11 @@ class Polygon:
         self.vertices = v if area2 > 0.0 else v[::-1].copy()
         self._edges = np.roll(self.vertices, -1, axis=0) - self.vertices
         self._edge_len = np.hypot(self._edges[:, 0], self._edges[:, 1])
+        # a zero-length edge would be a 0/0 in every edge distance
+        if not self._edge_len.all():
+            x, y = self.vertices[self._edge_len.argmin()]
+            raise InvalidShape(f"polygon repeats the vertex ({x:g}, {y:g}); "
+                               f"list each vertex once")
         self._cum_len = np.concatenate([[0.0], np.cumsum(self._edge_len)])
 
     def _edge_distances(self, pts):
@@ -193,7 +198,8 @@ class GridDomain:
     Each cut point belongs to exactly one arm, so values and boundary data
     concatenated address every arm end.  The domain stores no arm lengths:
     an arm along d has length |d| h, times ``cut_frac`` where it is cut, and
-    ``arm_lengths()`` derives them; the solver asks once per linearization.
+    ``arm_lengths()`` reads them through the arm table, as arm-end values
+    are read; the solver asks once per linearization.
     """
 
     def __init__(self, shape, h, origin, nx, ny):
@@ -211,7 +217,6 @@ class GridDomain:
     nbf: np.ndarray       # nb[0], the forward arm ends
     nbb: np.ndarray       # nb[1], the backward arm ends
     cut_frac: np.ndarray  # (n_cuts,) share of its full length a cut arm keeps
-    cut_at: np.ndarray    # (n_cuts,) flat position of each cut in nb
     cut_xy: np.ndarray    # (n_cuts, 2) boundary crossings of the cut arms
     boundary: dict        # trace samples, one per kept axis cut
 
@@ -222,9 +227,9 @@ class GridDomain:
     def arm_lengths(self):
         """Arm lengths shaped like ``nb``: |d| h for an arm along d, times
         the cut fraction where the arm is cut."""
-        arms = np.broadcast_to(np.hypot(*DIRECTIONS.T) * self.h,
-                               self.nb.shape).copy()
-        arms.reshape(-1)[self.cut_at] *= self.cut_frac
+        arms = np.concatenate([np.ones(self.n_cells),
+                               self.cut_frac]).take(self.nb)
+        arms *= np.hypot(*DIRECTIONS.T) * self.h
         return arms
 
     def full_array(self, values, fill=np.nan):
@@ -318,7 +323,7 @@ def build_domain(shape, h):
 
     dom.nb = nb
     dom.nbf, dom.nbb = nb
-    dom.cut_at, dom.cut_frac = pos, t
+    dom.cut_frac = t
     dom.cut_xy = pts[cell] + t[:, None] * offs
 
     _build_boundary_samples(dom)

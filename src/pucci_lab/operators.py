@@ -153,6 +153,12 @@ def _coef(params, t):
                     _directional_coef(params, False))
 
 
+def _invert_coef(params, s):
+    """The t with _coef(params, t) * t == s, for a scalar s: both
+    coefficients are positive, so t takes the sign of s."""
+    return s / _directional_coef(params, s > 0.0)
+
+
 def boundary_hessian(params, c, f0, curv):
     """Full Hessian of a solution at a boundary point with flat gradient frame.
 
@@ -166,8 +172,7 @@ def boundary_hessian(params, c, f0, curv):
         M(diag(c * curv, t)) = -|c|^(-alpha) * f0
 
     which fixes t = s / A or t = s / a with s the right-hand side minus the
-    tangential contribution, the branch chosen so the variant's coefficient
-    on t matches the sign of t.
+    tangential contribution: t takes the sign of s (``_invert_coef``).
 
     Parameters
     ----------
@@ -195,11 +200,7 @@ def boundary_hessian(params, c, f0, curv):
         weight = 0.0
     else:
         weight = abs(c) ** (-params.alpha) * f0
-    s = -m_tang - weight
-    if s == 0.0:
-        unn = 0.0
-    else:
-        unn = s / _directional_coef(params, s > 0.0)
+    unn = _invert_coef(params, -m_tang - weight)
     n = curv.dim + 1
     full = np.zeros((n, n))
     full[: n - 1, : n - 1] = tang.full()

@@ -7,9 +7,10 @@ u'/r (tangential, multiplicity N-1), so the extremal operator reduces to
 
 with e1, e2 picked from {a, A} by the sign convention of the variant.  The
 module provides the closed form for constant source, a shooting integrator
-with per-stage sign branches, and the principal eigenvalue on balls.
+(u'' takes the sign of its right-hand side) and ball principal eigenvalues.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.optimize import brentq
 from .errors import (BracketFailure, IntegrationFailure, InvalidNeumannData,
                      IterationLimit, NoZeroCrossing, OutOfDomain,
                      SignBranchFailure)
-from .operators import Variant, _directional_coef
+from .operators import Variant, _directional_coef, _invert_coef
 
 # |u'|^(-alpha) guard for alpha > 0: a trial stage of the integrator may
 # land on u' = 0, where the weight is infinite
@@ -145,7 +146,7 @@ def overdetermined_radius(params, n_dim, c):
 
 
 def _curvature_rhs(params, n_dim, source, r, u, v):
-    """Solve the sign-branched algebra for u'' at one step."""
+    """u'' at one step: e(u'') u'' = num, solved by ``_invert_coef``."""
     alpha = params.alpha
     fu = source.evaluate(u, alpha)
     if alpha == 0.0:
@@ -156,18 +157,10 @@ def _curvature_rhs(params, n_dim, source, r, u, v):
     rad = v / r
     e2 = _directional_coef(params, rad > 0.0)
     num = -w - (n_dim - 1) * e2 * rad
-    # test both curvature branches; they agree only when u'' = 0
-    cand_pos = num / _directional_coef(params, True)
-    cand_neg = num / _directional_coef(params, False)
-    ok_pos = cand_pos >= 0.0
-    ok_neg = cand_neg <= 0.0
-    if ok_pos and ok_neg:
-        return 0.0
-    if ok_pos:
-        return cand_pos
-    if ok_neg:
-        return cand_neg
-    raise SignBranchFailure("no consistent u'' branch", r=r, u=u, du=v)
+    # a NaN has no sign, so no coefficient branch fits it
+    if math.isnan(num):
+        raise SignBranchFailure("no consistent u'' branch", r=r, u=u, du=v)
+    return _invert_coef(params, num)
 
 
 def _rk4_step(params, n_dim, source, r, u, v, h):
@@ -192,8 +185,8 @@ def shoot(params, n_dim, source, m, r_max, h):
         u'(r) = -sign(f(m)) * (|f(m)| (1+alpha) r / (k S))^(1/(1+alpha))
 
     with S = (N-1)(1+alpha)+1 and k the variant coefficient for the sign
-    pattern near the centre.  Adaptive DOP853 follows, with u'' solved at
-    each stage by testing both coefficient branches, and stops at the first
+    pattern near the centre.  Adaptive DOP853 follows, with u'' taking the
+    sign of the right-hand side at each stage, and stops at the first
     zero, located by a terminal event.  Besides the start radius, ``h``
     sets the spacing (at most h) of the returned nodes, which run from r0
     towards ``r_max`` and end at the last node before the first zero; the
@@ -263,6 +256,8 @@ def principal_eigenvalue_ball(params, n_dim, radius, *, h=None, rel_tol=1e-8,
     from a Laplacian-scale guess, Brent's method converges on lam to
     relative tolerance ``rel_tol`` within ``max_iter`` iterations.
     """
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"need a finite, positive radius, got {radius}")
     if h is None:
         h = radius / 2000.0
     r_stop = 4.0 * radius

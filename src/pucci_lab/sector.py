@@ -21,8 +21,8 @@ import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import brentq
 
-from ._iterate import (LU_OPTIONS, inverse_power, policy_eigen, relax,
-                       stencil_matrix)
+from ._iterate import (LU_OPTIONS, _check_cap, inverse_power, policy_eigen,
+                       relax, stencil_matrix)
 from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
 from .operators import Variant, _coef
 
@@ -321,6 +321,7 @@ def gamma_exponent(a, A, epsilon, delta, n_dim, *, spacing=None, tol=1e-6,
     """
     if spacing is None:
         spacing = np.pi / 400 if n_dim == 2 else np.pi / 200
+    _check_cap(max_iter)
     mesh = SectorMesh(n_dim, delta, spacing)
     k = n_dim - 2
     gam, prev = 2.0, None

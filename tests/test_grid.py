@@ -2,6 +2,7 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import j0
@@ -19,7 +20,8 @@ from pucci_lab.grid import (DIRECTIONS, PAIRS, ComparisonReport, Disk,
                             principal_eigenvalue_grid, reflect_points,
                             reflection_gap, small_domain_check,
                             solve_dirichlet)
-from pucci_lab._iterate import inverse_power, policy_iterate, relax
+from pucci_lab._iterate import (inverse_power, policy_eigen, policy_iterate,
+                                relax)
 from pucci_lab.grid import domain as domain_module
 from pucci_lab.grid import solver as solver_module
 from pucci_lab.grid.diagnostics import _comparison_case
@@ -240,6 +242,9 @@ class TestDomain:
             Polygon([(0, 0), (1, 0), (2, 0), (3, 0)])
         with pytest.raises(InvalidShape):
             build_domain(Disk(1.0), 0.5)  # too few interior cells
+        # a closed ring repeats its first vertex last: a zero-length edge
+        with pytest.raises(InvalidShape, match=r"repeats the vertex \(0, 0\)"):
+            Polygon([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
 
     def test_polygon_level_sign(self):
         tri = Polygon([(0, 0), (2, 0), (0, 2)])
@@ -589,13 +594,23 @@ class TestDirichlet:
         lambda r, cap: policy_iterate(lambda v: (r(v), None), None,
                                       np.ones(3), tol=1e-8, max_steps=cap),
         lambda r, cap: relax(r, np.ones(3), 0.1, tol=1e-8, max_steps=cap),
-    ], ids=["policy_iterate", "relax"])
+        # the frozen matrix is -diag(1, 2, 3), so the first freeze finds
+        # the pair (1, e1) and then reads the residual r(e1) + e1
+        lambda r, cap: policy_eigen(
+            lambda v: (r(v), lambda: sp.diags([-1.0, -2.0, -3.0],
+                                              format="csc")),
+            spla.splu, np.ones(3), tol=1e-8, eig_tol=1e-12, max_steps=cap),
+    ], ids=["policy_iterate", "relax", "policy_eigen"])
     def test_loop_caps_and_non_finite_residuals(self, loop):
         with pytest.raises(ValueError, match="at least 1"):
             loop(lambda v: v, 0)
         with pytest.raises(IterationLimit, match="not finite") as info:
             loop(lambda v: v * np.nan, 5)
         assert len(info.value.history) == 1
+
+    def test_eigen_cap_below_one_rejected(self, disk_coarse):
+        with pytest.raises(ValueError, match="at least 1"):
+            principal_eigenvalue_grid(LAP, disk_coarse, max_power=0)
 
     def test_policy_limit_carries_history(self, disk_coarse):
         with pytest.raises(IterationLimit) as info:

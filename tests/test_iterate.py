@@ -16,6 +16,8 @@ class TestStencilMatrix:
                             [2.0, 1.0, 0.25],
                             [0.5, 9.0, 9.0]])
         mat = stencil_matrix(centre, ends, weights)
+        # the format splu factors, so no layer converts before factoring
+        assert mat.format == "csc"
         assert mat.shape == (3, 3)
         assert_array_equal(mat.toarray(), [[-4.0, 1.5, 0.0],
                                            [2.0, -3.0, 1.25],
@@ -56,3 +58,8 @@ class TestFailurePaths:
             inverse_power(step, np.ones(3), tol=1e-6, max_power=4)
         assert info.value.history == [1.0, 0.5, 1.0 / 3.0, 0.25]
         assert calls[0] is None
+
+    def test_inverse_power_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            inverse_power(lambda x, prev: x, np.ones(3), tol=1e-6,
+                          max_power=0)

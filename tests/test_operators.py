@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from pucci_lab import (DegenerateGradient, InvalidMatrix, PucciParams,
                        SymMatrix, Variant, boundary_hessian, eigen_sym,
                        f_operator, pucci)
-from pucci_lab.operators import _coef
+from pucci_lab.operators import _coef, _invert_coef
 
 TRIALS = 200
 
@@ -83,6 +83,15 @@ class TestPucci:
                         [0.5, 0.5, 2.0], rtol=0.0)
         assert_allclose(_coef(PucciParams(0.5, 2.0, Variant.MINUS), t),
                         [2.0, 2.0, 0.5], rtol=0.0)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("s", [-2.0, 0.0, 3.0])
+    def test_invert_coef_round_trips(self, variant, s):
+        # power-of-two bounds, so the division and product are exact
+        p = PucciParams(0.5, 2.0, variant)
+        t = _invert_coef(p, s)
+        assert _coef(p, t) * t == s
+        assert np.sign(t) == np.sign(s)
 
     def test_reduces_to_trace_when_a_equals_A(self):
         rng = np.random.default_rng(21)

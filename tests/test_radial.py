@@ -305,6 +305,15 @@ class TestBallEigenvalue:
         assert lam1 <= p.a * DISK_LAPLACE_EIG
         assert abs(4.0 * lam2 - lam1) <= 1e-7
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_radius(self, radius, monkeypatch):
+        def no_shot(*args):
+            raise AssertionError("shot before the radius check")
+
+        monkeypatch.setattr(radial, "shoot", no_shot)
+        with pytest.raises(ValueError, match="finite, positive radius"):
+            principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, radius)
+
     def test_iteration_limit_carries_history(self):
         with pytest.raises(IterationLimit) as exc:
             principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0,

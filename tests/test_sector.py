@@ -352,6 +352,13 @@ class TestEigenvalue:
                          sector_module._factor, np.ones(3), tol=1e-10,
                          eig_tol=1e-12, max_steps=5)
 
+    @pytest.mark.parametrize("method", ["policy", "relax"])
+    def test_cap_below_one_rejected(self, method):
+        mesh = SectorMesh(2, 0.2, np.pi / 60)
+        with pytest.raises(ValueError, match="at least 1"):
+            sector_principal_eigenvalue(LAP, mesh, max_power=0,
+                                        method=method)
+
     def test_unknown_inner_method(self):
         mesh = SectorMesh(2, 0.2, np.pi / 60)
         with pytest.raises(ValueError):
@@ -428,6 +435,11 @@ class TestGammaExponent:
         with pytest.raises(IterationLimit):
             gamma_exponent(0.8, 1.0, 0.1, 0.2, 2, spacing=np.pi / 100,
                            max_iter=1)
+
+    def test_cap_below_one_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            gamma_exponent(0.8, 1.0, 0.1, 0.2, 2, spacing=np.pi / 100,
+                           max_iter=0)
 
 
 @pytest.fixture(scope="module")
