@@ -121,8 +121,6 @@ class ComparisonReport:
     gap: float
     threshold: float
     passed: bool
-    sup_u1: float
-    sup_u2: float
 
 
 def _comparison_case(source):
@@ -156,9 +154,7 @@ def comparison_check(params, dom, source, g1, g2, *, tol=1e-8):
     scale = float(np.abs(u2.values).max(initial=0.0))
     threshold = 2.0 * dom.h * max(1.0, scale)
     return ComparisonReport(case=case, gap=gap, threshold=threshold,
-                            passed=bool(gap <= threshold),
-                            sup_u1=float(u1.values.max()),
-                            sup_u2=float(u2.values.max()))
+                            passed=bool(gap <= threshold))
 
 
 @dataclass

@@ -370,9 +370,6 @@ class GridField:
         if not np.isfinite(self.values).all():
             raise ValueError("field has non-finite interior values")
 
-    def full(self, fill=np.nan):
-        return self.domain.full_array(self.values, fill)
-
 
 def boundary_data(dom, g):
     """Evaluate Dirichlet data g (callable or constant) on the cut registry."""
@@ -385,9 +382,7 @@ def boundary_data(dom, g):
 def field_from_function(dom, fn):
     """Sample a function of (x, y) on interior cells and cut points."""
     vals = np.asarray(fn(dom.pts[:, 0], dom.pts[:, 1]), dtype=float)
-    bvals = np.asarray(fn(dom.cut_xy[:, 0], dom.cut_xy[:, 1]), dtype=float)
-    return GridField(dom, vals * np.ones(dom.n_cells),
-                     bvals * np.ones(len(dom.cut_xy)))
+    return GridField(dom, vals * np.ones(dom.n_cells), boundary_data(dom, fn))
 
 
 def export_field_csv(field, path):

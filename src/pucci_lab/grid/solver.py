@@ -3,9 +3,12 @@
 The scheme forms, for each of 8 orthogonal direction pairs, the sum of
 second differences weighted by the ellipticity bounds, then takes the max
 (Plus) or min (Minus) over pairs.  With exact cut-cell arm lengths each
-second difference is exact on quadratics, so the scheme is monotone and
-consistent, and solutions that happen to be quadratic are reproduced to
-rounding.
+second difference is exact on quadratics.  The scheme is monotone, but for
+a < A not consistent: it resolves the eigenframe of an indefinite Hessian
+(eigenvalues lam1 > 0 > lam2) only to the nearest pair, dtheta <= 9.2
+degrees off, and misses M by (A - a)(lam1 - lam2) sin^2(dtheta) at every h.
+It is exact on quadratics at a = A and where the Hessian is semidefinite
+or its frame lies on a pair.
 """
 
 from types import SimpleNamespace

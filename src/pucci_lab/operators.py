@@ -95,7 +95,7 @@ def eigen_sym(x):
 
     Parameters
     ----------
-    x : SymMatrix or array_like
+    x : SymMatrix
         The matrix to decompose.
 
     Returns
@@ -103,10 +103,7 @@ def eigen_sym(x):
     EigenDecomp
         Eigenvalues ascending, eigenvector columns orthonormal and matched.
     """
-    if isinstance(x, SymMatrix):
-        a = x.full()
-    else:
-        a = SymMatrix.from_full(x).full()
+    a = x.full()
     if not np.isfinite(a).all():
         raise InvalidMatrix("non-finite entries")
     lam, vec = np.linalg.eigh(a)
@@ -129,12 +126,9 @@ def f_operator(params, grad, x):
     """
     grad = np.asarray(grad, dtype=float)
     g = float(np.sqrt((grad * grad).sum()))
-    alpha = params.alpha
-    if alpha == 0.0:
-        return pucci(params, x)
-    if g == 0.0 and alpha < 0.0:
+    if g == 0.0 and params.alpha < 0.0:
         raise DegenerateGradient("|grad| = 0 with negative exponent")
-    return g ** alpha * pucci(params, x)
+    return g ** params.alpha * pucci(params, x)
 
 
 def _directional_coef(params, positive):
@@ -194,12 +188,8 @@ def boundary_hessian(params, c, f0, curv):
         raise DegenerateGradient("c = 0 leaves the boundary equation singular")
     tang = SymMatrix(curv.dim, c * curv.entries)
     m_tang = pucci(params, tang)
-    if params.alpha == 0.0:
-        weight = f0
-    elif f0 == 0.0:
-        weight = 0.0
-    else:
-        weight = abs(c) ** (-params.alpha) * f0
+    # at c = 0 and alpha > 0, 0.0 ** -alpha raises; a zero f0 drops out
+    weight = 0.0 if f0 == 0.0 else abs(c) ** (-params.alpha) * f0
     unn = _invert_coef(params, -m_tang - weight)
     n = curv.dim + 1
     full = np.zeros((n, n))

@@ -148,12 +148,9 @@ def overdetermined_radius(params, n_dim, c):
 def _curvature_rhs(params, n_dim, source, r, u, v):
     """u'' at one step: e(u'') u'' = num, solved by ``_invert_coef``."""
     alpha = params.alpha
-    fu = source.evaluate(u, alpha)
-    if alpha == 0.0:
-        w = fu
-    else:
-        av = max(abs(v), _DU_FLOOR) if alpha > 0.0 else abs(v)
-        w = fu * av ** (-alpha)
+    av = max(abs(v), _DU_FLOOR) if alpha > 0.0 else abs(v)
+    # at alpha = 0 the weight is av ** -0.0 == 1.0, u' = 0 included
+    w = source.evaluate(u, alpha) * av ** (-alpha)
     rad = v / r
     e2 = _directional_coef(params, rad > 0.0)
     num = -w - (n_dim - 1) * e2 * rad

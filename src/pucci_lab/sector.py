@@ -369,6 +369,7 @@ def barrier_eval(gamma, psi, r, theta):
 
     w = r^gamma * psi(theta) with psi interpolated linearly; the gradient
     estimate is r^(gamma-1) * sqrt(gamma^2 psi^2 + |Gamma grad_theta psi|^2).
+    With gamma >= 2, as ``gamma_exponent`` returns, both vanish at r = 0.
     """
     if r < 0.0:
         raise ValueError(f"need r >= 0, got {r}")
@@ -380,8 +381,6 @@ def barrier_eval(gamma, psi, r, theta):
     grads = _diffs(psi.values, mesh.spacings)[:len(mesh.axes)]
     ang_sq = sum((q * _interp_field(mesh, g, theta)) ** 2
                  for q, g in zip(scales, grads))
-    if r == 0.0:
-        return 0.0, 0.0
     w = r ** gamma * val
     grad = r ** (gamma - 1.0) * np.sqrt(gamma * gamma * val * val + ang_sq)
     return float(w), float(grad)

@@ -36,6 +36,16 @@ class TestConfig:
         with pytest.raises(SystemExit):
             load_config("radial", None, {"radiuss": 2.0})
 
+    def test_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SystemExit, match="JSON object"):
+            load_config("radial", str(path), None)
+
+    def test_override_needs_a_value(self):
+        with pytest.raises(SystemExit, match="--set needs key=value"):
+            main(["radial", "--set", "tol"])
+
     def test_unknown_file_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"h_grid": 0.1}))
@@ -70,6 +80,21 @@ class TestConfig:
                 blocks.setdefault(cmd, set()).update(words)
         assert blocks == {cmd: set(keys)
                           for cmd, keys in _DEFAULTS.items() if keys}
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("radial", "n_dim=1", "need n_dim >= 2"),
+    ("radial", "radius=0", "need radius > 0"),
+    ("radial", "f0=-1", "constant source must be nonnegative"),
+    ("overdetermined", "n_dim=1", "need n_dim >= 2"),
+    # rejected by principal_eigenvalue_ball, before any grid is built
+    ("eigen", "radius=0", "need a finite, positive radius"),
+    ("properties", "trials=0", "need trials >= 1"),
+    ("sector", "deltas=[0.1]", "need at least two deltas"),
+])
+def test_invalid_setting_exits_2(tmp_path, capsys, command, setting, message):
+    assert run(tmp_path, command, "--set", setting) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestRadialCommand:

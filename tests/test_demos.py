@@ -1,4 +1,6 @@
-"""Each demo script runs to completion against the source tree."""
+"""Each demo script runs to completion against the source tree, with every
+warning an error, as the suite's own filterwarnings setting makes it for
+the tests (that setting does not reach a subprocess)."""
 
 import os
 import subprocess
@@ -16,7 +18,7 @@ def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True,
-                          timeout=300)
+    proc = subprocess.run([sys.executable, "-W", "error", str(script)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,7 @@ from pucci_lab.grid import (DIRECTIONS, PAIRS, ComparisonReport, Disk,
                             solve_dirichlet)
 from pucci_lab._iterate import (inverse_power, policy_eigen, policy_iterate,
                                 relax)
+from pucci_lab.grid import diagnostics as diagnostics_module
 from pucci_lab.grid import domain as domain_module
 from pucci_lab.grid import solver as solver_module
 from pucci_lab.grid.diagnostics import _comparison_case
@@ -78,6 +79,11 @@ class TestDomain:
         d2 = build_domain(Disk(1.0), 0.05)
         ratio = d2.n_cells / d1.n_cells
         assert 3.7 < ratio < 4.3
+
+    @pytest.mark.parametrize("shape", [Ellipse(2.0, 1.0), Polygon(L_SHAPE)],
+                             ids=["ellipse", "L"])
+    def test_scaled_copy(self, shape):
+        assert_allclose(shape.scaled(0.5).bbox(), 0.5 * np.array(shape.bbox()))
 
     def test_cells_inside(self, disk_dom):
         r = np.hypot(disk_dom.pts[:, 0], disk_dom.pts[:, 1])
@@ -281,17 +287,29 @@ class TestOperator:
         want = WIDE.a * lam.sum()
         assert_allclose(got, want, atol=1e-10)
 
-    def test_rotated_quadratic_within_directional_gap(self, disk_dom):
+    def test_rotated_quadratic_within_directional_gap(self, disk_dom,
+                                                      disk_coarse):
+        def rotated(dom, deg):
+            # Hessian with eigenvalues +-1 and its frame at deg degrees
+            th = np.radians(deg)
+            r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+            hess = r @ np.diag([1.0, -1.0]) @ r.T
+            return quad_field(dom, hess[0, 0], hess[0, 1], hess[1, 1])
+
         # eigenframe at 30 degrees is not a stencil pair; the max over 8
         # pairs underestimates Plus by at most the angular resolution
-        th = np.pi / 6.0
-        r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        hess = r @ np.diag([1.0, -1.0]) @ r.T
-        fld = quad_field(disk_dom, hess[0, 0], hess[0, 1], hess[1, 1])
-        got = discretize_F(WIDE, disk_dom, fld).values
+        got = discretize_F(WIDE, disk_dom, rotated(disk_dom, 30.0)).values
         want = WIDE.A * 1.0 - WIDE.a * 1.0
         assert np.all(got <= want + 1e-10)
         assert np.abs(got - want).max() < 0.05
+        # at 81 degrees the nearest pair (the axes) is 9 degrees off, and
+        # the gap (A - a)(lam1 - lam2) sin^2(9 deg) does not shrink with h:
+        # the scheme is monotone but not consistent for a < A
+        for dom in (disk_coarse, disk_dom):
+            got = discretize_F(PucciParams(1.0, 2.0), dom,
+                               rotated(dom, 81.0)).values
+            assert_allclose(1.0 - got, 2.0 * np.sin(np.radians(9.0)) ** 2,
+                            rtol=1e-9)
 
     def test_laplacian_for_equal_bounds(self, disk_dom):
         rng = np.random.default_rng(11)
@@ -724,6 +742,18 @@ class TestNeumannTrace:
         with pytest.raises(ValueError):
             neumann_trace(sol)
 
+    def test_no_usable_axis_cuts(self):
+        # a sliver 0.025 wide turned 45 degrees: each of its 107 cells has
+        # an axis cut, but none with a second cell along the inward axis
+        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+        corners = np.array([(-1.5, -0.0125), (1.5, -0.0125), (1.5, 0.0125),
+                            (-1.5, 0.0125)]) @ np.array([[c, s], [-s, c]])
+        dom = build_domain(Polygon(corners), 0.02)
+        assert dom.n_cells == 107 and len(dom.boundary["s"]) == 0
+        fld = GridField(dom, np.zeros(dom.n_cells), np.zeros(len(dom.cut_xy)))
+        with pytest.raises(OutOfDomain, match="no usable axis cuts"):
+            neumann_trace(fld)
+
 
 class TestReflection:
     def test_reflect_points_involution(self):
@@ -828,6 +858,27 @@ class TestSmallDomain:
         assert rep.sup_values[0] > 1e-3
         assert rep.sup_values[1] <= 1e-8
         assert_allclose(rep.threshold_size, np.sqrt(2) / 2)
+
+    def test_solver_breakdown_counts_as_failure(self, monkeypatch):
+        # the half-size copy's solve raises IterationLimit, so its sup reads
+        # inf and only the smallest copy can set the threshold
+        real, solved = diagnostics_module.solve_dirichlet, []
+
+        def failing_second(*args, **kwargs):
+            solved.append(args[1].n_cells)
+            if len(solved) == 2:
+                raise IterationLimit("forced", [1.0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics_module, "solve_dirichlet",
+                            failing_second)
+        rep = small_domain_check(LAP, 1.0, Disk(0.5), scales=(1.0, 0.5, 0.25),
+                                 cells_across=16)
+        assert len(solved) == 3
+        assert rep.sup_values[1] == np.inf
+        assert rep.sup_values[0] <= 1e-8 and rep.sup_values[2] <= 1e-8
+        assert rep.passed
+        assert_allclose(rep.threshold_size, np.sqrt(2) / 4)
 
     def test_small_shift_all_pass(self):
         sq = Polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])

@@ -66,6 +66,16 @@ class TestEigenSym:
         with pytest.raises(InvalidMatrix):
             SymMatrix.from_full([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(InvalidMatrix, match="dim 2 needs 3 entries"):
+            SymMatrix(2, [1.0, 0.0])
+        with pytest.raises(InvalidMatrix, match="square"):
+            SymMatrix.from_full(np.zeros((2, 3)))
+
+    def test_repr_shows_the_stored_triangle(self):
+        assert repr(SymMatrix(2, [1.0, 0.0, 2.0])) == \
+            "SymMatrix(dim=2, entries=array([1., 0., 2.]))"
+
 
 class TestPucci:
     def test_worked_values(self):
@@ -218,6 +228,16 @@ class TestBoundaryHessian:
         with pytest.raises(DegenerateGradient):
             boundary_hessian(p, 0.0, 1.0, SymMatrix.diag([1.0]))
 
+    @pytest.mark.parametrize("alpha, c", [(0.5, 0.0), (1.0, 0.0),
+                                          (0.5, -0.7), (-0.5, -0.7)])
+    def test_zero_source_drops_the_weight(self, alpha, c):
+        # with f0 = 0 the weight |c|^(-alpha) f0 is 0 for every alpha, also
+        # at c = 0, where 0.0 ** -alpha raises for alpha > 0; the tangential
+        # part a c alone fixes A u_nn = -a c
+        p = PucciParams(1.0, 2.0, alpha=alpha)
+        h = boundary_hessian(p, c, 0.0, SymMatrix.diag([1.0]))
+        assert_allclose(np.diag(h.full()), [c, -0.5 * c], rtol=1e-15)
+
 
 def test_params_validation():
     with pytest.raises(ValueError):
@@ -226,3 +246,5 @@ def test_params_validation():
         PucciParams(0.0, 1.0)
     with pytest.raises(ValueError):
         PucciParams(1.0, 1.0, alpha=-1.0)
+    with pytest.raises(ValueError, match="must be a Variant"):
+        PucciParams(1.0, 1.0, "plus")

@@ -9,12 +9,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import brentq
 from scipy.special import j0, jn_zeros
 
-from pucci_lab import (Constant, EigenPower, IntegrationFailure,
-                       InvalidNeumannData, IterationLimit, NoZeroCrossing,
-                       OutOfDomain, PowerPair, PucciParams, SignBranchFailure,
-                       Source, Variant, closed_form_constant,
-                       neumann_constant, overdetermined_radius,
-                       principal_eigenvalue_ball, radial, shoot)
+from pucci_lab import (BracketFailure, Constant, EigenPower,
+                       IntegrationFailure, InvalidNeumannData, IterationLimit,
+                       NoZeroCrossing, OutOfDomain, PowerPair, PucciParams,
+                       SignBranchFailure, Source, Variant,
+                       closed_form_constant, neumann_constant,
+                       overdetermined_radius, principal_eigenvalue_ball,
+                       radial, shoot)
 
 # first positive zero of the Bessel function J0, squared: the Dirichlet
 # principal eigenvalue of the Laplacian on the unit disk.  Found by a root
@@ -149,6 +150,11 @@ class TestOverdeterminedRadius:
         with pytest.raises(InvalidNeumannData):
             overdetermined_radius(PucciParams(1.0, 1.0), 2, 0.5)
 
+    def test_variant_guard(self):
+        with pytest.raises(ValueError, match="plus variant"):
+            overdetermined_radius(PucciParams(1.0, 1.0, Variant.MINUS), 2,
+                                  -0.5)
+
 
 class TestShoot:
     def test_matches_closed_form_sweep(self):
@@ -185,6 +191,20 @@ class TestShoot:
         r = np.linspace(0.0, 1.0, 5)
         with pytest.raises(ValueError, match="set together"):
             radial.RadialProfile(r, 1.0 - r, -np.ones(5), first_zero=1.0)
+
+    def test_profile_arrays_checked(self):
+        r = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="share a length"):
+            radial.RadialProfile(r, 1.0 - r, -np.ones(4))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            radial.RadialProfile(r[::-1], 1.0 - r, -np.ones(5))
+
+    @pytest.mark.parametrize("r_max, h", [(1.0, 0.05), (1.0, 0.0),
+                                          (0.0, 1e-3)])
+    def test_rejects_short_range(self, r_max, h):
+        # the start radius is 10 h, so r_max must exceed 20 h
+        with pytest.raises(ValueError, match="r_max > 20 h"):
+            shoot(PucciParams(1.0, 1.0), 2, Constant(1.0), 0.25, r_max, h)
 
     def test_round_trip_radius(self):
         for alpha in (-0.5, 0.0, 1.0):
@@ -313,6 +333,18 @@ class TestBallEigenvalue:
         monkeypatch.setattr(radial, "shoot", no_shot)
         with pytest.raises(ValueError, match="finite, positive radius"):
             principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, radius)
+
+    @pytest.mark.parametrize("first_zero, side", [(None, "upper"),
+                                                  (0.5, "lower")])
+    def test_bracket_failure(self, first_zero, side, monkeypatch):
+        # a profile that never vanishes counts as vanishing at 4 R, past R
+        # at every lambda; one that vanishes at 0.5 R is short of it
+        def fixed_zero(*args):
+            return SimpleNamespace(first_zero=first_zero)
+
+        monkeypatch.setattr(radial, "shoot", fixed_zero)
+        with pytest.raises(BracketFailure, match=f"no {side} eigenvalue"):
+            principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0)
 
     def test_iteration_limit_carries_history(self):
         with pytest.raises(IterationLimit) as exc:

@@ -61,6 +61,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             SectorMesh(2, 0.1, 1.0)
 
+    @pytest.mark.parametrize("spacing", [0.0, -np.pi / 100])
+    def test_mesh_rejects_nonpositive_spacing(self, spacing):
+        with pytest.raises(ValueError, match="positive spacing"):
+            SectorMesh(2, 0.1, spacing)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SectorOperatorParams(1.5, 1.0)
@@ -101,6 +106,11 @@ class TestCoefficients:
         mesh.axes[1][-1] = np.pi / 2 - 1e-15  # pushed to the pole edge
         with pytest.raises(CoefficientBlowup):
             coefficients(mesh)
+        mesh = SectorMesh(3, 0.1, np.pi / 80)
+        mesh.axes[0] = mesh.axes[0].copy()
+        mesh.axes[0][0] = mesh.bounds[0][0]  # a theta1 node on its bound
+        with pytest.raises(CoefficientBlowup, match="open angular box"):
+            coefficients(mesh)
 
 
 class TestAssemble:
@@ -108,6 +118,12 @@ class TestAssemble:
         mesh = SectorMesh(2, 0.1, np.pi / 100)
         out = assemble_H(LAP, mesh, SectorField(mesh, np.zeros(mesh.shape)))
         assert_allclose(out.values, 0.0)
+
+    def test_rejects_a_field_of_another_mesh(self):
+        mesh = SectorMesh(2, 0.1, np.pi / 100)
+        other = SectorMesh(2, 0.1, np.pi / 50)
+        with pytest.raises(ValueError, match="disagree"):
+            assemble_H(LAP, mesh, SectorField(other, np.zeros(other.shape)))
 
     def test_n2_eigenfunction_anchor(self):
         mesh = SectorMesh(2, 0.0, np.pi / 200)
