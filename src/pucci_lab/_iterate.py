@@ -1,7 +1,9 @@
 """Iteration drivers shared by the grid and sector solvers.
 
-Both layers discretize an extremal operator that is piecewise linear in
-the nodal values, so the same four loops serve both:
+Both layers discretize an extremal operator that is a max or min of
+linear ones in the nodal values (over finitely many policies in the
+sector, over a continuum of angles on the grid), so the same four loops
+serve both:
 
 * ``policy_iterate``: Howard's algorithm (policy iteration; Bokanowski,
   Maroso and Zidani, SIAM J. Numer. Anal. 47, 2009).  Linearize at the
@@ -191,9 +193,10 @@ def inverse_power(step, x0, *, tol, max_power):
 def policy_eigen(linearize, factor, x0, *, tol, eig_tol, max_steps):
     """Principal eigenpair of -F by policy iteration on the pair.
 
-    F is a positively 1-homogeneous, piecewise linear operator on flat
-    arrays.  ``linearize(x)`` returns F[x] and a callable that builds its
-    CSC matrix frozen at the policy active at x, so F[x] = J(x) @ x, and
+    F is a positively 1-homogeneous operator on flat arrays, a max or min
+    of linear ones.  ``linearize(x)`` returns F[x] and a callable that
+    builds its CSC matrix frozen at the policy active at x, so
+    F[x] = J(x) @ x, and
     one linearization per freeze serves both the residual of the last
     freeze and the matrix of the next.  Each step freezes the policy at
     phi, takes the Perron pair of M = -J(phi) by shift-invert ``eigs``

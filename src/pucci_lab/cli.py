@@ -30,7 +30,8 @@ from .radial import (Constant, EigenPower, closed_form_constant,
 from .grid import (Disk, Ellipse, GridField, Polygon, boundary_data,
                    broken_weights, build_domain, comparison_check,
                    critical_plane_position, discretize_F, export_field_csv,
-                   neumann_trace, principal_eigenvalue_grid, reflection_gap,
+                   field_from_function, neumann_trace,
+                   principal_eigenvalue_grid, reflection_gap,
                    small_domain_check, solve_dirichlet)
 from .sector import (SectorMesh, SectorOperatorParams, export_sector_csv,
                      extrapolate_to_zero, gamma_exponent,
@@ -447,6 +448,29 @@ def cmd_properties(cfg, out_dir):
     checks.append(_at_least("monotone_scheme", scheme_gap, -1e-11))
     checks.append(_at_most("scheme_duality", grid_dual, 1e-10))
 
+    # consistency: on a rotated indefinite quadratic q with exact boundary
+    # data the scheme equals |grad q|^alpha M+(D^2 q); the gap is relative
+    # to A |D^2 q| sup|grad q|^alpha, and the linear term keeps
+    # 1 <= |grad q| <= 5 on the unit disk
+    consistency_gap = 0.0
+    for _ in range(trials):
+        turn, tilt = rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)
+        lam = rng.uniform(0.5, 2.0, 2) * (1.0, -1.0)
+        rot = np.array([[np.cos(turn), -np.sin(turn)],
+                        [np.sin(turn), np.cos(turn)]])
+        hess = rot @ np.diag(lam) @ rot.T
+        slope = 3.0 * np.array([np.cos(tilt), np.sin(tilt)])
+        quad = field_from_function(dom, lambda x, y: 0.5 * (
+            hess[0, 0] * x * x + hess[1, 1] * y * y) + hess[0, 1] * x * y
+            + slope[0] * x + slope[1] * y)
+        got = discretize_F(plus, dom, quad, weights).values
+        weight = np.hypot(*(pts @ hess + slope).T) ** plus.alpha
+        want = weight * pucci(plus, SymMatrix.from_full(hess))
+        consistency_gap = max(consistency_gap, float(
+            np.abs(got - want).max()
+            / (plus.A * np.abs(lam).max() * weight.max())))
+    checks.append(_at_most("consistency", consistency_gap, 1e-9))
+
     comp1 = comparison_check(plus, dom, Constant(1.0), 0.0, 0.2)
     comp2 = comparison_check(plus, dom, EigenPower(1.0), 0.0, 0.0)
     checks.append(_check("comparison_nonincreasing", comp1.passed,
@@ -463,7 +487,8 @@ def cmd_properties(cfg, out_dir):
                "stencil": "broken" if cfg["break_stencil"] else "default",
                "worst": {"duality": dual_gap, "monotone_matrix": mono_gap,
                          "homogeneity": hom_gap, "monotone_scheme": scheme_gap,
-                         "scheme_duality": grid_dual},
+                         "scheme_duality": grid_dual,
+                         "consistency": consistency_gap},
                "comparison": {"case1": comp1.case, "case2": comp2.case},
                "small_domain_sizes": list(small.sizes),
                "small_domain_threshold": small.threshold_size}

@@ -161,8 +161,8 @@ class Polygon:
         return Polygon(self.vertices * s)
 
 
-# the 16 lattice directions with offsets up to 3, in 8 orthogonal pairs;
-# each row of PAIRS indexes two perpendicular entries of DIRECTIONS
+# the 16 lattice directions with offsets up to 3, up to sign; the scheme
+# reads those its superbases need (the solver's _candidate_table)
 DIRECTIONS = np.array([
     (1, 0), (0, 1),
     (1, 1), (1, -1),
@@ -173,17 +173,18 @@ DIRECTIONS = np.array([
     (3, 2), (2, -3),
     (2, 3), (3, -2),
 ], dtype=int)
-PAIRS = np.arange(len(DIRECTIONS)).reshape(-1, 2)
+_LENGTHS = np.hypot(*DIRECTIONS.T)
 # the arm table's entry type, which bounds cells plus cuts
 _INDEX = np.int32
 
 
 def broken_weights():
     """Negative control: per-direction weights of the second differences,
-    1 except direction 2, which enters with a flipped sign and so destroys
-    monotonicity of the scheme."""
+    1 except direction 0, the x axis, which enters with a flipped sign and
+    so destroys monotonicity and consistency of the scheme; every
+    candidate reads it."""
     weights = np.ones(len(DIRECTIONS))
-    weights[2] = -1.0
+    weights[0] = -1.0
     return weights
 
 
@@ -224,12 +225,12 @@ class GridDomain:
     def n_cells(self):
         return len(self.pts)
 
-    def arm_lengths(self):
-        """Arm lengths shaped like ``nb``: |d| h for an arm along d, times
-        the cut fraction where the arm is cut."""
+    def arm_lengths(self, directions=slice(None)):
+        """Arm lengths shaped like ``nb[:, :, directions]``: |d| h for an
+        arm along d, times the cut fraction where the arm is cut."""
         arms = np.concatenate([np.ones(self.n_cells),
-                               self.cut_frac]).take(self.nb)
-        arms *= np.hypot(*DIRECTIONS.T) * self.h
+                               self.cut_frac]).take(self.nb[:, :, directions])
+        arms *= _LENGTHS[directions] * self.h
         return arms
 
     def full_array(self, values, fill=np.nan):

@@ -1,14 +1,22 @@
-"""Wide-stencil discretization of Pucci operators and the solvers on top.
+"""Consistent monotone discretization of Pucci operators and the solvers.
 
-The scheme forms, for each of 8 orthogonal direction pairs, the sum of
-second differences weighted by the ellipticity bounds, then takes the max
-(Plus) or min (Minus) over pairs.  With exact cut-cell arm lengths each
-second difference is exact on quadratics.  The scheme is monotone, but for
-a < A not consistent: it resolves the eigenframe of an indefinite Hessian
-(eigenvalues lam1 > 0 > lam2) only to the nearest pair, dtheta <= 9.2
-degrees off, and misses M by (A - a)(lam1 - lam2) sin^2(dtheta) at every h.
-It is exact on quadratics at a = A and where the Hessian is semidefinite
-or its frame lies on a pair.
+In the plane, M+(X) is the max and M-(X) the min of tr(alpha X) over the
+matrices alpha with eigenvalues in [a, A], and the extremum is attained
+at aI, at AI or at alpha(theta) = aI + (A - a) e e^T, e = (cos theta,
+sin theta).  Selling's formula writes each alpha(theta) exactly as
+sum_k rho_k v_k v_k^T with rho_k >= 0 over the three vectors v_k
+perpendicular to an alpha-obtuse superbase of Z^2 (Fehrenbach and
+Mirebeau, J. Math. Imaging Vis. 49, 2014; for Pucci, Bonnans, Bonnet and
+Mirebeau, ENUMATH 2019), so each candidate is discretized as
+sum_k rho_k |v_k|^2 delta_k with the cut-cell second differences delta_k
+along v_k.  On each arc of phi = 2 theta where one superbase is obtuse,
+rho_k is linear in (1, cos phi, sin phi), and so is a cell's candidate
+value; its extremum over the arc is found in closed form.  Plus takes the
+max and Minus the min over aI, AI and every arc.  The scheme is monotone
+(every weight is >= 0) and exact on quadratics for every a <= A.  Its
+reach grows with A/a: for A/a <= 5.8 it reads only (1, 0), (0, 1) and
+(1, +-1), the 9-point stencil; up to about 37.5 it stays within the 16
+lattice directions of the arm table, and beyond it raises ValueError.
 """
 
 from types import SimpleNamespace
@@ -19,8 +27,8 @@ import scipy.sparse.linalg as spla
 
 from .._iterate import (LU_OPTIONS, policy_eigen, policy_iterate, relax,
                         stencil_matrix)
-from ..operators import Variant, _coef
-from .domain import PAIRS, GridField, boundary_data
+from ..operators import Variant
+from .domain import DIRECTIONS, GridField, boundary_data
 
 # The weight |grad_h u|^alpha meets g = 0 two ways.  The operator floors g
 # for alpha < 0 only, where the weight is singular; for alpha > 0 it is
@@ -29,29 +37,134 @@ from .domain import PAIRS, GridField, boundary_data
 # gradient is 0.
 _GRAD_FLOOR = 1e-8
 _MAX_DAMPED = 400_000
+# alpha(-pi) = diag(a, A), for which the superbase (1, 0), (0, 1), (-1, -1)
+# is obtuse with the weight of (1, -1) turning positive: the walk round the
+# circle starts there
+_START_BASE = np.array([(1, 0), (0, 1), (-1, -1)])
+_DIRECTION_ID = {tuple(s * d): j for j, d in enumerate(DIRECTIONS)
+                 for s in (1, -1)}
 
 
-def _linearize(params, dom, values, bvals, weights=None):
+def _rho(base, a, A):
+    """Selling's weights for alpha(phi) on a superbase, one row (p, q, r)
+    per vector: rho_k(phi) = p + q cos phi + r sin phi is the weight of
+    the vector perpendicular to base[k], -u^T alpha(phi) v over the other
+    two vectors u and v, with alpha(phi) = (a + A)/2 I + (A - a)/2 R(phi)
+    and R(phi) the reflection [[cos, sin], [sin, -cos]]."""
+    (ux, uy), (vx, vy) = (np.roll(base, -k, axis=0).T for k in (1, 2))
+    return -np.stack([0.5 * (a + A) * (ux * vx + uy * vy),
+                      0.5 * (A - a) * (ux * vx - uy * vy),
+                      0.5 * (A - a) * (ux * vy + uy * vx)], axis=1)
+
+
+def _candidate_table(params):
+    """The candidates the scheme maximizes over, as linear forms on the
+    second differences of the directions it reads.
+
+    Rows are the two scalar candidates, the negative side first (aI then AI
+    for Plus, AI then aI for Minus), so that ties, u = 0 among them, freeze
+    the negative side; then one row per arc [lo, hi] of phi = 2 theta on
+    which one superbase is obtuse.  ``forms`` (5, n_dirs, rows) holds the
+    weights of the second differences along ``dirs``: p, q, r in
+    p + q cos phi + r sin phi (q = r = 0 for the scalar rows, whose arc is
+    the whole circle [-pi, pi]), then the weights at ``lo`` and at ``hi``,
+    where the weight that vanishes at that end is exactly 0, so that the
+    value at an end and the frozen matrix there read the same weights.
+
+    The arcs come from one walk of phi round the circle: at the end of an
+    arc one weight turns negative, and Selling's step on the other two
+    vectors (u, v, w) -> (-u, v, u - v) gives the superbase of the next
+    arc.  At a = A every alpha(theta) is aI and there are no arcs.  Raises
+    ValueError when a superbase needs a direction the arm table lacks.
+    """
+    a, A = params.a, params.A
+    arcs, base = [], _START_BASE
+    lo, enter = -np.pi, 2
+    while A > a:
+        vecs = np.stack([-base[:, 1], base[:, 0]], axis=1)
+        try:
+            dirs = [_DIRECTION_ID[tuple(v)] for v in vecs]
+        except KeyError:
+            raise ValueError(
+                f"A/a = {A / a:g} needs lattice directions beyond the "
+                f"{len(DIRECTIONS)} of the grid stencil") from None
+        # back at the start: the first superbase, entered through the same
+        # vector (it may be obtuse on a second arc, entered through another)
+        key = set(dirs), dirs[enter]
+        if not arcs:
+            start = key
+        elif key == start:
+            break
+        rho = _rho(base, a, A) * (vecs * vecs).sum(axis=1)[:, None]
+        p, q, r = rho.T
+        amp = np.hypot(q, r)
+        # each weight turns negative at psi + w, where psi is the phase of
+        # q cos + r sin and cos w = -p / amp; never where p >= amp
+        with np.errstate(invalid="ignore", divide="ignore"):
+            turn = np.arctan2(r, q) + np.arccos(np.clip(-p / amp, -1.0, 1.0))
+        ahead = np.where(p >= amp, np.inf, np.mod(turn - lo, 2.0 * np.pi))
+        leave = int(ahead.argmin())
+        arcs.append((dirs, rho, lo, lo + ahead[leave], enter, leave))
+        lo, enter = lo + ahead[leave], leave
+        i, j = (leave + 1) % 3, (leave + 2) % 3
+        base = base.copy()
+        base[i], base[leave] = -base[i], base[i] - base[j]
+
+    used = sorted({0, 1}.union(*(d for d, *_ in arcs)))
+    col = {j: c for c, j in enumerate(used)}
+    scalars = (a, A) if params.variant is Variant.PLUS else (A, a)
+    rows = len(scalars) + len(arcs)
+    forms = np.zeros((5, len(used), rows))
+    forms[[0, 3, 4], :2, :2] = scalars
+    bounds = np.tile([[-np.pi], [np.pi]], rows)
+    for m, (dirs, rho, arc_lo, arc_hi, enter, leave) in enumerate(arcs, 2):
+        cols = [col[j] for j in dirs]
+        forms[:3, cols, m] = rho.T
+        for k, end, zero in ((3, arc_lo, enter), (4, arc_hi, leave)):
+            w = np.maximum(rho @ (1.0, np.cos(end), np.sin(end)), 0.0)
+            w[zero] = 0.0
+            forms[k, cols, m] = w
+        bounds[:, m] = arc_lo, arc_hi
+    return SimpleNamespace(dirs=np.array(used), forms=forms, lo=bounds[0],
+                           hi=bounds[1])
+
+
+def _linearize(params, dom, values, bvals, table, weights=None):
     """The scheme at one iterate, read by the operator and the frozen
     matrix alike.
 
-    Holds the arm lengths, the 16 second differences (scaled by
-    ``weights``, one per direction, if given), each cell's active pair and
-    the core M_h(D^2 u), all read from the arm-end values (the arm table
-    indexes cell values followed by cut data).  For alpha != 0 it also
-    holds the centred axis gradients ``grad`` (gx, gy per cell) and
+    Holds the arm lengths of the directions ``table.dirs`` reads; each
+    cell's maximizer over the candidates, whose values are linear forms
+    in the second differences along those directions (scaled by
+    ``weights``, one per entry of ``DIRECTIONS``, if given), all read from
+    the arm-end values (the arm table indexes cell values followed by cut
+    data); and the core M_h(D^2 u).  The maximizer is the candidate row
+    ``pick``, with, per cell and row, the phase ``top`` of the angle
+    terms, whether it lies ``inside`` the arc, and whether the arc's low
+    end beats its high end (``lo_wins``).  For alpha != 0 it also holds
+    the centred axis gradients ``grad`` (gx, gy per cell) and
     g = |grad_h u|.  ``value`` is the operator and ``weight`` the frozen
     matrix's gradient weight.
     """
-    ends = np.concatenate([values, bvals]).take(dom.nb)
-    arms = dom.arm_lengths()
-    (vf, vb), (sf, sb), v0 = ends, arms, values[:, None]
+    vf, vb = np.concatenate([values, bvals]).take(dom.nb[:, :, table.dirs])
+    arms = dom.arm_lengths(table.dirs)
+    (sf, sb), v0 = arms, values[:, None]
     delta = 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
     if weights is not None:
-        delta = delta * weights
-    pairs, core = _active_pairs(params, delta)
-    lin = SimpleNamespace(arms=arms, delta=delta, pairs=pairs, core=core,
-                          value=core, weight=1.0)
+        delta *= weights[table.dirs]
+    # Minus is the max over the candidates of -tr(alpha X)
+    sign = 1.0 if params.variant is Variant.PLUS else -1.0
+    c0, c1, c2, at_lo, at_hi = (sign * delta) @ table.forms
+    # c1 cos + c2 sin peaks at its phase if that lies on the arc, and
+    # otherwise at the better end
+    top = np.arctan2(c2, c1)
+    inside = (table.lo <= top) & (top <= table.hi)
+    gain = np.where(inside, c0 + np.hypot(c1, c2), np.maximum(at_lo, at_hi))
+    pick = gain.argmax(axis=1)
+    core = sign * gain[np.arange(len(pick)), pick]
+    lin = SimpleNamespace(arms=arms, table=table, pick=pick,
+                          top=top, inside=inside, lo_wins=at_lo >= at_hi,
+                          core=core, value=core, weight=1.0)
     if params.alpha != 0.0:
         sf, sb, vf, vb = sf[:, :2], sb[:, :2], vf[:, :2], vb[:, :2]
         num = sb ** 2 * vf - sf ** 2 * vb + (sf ** 2 - sb ** 2) * v0
@@ -63,15 +176,16 @@ def _linearize(params, dom, values, bvals, weights=None):
     return lin
 
 
-def _active_pairs(params, delta):
-    """Each cell's extremal orthogonal pair and that pair's sum: the max
-    (Plus) or min (Minus) over pairs of the second differences, each taken
-    with the coefficient the variant puts on its sign."""
-    contrib = _coef(params, delta) * delta
-    psum = contrib[:, PAIRS[:, 0]] + contrib[:, PAIRS[:, 1]]
-    pick = (psum.argmax(axis=1) if params.variant is Variant.PLUS
-            else psum.argmin(axis=1))
-    return PAIRS[pick], psum[np.arange(len(pick)), pick]
+def _active_weights(lin):
+    """Each cell's weights on the second differences along
+    ``lin.table.dirs`` at its maximizer (Danskin), shape (n_cells, n_dirs),
+    clipped at 0 inside the arc and the table's end weights at an end."""
+    at = np.arange(len(lin.pick)), lin.pick
+    phi = lin.top[at][:, None]
+    p, q, r, at_lo, at_hi = lin.table.forms[:, :, lin.pick].transpose(0, 2, 1)
+    return np.where(lin.inside[at][:, None],
+                    np.maximum(p + q * np.cos(phi) + r * np.sin(phi), 0.0),
+                    np.where(lin.lo_wins[at][:, None], at_lo, at_hi))
 
 
 def discretize_F(params, dom, field, weights=None):
@@ -84,27 +198,26 @@ def discretize_F(params, dom, field, weights=None):
     if field.boundary_values is None:
         raise ValueError("field needs boundary_values to apply the operator")
     return GridField(dom, _linearize(params, dom, field.values,
-                                     field.boundary_values, weights).value)
+                                     field.boundary_values,
+                                     _candidate_table(params), weights).value)
 
 
 def _policy_matrix(params, dom, lin):
-    """Frozen matrix of the operator at the policy active at the iterate.
+    """Frozen matrix of the operator at the maximizer of the iterate.
 
     Freezes at the iterate of the linearization ``lin`` each cell's
-    extremal pair, the coefficient of the sign of each of its second
-    differences and the floored gradient weight.  There F(u) = M u + b
-    holds exactly wherever the gradient is above the floor, with b carrying
-    the cut-arm boundary values; M is an M-matrix.  Returns M (the Newton
-    step needs only M, since b enters through the residual).
+    maximizing candidate, its weights (``_active_weights``) and the floored
+    gradient weight.  The operator is positively 1-homogeneous in the
+    values and the cut data, so F(u) = M u + b holds exactly wherever the
+    gradient is above the floor, with b carrying the cut-arm boundary
+    values; M is an M-matrix.  Returns M (the Newton step needs only M,
+    since b enters through the residual).
     """
-    idx = np.arange(dom.n_cells)[:, None]
-    coef = (_coef(params, lin.delta[idx, lin.pairs])
-            * np.reshape(lin.weight, (-1, 1)))
-    arms = lin.arms[:, idx, lin.pairs]
-    sf, sb = arms
-    diag = coef * (-2.0) / (sf * sb)
-    return stencil_matrix(diag[:, 0] + diag[:, 1], dom.nb[:, idx, lin.pairs],
-                          coef * 2.0 / (arms * (sf + sb)))
+    coef = _active_weights(lin) * np.reshape(lin.weight, (-1, 1))
+    sf, sb = lin.arms
+    return stencil_matrix((coef * (-2.0) / (sf * sb)).sum(axis=1),
+                          dom.nb[:, :, lin.table.dirs],
+                          coef * 2.0 / (lin.arms * (sf + sb)))
 
 
 def _gradient_matrix(params, dom, lin):
@@ -137,8 +250,9 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     """Solve F[u] + f(u) = 0 with Dirichlet data g on the cut boundary.
 
     method="policy" is semismooth Newton with one new LU factor per step.
-    At alpha = 0 a step linearizes the pair extremum at the current
-    iterate, which is Howard's policy update when f is linear; its matrix
+    At alpha = 0 a step linearizes the candidate extremum at the current
+    iterate (Danskin: the weights of each cell's maximizer), which is
+    Howard's policy update when f is linear; its matrix
     is an M-matrix and every step is a full one.  For alpha != 0 the
     matrix also keeps the derivative of the gradient weight
     |grad_h u|^alpha, where the gradient is above the floor, so the step
@@ -146,9 +260,11 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     Jacobian is not an M-matrix, so each step is halved until sup|r|
     falls, down to a fixed shortest step.
     method="damped" is the explicit fixed-point iteration
-    u <- u + tau*(F[u] + f(u)) with tau = 0.45 / (A * max 2/(s_f s_b)); it
-    needs no linear algebra, but tau shrinks with the smallest cut arm, so
-    it is practical only on coarse grids.
+    u <- u + tau*(F[u] + f(u)) with tau = 0.45 / (A * max 2/(s_f s_b)),
+    the max over the arms the scheme reads (a candidate's weights sum to
+    tr(alpha) <= 2A, so tau keeps every diagonal below 0.9/tau); it needs
+    no linear algebra, but tau shrinks with the smallest cut arm, so it is
+    practical only on coarse grids.
 
     Convergence is declared on the true assembled residual:
     sup |F[u] + f(u)| <= tol * max(1, sup|u|).  IterationLimit carries
@@ -158,9 +274,10 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         raise ValueError(f"unknown method {method!r}")
     bvals = boundary_data(dom, g)
     u = np.zeros(dom.n_cells) if u0 is None else GridField(dom, u0).values
+    table = _candidate_table(params)
 
     def linearize(v):
-        lin = _linearize(params, dom, v, bvals)
+        lin = _linearize(params, dom, v, bvals, table)
 
         def freeze():
             mat = _policy_matrix(params, dom, lin)
@@ -170,7 +287,7 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         return lin.value + source.evaluate(v, params.alpha), freeze
 
     if method == "damped":
-        sf, sb = dom.arm_lengths()
+        sf, sb = dom.arm_lengths(table.dirs)
         u = relax(lambda v: linearize(v)[0], u,
                   0.45 / (params.A * (2.0 / (sf * sb)).max()), tol=tol,
                   max_steps=_MAX_DAMPED)
@@ -187,7 +304,7 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
                               inner_tol=1e-10):
     """Principal half-eigenvalue by policy iteration on the eigenpair.
 
-    Freezes the pair policy at phi (zero boundary data), takes the
+    Freezes each cell's maximizer at phi (zero boundary data), takes the
     principal eigenpair of the frozen M-matrix with one ``eigs`` call of
     relative tolerance ``inner_tol``, and refreezes; at most ``max_power``
     freezes.  Stops when sup|F[phi] + lambda*phi| <= tol * lambda, with
@@ -199,9 +316,10 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     if params.alpha != 0.0:
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
     bvals = np.zeros(len(dom.cut_xy))
+    table = _candidate_table(params)
 
     def linearize(v):
-        lin = _linearize(params, dom, v, bvals)
+        lin = _linearize(params, dom, v, bvals, table)
         return lin.value, lambda: _policy_matrix(params, dom, lin)
 
     lam, phi = policy_eigen(linearize, _factor, np.ones(dom.n_cells),

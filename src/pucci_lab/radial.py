@@ -36,8 +36,9 @@ class Source:
     A term whose coefficient is 0 is skipped, so f and f' stay finite where
     |u|^alpha is not (alpha < 0 at u = 0).  Both methods return arrays
     shaped like ``u``; ``c`` may itself be an array of that shape.  The
-    absorbing term needs mu >= 0 and a supercritical exponent,
-    beta > 1 + alpha, for the comparison structure it exercises.
+    absorbing term needs mu >= 0 (checked on construction) and a
+    supercritical exponent, beta > 1 + alpha (checked on evaluation, since
+    alpha is the operator's), for the comparison structure it exercises.
     """
 
     c: float = 0.0
@@ -45,9 +46,11 @@ class Source:
     mu: float = 0.0
     beta: float = np.inf  # passes the beta check when there is no mu term
 
-    def evaluate(self, u, alpha):
+    def __post_init__(self):
         if self.mu < 0.0:
             raise ValueError(f"need mu >= 0, got {self.mu}")
+
+    def evaluate(self, u, alpha):
         if not (self.beta > 1.0 + alpha):
             raise ValueError(
                 f"need beta > 1 + alpha, got beta={self.beta}, alpha={alpha}")
@@ -58,7 +61,9 @@ class Source:
         if self.mu:
             g = g - self.mu * np.abs(u) ** self.beta
         f = np.sign(u) * g
-        return f + self.c if np.any(self.c) else f
+        # a scalar c is tested without a numpy reduction (the shooter calls
+        # this once per stage with a scalar u); an array c is added as is
+        return f + self.c if isinstance(self.c, np.ndarray) or self.c else f
 
     def evaluate_deriv(self, u, alpha):
         d = np.zeros_like(u, dtype=float)

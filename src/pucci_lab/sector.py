@@ -370,9 +370,13 @@ def barrier_eval(gamma, psi, r, theta):
     w = r^gamma * psi(theta) with psi interpolated linearly; the gradient
     estimate is r^(gamma-1) * sqrt(gamma^2 psi^2 + |Gamma grad_theta psi|^2).
     With gamma >= 2, as ``gamma_exponent`` returns, both vanish at r = 0.
+    Raises ValueError for r < 0 and for a gamma below 1 or not finite,
+    where the gradient estimate is unbounded at r = 0.
     """
     if r < 0.0:
         raise ValueError(f"need r >= 0, got {r}")
+    if not 1.0 <= gamma < np.inf:
+        raise ValueError(f"need a finite gamma >= 1, got {gamma}")
     mesh = psi.mesh
     val = _interp_field(mesh, psi.values, theta)
     t = np.atleast_1d(theta)[:len(mesh.axes)]

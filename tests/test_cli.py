@@ -200,6 +200,7 @@ class TestPropertiesCommand:
         rep = read_report(tmp_path, "properties")
         names = {c["name"]: c["passed"] for c in rep["checks"]}
         assert names["monotone_scheme"] is False
+        assert names["consistency"] is False
         assert names["matrix_duality"] is True
 
     def test_scheme_duality_reports_the_worst_trial(self, tmp_path,

@@ -532,6 +532,13 @@ class TestBarrier:
         with pytest.raises(ValueError):
             barrier_eval(gam, psi, -1.0, (np.pi / 4,))
 
+    @pytest.mark.parametrize("gamma", [0.5, np.inf, np.nan])
+    def test_rejects_gamma_below_one_or_not_finite(self, solved, gamma):
+        # 0.0 ** (0.5 - 1) would raise ZeroDivisionError at r = 0
+        _, psi, _ = solved
+        with pytest.raises(ValueError, match="finite gamma >= 1"):
+            barrier_eval(gamma, psi, 0.0, (np.pi / 4,))
+
     def test_margins_at_fixed_point(self, solved):
         params, psi, gam = solved
         margins = barrier_margin(params, psi, gam, n_samples=80, seed=3)
