@@ -418,6 +418,10 @@ def cmd_properties(cfg, out_dir):
 
     weights = broken_weights() if cfg["break_stencil"] else None
     dom = build_domain(Disk(1.0), cfg["grid_h"])
+    # the comparison solves resolve the directions the scheme reads at
+    # (a, A), so the cut data sampled below covers every cut it reads
+    comp1 = comparison_check(plus, dom, Constant(1.0), 0.0, 0.2)
+    comp2 = comparison_check(plus, dom, EigenPower(1.0), 0.0, 0.0)
     bv = boundary_data(dom, 0.0)
     pts = dom.pts
     # deterministic probe: concave paraboloid plus a single-cell bump on
@@ -471,8 +475,6 @@ def cmd_properties(cfg, out_dir):
             / (plus.A * np.abs(lam).max() * weight.max())))
     checks.append(_at_most("consistency", consistency_gap, 1e-9))
 
-    comp1 = comparison_check(plus, dom, Constant(1.0), 0.0, 0.2)
-    comp2 = comparison_check(plus, dom, EigenPower(1.0), 0.0, 0.0)
     checks.append(_check("comparison_nonincreasing", comp1.passed,
                          comp1.gap, comp1.threshold))
     checks.append(_check("comparison_homogeneous", comp2.passed,

@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import IterationLimit, OutOfDomain, ReflectionOutOfDomain
 from ..radial import Source
 from .domain import boundary_data, build_domain
-from .solver import solve_dirichlet
+from .solver import _resolved_table, solve_dirichlet
 
 
 def neumann_trace(field):
@@ -141,6 +141,8 @@ def comparison_check(params, dom, source, g1, g2, *, tol=1e-8):
     solution size.
     """
     case = _comparison_case(source)
+    # order the data on every cut the solves read
+    _resolved_table(params, dom)
     b1 = boundary_data(dom, g1)
     b2 = boundary_data(dom, g2)
     if np.any(b1 > b2 + 1e-12):

@@ -161,8 +161,9 @@ class Polygon:
         return Polygon(self.vertices * s)
 
 
-# the 16 lattice directions with offsets up to 3, up to sign; the scheme
-# reads those its superbases need (the solver's _candidate_table)
+# the 12 lattice directions with offsets up to 3, up to sign, that the
+# scheme's superbases read (the solver's _candidate_table), in the order
+# they join: every table reads a prefix of 2, 4, 8 or 12 of them
 DIRECTIONS = np.array([
     (1, 0), (0, 1),
     (1, 1), (1, -1),
@@ -170,8 +171,6 @@ DIRECTIONS = np.array([
     (1, 2), (2, -1),
     (3, 1), (1, -3),
     (1, 3), (3, -1),
-    (3, 2), (2, -3),
-    (2, 3), (3, -2),
 ], dtype=int)
 _LENGTHS = np.hypot(*DIRECTIONS.T)
 # the arm table's entry type, which bounds cells plus cuts
@@ -191,13 +190,19 @@ def broken_weights():
 class GridDomain:
     """Uniform lattice restricted to a shape, with stencil connectivity.
 
-    ``nb`` is the one arm table, int32 of shape (2, n_cells, n_directions),
-    the forward side first (``nbf, nbb = nb``): the forward/backward arm of
+    ``nb`` is the one arm table, int32 of shape (2, n_cells, k), the
+    forward side first (``nbf, nbb = nb``): the forward/backward arm of
     cell c along direction j ends at entry i = nbf[c, j] (nbb[c, j]).  An
     entry i < n_cells is the neighbouring cell; an entry i >= n_cells is
     the cut point ``cut_xy[i - n_cells]``, where the arm leaves the shape.
     Each cut point belongs to exactly one arm, so values and boundary data
-    concatenated address every arm end.  The domain stores no arm lengths:
+    concatenated address every arm end.  The table holds the first k
+    entries of ``DIRECTIONS``: the build resolves the 9-point stencil
+    (k = 4), and a solver whose scheme reads farther resolves the prefix
+    it reads once, at first read (``_resolve``); the new columns and cut
+    points are appended, so every arm end handed out keeps its id, and
+    boundary data sampled before a resolve no longer covers the cuts.
+    The domain stores no arm lengths:
     an arm along d has length |d| h, times ``cut_frac`` where it is cut, and
     ``arm_lengths()`` reads them through the arm table, as arm-end values
     are read; the solver asks once per linearization.
@@ -214,7 +219,7 @@ class GridDomain:
     cell_id: np.ndarray   # (nx, ny) cell index, -1 outside
     cells: np.ndarray     # (n_cells, 2) lattice indices of the cells
     pts: np.ndarray       # (n_cells, 2) cell centres
-    nb: np.ndarray        # (2, n_cells, n_directions) int32 arm ends
+    nb: np.ndarray        # (2, n_cells, k) int32 arm ends, k resolved
     nbf: np.ndarray       # nb[0], the forward arm ends
     nbb: np.ndarray       # nb[1], the backward arm ends
     cut_frac: np.ndarray  # (n_cuts,) share of its full length a cut arm keeps
@@ -230,7 +235,7 @@ class GridDomain:
         arm along d, times the cut fraction where the arm is cut."""
         arms = np.concatenate([np.ones(self.n_cells),
                                self.cut_frac]).take(self.nb[:, :, directions])
-        arms *= _LENGTHS[directions] * self.h
+        arms *= _LENGTHS[:self.nb.shape[2]][directions] * self.h
         return arms
 
     def full_array(self, values, fill=np.nan):
@@ -253,14 +258,15 @@ class GridDomain:
 
 
 def build_domain(shape, h):
-    """Mask the lattice, wire stencil neighbours, and resolve all cuts.
+    """Mask the lattice, wire the 9-point stencil, and resolve its cuts.
 
     Raises
     ------
     InvalidShape
         For degenerate shapes, a spacing h that is not finite and positive,
         grids with fewer than 100 interior cells, or more cells and cuts
-        than the int32 arm table can address.
+        than the int32 arm table can address (also raised by a later
+        ``_resolve``).
     """
     if not 0.0 < h < np.inf:
         raise InvalidShape(f"grid spacing must be finite and positive, "
@@ -290,45 +296,73 @@ def build_domain(shape, h):
     pts = centers[cells[:, 0], cells[:, 1]]
 
     dom.mask, dom.cell_id, dom.cells, dom.pts = mask, cell_id, cells, pts
+    dom.nb = np.empty((2, n_in, 0), dtype=_INDEX)
+    dom.cut_frac, dom.cut_xy = np.empty(0), np.empty((0, 2))
+    # the 9-point stencil, all the scheme reads for A/a <= 5.83
+    _resolve(dom, 4, level[mask])
+    _build_boundary_samples(dom)
+    return dom
 
-    # the arm table, filled one direction and side at a time; the 5h margin
-    # keeps every arm end of a cell on the lattice
-    nb = np.empty((2, n_in, len(DIRECTIONS)), dtype=_INDEX)
-    inside, flat_id = level[mask], cell_id.reshape(-1)
-    at = cells[:, 0] * ny + cells[:, 1]
+
+def _resolve(dom, k, inside=None):
+    """Extend the arm table to the first k directions (no-op if it holds
+    them), one direction and side at a time.
+
+    The new columns are appended to ``nb`` and their cut points after the
+    existing ones, ordered by direction, then side, then cell, which is the
+    order of the cut ids; so resolving in steps gives the table of one
+    step, and every arm end already handed out keeps its id.  ``inside``
+    is the level of the cell centres, taken from the shape if not given.
+
+    Raises
+    ------
+    InvalidShape
+        Where the cells and cuts would overflow the arm table's entry
+        type; the domain is then left as it was.
+    """
+    done = dom.nb.shape[2]
+    if k <= done:
+        return
+    if inside is None:
+        inside = dom.shape.level(dom.pts)
+    n_in, ny, h = dom.n_cells, dom.ny, dom.h
+    # the 5h lattice margin keeps every arm end of a cell on the lattice
+    flat_id = dom.cell_id.reshape(-1)
+    at = dom.cells[:, 0] * ny + dom.cells[:, 1]
+    new = np.empty((2, n_in, k - done), dtype=dom.nb.dtype)
     near = []
-    for j, full in enumerate(np.hypot(*DIRECTIONS.T) * h):
+    for j in range(done, k):
         # an arm is cut where it ends off the cells (at t = 1 if its end
         # rounds inside the shape) or where it crosses the boundary before
         # reaching a cell, which needs the cell to lie within one arm length
         # of it (level is a signed distance for polygons; a convex shape
         # holds every segment between two of its cells)
-        close = inside > -full
+        close = inside > -_LENGTHS[j] * h
         for side, sign in enumerate((1, -1)):
             end = flat_id[at + sign * (DIRECTIONS[j] @ (ny, 1))]
-            nb[side, :, j] = end
+            new[side, :, j - done] = end
             near.append((side * n_in + np.flatnonzero((end < 0) | close))
-                        * len(DIRECTIONS) + j)
-    # the candidate arms as flat positions in nb, ordered by direction,
-    # then side, then cell, which is the order of the cut ids
+                        * (k - done) + j - done)
+    # the candidate arms as flat positions in the new columns, in the
+    # order of the cut ids
     pos = np.concatenate(near)
-    side, cell, j = np.unravel_index(pos, nb.shape)
-    offs = np.where(side == 0, 1, -1)[:, None] * DIRECTIONS[j] * h
-    t = shape.exit_fraction(pts[cell], offs)
-    cut = (t < 1.0) | (nb.reshape(-1)[pos] < 0)
+    side, cell, j = np.unravel_index(pos, new.shape)
+    offs = np.where(side == 0, 1, -1)[:, None] * DIRECTIONS[done + j] * h
+    t = dom.shape.exit_fraction(dom.pts[cell], offs)
+    cut = (t < 1.0) | (new.reshape(-1)[pos] < 0)
     pos, cell, t, offs = pos[cut], cell[cut], t[cut], offs[cut]
-    if n_in + pos.size > np.iinfo(_INDEX).max:
-        raise InvalidShape(f"{n_in} cells and {pos.size} cuts at h={h} "
-                           f"overflow the {_INDEX.__name__} arm table")
-    nb.reshape(-1)[pos] = n_in + np.arange(pos.size)
+    n_cut = len(dom.cut_frac) + pos.size
+    if n_in + n_cut > np.iinfo(new.dtype).max:
+        raise InvalidShape(f"{n_in} cells and {n_cut} cuts in {k} "
+                           f"directions at h={h} overflow the "
+                           f"{new.dtype.name} arm table")
+    new.reshape(-1)[pos] = np.arange(n_in + n_cut - pos.size, n_in + n_cut)
 
-    dom.nb = nb
-    dom.nbf, dom.nbb = nb
-    dom.cut_frac = t
-    dom.cut_xy = pts[cell] + t[:, None] * offs
-
-    _build_boundary_samples(dom)
-    return dom
+    dom.nb = np.concatenate([dom.nb, new], axis=2)
+    dom.nbf, dom.nbb = dom.nb
+    dom.cut_frac = np.concatenate([dom.cut_frac, t])
+    dom.cut_xy = np.concatenate([dom.cut_xy,
+                                 dom.pts[cell] + t[:, None] * offs])
 
 
 def _build_boundary_samples(dom):
@@ -343,8 +377,7 @@ def _build_boundary_samples(dom):
     # the unit inward step runs against the cut arm
     e_dot_n = np.where(side == 0, -1.0, 1.0) * normal[np.arange(len(point)), axis]
     cell1 = ends[1 - side, cell, axis]
-    # an axis arm is h long before its cut
-    s = dom.cut_frac[cut] * dom.h
+    s = dom.arm_lengths(slice(2))[side, cell, axis]
     # keep cuts where this axis is the dominant normal direction and
     # a second interior cell exists along the inward line
     keep = (np.abs(e_dot_n) >= 0.5) & (cell1 < n)

@@ -14,9 +14,12 @@ rho_k is linear in (1, cos phi, sin phi), and so is a cell's candidate
 value; its extremum over the arc is found in closed form.  Plus takes the
 max and Minus the min over aI, AI and every arc.  The scheme is monotone
 (every weight is >= 0) and exact on quadratics for every a <= A.  Its
-reach grows with A/a: for A/a <= 5.8 it reads only (1, 0), (0, 1) and
-(1, +-1), the 9-point stencil; up to about 37.5 it stays within the 16
-lattice directions of the arm table, and beyond it raises ValueError.
+reach grows with A/a: for A/a <= 5.83 it reads only (1, 0), (0, 1) and
+(1, +-1), the 9-point stencil, which is all a domain resolves when it is
+built; up to 17.94 it reads 8 and below 37.97 the 12 lattice directions of
+``DIRECTIONS``, and from there on it raises ValueError.  ``solve_dirichlet``,
+``principal_eigenvalue_grid`` and ``discretize_F`` resolve the directions
+their table reads on the domain before they sample or read cut data.
 """
 
 from types import SimpleNamespace
@@ -28,7 +31,7 @@ import scipy.sparse.linalg as spla
 from .._iterate import (LU_OPTIONS, policy_eigen, policy_iterate, relax,
                         stencil_matrix)
 from ..operators import Variant
-from .domain import DIRECTIONS, GridField, boundary_data
+from .domain import DIRECTIONS, GridField, _resolve, boundary_data
 
 # The weight |grad_h u|^alpha meets g = 0 two ways.  The operator floors g
 # for alpha < 0 only, where the weight is singular; for alpha > 0 it is
@@ -75,7 +78,7 @@ def _candidate_table(params):
     arc one weight turns negative, and Selling's step on the other two
     vectors (u, v, w) -> (-u, v, u - v) gives the superbase of the next
     arc.  At a = A every alpha(theta) is aI and there are no arcs.  Raises
-    ValueError when a superbase needs a direction the arm table lacks.
+    ValueError when a superbase needs a direction ``DIRECTIONS`` lacks.
     """
     a, A = params.a, params.A
     arcs, base = [], _START_BASE
@@ -127,6 +130,14 @@ def _candidate_table(params):
         bounds[:, m] = arc_lo, arc_hi
     return SimpleNamespace(dirs=np.array(used), forms=forms, lo=bounds[0],
                            hi=bounds[1])
+
+
+def _resolved_table(params, dom):
+    """The candidate table of ``params``, with ``dom`` resolved to the
+    directions it reads (a prefix of ``DIRECTIONS``)."""
+    table = _candidate_table(params)
+    _resolve(dom, table.dirs[-1] + 1)
+    return table
 
 
 def _linearize(params, dom, values, bvals, table, weights=None):
@@ -191,15 +202,23 @@ def _active_weights(lin):
 def discretize_F(params, dom, field, weights=None):
     """Apply the discrete operator |grad u|^alpha * M(D^2 u) cellwise.
 
-    ``field.boundary_values`` must be set; cut arms read from it.
+    ``field.boundary_values`` must be set on every cut of the domain
+    resolved to the directions the scheme reads; cut arms read from it.
     ``weights``, one per stencil direction, scale the second differences;
     the negative controls inject ``broken_weights()`` this way.
     """
     if field.boundary_values is None:
         raise ValueError("field needs boundary_values to apply the operator")
+    table = _resolved_table(params, dom)
+    if len(field.boundary_values) != len(dom.cut_xy):
+        raise ValueError(
+            f"field has {len(field.boundary_values)} boundary values but "
+            f"the domain has {len(dom.cut_xy)} cut points in the "
+            f"{len(table.dirs)} directions A/a = {params.A / params.a:g} "
+            f"reads; sample the field after the domain resolves them")
     return GridField(dom, _linearize(params, dom, field.values,
-                                     field.boundary_values,
-                                     _candidate_table(params), weights).value)
+                                     field.boundary_values, table,
+                                     weights).value)
 
 
 def _policy_matrix(params, dom, lin):
@@ -272,9 +291,9 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     """
     if method not in ("policy", "damped"):
         raise ValueError(f"unknown method {method!r}")
+    table = _resolved_table(params, dom)
     bvals = boundary_data(dom, g)
     u = np.zeros(dom.n_cells) if u0 is None else GridField(dom, u0).values
-    table = _candidate_table(params)
 
     def linearize(v):
         lin = _linearize(params, dom, v, bvals, table)
@@ -315,8 +334,8 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     """
     if params.alpha != 0.0:
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
+    table = _resolved_table(params, dom)
     bvals = np.zeros(len(dom.cut_xy))
-    table = _candidate_table(params)
 
     def linearize(v):
         lin = _linearize(params, dom, v, bvals, table)

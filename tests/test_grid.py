@@ -28,7 +28,7 @@ from pucci_lab.grid import solver as solver_module
 from pucci_lab.grid.diagnostics import _comparison_case
 from pucci_lab.grid.solver import (_GRAD_FLOOR, _active_weights,
                                    _candidate_table, _linearize,
-                                   _policy_matrix)
+                                   _policy_matrix, _resolved_table)
 
 DISK_LAPLACE_EIG = brentq(j0, 2.0, 3.0) ** 2
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -40,6 +40,11 @@ WIDE = PucciParams(0.5, 2.0)
 @pytest.fixture(scope="module")
 def disk_dom():
     return build_domain(Disk(1.0), 0.05)
+
+
+@pytest.fixture(scope="module")
+def disk_resolved():
+    return resolved(Disk(1.0), 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +71,13 @@ def count_freezes(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_policy_matrix", recording)
     return calls
+
+
+def resolved(shape, h, k=len(DIRECTIONS)):
+    """A domain whose arm table holds the first k directions."""
+    dom = build_domain(shape, h)
+    domain_module._resolve(dom, k)
+    return dom
 
 
 def linearized(params, dom, values, bvals):
@@ -103,9 +115,9 @@ class TestDomain:
         r = np.hypot(disk_dom.pts[:, 0], disk_dom.pts[:, 1])
         assert r.max() < 1.0
 
-    def test_arm_lengths_positive_and_bounded(self, disk_dom):
-        norms = np.hypot(*DIRECTIONS.T) * disk_dom.h
-        armf, armb = disk_dom.arm_lengths()
+    def test_arm_lengths_positive_and_bounded(self, disk_resolved):
+        norms = np.hypot(*DIRECTIONS.T) * disk_resolved.h
+        armf, armb = disk_resolved.arm_lengths()
         assert armf.min() > 0.0
         assert np.all(armf <= norms[None, :] * (1 + 1e-12))
         assert np.all(armb <= norms[None, :] * (1 + 1e-12))
@@ -115,14 +127,14 @@ class TestDomain:
                                        Polygon(L_SHAPE)],
                              ids=["disk", "ellipse", "triangle", "L"])
     def test_cut_points_on_boundary(self, shape):
-        dom = build_domain(shape, 0.05)
+        dom = resolved(shape, 0.05)
         assert np.abs(shape.level(dom.cut_xy)).max() < 1e-12
 
     @pytest.mark.parametrize("shape", [Disk(1.0),
                                        Polygon([(0, 0), (2, 0), (0.5, 1.5)])],
                              ids=["disk", "triangle"])
     def test_arm_table_addresses_cells_and_cuts(self, shape):
-        dom = build_domain(shape, 0.05)
+        dom = resolved(shape, 0.05)
         n, n_cut = dom.n_cells, len(dom.cut_xy)
         dirs = DIRECTIONS
         armf, armb = dom.arm_lengths()
@@ -147,7 +159,7 @@ class TestDomain:
     def test_arm_lengths_from_the_cut_fractions(self, shape):
         # the table stores ends only: an arm along d is |d| h long, times
         # its cut fraction where it is cut
-        dom = build_domain(shape, 0.05)
+        dom = resolved(shape, 0.05)
         n = dom.n_cells
         assert dom.nbf.dtype == dom.nbb.dtype == np.int32
         full = np.broadcast_to(np.hypot(*DIRECTIONS.T) * dom.h,
@@ -159,9 +171,12 @@ class TestDomain:
 
     def test_kept_arrays_per_cell(self):
         # the unit disk at h = 0.02 kept 578 bytes per cell when the
-        # domain stored int64 ends and float arm lengths
+        # domain stored int64 ends and float arm lengths, and 202 with
+        # int32 ends in 16 directions and 8,172 cuts; the build resolves
+        # the 9-point stencil only
         dom = build_domain(Disk(1.0), 0.02)
-        assert (dom.n_cells, len(dom.cut_xy)) == (7860, 8172)
+        assert dom.nb.shape == (2, 7860, 4)
+        assert (dom.n_cells, len(dom.cut_xy)) == (7860, 964)
         arrays = [v for v in vars(dom).values() if isinstance(v, np.ndarray)]
         arrays += list(dom.boundary.values())
         buffers = {}
@@ -170,7 +185,7 @@ class TestDomain:
                 a = a.base
             buffers[id(a)] = a.nbytes
         kept = sum(buffers.values())
-        assert kept <= 250 * dom.n_cells
+        assert kept <= 100 * dom.n_cells
 
     @pytest.mark.parametrize("h", [0.0, -0.05, np.nan, np.inf])
     def test_rejects_bad_spacing(self, h):
@@ -178,12 +193,73 @@ class TestDomain:
             build_domain(Disk(1.0), h)
 
     def test_rejects_tables_past_the_index_type(self, monkeypatch):
-        # cells plus cuts must fit the arm table's entries: 7,860 + 8,172
+        # cells plus cuts must fit the arm table's entries: 7,860 + 964
         # do in int16, and 31,4xx cells with their cuts do not
         monkeypatch.setattr(domain_module, "_INDEX", np.int16)
         assert build_domain(Disk(1.0), 0.02).nb.dtype == np.int16
         with pytest.raises(InvalidShape, match="int16"):
             build_domain(Disk(1.0), 0.01)
+
+    def test_rejects_resolves_past_the_index_type(self, monkeypatch):
+        # 25,984 cells and the 1,756 cuts of the 9-point stencil fit int16,
+        # the 9,604 cuts of 12 directions do not; a failed resolve leaves
+        # the domain as it was
+        monkeypatch.setattr(domain_module, "_INDEX", np.int16)
+        dom = build_domain(Disk(1.0), 0.011)
+        assert (dom.n_cells, len(dom.cut_xy)) == (25984, 1756)
+        nb, cut_xy = dom.nb.copy(), dom.cut_xy.copy()
+        with pytest.raises(InvalidShape, match="9604 cuts.*int16"):
+            domain_module._resolve(dom, len(DIRECTIONS))
+        assert_array_equal(dom.nb, nb)
+        assert_array_equal(dom.cut_xy, cut_xy)
+        assert len(dom.cut_frac) == len(cut_xy)
+
+    @pytest.mark.parametrize("shape", [Disk(1.0), Polygon(L_SHAPE)],
+                             ids=["disk", "L"])
+    def test_resolve_in_steps_equals_one_step(self, shape):
+        steps = resolved(shape, 0.05, 8)
+        domain_module._resolve(steps, 12)
+        once = resolved(shape, 0.05, 12)
+        for name in ("nb", "cut_frac", "cut_xy"):
+            assert_array_equal(getattr(steps, name), getattr(once, name))
+
+    @pytest.mark.parametrize("shape", [Disk(1.0), Polygon(L_SHAPE)],
+                             ids=["disk", "L"])
+    def test_resolve_keeps_the_arms_handed_out(self, shape):
+        # new directions append columns and cuts: every arm end and cut
+        # already resolved keeps its id and its point
+        dom = build_domain(shape, 0.05)
+        nb, cut_frac, cut_xy = dom.nb.copy(), dom.cut_frac, dom.cut_xy
+        boundary = dict(dom.boundary)
+        domain_module._resolve(dom, len(DIRECTIONS))
+        assert dom.nb.shape[2] == len(DIRECTIONS)
+        assert len(dom.cut_xy) > len(cut_xy)
+        assert_array_equal(dom.nb[:, :, :4], nb)
+        assert_array_equal(dom.cut_frac[:len(cut_frac)], cut_frac)
+        assert_array_equal(dom.cut_xy[:len(cut_xy)], cut_xy)
+        assert_array_equal(dom.nbf, dom.nb[0])
+        assert_array_equal(dom.nbb, dom.nb[1])
+        assert dom.boundary.keys() == boundary.keys()
+        for key, v in boundary.items():
+            assert_array_equal(dom.boundary[key], v)
+        # resolving what the table holds changes nothing
+        nb = dom.nb
+        domain_module._resolve(dom, 8)
+        assert dom.nb is nb
+
+    @pytest.mark.parametrize("ratio, reach", [(1.0, 4), (5.8, 4), (10.0, 8),
+                                              (30.0, 12)])
+    def test_solvers_resolve_what_the_scheme_reads(self, ratio, reach):
+        # a domain holds the 9-point stencil until a scheme reads farther,
+        # which keeps the arm table of every A/a <= 5.8 at 4 directions
+        params = PucciParams(0.5, 0.5 * ratio)
+        dom = build_domain(Disk(1.0), 0.1)
+        sol = solve_dirichlet(params, dom, Constant(1.0))
+        assert dom.nb.shape[2] == reach
+        assert len(sol.boundary_values) == len(dom.cut_xy)
+        dom = build_domain(Disk(1.0), 0.1)
+        principal_eigenvalue_grid(params, dom)
+        assert dom.nb.shape[2] == reach
 
     @pytest.mark.parametrize("shape, start, offset, t", [
         # the chord from (0, 0.5) along +x leaves at x = 2 sqrt(3/4)
@@ -209,7 +285,7 @@ class TestDomain:
 
     def test_reentrant_corner_cuts_at_first_crossing(self):
         shape = Polygon(L_SHAPE)
-        dom = build_domain(shape, 0.05)
+        dom = resolved(shape, 0.05)
         assert np.abs(shape.level(dom.cut_xy)).max() < 1e-12
         dirs = DIRECTIONS
         full = np.hypot(*dirs.T) * dom.h
@@ -229,7 +305,7 @@ class TestDomain:
         # arms between two cells that pass the exterior notch of the L are
         # cut too, so every arm, cut or not, runs inside up to its end
         shape = Polygon(L_SHAPE)
-        dom = build_domain(shape, 0.05)
+        dom = resolved(shape, 0.05)
         dirs = DIRECTIONS
         unit = dirs / np.hypot(*dirs.T)[:, None]
         frac = np.arange(31) / 31
@@ -272,9 +348,9 @@ class TestDomain:
         assert lev[0] < 0 and lev[1] > 0 and lev[2] < 0
 
     def test_stencil_validation(self):
-        # 16 distinct directions up to sign
+        # 12 distinct directions up to sign
         assert len({tuple(d) for d in DIRECTIONS}
-                   | {tuple(-d) for d in DIRECTIONS}) == 32
+                   | {tuple(-d) for d in DIRECTIONS}) == 24
         # the superbase table reads the first 4, 8 and 12 directions
         for ratio, reach in [(1.5, 4), (5.8, 4), (10.0, 8), (30.0, 12),
                              (37.5, 12)]:
@@ -353,6 +429,9 @@ class TestOperator:
         # the candidates' weights decompose every alpha(theta) exactly, and
         # each cut-cell second difference is exact on quadratics
         params = PucciParams(0.8, 0.8 * ratio, variant)
+        # cut data sampled before the domain resolves the directions the
+        # scheme reads would miss their cuts
+        _resolved_table(params, disk_coarse)
         rng = np.random.default_rng(int(10 * ratio))
         for deg in np.linspace(0.0, 180.0, 37):
             hess = rotated_hessian(deg, rng.uniform(-2.0, 2.0, 2))
@@ -542,6 +621,18 @@ class TestOperator:
         fld = GridField(disk_coarse, np.zeros(disk_coarse.n_cells))
         with pytest.raises(ValueError):
             discretize_F(LAP, disk_coarse, fld)
+
+    def test_rejects_data_sampled_before_the_resolve(self):
+        # at A/a = 10 the scheme reads 8 directions, whose cuts the
+        # 9-point data does not cover
+        dom = build_domain(Disk(1.0), 0.1)
+        fld = quad_field(dom, -1.0, 0.0, -1.0)
+        params = PucciParams(0.5, 5.0)
+        with pytest.raises(ValueError, match="sample the field after"):
+            discretize_F(params, dom, fld)
+        fld = quad_field(dom, -1.0, 0.0, -1.0)
+        assert_allclose(discretize_F(params, dom, fld).values, -1.0,
+                        atol=1e-10)
 
 
 class TestDirichlet:
@@ -899,6 +990,19 @@ class TestComparison:
     def test_unordered_data_rejected(self, disk_coarse):
         with pytest.raises(ValueError):
             comparison_check(LAP, disk_coarse, Constant(1.0), 0.1, 0.0)
+
+    def test_data_ordered_on_every_cut_the_solves_read(self):
+        # at A/a = 10 the solves read 8 directions; data ordered on the
+        # cuts of the 9-point stencil only is not ordered
+        dom = build_domain(Disk(1.0), 0.1)
+        nine = {tuple(p) for p in dom.cut_xy}
+
+        def off_nine(x, y):
+            return np.array([float((p, q) not in nine) for p, q in zip(x, y)])
+
+        with pytest.raises(ValueError, match="not ordered"):
+            comparison_check(PucciParams(0.5, 5.0), dom, Constant(1.0),
+                             off_nine, 0.0)
 
     def test_homogeneous_case_needs_zero_data(self, disk_coarse):
         with pytest.raises(ValueError):
