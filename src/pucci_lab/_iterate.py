@@ -22,9 +22,10 @@ serve both:
 * ``relax``: the explicit damped sweep, a slow oracle needing no linear
   algebra.
 
-Both layers assemble their frozen CSC matrices with ``stencil_matrix``,
-where a stencil end of index >= n is not an unknown (a grid cut point, a
-node beyond the sector box) and gets no entry.
+Both layers find stencil neighbours in one arm table, int32 of shape
+(2, n, k), and assemble their frozen CSC matrices from it with
+``stencil_matrix``, where a stencil end of index >= n is not an unknown (a
+grid cut point, a node beyond the sector box) and gets no entry.
 The policy and eigenpair loops factor each frozen matrix once, with the
 layer's own ``factor``, and keep no factor from one freeze to the next.
 Every layer's ``factor`` is ``splu`` with ``LU_OPTIONS``.
@@ -55,11 +56,13 @@ LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
 def stencil_matrix(centre, ends, weights):
     """The n x n CSC matrix of a stencil on n nodes.
 
-    Row i holds ``centre[i]`` on the diagonal and ``weights[..., i, k]`` at
-    column ``ends[..., i, k]``; an end >= n is not an unknown and makes no
-    entry.  Repeated (row, column) pairs are summed, and entries that come
-    out zero are not stored, so the LU orders and factors only the real
-    pattern.
+    ``ends`` is an arm table, shape (2, n, k) with the forward side first,
+    as the grid domain and the sector mesh store it, and ``weights`` has
+    its shape.  Row i holds ``centre[i]`` on the diagonal and
+    ``weights[s, i, j]`` at column ``ends[s, i, j]``; an end >= n is not an
+    unknown and makes no entry.  Repeated (row, column) pairs are summed,
+    and entries that come out zero are not stored, so the LU orders and
+    factors only the real pattern.
     """
     n = len(centre)
     # scipy's index type, so the COO-to-CSC conversion copies no index

@@ -424,28 +424,28 @@ def cmd_properties(cfg, out_dir):
     comp2 = comparison_check(plus, dom, EigenPower(1.0), 0.0, 0.0)
     bv = boundary_data(dom, 0.0)
     pts = dom.pts
-    # deterministic probe: concave paraboloid plus a single-cell bump on
-    # the diagonal neighbour of the centre cell
-    centre = int(np.argmin(np.hypot(pts[:, 0], pts[:, 1])))
-    target = pts[centre] + dom.h * np.array([1.0, 1.0])
-    diag = int(np.argmin(np.hypot(pts[:, 0] - target[0],
-                                  pts[:, 1] - target[1])))
+    # deterministic probe: a concave paraboloid with its peak off the
+    # lattice, bumped in turn at each axis neighbour of the cell nearest
+    # the peak, where a weight |grad u|^alpha, alpha != 0, is not monotone
+    top = np.array([0.03, 0.02])
+    peak = int(np.argmin(np.hypot(*(pts - top).T)))
     scheme_gap, grid_dual = np.inf, 0.0
     for trial in range(trials):
         if trial == 0:
-            v = -(pts[:, 0] ** 2 + pts[:, 1] ** 2)
-            j = diag
+            v = -5.0 * ((pts - top) ** 2).sum(axis=1)
+            bumps = dom.nb[:, peak, :2].ravel()
         else:
             q = rng.standard_normal(5)
             v = (q[0] * pts[:, 0] ** 2 + q[1] * pts[:, 0] * pts[:, 1]
                  + q[2] * pts[:, 1] ** 2 + q[3] * pts[:, 0] + q[4] * pts[:, 1])
-            j = int(rng.integers(dom.n_cells))
+            bumps = [int(rng.integers(dom.n_cells))]
         base = discretize_F(plus, dom, GridField(dom, v, bv), weights).values
-        vp = v.copy()
-        vp[j] += 1e-3
-        pert = discretize_F(plus, dom, GridField(dom, vp, bv), weights).values
-        diff = np.delete(pert - base, j)
-        scheme_gap = min(scheme_gap, float(diff.min()))
+        for j in bumps:
+            vp = v.copy()
+            vp[j] += 1e-3
+            pert = discretize_F(plus, dom, GridField(dom, vp, bv),
+                                weights).values - base
+            scheme_gap = min(scheme_gap, float(np.delete(pert, j).min()))
         dual = base + discretize_F(minus, dom, GridField(dom, -v, bv),
                                    weights).values
         grid_dual = max(grid_dual, float(np.abs(dual).max()))

@@ -191,8 +191,8 @@ class GridDomain:
     """Uniform lattice restricted to a shape, with stencil connectivity.
 
     ``nb`` is the one arm table, int32 of shape (2, n_cells, k), the
-    forward side first (``nbf, nbb = nb``): the forward/backward arm of
-    cell c along direction j ends at entry i = nbf[c, j] (nbb[c, j]).  An
+    forward side first: the forward/backward arm of cell c along
+    direction j ends at entry i = nb[0, c, j] (nb[1, c, j]).  An
     entry i < n_cells is the neighbouring cell; an entry i >= n_cells is
     the cut point ``cut_xy[i - n_cells]``, where the arm leaves the shape.
     Each cut point belongs to exactly one arm, so values and boundary data
@@ -204,8 +204,9 @@ class GridDomain:
     boundary data sampled before a resolve no longer covers the cuts.
     The domain stores no arm lengths:
     an arm along d has length |d| h, times ``cut_frac`` where it is cut, and
-    ``arm_lengths()`` reads them through the arm table, as arm-end values
-    are read; the solver asks once per linearization.
+    ``arm_lengths(k)`` reads those of the first k directions through the
+    arm table, as arm-end values are read; the solver asks once per
+    linearization.
     """
 
     def __init__(self, shape, h, origin, nx, ny):
@@ -220,8 +221,6 @@ class GridDomain:
     cells: np.ndarray     # (n_cells, 2) lattice indices of the cells
     pts: np.ndarray       # (n_cells, 2) cell centres
     nb: np.ndarray        # (2, n_cells, k) int32 arm ends, k resolved
-    nbf: np.ndarray       # nb[0], the forward arm ends
-    nbb: np.ndarray       # nb[1], the backward arm ends
     cut_frac: np.ndarray  # (n_cuts,) share of its full length a cut arm keeps
     cut_xy: np.ndarray    # (n_cuts, 2) boundary crossings of the cut arms
     boundary: dict        # trace samples, one per kept axis cut
@@ -230,18 +229,13 @@ class GridDomain:
     def n_cells(self):
         return len(self.pts)
 
-    def arm_lengths(self, directions=slice(None)):
-        """Arm lengths shaped like ``nb[:, :, directions]``: |d| h for an
-        arm along d, times the cut fraction where the arm is cut."""
-        arms = np.concatenate([np.ones(self.n_cells),
-                               self.cut_frac]).take(self.nb[:, :, directions])
-        arms *= _LENGTHS[:self.nb.shape[2]][directions] * self.h
+    def arm_lengths(self, k=None):
+        """Arm lengths shaped like ``nb[:, :, :k]``: |d| h for an arm
+        along d, times the cut fraction where the arm is cut."""
+        nb = self.nb[:, :, :k]
+        arms = np.concatenate([np.ones(self.n_cells), self.cut_frac]).take(nb)
+        arms *= _LENGTHS[:nb.shape[2]] * self.h
         return arms
-
-    def full_array(self, values, fill=np.nan):
-        out = np.full((self.nx, self.ny), fill)
-        out[self.cells[:, 0], self.cells[:, 1]] = values
-        return out
 
     def interp(self, values, pts):
         """Bilinear interpolation of interior values at arbitrary points.
@@ -253,8 +247,9 @@ class GridDomain:
         xs = self.x0 + (np.arange(self.nx) + 0.5) * self.h
         ys = self.y0 + (np.arange(self.ny) + 0.5) * self.h
         clamped = np.clip(np.atleast_2d(pts), (xs[0], ys[0]), (xs[-1], ys[-1]))
-        return RegularGridInterpolator(
-            (xs, ys), self.full_array(values, fill=0.0))(clamped)
+        full = np.zeros((self.nx, self.ny))
+        full[self.cells[:, 0], self.cells[:, 1]] = values
+        return RegularGridInterpolator((xs, ys), full)(clamped)
 
 
 def build_domain(shape, h):
@@ -359,7 +354,6 @@ def _resolve(dom, k, inside=None):
     new.reshape(-1)[pos] = np.arange(n_in + n_cut - pos.size, n_in + n_cut)
 
     dom.nb = np.concatenate([dom.nb, new], axis=2)
-    dom.nbf, dom.nbb = dom.nb
     dom.cut_frac = np.concatenate([dom.cut_frac, t])
     dom.cut_xy = np.concatenate([dom.cut_xy,
                                  dom.pts[cell] + t[:, None] * offs])
@@ -377,7 +371,7 @@ def _build_boundary_samples(dom):
     # the unit inward step runs against the cut arm
     e_dot_n = np.where(side == 0, -1.0, 1.0) * normal[np.arange(len(point)), axis]
     cell1 = ends[1 - side, cell, axis]
-    s = dom.arm_lengths(slice(2))[side, cell, axis]
+    s = dom.arm_lengths(2)[side, cell, axis]
     # keep cuts where this axis is the dominant normal direction and
     # a second interior cell exists along the inward line
     keep = (np.abs(e_dot_n) >= 0.5) & (cell1 < n)

@@ -67,8 +67,9 @@ def _candidate_table(params):
     Rows are the two scalar candidates, the negative side first (aI then AI
     for Plus, AI then aI for Minus), so that ties, u = 0 among them, freeze
     the negative side; then one row per arc [lo, hi] of phi = 2 theta on
-    which one superbase is obtuse.  ``forms`` (5, n_dirs, rows) holds the
-    weights of the second differences along ``dirs``: p, q, r in
+    which one superbase is obtuse.  The superbases read a prefix of
+    ``DIRECTIONS``, of length ``k``, and ``forms`` (5, k, rows) holds the
+    weights of the second differences along it: p, q, r in
     p + q cos phi + r sin phi (q = r = 0 for the scalar rows, whose arc is
     the whole circle [-pi, pi]), then the weights at ``lo`` and at ``hi``,
     where the weight that vanishes at that end is exactly 0, so that the
@@ -113,30 +114,28 @@ def _candidate_table(params):
         base = base.copy()
         base[i], base[leave] = -base[i], base[i] - base[j]
 
-    used = sorted({0, 1}.union(*(d for d, *_ in arcs)))
-    col = {j: c for c, j in enumerate(used)}
+    # the scalar rows read the two axes
+    k = max([2] + [max(dirs) + 1 for dirs, *_ in arcs])
     scalars = (a, A) if params.variant is Variant.PLUS else (A, a)
     rows = len(scalars) + len(arcs)
-    forms = np.zeros((5, len(used), rows))
+    forms = np.zeros((5, k, rows))
     forms[[0, 3, 4], :2, :2] = scalars
     bounds = np.tile([[-np.pi], [np.pi]], rows)
     for m, (dirs, rho, arc_lo, arc_hi, enter, leave) in enumerate(arcs, 2):
-        cols = [col[j] for j in dirs]
-        forms[:3, cols, m] = rho.T
-        for k, end, zero in ((3, arc_lo, enter), (4, arc_hi, leave)):
+        forms[:3, dirs, m] = rho.T
+        for f, end, zero in ((3, arc_lo, enter), (4, arc_hi, leave)):
             w = np.maximum(rho @ (1.0, np.cos(end), np.sin(end)), 0.0)
             w[zero] = 0.0
-            forms[k, cols, m] = w
+            forms[f, dirs, m] = w
         bounds[:, m] = arc_lo, arc_hi
-    return SimpleNamespace(dirs=np.array(used), forms=forms, lo=bounds[0],
-                           hi=bounds[1])
+    return SimpleNamespace(k=k, forms=forms, lo=bounds[0], hi=bounds[1])
 
 
 def _resolved_table(params, dom):
     """The candidate table of ``params``, with ``dom`` resolved to the
-    directions it reads (a prefix of ``DIRECTIONS``)."""
+    directions it reads."""
     table = _candidate_table(params)
-    _resolve(dom, table.dirs[-1] + 1)
+    _resolve(dom, table.k)
     return table
 
 
@@ -144,25 +143,25 @@ def _linearize(params, dom, values, bvals, table, weights=None):
     """The scheme at one iterate, read by the operator and the frozen
     matrix alike.
 
-    Holds the arm lengths of the directions ``table.dirs`` reads; each
-    cell's maximizer over the candidates, whose values are linear forms
-    in the second differences along those directions (scaled by
-    ``weights``, one per entry of ``DIRECTIONS``, if given), all read from
-    the arm-end values (the arm table indexes cell values followed by cut
-    data); and the core M_h(D^2 u).  The maximizer is the candidate row
-    ``pick``, with, per cell and row, the phase ``top`` of the angle
-    terms, whether it lies ``inside`` the arc, and whether the arc's low
-    end beats its high end (``lo_wins``).  For alpha != 0 it also holds
+    Holds the arm lengths of the first ``table.k`` directions, which the
+    table reads; each cell's maximizer over the candidates, whose values
+    are linear forms in the second differences along those directions
+    (scaled by ``weights``, one per entry of ``DIRECTIONS``, if given), all
+    read from the arm-end values (the arm table indexes cell values
+    followed by cut data); and the core M_h(D^2 u).  The maximizer is the
+    candidate row ``pick``, with, per cell and row, the phase ``top`` of
+    the angle terms, whether it lies ``inside`` the arc, and whether the
+    arc's low end beats its high end (``lo_wins``).  For alpha != 0 it also holds
     the centred axis gradients ``grad`` (gx, gy per cell) and
     g = |grad_h u|.  ``value`` is the operator and ``weight`` the frozen
     matrix's gradient weight.
     """
-    vf, vb = np.concatenate([values, bvals]).take(dom.nb[:, :, table.dirs])
-    arms = dom.arm_lengths(table.dirs)
+    vf, vb = np.concatenate([values, bvals]).take(dom.nb[:, :, :table.k])
+    arms = dom.arm_lengths(table.k)
     (sf, sb), v0 = arms, values[:, None]
     delta = 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
     if weights is not None:
-        delta *= weights[table.dirs]
+        delta *= weights[:table.k]
     # Minus is the max over the candidates of -tr(alpha X)
     sign = 1.0 if params.variant is Variant.PLUS else -1.0
     c0, c1, c2, at_lo, at_hi = (sign * delta) @ table.forms
@@ -188,9 +187,10 @@ def _linearize(params, dom, values, bvals, table, weights=None):
 
 
 def _active_weights(lin):
-    """Each cell's weights on the second differences along
-    ``lin.table.dirs`` at its maximizer (Danskin), shape (n_cells, n_dirs),
-    clipped at 0 inside the arc and the table's end weights at an end."""
+    """Each cell's weights on the second differences along the first
+    ``lin.table.k`` directions at its maximizer (Danskin), shape
+    (n_cells, k), clipped at 0 inside the arc and the table's end weights
+    at an end."""
     at = np.arange(len(lin.pick)), lin.pick
     phi = lin.top[at][:, None]
     p, q, r, at_lo, at_hi = lin.table.forms[:, :, lin.pick].transpose(0, 2, 1)
@@ -214,7 +214,7 @@ def discretize_F(params, dom, field, weights=None):
         raise ValueError(
             f"field has {len(field.boundary_values)} boundary values but "
             f"the domain has {len(dom.cut_xy)} cut points in the "
-            f"{len(table.dirs)} directions A/a = {params.A / params.a:g} "
+            f"{table.k} directions A/a = {params.A / params.a:g} "
             f"reads; sample the field after the domain resolves them")
     return GridField(dom, _linearize(params, dom, field.values,
                                      field.boundary_values, table,
@@ -235,7 +235,7 @@ def _policy_matrix(params, dom, lin):
     coef = _active_weights(lin) * np.reshape(lin.weight, (-1, 1))
     sf, sb = lin.arms
     return stencil_matrix((coef * (-2.0) / (sf * sb)).sum(axis=1),
-                          dom.nb[:, :, lin.table.dirs],
+                          dom.nb[:, :, :lin.table.k],
                           coef * 2.0 / (lin.arms * (sf + sb)))
 
 
@@ -306,7 +306,7 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         return lin.value + source.evaluate(v, params.alpha), freeze
 
     if method == "damped":
-        sf, sb = dom.arm_lengths(table.dirs)
+        sf, sb = dom.arm_lengths(table.k)
         u = relax(lambda v: linearize(v)[0], u,
                   0.45 / (params.A * (2.0 / (sf * sb)).max()), tol=tol,
                   max_steps=_MAX_DAMPED)

@@ -24,9 +24,13 @@ from scipy.optimize import brentq
 from ._iterate import (LU_OPTIONS, _check_cap, inverse_power, policy_eigen,
                        relax, stencil_matrix)
 from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
+from .grid.domain import _INDEX
 from .operators import Variant, _coef
 
 _MIN_NODES = 3
+# the arms of the sector stencil per N, as node-index offsets: the axes,
+# then for N = 3 the diagonals of the cross difference
+_ARMS = {2: np.array([(1,)]), 3: np.array([(1, 0), (0, 1), (1, 1), (1, -1)])}
 # iteration cap of the relax inner solve
 _MAX_RELAX = 400_000
 
@@ -81,6 +85,10 @@ class SectorMesh:
 
     ``bounds`` holds one (lo, hi) per angular axis, ``axes`` its interior
     nodes and ``spacings`` their steps: theta_1, then theta_2 for N = 3.
+    ``nb`` is the arm table in the grid domain's layout, int32 (2, n_nodes,
+    k) with the forward side first: node i's arm along ``_ARMS[n_dim][j]``
+    (against it) ends at node nb[0, i, j] (nb[1, i, j]), nodes numbered in
+    C order, or at n_nodes beyond the box, where the field is 0.
     """
 
     def __init__(self, n_dim, delta, spacing):
@@ -101,6 +109,14 @@ class SectorMesh:
             self.spacings.append(width / m)
             self.axes.append(lo + self.spacings[-1] * np.arange(1, m))
         self.spacing = max(self.spacings)
+        # the arm ends as lattice indices, shaped (2, n, k, axis); those off
+        # the box are clipped for the flat index, then replaced by n
+        ends = (np.indices(self.shape).reshape(n_dim - 1, -1).T[:, None]
+                + np.multiply.outer([1, -1], _ARMS[n_dim])[:, None])
+        inside = ((ends >= 0) & (ends < self.shape)).all(axis=-1)
+        self.nb = np.where(inside, np.ravel_multi_index(
+            np.moveaxis(ends, -1, 0), self.shape, mode="clip"),
+            self.n_nodes).astype(_INDEX)
 
     @property
     def shape(self):
@@ -145,21 +161,20 @@ def coefficients(mesh):
             "tan2": np.broadcast_to(np.tan(lat), mesh.shape)}
 
 
-def _diffs(vals, spacings):
+def _diffs(vals, mesh):
     """Central differences d1_1, d1_2, d2_11, d2_22, d2_12 of vals, which
     are zero beyond the box; those along an absent theta2 axis are 0."""
-    p = np.pad(vals, 1)
-    mid = (slice(1, -1),) * vals.ndim
+    # the arm-end values, per side and arm, shaped like the mesh
+    fwd, bwd = np.append(vals, 0.0).take(mesh.nb.transpose(0, 2, 1)) \
+        .reshape(2, -1, *mesh.shape)
     d1, d2 = [0.0, 0.0], [0.0, 0.0]
-    for k, h in enumerate(spacings):
-        up = p[mid[:k] + (slice(2, None),) + mid[k + 1:]]
-        down = p[mid[:k] + (slice(None, -2),) + mid[k + 1:]]
-        d1[k] = (up - down) / (2.0 * h)
-        d2[k] = (up - 2.0 * vals + down) / h ** 2
+    for k, h in enumerate(mesh.spacings):
+        d1[k] = (fwd[k] - bwd[k]) / (2.0 * h)
+        d2[k] = (fwd[k] - 2.0 * vals + bwd[k]) / h ** 2
     d2_12 = 0.0
-    if len(spacings) == 2:
-        d2_12 = (p[2:, 2:] - p[2:, :-2] - p[:-2, 2:] + p[:-2, :-2]) \
-            / (4.0 * spacings[0] * spacings[1])
+    if len(mesh.spacings) == 2:
+        d2_12 = (fwd[2] - fwd[3] - bwd[3] + bwd[2]) \
+            / (4.0 * mesh.spacings[0] * mesh.spacings[1])
     return d1[0], d1[1], d2[0], d2[1], d2_12
 
 
@@ -175,22 +190,24 @@ def _sym2_eigen(g11, g12, g22):
 def _linearize(params, mesh, vals):
     """The sector operator at vals, read by H and its frozen matrix alike.
 
-    Holds the first differences ``d1``, the frame spectrum
-    (lam_p, lam_m, angle) of the scaled angular Hessian, the penalty
-    weights of |d1_1| and |d1_2|, q1, tan2, the connection term's argument
-    mu = -d1_2 * tan2 and ``value``, H(vals).
+    Holds the first differences ``d1``, the frame angle ``ang`` of the
+    scaled angular Hessian, the penalty weights of |d1_1| and |d1_2|, q1,
+    tan2, the coefficients ``coefs`` that M-minus picks for the frame
+    eigenvalues lam_p, lam_m and for the connection term's argument
+    mu = -d1_2 * tan2, and ``value``, H(vals).
     """
     co = coefficients(mesh)
     q1, tan2 = co["q1"], co["tan2"]
-    d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh.spacings)
+    d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh)
     lam_p, lam_m, ang = _sym2_eigen(q1 ** 2 * d2_11, q1 * d2_12, d2_22)
     w1, w2 = params.gamma * q1 + q1 ** 2, params.gamma + 1.0
-    core = _coef(params, lam_p) * lam_p + _coef(params, lam_m) * lam_m
-    penalty = (params.a - params.A) * (np.abs(d1_1) * w1 + np.abs(d1_2) * w2)
     mu = -d1_2 * tan2
-    return SimpleNamespace(d1=(d1_1, d1_2), frame=(lam_p, lam_m, ang),
-                           weights=(w1, w2), q1=q1, tan2=tan2, mu=mu,
-                           value=core + penalty + _coef(params, mu) * mu)
+    e_p, e_m, e_mu = (_coef(params, x) for x in (lam_p, lam_m, mu))
+    core = e_p * lam_p + e_m * lam_m
+    penalty = (params.a - params.A) * (np.abs(d1_1) * w1 + np.abs(d1_2) * w2)
+    return SimpleNamespace(d1=(d1_1, d1_2), ang=ang, weights=(w1, w2),
+                           q1=q1, tan2=tan2, coefs=(e_p, e_m, e_mu),
+                           value=core + penalty + e_mu * mu)
 
 
 def assemble_H(params, mesh, psi):
@@ -212,41 +229,24 @@ def _frozen_matrix(params, mesh, lin):
     where d2 > 0 and A elsewhere.
     """
     a, A = params.a, params.A
-    d1_1, d1_2 = lin.d1
-    lam_p, lam_m, ang = lin.frame
-    w1, w2 = lin.weights
-    q1, tan2, mu = lin.q1, lin.tan2, lin.mu
-    e_p, e_m = _coef(params, lam_p), _coef(params, lam_m)
-    cs, sn = np.cos(ang), np.sin(ang)
+    (d1_1, d1_2), (w1, w2), (e_p, e_m, e_mu) = lin.d1, lin.weights, lin.coefs
+    q1, cs, sn = lin.q1, np.cos(lin.ang), np.sin(lin.ang)
     # per axis: the frame weight of the second difference and the
     # coefficient of the first one
     second = (q1 ** 2 * (e_p * cs ** 2 + e_m * sn ** 2),
               e_p * sn ** 2 + e_m * cs ** 2)
     first = ((a - A) * np.sign(d1_1) * w1,
-             (a - A) * np.sign(d1_2) * w2 - _coef(params, mu) * tan2)
-
-    # node ids, padded beyond the box with n, the index of no unknown
-    ids = np.pad(np.arange(mesh.n_nodes).reshape(mesh.shape), 1,
-                 constant_values=mesh.n_nodes)
-    ends, weights = [], []
-
-    def add(offset, coef):
-        ends.append(ids[tuple(slice(1 + o, m + 1 + o)
-                              for o, m in zip(offset, mesh.shape))].ravel())
-        weights.append(coef.ravel())
-
-    sps = mesh.spacings
-    for step, c, f, h in zip(np.eye(len(sps), dtype=int), second, first, sps):
-        add(step, c / h ** 2 + f / (2.0 * h))
-        add(-step, c / h ** 2 - f / (2.0 * h))
-    if len(sps) == 2:
-        cx = q1 * ((e_p - e_m) * sn * cs) / (2.0 * sps[0] * sps[1])
-        for offset, sign in (((1, 1), 1.0), ((-1, -1), 1.0),
-                             ((1, -1), -1.0), ((-1, 1), -1.0)):
-            add(offset, sign * cx)
-    centre = sum(-2.0 * c / h ** 2 for c, h in zip(second, sps))
-    return stencil_matrix(centre.ravel(), np.stack(ends, axis=-1),
-                          np.stack(weights, axis=-1))
+             (a - A) * np.sign(d1_2) * w2 - e_mu * lin.tan2)
+    # the weights on the arms of ``mesh.nb``, per side: the axes, then for
+    # N = 3 the diagonals, where the cross difference reads +-cx
+    h = np.array(mesh.spacings)
+    c = np.stack(second[:len(h)], axis=-1).reshape(-1, len(h)) / h ** 2
+    f = np.stack(first[:len(h)], axis=-1).reshape(-1, len(h)) / (2.0 * h)
+    weights = [c + f, c - f]
+    if len(h) == 2:
+        cx = (q1 * ((e_p - e_m) * sn * cs) / (2.0 * h.prod())).reshape(-1, 1)
+        weights = [np.hstack([w, cx, -cx]) for w in weights]
+    return stencil_matrix((-2.0 * c).sum(axis=1), mesh.nb, np.stack(weights))
 
 
 def _factor(mat):
@@ -382,7 +382,7 @@ def barrier_eval(gamma, psi, r, theta):
     t = np.atleast_1d(theta)[:len(mesh.axes)]
     # frame scales q1 = 1/cos(theta2) and 1; the arc is the equator
     scales = (1.0 / np.cos((*t, 0.0)[1]), 1.0)
-    grads = _diffs(psi.values, mesh.spacings)[:len(mesh.axes)]
+    grads = _diffs(psi.values, mesh)[:len(mesh.axes)]
     ang_sq = sum((q * _interp_field(mesh, g, theta)) ** 2
                  for q, g in zip(scales, grads))
     w = r ** gamma * val

@@ -203,6 +203,16 @@ class TestPropertiesCommand:
         assert names["consistency"] is False
         assert names["matrix_duality"] is True
 
+    def test_gradient_weight_breaks_monotonicity(self, tmp_path):
+        # at alpha = 0.5 a rising neighbour steepens the gradient at the
+        # paraboloid's peak, and the operator there falls
+        assert run(tmp_path, "properties", "--set", "alpha=0.5",
+                   "--set", "trials=5") == 1
+        rep = read_report(tmp_path, "properties")
+        names = {c["name"]: c["passed"] for c in rep["checks"]}
+        assert names["monotone_scheme"] is False
+        assert rep["results"]["worst"]["monotone_scheme"] < -1e-3
+
     def test_scheme_duality_reports_the_worst_trial(self, tmp_path,
                                                      monkeypatch):
         real, minus_calls = cli.discretize_F, []

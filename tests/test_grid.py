@@ -138,7 +138,8 @@ class TestDomain:
         n, n_cut = dom.n_cells, len(dom.cut_xy)
         dirs = DIRECTIONS
         armf, armb = dom.arm_lengths()
-        for nb, arm, sign in ((dom.nbf, armf, 1), (dom.nbb, armb, -1)):
+        nbf, nbb = dom.nb
+        for nb, arm, sign in ((nbf, armf, 1), (nbb, armb, -1)):
             assert nb.shape == (n, len(dirs))
             assert nb.min() >= 0 and nb.max() < n + n_cut
             # an interior entry is the lattice cell one step away
@@ -151,8 +152,7 @@ class TestDomain:
             assert_allclose(dom.cut_xy[nb[cell, j] - n],
                             dom.pts[cell] + arm[cell, j, None] * unit,
                             rtol=0.0, atol=1e-12)
-        ids = np.concatenate([dom.nbf[dom.nbf >= n], dom.nbb[dom.nbb >= n]])
-        assert_array_equal(np.sort(ids), n + np.arange(n_cut))
+        assert_array_equal(np.sort(dom.nb[dom.nb >= n]), n + np.arange(n_cut))
 
     @pytest.mark.parametrize("shape", [Disk(1.0), Polygon(L_SHAPE)],
                              ids=["disk", "L"])
@@ -161,7 +161,7 @@ class TestDomain:
         # its cut fraction where it is cut
         dom = resolved(shape, 0.05)
         n = dom.n_cells
-        assert dom.nbf.dtype == dom.nbb.dtype == np.int32
+        assert dom.nb.dtype == np.int32
         full = np.broadcast_to(np.hypot(*DIRECTIONS.T) * dom.h,
                                dom.nb.shape)
         arms, cut = dom.arm_lengths(), dom.nb >= n
@@ -237,8 +237,6 @@ class TestDomain:
         assert_array_equal(dom.nb[:, :, :4], nb)
         assert_array_equal(dom.cut_frac[:len(cut_frac)], cut_frac)
         assert_array_equal(dom.cut_xy[:len(cut_xy)], cut_xy)
-        assert_array_equal(dom.nbf, dom.nb[0])
-        assert_array_equal(dom.nbb, dom.nb[1])
         assert dom.boundary.keys() == boundary.keys()
         for key, v in boundary.items():
             assert_array_equal(dom.boundary[key], v)
@@ -355,13 +353,15 @@ class TestDomain:
         for ratio, reach in [(1.5, 4), (5.8, 4), (10.0, 8), (30.0, 12),
                              (37.5, 12)]:
             table = _candidate_table(PucciParams(1.0, ratio))
-            assert_array_equal(table.dirs, np.arange(reach))
+            assert table.k == reach
+            # the arcs read every one of the first k directions
+            assert np.all(np.abs(table.forms[:3, :, 2:]).sum(axis=(0, 2)) > 0)
             # the arcs, after the two scalar rows, tile [-pi, pi] in order
             lo, hi = table.lo[2:], table.hi[2:]
             assert lo[0] == -np.pi and abs(hi[-1] - np.pi) < 1e-12
             assert_array_equal(lo[1:], hi[:-1])
             assert np.all(hi > lo)
-            vecs = DIRECTIONS[table.dirs]
+            vecs = DIRECTIONS[:table.k]
             p, q, r, at_lo, at_hi = table.forms[:, :, 2:]
             for m in range(len(lo)):
                 assert np.count_nonzero(np.abs(table.forms[:3, :, 2 + m])
@@ -567,7 +567,7 @@ class TestOperator:
         # the active stencil: the arms of the directions the maximizer
         # weights
         active = _active_weights(lin) > 0.0
-        cut = ((dom.nb[:, :, lin.table.dirs] >= dom.n_cells)
+        cut = ((dom.nb[:, :, :lin.table.k] >= dom.n_cells)
                & active).any(axis=(0, 2))
         assert cut.any() and not cut.all()
         rel = np.asarray(mat.sum(axis=1)).ravel() / np.abs(diag)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pucci_lab import PucciParams, SymMatrix, Variant, pucci
 from pucci_lab.errors import (CoefficientBlowup, IterationLimit, OutOfDomain,
@@ -50,6 +50,32 @@ class TestGeometry:
         for ax, (lo, hi) in zip(mesh.axes, mesh.bounds):
             assert ax.min() > lo and ax.max() < hi
         assert mesh.shape == (len(mesh.axes[0]), len(mesh.axes[1]))
+
+    @pytest.mark.parametrize("n_dim, spacing", [(2, np.pi / 40),
+                                                (3, np.pi / 20)])
+    def test_arm_table_addresses_nodes_and_the_box(self, n_dim, spacing):
+        # the grid domain's layout: int32 (2, n, k), forward ends first
+        mesh = SectorMesh(n_dim, 0.2, spacing)
+        n, steps = mesh.n_nodes, sector_module._ARMS[n_dim]
+        assert_array_equal(steps, [(1,)] if n_dim == 2
+                           else [(1, 0), (0, 1), (1, 1), (1, -1)])
+        assert mesh.nb.dtype == np.int32
+        assert mesh.nb.shape == (2, n, len(steps))
+        at = np.stack(np.unravel_index(np.arange(n), mesh.shape), axis=1)
+        for nb, sign in zip(mesh.nb, (1, -1)):
+            # an end is the node one step away, or n where that step
+            # leaves the box
+            want = at[:, None] + sign * steps
+            inside = ((want >= 0) & (want < mesh.shape)).all(axis=-1)
+            assert inside.any() and not inside.all()
+            assert_array_equal(nb < n, inside)
+            assert np.all(nb[~inside] == n)
+            assert_array_equal(at[nb[inside]], want[inside])
+        # the forward and backward ends are mutual
+        for side in (0, 1):
+            node, j = np.nonzero(mesh.nb[side] < n)
+            assert_array_equal(mesh.nb[1 - side, mesh.nb[side, node, j], j],
+                               node)
 
     def test_mesh_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
@@ -169,7 +195,7 @@ class TestAssemble:
 
         from pucci_lab.sector import _diffs, coefficients as coeff
         co = coeff(mesh)
-        d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh.spacings)
+        d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh)
         minus = PucciParams(0.7, 1.6, Variant.MINUS)
         n1, n2 = mesh.shape
         idx = [(3, 4), (n1 // 2, n2 // 2), (n1 - 2, 1), (1, n2 - 3)]
