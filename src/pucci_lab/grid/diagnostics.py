@@ -118,8 +118,8 @@ def critical_plane_position(shape, direction, *, samples=4096, iters=80):
 @dataclass
 class ComparisonReport:
     case: str
-    gap: float
-    threshold: float
+    gap: float | None
+    threshold: float | None
     passed: bool
 
 
@@ -138,7 +138,8 @@ def comparison_check(params, dom, source, g1, g2, *, tol=1e-8):
     g1 <= g2 pointwise on the cut registry is required.  In the
     "homogeneous" case (an increasing zeroth order part) both data must
     vanish.  The admitted violation scales like the grid spacing times the
-    solution size.
+    solution size.  Solver breakdown counts as a failed comparison, with
+    no gap or threshold.
     """
     case = _comparison_case(source)
     # order the data on every cut the solves read
@@ -150,8 +151,12 @@ def comparison_check(params, dom, source, g1, g2, *, tol=1e-8):
     if case == "homogeneous" and (np.abs(b1).max(initial=0.0) > 0.0
                                   or np.abs(b2).max(initial=0.0) > 0.0):
         raise ValueError("increasing zeroth order terms require zero data")
-    u1 = solve_dirichlet(params, dom, source, g1, tol=tol)
-    u2 = solve_dirichlet(params, dom, source, g2, tol=tol)
+    try:
+        u1 = solve_dirichlet(params, dom, source, g1, tol=tol)
+        u2 = solve_dirichlet(params, dom, source, g2, tol=tol)
+    except (IterationLimit, RuntimeError):
+        return ComparisonReport(case=case, gap=None, threshold=None,
+                                passed=False)
     gap = float((u1.values - u2.values).max())
     scale = float(np.abs(u2.values).max(initial=0.0))
     threshold = 2.0 * dom.h * max(1.0, scale)

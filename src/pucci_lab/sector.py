@@ -49,10 +49,10 @@ class SectorOperatorParams:
     def __post_init__(self):
         if not (0.0 < self.a <= self.A):
             raise ValueError(f"need 0 < a <= A, got a={self.a}, A={self.A}")
-        if self.gamma < 2.0:
-            raise ValueError(f"need gamma >= 2, got {self.gamma}")
-        if self.epsilon < 0.0:
-            raise ValueError(f"need epsilon >= 0, got {self.epsilon}")
+        if not (2.0 <= self.gamma < np.inf):
+            raise ValueError(f"need a finite gamma >= 2, got {self.gamma}")
+        if not (0.0 <= self.epsilon < np.inf):
+            raise ValueError(f"need a finite epsilon >= 0, got {self.epsilon}")
 
 
 def shrink_angle(n_dim, delta):
@@ -97,7 +97,6 @@ class SectorMesh:
         if spacing <= 0.0:
             raise ValueError(f"need positive spacing, got {spacing}")
         self.n_dim = n_dim
-        self.delta = float(delta)
         self.delta_prime = dp = shrink_angle(n_dim, delta)
         self.bounds, self.axes, self.spacings = [], [], []
         for lo, width in ((dp, np.pi / 2 - 2.0 * dp),
@@ -179,35 +178,42 @@ def _diffs(vals, mesh):
 
 
 def _sym2_eigen(g11, g12, g22):
-    """Closed-form spectral data of fields of symmetric 2x2 matrices."""
+    """Closed-form eigenvalues lam_p >= lam_m of fields of symmetric 2x2
+    matrices G, and the reflection R = (G - tr(G)/2 I) / rad as (R11, R12),
+    rad = (lam_p - lam_m)/2: (I + R)/2 projects on lam_p's eigenvector.
+    R = 0 where rad = 0."""
     half_tr = 0.5 * (g11 + g22)
     half_df = 0.5 * (g11 - g22)
     rad = np.hypot(half_df, g12)
-    ang = 0.5 * np.arctan2(2.0 * g12, g11 - g22)
-    return half_tr + rad, half_tr - rad, ang
+    refl = tuple(np.divide(x, rad, out=np.zeros_like(rad), where=rad > 0.0)
+                 for x in (half_df, g12))
+    return half_tr + rad, half_tr - rad, refl
 
 
 def _linearize(params, mesh, vals):
-    """The sector operator at vals, read by H and its frozen matrix alike.
+    """The sector operator at vals as one linear form, read by H and its
+    frozen matrix alike.
 
-    Holds the first differences ``d1``, the frame angle ``ang`` of the
-    scaled angular Hessian, the penalty weights of |d1_1| and |d1_2|, q1,
-    tan2, the coefficients ``coefs`` that M-minus picks for the frame
-    eigenvalues lam_p, lam_m and for the connection term's argument
-    mu = -d1_2 * tan2, and ``value``, H(vals).
+    ``coef`` holds the weights of d1_1, d1_2, d2_11, d2_22 and d2_12 at
+    the choices M-minus makes at vals: e_p lam_p + e_m lam_m of the scaled
+    angular Hessian G (entries q1^2 d2_11, q1 d2_12, d2_22) is tr(C G) with
+    C = e_p P + e_m (I - P), P = (I + R)/2 from ``_sym2_eigen``; the
+    penalties take the signs of d1, and the connection term the
+    coefficient e_mu of its argument mu = -d1_2 * tan2.  ``value`` is
+    H(vals), the form applied to the differences.
     """
     co = coefficients(mesh)
     q1, tan2 = co["q1"], co["tan2"]
-    d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh)
-    lam_p, lam_m, ang = _sym2_eigen(q1 ** 2 * d2_11, q1 * d2_12, d2_22)
-    w1, w2 = params.gamma * q1 + q1 ** 2, params.gamma + 1.0
-    mu = -d1_2 * tan2
-    e_p, e_m, e_mu = (_coef(params, x) for x in (lam_p, lam_m, mu))
-    core = e_p * lam_p + e_m * lam_m
-    penalty = (params.a - params.A) * (np.abs(d1_1) * w1 + np.abs(d1_2) * w2)
-    return SimpleNamespace(d1=(d1_1, d1_2), ang=ang, weights=(w1, w2),
-                           q1=q1, tan2=tan2, coefs=(e_p, e_m, e_mu),
-                           value=core + penalty + e_mu * mu)
+    d1_1, d1_2, d2_11, d2_22, d2_12 = diffs = _diffs(vals, mesh)
+    lam_p, lam_m, (r11, r12) = _sym2_eigen(q1 ** 2 * d2_11, q1 * d2_12, d2_22)
+    e_p, e_m, e_mu = (_coef(params, x) for x in (lam_p, lam_m, -d1_2 * tan2))
+    p11, p22, pen = 0.5 * (1.0 + r11), 0.5 * (1.0 - r11), params.a - params.A
+    coef = (pen * np.sign(d1_1) * (params.gamma * q1 + q1 ** 2),
+            pen * np.sign(d1_2) * (params.gamma + 1.0) - e_mu * tan2,
+            q1 ** 2 * (e_p * p11 + e_m * p22), e_p * p22 + e_m * p11,
+            q1 * (e_p - e_m) * r12)
+    return SimpleNamespace(coef=coef,
+                           value=sum(c * d for c, d in zip(coef, diffs)))
 
 
 def assemble_H(params, mesh, psi):
@@ -217,34 +223,25 @@ def assemble_H(params, mesh, psi):
     return SectorField(mesh, _linearize(params, mesh, psi.values).value)
 
 
-def _frozen_matrix(params, mesh, lin):
-    """Sparse linearization of H at the sign/frame choices of ``lin``.
+def _frozen_matrix(mesh, lin):
+    """Sparse matrix of the linear form ``lin.coef`` on the mesh stencil.
 
     H is positively 1-homogeneous and piecewise linear in the nodal
-    values, so at the frozen choices M satisfies M @ vals = H(vals)
-    exactly at the linearization's vals; the eigen/policy loops exploit
-    that.  Entries that vanish (all four cross-derivative ones of a row
-    whose frame weights agree, as everywhere at a = A) are not stored.  On
-    the arc the frame angle is 0 or pi/2, so the diagonal weight is a
-    where d2 > 0 and A elsewhere.
+    values, so M @ vals = H(vals) exactly at the linearization's vals; the
+    eigen/policy loops exploit that.  Entries that vanish (the four cross
+    ones of a row where G12 = 0 or e_p = e_m, as everywhere at a = A) are
+    not stored.
     """
-    a, A = params.a, params.A
-    (d1_1, d1_2), (w1, w2), (e_p, e_m, e_mu) = lin.d1, lin.weights, lin.coefs
-    q1, cs, sn = lin.q1, np.cos(lin.ang), np.sin(lin.ang)
-    # per axis: the frame weight of the second difference and the
-    # coefficient of the first one
-    second = (q1 ** 2 * (e_p * cs ** 2 + e_m * sn ** 2),
-              e_p * sn ** 2 + e_m * cs ** 2)
-    first = ((a - A) * np.sign(d1_1) * w1,
-             (a - A) * np.sign(d1_2) * w2 - e_mu * lin.tan2)
-    # the weights on the arms of ``mesh.nb``, per side: the axes, then for
-    # N = 3 the diagonals, where the cross difference reads +-cx
+    d1, d2, d2_12 = lin.coef[:2], lin.coef[2:4], lin.coef[4]
+    # per axis, the weights of the second and of the first difference on
+    # the arms of ``mesh.nb``, per side; for N = 3 the diagonals follow,
+    # where the cross difference reads +-cx
     h = np.array(mesh.spacings)
-    c = np.stack(second[:len(h)], axis=-1).reshape(-1, len(h)) / h ** 2
-    f = np.stack(first[:len(h)], axis=-1).reshape(-1, len(h)) / (2.0 * h)
+    c = np.stack(d2[:len(h)], axis=-1).reshape(-1, len(h)) / h ** 2
+    f = np.stack(d1[:len(h)], axis=-1).reshape(-1, len(h)) / (2.0 * h)
     weights = [c + f, c - f]
     if len(h) == 2:
-        cx = (q1 * ((e_p - e_m) * sn * cs) / (2.0 * h.prod())).reshape(-1, 1)
+        cx = (d2_12 / (4.0 * h.prod())).reshape(-1, 1)
         weights = [np.hstack([w, cx, -cx]) for w in weights]
     return stencil_matrix((-2.0 * c).sum(axis=1), mesh.nb, np.stack(weights))
 
@@ -273,7 +270,7 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
 
     def linearize(v):
         lin = _linearize(params, mesh, v.reshape(mesh.shape))
-        return lin.value.ravel(), lambda: _frozen_matrix(params, mesh, lin)
+        return lin.value.ravel(), lambda: _frozen_matrix(mesh, lin)
 
     if method == "policy":
         lam, psi = policy_eigen(linearize, _factor, np.ones(mesh.n_nodes),

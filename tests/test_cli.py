@@ -91,6 +91,8 @@ class TestConfig:
     ("eigen", "radius=0", "need a finite, positive radius"),
     ("properties", "trials=0", "need trials >= 1"),
     ("sector", "deltas=[0.1]", "need at least two deltas"),
+    ("sector", "epsilon=NaN", "need a finite epsilon >= 0"),
+    ("sector", "epsilon=Infinity", "need a finite epsilon >= 0"),
 ])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, setting, message):
     assert run(tmp_path, command, "--set", setting) == 2
@@ -212,6 +214,17 @@ class TestPropertiesCommand:
         names = {c["name"]: c["passed"] for c in rep["checks"]}
         assert names["monotone_scheme"] is False
         assert rep["results"]["worst"]["monotone_scheme"] < -1e-3
+
+    def test_stalled_comparison_solve_fails_its_check(self, tmp_path):
+        # at alpha = 1 the g = 0.2 comparison solve stops at its step cap;
+        # the suite still reports all of its checks, in standard JSON
+        assert run(tmp_path, "properties", "--set", "alpha=1",
+                   "--set", "trials=5") == 1
+        rep = read_report(tmp_path, "properties")
+        json.dumps(rep, allow_nan=False)
+        failed = {c["name"] for c in rep["checks"] if not c["passed"]}
+        assert len(rep["checks"]) == 9
+        assert failed == {"monotone_scheme", "comparison_nonincreasing"}
 
     def test_scheme_duality_reports_the_worst_trial(self, tmp_path,
                                                      monkeypatch):

@@ -1015,6 +1015,29 @@ class TestComparison:
         assert rep.case == "homogeneous"
         assert rep.passed
 
+    @pytest.mark.parametrize("error", [
+        IterationLimit("forced", [1.0]),
+        RuntimeError("Factor is exactly singular")])
+    def test_solver_breakdown_counts_as_failure(self, disk_coarse,
+                                                monkeypatch, error):
+        # the second solve breaks down: the comparison fails and reports no
+        # gap or threshold, where it used to raise
+        real, solved = diagnostics_module.solve_dirichlet, []
+
+        def failing_second(*args, **kwargs):
+            solved.append(args[3])
+            if len(solved) == 2:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics_module, "solve_dirichlet",
+                            failing_second)
+        rep = comparison_check(LAP, disk_coarse, Constant(1.0), 0.0, 0.2)
+        assert solved == [0.0, 0.2]
+        assert rep.case == "nonincreasing"
+        assert not rep.passed
+        assert rep.gap is None and rep.threshold is None
+
 
 class TestSmallDomain:
     def test_threshold_between_known_eigenvalues(self):

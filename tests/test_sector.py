@@ -99,6 +99,10 @@ class TestGeometry:
             SectorOperatorParams(1.0, 1.0, gamma=1.5)
         with pytest.raises(ValueError):
             SectorOperatorParams(1.0, 1.0, epsilon=-0.1)
+        for key in ("gamma", "epsilon"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"need a finite {key}"):
+                    SectorOperatorParams(0.5, 1.0, **{key: value})
 
     def test_field_validation(self):
         mesh = SectorMesh(2, 0.1, np.pi / 100)
@@ -238,7 +242,7 @@ class TestAssemble:
         p = SectorOperatorParams(a, 1.0, gamma=2.4)
         lin = _linearize(p, mesh, vals)
         want = lin.value.ravel()
-        mat = _frozen_matrix(p, mesh, lin)
+        mat = _frozen_matrix(mesh, lin)
         got = mat @ vals.ravel()
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # no stored zeros: at a = A the cross-derivative entries vanish and
@@ -258,12 +262,55 @@ class TestAssemble:
 
         def frozen(a, A):
             params = SectorOperatorParams(a, A)
-            return _frozen_matrix(params, mesh,
-                                  _linearize(params, mesh, zero))
+            return _frozen_matrix(mesh, _linearize(params, mesh, zero))
 
         wide = frozen(0.5, 1.0)
         assert (wide != frozen(1.0, 1.0)).nnz == 0
         assert (wide != frozen(0.5, 0.5)).nnz > 0
+
+    @pytest.mark.parametrize("n_dim, spacing, a", [
+        (2, np.pi / 100, 1.0), (2, np.pi / 100, 0.6), (3, np.pi / 60, 1.0),
+        (3, np.pi / 60, 0.9)])
+    def test_frozen_matrix_sign_structure(self, n_dim, spacing, a):
+        # as for the grid's policy matrix: nonnegative neighbour weights and
+        # rows summing to at most 0, less where an arm leaves the box; for
+        # N = 3 and a < A only the cross difference's diagonal arms may
+        # carry negative weights
+        mesh = SectorMesh(n_dim, 0.2, spacing)
+        vals = np.random.default_rng(4).standard_normal(mesh.shape)
+        lin = _linearize(SectorOperatorParams(a, 1.0, gamma=2.4), mesh, vals)
+        mat = _frozen_matrix(mesh, lin).tocoo()
+        diag = mat.diagonal()
+        assert np.all(diag < 0.0)
+        neg = (mat.row != mat.col) & (mat.data < 0.0)
+        if n_dim == 2 or a == 1.0:
+            assert not neg.any()
+            rows = np.asarray(mat.sum(axis=1)).ravel()
+            assert rows.max() <= 1e-12 * np.abs(diag).max()
+        else:
+            diagonal_arms = mesh.nb[:, mat.row[neg], 2:]
+            assert np.all((diagonal_arms == mat.col[neg, None]).any(
+                axis=(0, 2)))
+
+    @pytest.mark.parametrize("field", ["zero", "scalar_hessian"])
+    def test_frame_free_where_g_is_scalar(self, monkeypatch, field):
+        # where the scaled angular Hessian G is a multiple of I every frame
+        # is an eigenframe: the reflection is 0, not 0/0, and the cross
+        # difference gets weight exactly 0
+        mesh = SectorMesh(3, 0.2, np.pi / 40)
+        rng = np.random.default_rng(6)
+        vals = np.zeros(mesh.shape)
+        if field == "scalar_hessian":
+            q1 = coefficients(mesh)["q1"]
+            d1_1, d1_2, d2_11 = rng.standard_normal((3, *mesh.shape))
+            # G11 = q1^2 d2_11 = G22 and G12 = 0 at every node
+            monkeypatch.setattr(sector_module, "_diffs", lambda v, m: (
+                d1_1, d1_2, d2_11, q1 ** 2 * d2_11, np.zeros(mesh.shape)))
+        lin = _linearize(SectorOperatorParams(0.6, 1.0, gamma=2.4), mesh,
+                         vals)
+        assert all(np.isfinite(c).all() for c in lin.coef)
+        assert np.all(lin.coef[4] == 0.0)
+        assert np.isfinite(lin.value).all()
 
     def test_positive_homogeneity(self):
         mesh = SectorMesh(2, 0.1, np.pi / 100)
@@ -364,7 +411,7 @@ class TestEigenvalue:
         def linearize(v, x):
             lin = _linearize(params, mesh, grid(v))
             return (lin.value.ravel() + x,
-                    lambda: _frozen_matrix(params, mesh, lin))
+                    lambda: _frozen_matrix(mesh, lin))
 
         # each inverse-power step solves H(psi) = -x by policy iteration
         def step(x, prev):
