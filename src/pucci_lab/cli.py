@@ -245,11 +245,12 @@ def cmd_eigen(cfg, out_dir):
     lam_ball = principal_eigenvalue_ball(params, 2, radius)
     dom = build_domain(Disk(radius), cfg["h"])
     lam_grid, _ = principal_eigenvalue_grid(params, dom)
-    lam_scaled = principal_eigenvalue_ball(params, 2, 2.0 * radius)
-    scale_gap = abs(lam_scaled * (2.0 * radius) ** 2
-                    - lam_ball * radius ** 2) / (lam_ball * radius ** 2)
+    # the shot scales one profile to the radius, so it is checked against
+    # the Brent search on the ball itself
+    lam_brent = principal_eigenvalue_ball(params, 2, radius, method="brent")
+    brent_gap = abs(lam_ball - lam_brent) / lam_brent
     results = {"ball_shooting": lam_ball, "disk_grid": lam_grid,
-               "scaling_residual": scale_gap}
+               "ball_brent": lam_brent, "shooting_vs_brent": brent_gap}
     rows = [("ball_shooting", lam_ball), ("disk_grid", lam_grid)]
     checks = []
     if cfg["a"] == cfg["A"]:
@@ -260,7 +261,7 @@ def cmd_eigen(cfg, out_dir):
         checks.append(_at_most("grid_vs_bessel", rel, cfg["grid_tol"]))
     rel_cross = abs(lam_grid - lam_ball) / lam_ball
     checks.append(_at_most("grid_vs_shooting", rel_cross, cfg["cross_tol"]))
-    checks.append(_at_most("radius_scaling", scale_gap, 1e-6))
+    checks.append(_at_most("shooting_vs_brent", brent_gap, 1e-6))
     _write_csv(os.path.join(out_dir, "eigen_values.csv"),
                ["method", "value"], rows)
     return results, checks

@@ -33,10 +33,11 @@ class PucciParams:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 < self.a <= self.A):
-            raise ValueError(f"need 0 < a <= A, got a={self.a}, A={self.A}")
-        if not (self.alpha > -1.0):
-            raise ValueError(f"need alpha > -1, got {self.alpha}")
+        if not (0.0 < self.a <= self.A < np.inf):
+            raise ValueError(
+                f"need finite 0 < a <= A, got a={self.a}, A={self.A}")
+        if not (-1.0 < self.alpha < np.inf):
+            raise ValueError(f"need a finite alpha > -1, got {self.alpha}")
         if not isinstance(self.variant, Variant):
             raise ValueError(f"variant must be a Variant, got {self.variant!r}")
 

@@ -47,8 +47,9 @@ class SectorOperatorParams:
     variant = Variant.MINUS
 
     def __post_init__(self):
-        if not (0.0 < self.a <= self.A):
-            raise ValueError(f"need 0 < a <= A, got a={self.a}, A={self.A}")
+        if not (0.0 < self.a <= self.A < np.inf):
+            raise ValueError(
+                f"need finite 0 < a <= A, got a={self.a}, A={self.A}")
         if not (2.0 <= self.gamma < np.inf):
             raise ValueError(f"need a finite gamma >= 2, got {self.gamma}")
         if not (0.0 <= self.epsilon < np.inf):

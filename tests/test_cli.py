@@ -93,6 +93,8 @@ class TestConfig:
     ("sector", "deltas=[0.1]", "need at least two deltas"),
     ("sector", "epsilon=NaN", "need a finite epsilon >= 0"),
     ("sector", "epsilon=Infinity", "need a finite epsilon >= 0"),
+    # an infinite A used to reach splu as an exactly singular matrix
+    ("sector", "A=Infinity", "need finite 0 < a <= A"),
 ])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, setting, message):
     assert run(tmp_path, command, "--set", setting) == 2
@@ -141,6 +143,10 @@ class TestEigenCommand:
         rep = read_report(tmp_path, "eigen")
         assert abs(rep["results"]["disk_grid"]
                    - rep["results"]["bessel_oracle"]) < 0.12
+        # the one-shot ball eigenvalue is checked against the Brent search
+        brent = {c["name"]: c for c in rep["checks"]}["shooting_vs_brent"]
+        assert brent["passed"]
+        assert brent["value"] == rep["results"]["shooting_vs_brent"] <= 1e-6
         with open(tmp_path / "eigen_values.csv") as fh:
             methods = {row["method"] for row in csv.DictReader(fh)}
         assert methods == {"ball_shooting", "disk_grid", "bessel_oracle"}

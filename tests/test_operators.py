@@ -248,3 +248,17 @@ def test_params_validation():
         PucciParams(1.0, 1.0, alpha=-1.0)
     with pytest.raises(ValueError, match="must be a Variant"):
         PucciParams(1.0, 1.0, "plus")
+
+
+@pytest.mark.parametrize("a, big_a, alpha, message", [
+    (1.0, np.inf, 0.0, "finite 0 < a <= A"),
+    (np.inf, np.inf, 0.0, "finite 0 < a <= A"),
+    (np.nan, 1.0, 0.0, "finite 0 < a <= A"),
+    (1.0, 1.0, np.inf, "finite alpha"),
+    (1.0, 1.0, np.nan, "finite alpha"),
+])
+def test_params_must_be_finite(a, big_a, alpha, message):
+    # an infinite A or alpha passed the order checks, and solvers then
+    # built NaN forms or singular matrices from it
+    with pytest.raises(ValueError, match=message):
+        PucciParams(a, big_a, alpha=alpha)

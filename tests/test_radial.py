@@ -275,6 +275,86 @@ class TestBallEigenvalue:
         lam = principal_eigenvalue_ball(p, 2, 1.0, h=1.0 / 800.0)
         assert_allclose(lam, DISK_LAPLACE_EIG, rtol=1e-4)
 
+    def test_default_is_one_shot(self, monkeypatch):
+        real_shoot = radial.shoot
+        calls = []
+
+        def counting_shoot(*args, **kwargs):
+            calls.append(args)
+            return real_shoot(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "shoot", counting_shoot)
+        principal_eigenvalue_ball(PucciParams(1.0, 1.5), 2, 1.0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n_dim, bessel", [(2, jn_zeros(0, 1)[0] ** 2),
+                                               (3, np.pi ** 2),
+                                               (10, jn_zeros(4, 1)[0] ** 2)])
+    def test_shot_against_bessel(self, n_dim, bessel):
+        # at a = A the operator is a times the Laplacian, whose principal
+        # eigenvalue on the unit N-ball is j_{N/2-1,1}^2; a = 2.5 checks
+        # that dividing by a leaves the shot unchanged
+        for a in (1.0, 2.5):
+            lam = principal_eigenvalue_ball(PucciParams(a, a), n_dim, 1.0)
+            assert_allclose(lam, a * bessel, rtol=1e-8)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.5])
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0])
+    def test_shot_lands_on_radius(self, alpha, variant, n_dim, radius):
+        # the scaled shot's lambda, shot on the ball itself, vanishes at R
+        p = PucciParams(1.0, 1.5, variant, alpha)
+        lam = principal_eigenvalue_ball(p, n_dim, radius)
+        prof = shoot(p, n_dim, EigenPower(lam), 1.0, 1.5 * radius,
+                     radius / 2000.0)
+        assert abs(prof.first_zero - radius) <= 1e-8 * radius
+
+    @pytest.mark.parametrize("a, alpha, variant, n_dim, radius", [
+        (1.0, -0.5, Variant.MINUS, 3, 0.5),
+        (1.0, 1.0, Variant.PLUS, 2, 1.0),
+        (0.4, 0.5, Variant.PLUS, 3, 1.0),
+    ])
+    def test_shot_matches_brent(self, a, alpha, variant, n_dim, radius):
+        p = PucciParams(a, 1.5, variant, alpha)
+        assert_allclose(principal_eigenvalue_ball(p, n_dim, radius),
+                        principal_eigenvalue_ball(p, n_dim, radius,
+                                                  method="brent"),
+                        rtol=1e-8)
+
+    def test_shot_range_doubles(self, monkeypatch):
+        # j_{9,1}^2 = 178 puts the N = 20 zero past the first range, 4
+        # times the zero of the first guess 6 A / a = 6
+        real_shoot = radial.shoot
+        ranges = []
+
+        def recording_shoot(params, n_dim, source, m, r_max, h):
+            ranges.append(r_max)
+            return real_shoot(params, n_dim, source, m, r_max, h)
+
+        monkeypatch.setattr(radial, "shoot", recording_shoot)
+        lam = principal_eigenvalue_ball(PucciParams(1.0, 1.0), 20, 1.0)
+        assert_allclose(ranges, [4.0 * 6.0 ** 0.5, 8.0 * 6.0 ** 0.5])
+        assert_allclose(lam, jn_zeros(9, 1)[0] ** 2, rtol=1e-8)
+
+    def test_shot_failure_after_sixty_ranges(self, monkeypatch):
+        ranges = []
+
+        def no_zero(params, n_dim, source, m, r_max, h):
+            ranges.append(r_max)
+            return SimpleNamespace(first_zero=None)
+
+        monkeypatch.setattr(radial, "shoot", no_zero)
+        with pytest.raises(BracketFailure, match="no first zero"):
+            principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0)
+        assert len(ranges) == 60
+        assert_allclose(np.diff(np.log2(ranges)), 1.0)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0,
+                                      method="bisect")
+
     def test_brent_lands_on_radius_in_few_shoots(self, monkeypatch):
         real_shoot = radial.shoot
         calls = []
@@ -286,7 +366,7 @@ class TestBallEigenvalue:
         monkeypatch.setattr(radial, "shoot", counting_shoot)
         p = PucciParams(1.0, 1.0)
         h = 1.0 / 800.0
-        lam = principal_eigenvalue_ball(p, 2, 1.0, h=h)
+        lam = principal_eigenvalue_ball(p, 2, 1.0, h=h, method="brent")
         # bisection to the same rel_tol takes 29 shoots here
         assert len(calls) <= 20
         prof = real_shoot(p, 2, EigenPower(lam), 1.0, 4.0, h)
@@ -303,14 +383,15 @@ class TestBallEigenvalue:
 
         monkeypatch.setattr(radial, "shoot", recording_shoot)
         principal_eigenvalue_ball(PucciParams(1.0, big_a), 2, 1.0,
-                                  h=1.0 / 800.0)
+                                  h=1.0 / 800.0, method="brent")
         # Brent's first two evaluations are the bracket ends, already shot
         assert len(set(shot)) == len(shot)
 
     def test_bracket_grows_upward(self):
         # at R = 1 the first bracket is [1.5, 24]; the N = 10 Laplacian's
         # eigenvalue j_{4,1}^2 lies above it
-        lam = principal_eigenvalue_ball(PucciParams(1.0, 1.0), 10, 1.0)
+        lam = principal_eigenvalue_ball(PucciParams(1.0, 1.0), 10, 1.0,
+                                        method="brent")
         assert lam > 24.0
         assert_allclose(lam, jn_zeros(4, 1)[0] ** 2, rtol=1e-8)
 
@@ -319,8 +400,8 @@ class TestBallEigenvalue:
         # radii; M+ >= a Laplacian bounds it by a j0^2 / R^2, and the
         # operator's 2-homogeneity in 1/R fixes the ratio
         p = PucciParams(0.1, 1.0)
-        lam1 = principal_eigenvalue_ball(p, 2, 1.0)
-        lam2 = principal_eigenvalue_ball(p, 2, 2.0)
+        lam1 = principal_eigenvalue_ball(p, 2, 1.0, method="brent")
+        lam2 = principal_eigenvalue_ball(p, 2, 2.0, method="brent")
         assert lam1 < 1.5
         assert lam1 <= p.a * DISK_LAPLACE_EIG
         assert abs(4.0 * lam2 - lam1) <= 1e-7
@@ -344,12 +425,14 @@ class TestBallEigenvalue:
 
         monkeypatch.setattr(radial, "shoot", fixed_zero)
         with pytest.raises(BracketFailure, match=f"no {side} eigenvalue"):
-            principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0)
+            principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0,
+                                      method="brent")
 
     def test_iteration_limit_carries_history(self):
         with pytest.raises(IterationLimit) as exc:
             principal_eigenvalue_ball(PucciParams(1.0, 1.0), 2, 1.0,
-                                      h=1.0 / 200.0, max_iter=2)
+                                      h=1.0 / 200.0, max_iter=2,
+                                      method="brent")
         assert exc.value.history
 
     def test_scaling_in_radius(self):

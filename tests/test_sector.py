@@ -104,6 +104,13 @@ class TestGeometry:
                 with pytest.raises(ValueError, match=f"need a finite {key}"):
                     SectorOperatorParams(0.5, 1.0, **{key: value})
 
+    @pytest.mark.parametrize("a, big_a", [(1.0, np.inf), (np.inf, np.inf),
+                                          (np.nan, 1.0), (0.5, np.nan)])
+    def test_params_need_finite_bounds(self, a, big_a):
+        # A = inf passed 0 < a <= A, and splu then met a singular matrix
+        with pytest.raises(ValueError, match="need finite 0 < a <= A"):
+            SectorOperatorParams(a, big_a)
+
     def test_field_validation(self):
         mesh = SectorMesh(2, 0.1, np.pi / 100)
         with pytest.raises(ValueError):
