@@ -15,7 +15,8 @@ serve both:
   policy at the current eigenfunction, take the principal eigenpair of the
   frozen matrix with one shift-invert ``eigs`` call, repeat (the principal
   half-eigenvalues of Pucci operators: Busca, Esteban and Quaas, Ann. IHP
-  22, 2005).
+  22, 2005).  A start that already meets the stopping rule with its
+  Rayleigh quotient is returned with no freeze.
 * ``inverse_power``: sup-normalized inverse power iteration for the
   principal eigenvalue, with the positivity check that keeps it on the
   principal branch; kept as the oracle ``policy_eigen`` is tested against.
@@ -210,6 +211,11 @@ def policy_eigen(linearize, factor, x0, *, tol, eig_tol, max_steps):
     Guide, 1998), and each vector costs one solve, so with the warm start
     v0 = phi a freeze takes 7 to 10 solves where scipy's default of 20
     vectors takes 21.  Stops when sup|F[phi] + lam*phi| <= tol * lam.
+    The start x0, at sup 1, is checked first against the same rule with
+    lam its Rayleigh quotient -<F[x0], x0>/<x0, x0>: when lam > 0 and x0
+    passes the positivity check, (lam, x0) is returned with no freeze and
+    no factorization.  The linearization of x0 serves the first freeze
+    either way, and the start's residual is not part of the history.
     Raises PositivityLoss if phi dips below -1e-12 anywhere, and
     IterationLimit (with the residual history) after ``max_steps`` freezes,
     on a non-finite residual or when ARPACK fails.  Returns (lambda, phi).
@@ -217,7 +223,12 @@ def policy_eigen(linearize, factor, x0, *, tol, eig_tol, max_steps):
     _check_cap(max_steps)
     phi = np.array(x0, dtype=float)
     history = []
-    _, freeze = linearize(phi)
+    value, freeze = linearize(phi)
+    # the start's Rayleigh quotient, for the stopping rule
+    lam = -float(value @ phi) / float(phi @ phi)
+    if (lam > 0.0 and phi.min() >= _POSITIVITY_TOL
+            and np.abs(value + lam * phi).max() <= tol * lam):
+        return lam, phi
     for _ in range(max_steps):
         mat = -freeze()
         del freeze

@@ -69,6 +69,11 @@ _DEFAULTS = {
     "report": {},
 }
 
+# the kind of a numeric setting, checked once by load_config: an integer
+# must be integral and finite, as int() of it must not truncate or raise
+_KINDS = {"n_dim": int, "n_planes": int, "seed": int, "trials": int,
+          "radius": float, "disk_radius": float}
+
 _EPILOG = "config keys per command:\n" + "".join(
     textwrap.fill(" ".join(keys), width=70, initial_indent=f"  {cmd:<16}",
                   subsequent_indent=" " * 18) + "\n"
@@ -93,7 +98,8 @@ def load_config(command, path=None, overrides=None):
     """Defaults for the command, updated from a JSON file and overrides.
 
     Unknown keys are rejected up front so typos cannot silently fall back
-    to a default.
+    to a default, and a key of ``_KINDS`` that holds no finite number of
+    its kind raises ValueError naming it.
     """
     cfg = dict(_DEFAULTS[command])
     known = set(cfg) | {"output_dir"}
@@ -110,7 +116,21 @@ def load_config(command, path=None, overrides=None):
             raise SystemExit(
                 f"unknown {name} keys for '{command}': {', '.join(unknown)}")
         cfg.update(layer)
+    for key in _KINDS.keys() & cfg.keys():
+        _check_kind(key, cfg[key])
     return cfg
+
+
+def _check_kind(key, value):
+    """Raise ValueError naming the key unless value is a finite number of
+    its kind."""
+    kind = _KINDS[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return
+    if not (isinstance(value, float) and np.isfinite(value)
+            and (kind is float or value.is_integer())):
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{key} must be a finite {noun}, got {value!r}")
 
 
 def _check(name, passed, value=None, bound=None):

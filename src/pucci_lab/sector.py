@@ -5,7 +5,10 @@ angular operator H on a shrunken quarter-sphere sector: an M-minus term on
 the frame-scaled angular Hessian, first-order penalties proportional to
 (a - A), and curvature connection terms with eigenvalue-wise coefficient
 selection.  At a = A the whole thing collapses to A times the
-Laplace-Beltrami operator, which anchors every sign convention here.
+Laplace-Beltrami operator, which anchors every sign convention here.  Its
+discrete Perron vector separates in theta_1 and theta_2
+(``_laplace_beltrami_mode``), and every policy eigen solve starts from it,
+so an a = A solve needs no factorization.
 
 Coordinates: theta_1 is the azimuth in the (x1, x2) plane, restricted to
 (0, pi/2) for the quarter; for N = 3, theta_2 is the latitude in
@@ -19,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from ._iterate import (LU_OPTIONS, _check_cap, inverse_power, policy_eigen,
@@ -251,6 +255,39 @@ def _factor(mat):
     return spla.splu(mat.tocsc(), **LU_OPTIONS)
 
 
+def _laplace_beltrami_mode(mesh):
+    """Perron vector of the a = A frozen matrix, mesh-shaped, at sup 1.
+
+    At a = A that matrix is A (q1^2 T1 + T2 - tan2 D1), T the second and D
+    the first central difference along an axis.  q1 and tan2 depend on
+    theta_2 alone, so the vector separates: the first sine vector of T1,
+    whose eigenvalue of -T1 is kappa, times the Perron vector of the
+    tridiagonal kappa q1^2 - T2 + tan2 D1 in theta_2.  Every node lies at
+    least h2 from a pole, so |tan2| < 1/h2 and both off-diagonals of that
+    matrix are negative; a diagonal similarity makes it symmetric, and
+    ``eigh_tridiagonal`` gives its lowest pair.  It does not depend on A.
+    """
+    n1, h1 = mesh.shape[0], mesh.spacings[0]
+    mode = np.sin(np.pi * np.arange(1, n1 + 1) / (n1 + 1))
+    mode /= mode.max()
+    if mesh.n_dim == 2:
+        return mode
+    kappa = (2.0 / h1 * np.sin(0.5 * np.pi / (n1 + 1))) ** 2
+    co = coefficients(mesh)
+    q1, tan2, h2 = co["q1"][0], co["tan2"][0], mesh.spacings[1]
+    # the row i entries at theta_2 nodes i + 1 and i - 1
+    up = -1.0 / h2 ** 2 + tan2[:-1] / (2.0 * h2)
+    down = -1.0 / h2 ** 2 - tan2[1:] / (2.0 * h2)
+    # S = D B D^-1 with d[i+1]/d[i] = sqrt(up[i]/down[i]) is symmetric
+    d = np.cumprod(np.concatenate([[1.0], np.sqrt(up / down)]))
+    _, vec = eigh_tridiagonal(kappa * q1 ** 2 + 2.0 / h2 ** 2,
+                              -np.sqrt(up * down), select="i",
+                              select_range=(0, 0))
+    lat = vec[:, 0] / d
+    lat /= lat[np.argmax(np.abs(lat))]
+    return np.outer(mode, lat)
+
+
 def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
                                 inner_tol=1e-10, method="policy"):
     """Principal eigenvalue of -H on the sector, with its eigenfield.
@@ -259,7 +296,10 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
     frames at psi, take the principal eigenpair of the frozen matrix with
     one ``eigs`` call of relative tolerance ``inner_tol``, refreeze, and
     stop when sup|H(psi) + lambda*psi| <= tol * lambda, with psi scaled to
-    sup 1; at most ``max_power`` freezes.  method="relax" is the slow
+    sup 1; at most ``max_power`` freezes.  It starts from the a = A Perron
+    vector ``_laplace_beltrami_mode``, which at a = A meets the stopping
+    rule before any freeze and for a < A saves about one; the relax oracle
+    starts from ones.  method="relax" is the slow
     oracle: inverse power iteration (solve H(psi_next) = -psi by relax
     sweeps to ``inner_tol``, normalize in sup norm, read lambda from the
     norm) until the relative eigenvalue change is at most tol, in at most
@@ -274,7 +314,8 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
         return lin.value.ravel(), lambda: _frozen_matrix(mesh, lin)
 
     if method == "policy":
-        lam, psi = policy_eigen(linearize, _factor, np.ones(mesh.n_nodes),
+        lam, psi = policy_eigen(linearize, _factor,
+                                _laplace_beltrami_mode(mesh).ravel(),
                                 tol=tol, eig_tol=inner_tol,
                                 max_steps=max_power)
     else:

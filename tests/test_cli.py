@@ -36,6 +36,19 @@ class TestConfig:
         with pytest.raises(SystemExit):
             load_config("radial", None, {"radiuss": 2.0})
 
+    @pytest.mark.parametrize("key, value, ok", [
+        ("n_dim", 3, True), ("n_dim", 3.0, True), ("n_dim", 2.7, False),
+        ("n_dim", True, False), ("n_dim", "3", False),
+        ("n_dim", float("nan"), False), ("radius", 2, True),
+        ("radius", 0.5, True), ("radius", float("-inf"), False),
+        ("radius", None, False)])
+    def test_setting_kinds(self, key, value, ok):
+        if ok:
+            assert load_config("radial", None, {key: value})[key] == value
+            return
+        with pytest.raises(ValueError, match=f"^{key} must be a finite"):
+            load_config("radial", None, {key: value})
+
     def test_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
@@ -95,6 +108,16 @@ class TestConfig:
     ("sector", "epsilon=Infinity", "need a finite epsilon >= 0"),
     # an infinite A used to reach splu as an exactly singular matrix
     ("sector", "A=Infinity", "need finite 0 < a <= A"),
+    # int() of an infinite setting raised OverflowError, and of 2.7 ran N = 2
+    ("radial", "n_dim=Infinity", "n_dim must be a finite integer"),
+    ("sector", "n_dim=Infinity", "n_dim must be a finite integer"),
+    ("radial", "n_dim=2.7", "n_dim must be a finite integer, got 2.7"),
+    ("radial", "radius=Infinity", "radius must be a finite number"),
+    ("serrin", "disk_radius=Infinity", "disk_radius must be a finite number"),
+    ("serrin", "n_planes=Infinity", "n_planes must be a finite integer"),
+    ("serrin", "n_planes=2.9", "n_planes must be a finite integer"),
+    ("properties", "seed=Infinity", "seed must be a finite integer"),
+    ("properties", "trials=Infinity", "trials must be a finite integer"),
 ])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, setting, message):
     assert run(tmp_path, command, "--set", setting) == 2

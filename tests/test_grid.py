@@ -835,7 +835,10 @@ class TestEigenvalue:
     def test_one_factor_per_new_frozen_matrix(self, disk_dom, count_splu,
                                               count_freezes):
         principal_eigenvalue_grid(WIDE, disk_dom)
-        assert 1 < len(count_splu) == len(count_freezes)
+        # the eigen loop's start check never accepts the start from ones
+        # (F[1] = 0 at a cell whose stencil is all inside, so the residual
+        # there is the Rayleigh quotient itself): every freeze is factored
+        assert len(count_splu) == len(count_freezes) == 4
         # at a = A the scheme is the linear 5-point Laplacian, which one
         # freeze resolves (inverse power with policy inner solves made 34
         # factorizations on this mesh)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_array_equal
 
-from pucci_lab._iterate import inverse_power, relax, stencil_matrix
+from pucci_lab._iterate import (inverse_power, policy_eigen, relax,
+                                stencil_matrix)
 from pucci_lab.errors import IterationLimit, PositivityLoss
 
 
@@ -32,6 +35,44 @@ class TestStencilMatrix:
         mat = stencil_matrix(np.array([-1.0, -5.0]), ends, weights)
         assert_array_equal(mat.toarray(), [[-1.0, 0.0], [2.0, -5.0]])
         assert mat.nnz == 3
+
+
+class TestPolicyEigenStart:
+    # -F is the 1-D Dirichlet Laplacian on three nodes, whose Perron pair
+    # is (2 - sqrt 2, (1, sqrt 2, 1)/sqrt 2) at sup 1
+    MAT = sp.csc_matrix([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0],
+                         [0.0, -1.0, 2.0]])
+    PERRON = np.array([1.0, np.sqrt(2.0), 1.0]) / np.sqrt(2.0)
+
+    def solve(self, x0):
+        """The pair from x0 and the number of freezes made."""
+        freezes = []
+
+        def linearize(v):
+            def freeze():
+                freezes.append(1)
+                return -self.MAT
+            return -(self.MAT @ v), freeze
+
+        lam, phi = policy_eigen(linearize, spla.splu, x0, tol=1e-10,
+                                eig_tol=1e-14, max_steps=5)
+        return lam, phi, len(freezes)
+
+    def test_an_eigenvector_start_needs_no_freeze(self):
+        lam, phi, freezes = self.solve(self.PERRON)
+        assert freezes == 0
+        assert lam == pytest.approx(2.0 - np.sqrt(2.0), rel=1e-15)
+        assert_array_equal(phi, self.PERRON)
+
+    @pytest.mark.parametrize("x0", [np.ones(3), -PERRON,
+                                    PERRON + [1e-6, 0.0, 0.0]],
+                             ids=["residual", "negative", "near"])
+    def test_other_starts_freeze(self, x0):
+        # a start that is not a positive pair within tol is refrozen
+        lam, phi, freezes = self.solve(x0)
+        assert freezes == 1
+        assert lam == pytest.approx(2.0 - np.sqrt(2.0), rel=1e-12)
+        assert np.abs(phi - self.PERRON).max() < 1e-12
 
 
 class TestFailurePaths:

@@ -13,9 +13,18 @@ from pucci_lab.sector import (SectorField, SectorMesh, SectorOperatorParams,
                               sector_principal_eigenvalue, shrink_angle)
 from pucci_lab import sector as sector_module
 from pucci_lab._iterate import inverse_power, policy_eigen, policy_iterate
-from pucci_lab.sector import _frozen_matrix, _linearize
+from pucci_lab.sector import (_MIN_NODES, _frozen_matrix,
+                              _laplace_beltrami_mode, _linearize)
 
 LAP = SectorOperatorParams(1.0, 1.0)
+
+
+def _sector_linearize(params, mesh):
+    """The ``linearize`` of the policy eigen loop, on flat arrays."""
+    def linearize(v):
+        lin = _linearize(params, mesh, v.reshape(mesh.shape))
+        return lin.value.ravel(), lambda: _frozen_matrix(mesh, lin)
+    return linearize
 
 
 def box_eigenvalue_n2(delta):
@@ -395,10 +404,11 @@ class TestEigenvalue:
 
     def test_one_freeze_at_equal_bounds_more_below(self, count_splu):
         mesh = SectorMesh(3, 0.2, np.pi / 40)
-        # at a = A every freeze is A times the Laplace-Beltrami matrix up to
-        # rounding, so the first freeze already holds the pair
+        # at a = A the frozen matrix is A times the Laplace-Beltrami matrix,
+        # whose Perron vector is the start, so no freeze is needed (one
+        # factorization from a start of ones)
         sector_principal_eigenvalue(LAP, mesh)
-        assert len(count_splu) == 1
+        assert len(count_splu) == 0
         # for a < A the frame choices move, and each freeze is factored
         count_splu.clear()
         sector_principal_eigenvalue(SectorOperatorParams(0.9, 1.0), mesh)
@@ -435,9 +445,49 @@ class TestEigenvalue:
         assert lam == pytest.approx(lam_ip, rel=1e-6)
         assert np.abs(psi.values - psi_ip).max() < 1e-4
         assert psi.values.min() > 0.0 and psi_ip.min() > 0.0
+        if a == 1.0:
+            # the start is the a = A Perron vector: no factor, no solve
+            assert solves == []
+            return
         # a one-pair Krylov space: scipy's default of 20 vectors makes 21
         # solves per freeze
         assert 0 < max(solves) <= 12
+
+    @pytest.mark.parametrize("n_dim, delta, spacing, big_a", [
+        (2, 0.1, np.pi / 100, 1.0), (2, 0.3, None, 2.5),
+        (3, 0.1, np.pi / 60, 2.5), (3, 0.3, None, 1.0)])
+    def test_laplace_beltrami_mode(self, n_dim, delta, spacing, big_a):
+        # spacing None is the coarsest mesh: _MIN_NODES nodes across theta_1
+        if spacing is None:
+            spacing = (np.pi / 2 - 2.0 * shrink_angle(n_dim, delta)) \
+                / (_MIN_NODES + 1)
+        mesh = SectorMesh(n_dim, delta, spacing)
+        params = SectorOperatorParams(big_a, big_a)
+        lam_o, phi_o = policy_eigen(_sector_linearize(params, mesh),
+                                    sector_module._factor,
+                                    np.ones(mesh.n_nodes), tol=1e-10,
+                                    eig_tol=1e-14, max_steps=5)
+        mode = _laplace_beltrami_mode(mesh)
+        assert mode.shape == mesh.shape
+        assert mode.min() > 0.0 and mode.max() == 1.0
+        assert np.abs(mode.ravel() - phi_o).max() < 1e-8
+        # the solver starts from the mode and stops there
+        lam, psi = sector_principal_eigenvalue(params, mesh)
+        assert lam == pytest.approx(lam_o, rel=1e-10)
+        assert_array_equal(psi.values, mode)
+
+    def test_mode_start_saves_a_freeze_below_equal_bounds(self, count_splu):
+        mesh = SectorMesh(3, 0.2, np.pi / 40)
+        params = SectorOperatorParams(0.9, 1.0)
+        lam_ones, _ = policy_eigen(_sector_linearize(params, mesh),
+                                   sector_module._factor,
+                                   np.ones(mesh.n_nodes), tol=1e-8,
+                                   eig_tol=1e-10, max_steps=500)
+        from_ones = len(count_splu)
+        count_splu.clear()
+        lam, _ = sector_principal_eigenvalue(params, mesh, tol=1e-8)
+        assert len(count_splu) == from_ones - 1
+        assert lam == pytest.approx(lam_ones, rel=1e-9)
 
     def test_sign_changing_pair_is_a_positivity_loss(self):
         # not an M-matrix: the pair nearest 0 is (2 - sqrt 2, (1, -sqrt 2, 1))
@@ -523,9 +573,10 @@ class TestGammaExponent:
 
     @pytest.mark.parametrize("n_dim", [2, 3])
     def test_equal_bounds_factor_once(self, n_dim, count_splu):
-        # at a = A lambda(gamma) is one constant: one eigen solve, one freeze
+        # at a = A lambda(gamma) is one constant: one eigen solve, which
+        # its start already solves with no freeze
         gamma_exponent(1.0, 1.0, 0.0, 0.2, n_dim, spacing=np.pi / 40)
-        assert len(count_splu) == 1
+        assert len(count_splu) == 0
 
     def test_iteration_limit(self):
         with pytest.raises(IterationLimit):
