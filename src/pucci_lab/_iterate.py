@@ -27,9 +27,12 @@ Both layers find stencil neighbours in one arm table, int32 of shape
 (2, n, k), and assemble their frozen CSC matrices from it with
 ``stencil_matrix``, where a stencil end of index >= n is not an unknown (a
 grid cut point, a node beyond the sector box) and gets no entry.
-The policy and eigenpair loops factor each frozen matrix once, with the
-layer's own ``factor``, and keep no factor from one freeze to the next.
-Every layer's ``factor`` is ``splu`` with ``LU_OPTIONS``.
+The policy and eigenpair loops give each frozen matrix once to the
+layer's own ``factor`` and keep no solver from one freeze to the next.
+That ``factor`` is ``splu`` with ``LU_OPTIONS``, except in the grid's
+Dirichlet loop: there a matrix above 1,500 unknowns is solved by BiCGSTAB
+preconditioned with an aggregation multigrid, whose coarsest level is
+such an LU, and a smaller one by the LU itself.
 Convergence is declared on the true nonlinear residual,
 sup|r(u)| <= tol * max(1, sup|u|) (sup|F[phi] + lam*phi| <= tol * lam for
 the eigenpair).
@@ -109,12 +112,12 @@ def policy_iterate(linearize, factor, u0, *, tol, max_steps,
     ``linearize(u)`` returns r(u) and a callable that builds the CSC matrix
     J(u), so the residual and the matrix share one linearization and a
     converged step builds no matrix.  ``factor(J)`` returns an object with
-    ``solve``; each step factors its matrix once.  With ``line_search`` a
-    step is halved until sup|r| falls below its value at u, down to a
-    step of ``_MIN_STEP`` that is taken whatever its residual; the
-    accepted trial's linearization serves the next step, so a full step
-    linearizes once.  Without it every step is a full one, as Howard's
-    algorithm on an M-matrix needs no guard.
+    ``solve``, an LU factor or an iterative solver; each step calls it
+    once.  With ``line_search`` a step is halved until sup|r| falls below
+    its value at u, down to a step of ``_MIN_STEP`` that is taken
+    whatever its residual; the accepted trial's linearization serves the
+    next step, so a full step linearizes once.  Without it every step is a
+    full one, as Howard's algorithm on an M-matrix needs no guard.
     """
     _check_cap(max_steps)
     u = np.array(u0, dtype=float)
@@ -126,8 +129,8 @@ def policy_iterate(linearize, factor, u0, *, tol, max_steps,
             return u
         mat = freeze()
         # freeze may hold a whole linearization (about 40 MB on a 63k-cell
-        # grid); the factor, which sets the peak memory, needs only the
-        # matrix
+        # grid); the solver that factor builds (an LU or the grid's
+        # multigrid, each larger than the matrix) needs only the matrix
         del freeze
         du = factor(mat).solve(-r)
         step = 1.0

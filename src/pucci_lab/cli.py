@@ -86,7 +86,7 @@ def _parse_overrides(items):
     for item in items:
         key, sep, raw = item.partition("=")
         if not sep or not key:
-            raise SystemExit(f"--set needs key=value, got {item!r}")
+            raise ValueError(f"--set needs key=value, got {item!r}")
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -99,7 +99,8 @@ def load_config(command, path=None, overrides=None):
 
     Unknown keys are rejected up front so typos cannot silently fall back
     to a default, and a key of ``_KINDS`` that holds no finite number of
-    its kind raises ValueError naming it.
+    its kind is rejected naming it; both raise ValueError, as does a config
+    file that holds no JSON object.
     """
     cfg = dict(_DEFAULTS[command])
     known = set(cfg) | {"output_dir"}
@@ -110,10 +111,10 @@ def load_config(command, path=None, overrides=None):
             with open(layer) as fh:
                 layer = json.load(fh)
             if not isinstance(layer, dict):
-                raise SystemExit("config file must hold a JSON object")
+                raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(layer) - known)
         if unknown:
-            raise SystemExit(
+            raise ValueError(
                 f"unknown {name} keys for '{command}': {', '.join(unknown)}")
         cfg.update(layer)
     for key in _KINDS.keys() & cfg.keys():
@@ -134,11 +135,12 @@ def _check_kind(key, value):
 
 
 def _check(name, passed, value=None, bound=None):
+    """One report check; a value or bound that is not finite fails it."""
     entry = {"name": name, "passed": bool(passed)}
-    if value is not None:
-        entry["value"] = float(value)
-    if bound is not None:
-        entry["bound"] = float(bound)
+    for key, number in (("value", value), ("bound", bound)):
+        if number is not None:
+            entry[key] = float(number)
+            entry["passed"] &= bool(np.isfinite(entry[key]))
     return entry
 
 
@@ -159,7 +161,21 @@ def _write_csv(path, header, rows):
                              for v in row])
 
 
+def _finite(obj):
+    """``obj`` with every float that is not finite replaced by None, at
+    any depth of its dicts and lists."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
 def _finish(command, cfg, results, checks, out_dir, started):
+    """Write the report as standard JSON, a number that is not finite as
+    null, print the checks and return the exit code."""
     report = {
         "command": command,
         "parameters": cfg,
@@ -173,7 +189,8 @@ def _finish(command, cfg, results, checks, out_dir, started):
     }
     path = os.path.join(out_dir, f"{command}.report.json")
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_finite(report), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     for chk in checks:
         verdict = "PASS" if chk["passed"] else "FAIL"

@@ -32,9 +32,14 @@ class TestConfig:
         assert cfg["radius"] == 2.0
         assert cfg["tol"] == 1e-4
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # an invalid setting exits 2, as every other does; 1 is a failed
+        # check
+        with pytest.raises(ValueError, match="unknown --set keys"):
             load_config("radial", None, {"radiuss": 2.0})
+        assert run(tmp_path, "radial", "--set", "radiuss=2") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown --set keys for 'radial': radiuss")
 
     @pytest.mark.parametrize("key, value, ok", [
         ("n_dim", 3, True), ("n_dim", 3.0, True), ("n_dim", 2.7, False),
@@ -52,17 +57,19 @@ class TestConfig:
     def test_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
-        with pytest.raises(SystemExit, match="JSON object"):
+        with pytest.raises(ValueError, match="JSON object"):
             load_config("radial", str(path), None)
+        assert run(tmp_path, "radial", "--config", str(path)) == 2
 
-    def test_override_needs_a_value(self):
-        with pytest.raises(SystemExit, match="--set needs key=value"):
-            main(["radial", "--set", "tol"])
+    def test_override_needs_a_value(self, tmp_path, capsys):
+        assert run(tmp_path, "radial", "--set", "tol") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --set needs key=value, got 'tol'")
 
     def test_unknown_file_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"h_grid": 0.1}))
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="unknown config file keys"):
             load_config("eigen", str(path), None)
 
     def test_output_dir_key_sets_directory(self, tmp_path):
@@ -147,6 +154,24 @@ class TestRadialCommand:
         assert run(tmp_path, "radial", "--set", "radius=0.5") == 0
         rep = read_report(tmp_path, "radial")
         assert rep["parameters"]["radius"] == 0.5
+
+    def test_nan_tolerance_writes_standard_json(self, tmp_path):
+        # the report is standard JSON: a bound that is not finite is
+        # written as null, and its check fails
+        def reject(constant):
+            raise AssertionError(f"report holds {constant}")
+
+        assert run(tmp_path, "radial", "--set", "tol=NaN") == 1
+        text = (tmp_path / "radial.report.json").read_text()
+        rep = json.loads(text, parse_constant=reject)
+        assert rep["parameters"]["tol"] is None
+        assert [(c["name"], c["passed"], c["bound"]) for c in rep["checks"]] \
+            == [("closed_form_sup_error", False, None),
+                ("first_zero_at_radius", False, None)]
+        assert rep["results"]["sup_error"] <= 1e-5
+        # inf <= inf holds, but an infinite value fails its check too
+        assert cli._at_most("gap", float("inf"), float("inf"))["passed"] \
+            is False
 
 
 class TestOverdeterminedCommand:

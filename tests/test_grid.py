@@ -787,6 +787,97 @@ class TestDirichlet:
         assert info.value.history[0] > 0.0
 
 
+def _oscillating(x, y):
+    return np.sin(3.0 * x) * np.cos(2.0 * y)
+
+
+@pytest.fixture(scope="module")
+def square_fine():
+    # 40,000 cells: two levels of 3 x 3 blocks above the coarsest
+    return build_domain(Polygon([(-1, -1), (1, -1), (1, 1), (-1, 1)]), 0.01)
+
+
+class TestNewtonMultigrid:
+    """The Dirichlet steps above ``_COARSEST`` unknowns, against the
+    whole-matrix LU on the same linearization."""
+
+    @staticmethod
+    def solve_both(monkeypatch, params, dom, g):
+        """solve_dirichlet's field and the LU path's, each with the sizes
+        of the matrices its Newton steps solved."""
+        runs = []
+        real = solver_module.policy_iterate
+
+        def recording(factor, sizes):
+            def make(mat):
+                sizes.append(mat.shape[0])
+                return factor(mat)
+            return make
+
+        def capture(linearize, factor, u0, **kwargs):
+            runs.append((linearize, u0, kwargs, []))
+            return real(linearize, recording(factor, runs[-1][3]), u0,
+                        **kwargs)
+
+        monkeypatch.setattr(solver_module, "policy_iterate", capture)
+        u = solve_dirichlet(params, dom, Constant(1.0), g).values
+        (linearize, u0, kwargs, steps), = runs
+        lu_steps = []
+        ref = real(linearize, recording(solver_module._factor, lu_steps), u0,
+                   **kwargs)
+        return u, ref, steps, lu_steps, linearize(u0)[1]()
+
+    @pytest.mark.parametrize("case", ["square", "singular", "hexagon"])
+    def test_matches_lu(self, monkeypatch, count_splu, square_fine, case):
+        # measured at most 1.4e-14 relative, with equal step counts
+        if case == "square":
+            params, dom, g = WIDE, square_fine, _oscillating
+        elif case == "singular":
+            params = PucciParams(0.5, 2.0, Variant.PLUS, -0.5)
+            dom, g = build_domain(Disk(1.0), 0.02), 0.0
+        else:
+            # A/a = 10 reads 8 directions
+            params, g = PucciParams(1.0, 10.0), _oscillating
+            t = 0.1 + np.arange(6) * np.pi / 3.0
+            dom = build_domain(Polygon(np.stack([np.cos(t), np.sin(t)], 1)),
+                               0.02)
+        u, ref, steps, lu_steps, mat = self.solve_both(monkeypatch, params,
+                                                       dom, g)
+        levels = solver_module._Multigrid(mat, dom.cells).levels
+        assert len(levels) == (2 if case == "square" else 1)
+        assert steps == lu_steps == [dom.n_cells] * len(steps)
+        assert len(steps) > 1
+        # no step fell back: the whole-matrix factors are the LU path's
+        assert sum(n == dom.n_cells for n, _ in count_splu) == len(steps)
+        assert np.abs(u - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    def test_fallback_is_the_lu_path(self, monkeypatch, count_splu):
+        # one BiCGSTAB iteration never reaches the relative residual 1e-12,
+        # so every step factors its whole matrix as well as the coarsest
+        monkeypatch.setattr(solver_module, "_KRYLOV_CAP", 1)
+        params = PucciParams(0.5, 2.0, Variant.PLUS, -0.5)
+        dom = build_domain(Disk(1.0), 0.02)
+        u, ref, steps, lu_steps, _ = self.solve_both(monkeypatch, params,
+                                                     dom, 0.0)
+        assert_array_equal(u, ref)
+        assert len(steps) == len(lu_steps) > 1
+        coarse = [n for n, _ in count_splu if n < dom.n_cells]
+        assert len(coarse) == len(steps)
+        assert len(count_splu) == len(coarse) + 2 * len(steps)
+
+    def test_one_coarse_factor_per_newton_step(self, square_fine, count_splu,
+                                               count_freezes):
+        solve_dirichlet(WIDE, square_fine, Constant(1.0), _oscillating)
+        assert 1 < len(count_splu) == len(count_freezes)
+        assert max(n for n, _ in count_splu) <= solver_module._COARSEST
+
+    def test_small_matrix_takes_the_lu(self, disk_dom, count_splu):
+        # at most _COARSEST unknowns: one whole-matrix factor per step
+        assert disk_dom.n_cells <= solver_module._COARSEST
+        solve_dirichlet(WIDE, disk_dom, Constant(1.0), _oscillating)
+        assert set(count_splu) == {(disk_dom.n_cells,) * 2}
+
+
 class TestEigenvalue:
     def test_disk_matches_bessel(self):
         dom = build_domain(Disk(1.0), 0.04)
