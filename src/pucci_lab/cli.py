@@ -9,8 +9,11 @@ only in the ``meta`` block.  The process exits 0 iff every check passed.
 """
 
 import argparse
+import contextlib
 import csv
 import json
+import math
+import operator
 import os
 import sys
 import textwrap
@@ -69,10 +72,26 @@ _DEFAULTS = {
     "report": {},
 }
 
-# the kind of a numeric setting, checked once by load_config: an integer
-# must be integral and finite, as int() of it must not truncate or raise
-_KINDS = {"n_dim": int, "n_planes": int, "seed": int, "trials": int,
-          "radius": float, "disk_radius": float}
+# every setting's kind and, where no library constructor checks it, its
+# range; a list's range is of its length.  An int or float is finite, an
+# int integral, and no bool is a number; a pair is [x, y], not both 0
+_SETTINGS = {
+    "a": (float,), "A": (float,), "alpha": (float,), "epsilon": (float,),
+    "h": (float,), "grid_h": (float,), "disk_radius": (float,),
+    "step": (float,), "gamma_delta": (float,), "shift": (float,),
+    "radius": (float, ">", 0), "spacing_denom": (float, ">", 0),
+    "f0": (float, ">=", 0),  # the closed form: decreasing profiles only
+    "spread_min": (float, ">=", 0),
+    "tol": (float, ">=", 0), "grid_tol": (float, ">=", 0),
+    "cross_tol": (float, ">=", 0), "trace_std_tol": (float, ">=", 0),
+    "oracle_tol": (float, ">=", 0), "hessian_tol": (float, ">=", 0),
+    "anchor_rel_tol": (float, ">=", 0),
+    "n_dim": (int, ">=", 2), "n_planes": (int, ">=", 1),
+    "seed": (int, ">=", 0), "trials": (int, ">=", 1),
+    "break_stencil": (bool,),
+    "c_values": (list, ">=", 1), "deltas": (list, ">=", 2),
+    "ellipse": (list, "==", 2), "directions": ("pairs", ">=", 1),
+}
 
 _EPILOG = "config keys per command:\n" + "".join(
     textwrap.fill(" ".join(keys), width=70, initial_indent=f"  {cmd:<16}",
@@ -98,9 +117,10 @@ def load_config(command, path=None, overrides=None):
     """Defaults for the command, updated from a JSON file and overrides.
 
     Unknown keys are rejected up front so typos cannot silently fall back
-    to a default, and a key of ``_KINDS`` that holds no finite number of
-    its kind is rejected naming it; both raise ValueError, as does a config
-    file that holds no JSON object.
+    to a default, and every setting is checked against its row of
+    ``_SETTINGS`` and handed back as that kind: int, float, bool or a list
+    of floats.  Each failure raises ValueError, as does a config file that
+    cannot be read or holds no JSON object.
     """
     cfg = dict(_DEFAULTS[command])
     known = set(cfg) | {"output_dir"}
@@ -108,30 +128,66 @@ def load_config(command, path=None, overrides=None):
         if not layer:
             continue
         if isinstance(layer, str):
-            with open(layer) as fh:
-                layer = json.load(fh)
+            try:
+                with open(layer) as fh:
+                    layer = json.load(fh)
+            except (OSError, ValueError) as exc:  # unreadable, or no JSON
+                raise ValueError(f"config file {path}: "
+                                 f"{getattr(exc, 'strerror', exc)}") from None
             if not isinstance(layer, dict):
-                raise ValueError("config file must hold a JSON object")
+                raise ValueError(f"config file {path} must hold a JSON "
+                                 "object")
         unknown = sorted(set(layer) - known)
         if unknown:
             raise ValueError(
                 f"unknown {name} keys for '{command}': {', '.join(unknown)}")
         cfg.update(layer)
-    for key in _KINDS.keys() & cfg.keys():
-        _check_kind(key, cfg[key])
+    for key in _DEFAULTS[command]:
+        cfg[key] = _setting(key, cfg[key])
     return cfg
 
 
-def _check_kind(key, value):
-    """Raise ValueError naming the key unless value is a finite number of
-    its kind."""
-    kind = _KINDS[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return
-    if not (isinstance(value, float) and np.isfinite(value)
-            and (kind is float or value.is_integer())):
-        noun = "integer" if kind is int else "number"
-        raise ValueError(f"{key} must be a finite {noun}, got {value!r}")
+_NOUNS = {float: "a finite number", int: "a finite integer",
+          bool: "true or false", list: "a list of finite numbers",
+          "pairs": "a list of [x, y] pairs of finite numbers, not both 0"}
+_OPS = {">": operator.gt, ">=": operator.ge, "==": operator.eq}
+
+
+def _number(value, kind=float):
+    """value as a finite number of kind (float or int), else None; a bool
+    is no number, and an int must be integral."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past float range
+            if math.isfinite(value) and (kind is float or value == int(value)):
+                return kind(value)
+    return None
+
+
+def _pair(value):
+    """value as an [x, y] pair of finite floats, not both 0, or None."""
+    pair = [_number(v) for v in value] if isinstance(value, list) else []
+    return pair if len(pair) == 2 and None not in pair and any(pair) else None
+
+
+def _setting(key, value):
+    """value as the kind its row of ``_SETTINGS`` gives, within its range;
+    else ValueError naming the key."""
+    kind, *rule = _SETTINGS[key]
+    if kind in (list, "pairs"):
+        item = _number if kind is list else _pair
+        got = [item(v) for v in value] if isinstance(value, list) else [None]
+        got = None if None in got else got
+    elif kind is bool:
+        got = value if isinstance(value, bool) else None
+    else:
+        got = _number(value, kind)
+    if got is None:
+        raise ValueError(f"{key} must be {_NOUNS[kind]}, got {value!r}")
+    size = len(got) if isinstance(got, list) else got
+    if rule and not _OPS[rule[0]](size, rule[1]):
+        what = "hold {} {} items" if isinstance(got, list) else "be {} {}"
+        raise ValueError(f"{key} must {what.format(*rule)}, got {value!r}")
+    return got
 
 
 def _check(name, passed, value=None, bound=None):
@@ -208,14 +264,7 @@ def _finish(command, cfg, results, checks, out_dir, started):
 def cmd_radial(cfg, out_dir):
     """Shooting against the closed form for constant source on a ball."""
     params = PucciParams(cfg["a"], cfg["A"], Variant.PLUS, cfg["alpha"])
-    n_dim, radius, f0 = int(cfg["n_dim"]), float(cfg["radius"]), float(cfg["f0"])
-    if n_dim < 2:
-        raise ValueError(f"need n_dim >= 2, got {n_dim}")
-    if radius <= 0.0:
-        raise ValueError(f"need radius > 0, got {radius}")
-    if f0 < 0.0:
-        raise ValueError("constant source must be nonnegative here, the "
-                         "closed form covers decreasing profiles only")
+    n_dim, radius, f0 = cfg["n_dim"], cfg["radius"], cfg["f0"]
     results, checks = {}, []
     if f0 == 0.0:
         prof = shoot(params, n_dim, Constant(0.0), 1.0, 2.0 * radius,
@@ -247,12 +296,9 @@ def cmd_radial(cfg, out_dir):
 def cmd_overdetermined(cfg, out_dir):
     """Neumann datum to ball radius and back through the shot profile."""
     params = PucciParams(cfg["a"], cfg["A"], Variant.PLUS, cfg["alpha"])
-    n_dim = int(cfg["n_dim"])
-    if n_dim < 2:
-        raise ValueError(f"need n_dim >= 2, got {n_dim}")
+    n_dim = cfg["n_dim"]
     rows = []
     for c in cfg["c_values"]:
-        c = float(c)
         radius = overdetermined_radius(params, n_dim, c)
         m = closed_form_constant(params, n_dim, radius, 0.0)
         step = cfg["step"] * max(radius, 1.0)
@@ -278,7 +324,7 @@ def cmd_overdetermined(cfg, out_dir):
 def cmd_eigen(cfg, out_dir):
     """Ball (shooting) and disk (grid) principal eigenvalues side by side."""
     params = PucciParams(cfg["a"], cfg["A"])
-    radius = float(cfg["radius"])
+    radius = cfg["radius"]
     lam_ball = principal_eigenvalue_ball(params, 2, radius)
     dom = build_domain(Disk(radius), cfg["h"])
     lam_grid, _ = principal_eigenvalue_grid(params, dom)
@@ -320,10 +366,10 @@ def _ellipse_exact_trace(shape, points, a):
 def cmd_serrin(cfg, out_dir):
     """Symmetry diagnostics: traces, moving planes, boundary Hessians."""
     params = PucciParams(cfg["a"], cfg["A"])
-    h = float(cfg["h"])
+    h = cfg["h"]
     results, checks = {}, []
 
-    radius = float(cfg["disk_radius"])
+    radius = cfg["disk_radius"]
     disk = Disk(radius)
     dom = build_domain(disk, h)
     u = solve_dirichlet(params, dom, Constant(1.0))
@@ -339,11 +385,11 @@ def cmd_serrin(cfg, out_dir):
     gap_rows = []
     worst_gap = -np.inf
     for direction in cfg["directions"]:
-        d = np.asarray(direction, dtype=float)
+        d = np.asarray(direction)
         t_star = critical_plane_position(disk, d)
         proj = disk.boundary_points(4096) @ (d / np.hypot(d[0], d[1]))
         t_lo = proj.min() + 3.0 * h
-        for t in np.linspace(t_lo, t_star, int(cfg["n_planes"])):
+        for t in np.linspace(t_lo, t_star, cfg["n_planes"]):
             gap = reflection_gap(u, d, float(t))
             gap_rows.append((direction[0], direction[1], float(t), gap))
             worst_gap = max(worst_gap, gap)
@@ -352,7 +398,7 @@ def cmd_serrin(cfg, out_dir):
     _write_csv(os.path.join(out_dir, "serrin_reflection_gaps.csv"),
                ["dir_x", "dir_y", "t", "gap"], gap_rows)
 
-    ellipse = Ellipse(*[float(v) for v in cfg["ellipse"]])
+    ellipse = Ellipse(*cfg["ellipse"])
     edom = build_domain(ellipse, h)
     ue = solve_dirichlet(params, edom, Constant(1.0))
     earc, etrace = neumann_trace(ue)
@@ -385,16 +431,12 @@ def cmd_serrin(cfg, out_dir):
 
 def cmd_sector(cfg, out_dir):
     """Sector eigenvalue table over delta with extrapolation, plus gamma."""
-    n_dim = int(cfg["n_dim"])
-    a, A, eps = float(cfg["a"]), float(cfg["A"]), float(cfg["epsilon"])
-    spacing = np.pi / float(cfg["spacing_denom"])
-    deltas = [float(d) for d in cfg["deltas"]]
-    if len(deltas) < 2:
-        raise ValueError("need at least two deltas to extrapolate")
+    n_dim, a, A, eps = cfg["n_dim"], cfg["a"], cfg["A"], cfg["epsilon"]
+    spacing = np.pi / cfg["spacing_denom"]
     sparams = SectorOperatorParams(a, A, gamma=2.0, epsilon=eps)
     rows = []
     psi_last = None
-    for delta in deltas:
+    for delta in cfg["deltas"]:
         mesh = SectorMesh(n_dim, delta, spacing)
         lam, psi_last = sector_principal_eigenvalue(sparams, mesh)
         rows.append((delta, lam))
@@ -431,10 +473,8 @@ def cmd_properties(cfg, out_dir):
     """Randomized identity and ordering suites with a fixed seed."""
     plus = PucciParams(cfg["a"], cfg["A"], Variant.PLUS, cfg["alpha"])
     minus = PucciParams(cfg["a"], cfg["A"], Variant.MINUS, cfg["alpha"])
-    rng = np.random.default_rng(int(cfg["seed"]))
-    trials = int(cfg["trials"])
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    rng = np.random.default_rng(cfg["seed"])
+    trials = cfg["trials"]
 
     dual_gap = mono_gap = hom_gap = 0.0
     for _ in range(trials):
@@ -523,7 +563,7 @@ def cmd_properties(cfg, out_dir):
     checks.append(_check("small_domain_threshold", small.passed,
                          small.threshold_size))
 
-    results = {"trials": trials, "seed": int(cfg["seed"]),
+    results = {"trials": trials, "seed": cfg["seed"],
                "stencil": "broken" if cfg["break_stencil"] else "default",
                "worst": {"duality": dual_gap, "monotone_matrix": mono_gap,
                          "homogeneity": hom_gap, "monotone_scheme": scheme_gap,
@@ -552,7 +592,7 @@ def cmd_report(cfg, out_dir):
                      "all_pass": n_pass == len(rep["checks"]),
                      "wall_time_s": rep["meta"]["wall_time_s"]})
     if not rows:
-        raise SystemExit(f"no *.report.json files under {out_dir}")
+        raise ValueError(f"no *.report.json files under {out_dir}")
     results = {"commands": rows}
     checks = [_check(f"{row['command']}_all_pass", row["all_pass"])
               for row in rows]

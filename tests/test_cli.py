@@ -2,12 +2,26 @@
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from pucci_lab import Variant, cli
 from pucci_lab.cli import _DEFAULTS, load_config, main
 from pucci_lab.grid import GridField
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def command_of(key):
+    """The first command that has the config key."""
+    return next(cmd for cmd, keys in _DEFAULTS.items() if key in keys)
 
 
 def run(tmp_path, *args):
@@ -46,13 +60,56 @@ class TestConfig:
         ("n_dim", True, False), ("n_dim", "3", False),
         ("n_dim", float("nan"), False), ("radius", 2, True),
         ("radius", 0.5, True), ("radius", float("-inf"), False),
-        ("radius", None, False)])
+        ("radius", None, False), ("n_dim", 10 ** 400, False),
+        ("a", 10 ** 400, False), ("deltas", [0.1, "x"], False),
+        ("c_values", [float("nan")], False), ("ellipse", [2, True], False),
+        ("directions", [[1, 0, 0]], False), ("directions", [1, 0], False)])
     def test_setting_kinds(self, key, value, ok):
+        command = command_of(key)
         if ok:
-            assert load_config("radial", None, {key: value})[key] == value
+            got = load_config(command, None, {key: value})[key]
+            assert got == value and type(got) is cli._SETTINGS[key][0]
             return
-        with pytest.raises(ValueError, match=f"^{key} must be a finite"):
-            load_config("radial", None, {key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be a "):
+            load_config(command, None, {key: value})
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("deltas", [1, 0.5], "[1.0, 0.5]"),
+        ("directions", [[1, 0], [2.5, -1]], "[[1.0, 0.0], [2.5, -1.0]]")])
+    def test_lists_hand_back_floats(self, key, value, want):
+        assert repr(load_config(command_of(key), None, {key: value})[key]) \
+            == want
+
+    def test_every_setting_has_a_row(self):
+        assert set(cli._SETTINGS) == set().union(*_DEFAULTS.values())
+
+    @pytest.mark.parametrize("command", [c for c, keys in _DEFAULTS.items()
+                                         if keys])
+    def test_sweep_rejects_or_normalizes(self, command):
+        # every key at every value of the settings sweep, with no solve:
+        # rejected naming the key, or handed back as the kind the command
+        # reads
+        values = [float("nan"), float("inf"), float("-inf"), True, None,
+                  "x", [], -1, 0, 0.5, 2.7]
+        for key in _DEFAULTS[command]:
+            kind = cli._SETTINGS[key][0]
+            for value in values:
+                try:
+                    got = load_config(command, None, {key: value})[key]
+                except ValueError as exc:
+                    assert str(exc).startswith(f"{key} must "), exc
+                    continue
+                assert kind in (int, float, bool), (key, value)
+                assert type(got) is kind, (key, value, got)
+                assert got == value
+                if kind is not bool:
+                    assert math.isfinite(got)
+
+    def test_defaults_take_their_kinds(self):
+        cfg = load_config("serrin")
+        assert repr(cfg["n_planes"]) == "4"
+        assert repr(cfg["directions"][3]) == "[2.0, -1.0]"
+        assert repr(load_config("sector")["spacing_denom"]) == "400.0"
 
     def test_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -60,6 +117,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="JSON object"):
             load_config("radial", str(path), None)
         assert run(tmp_path, "radial", "--config", str(path)) == 2
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("nope.json", None, "config file {path}: No such file or directory"),
+        ("bad.json", "{tol: 1}", "config file {path}: Expecting property"),
+        # the directory itself
+        ("", None, "config file {path}: Is a directory"),
+    ])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, name, text,
+                                     message):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert run(tmp_path, "radial", "--config", str(path)) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: " + message.format(path=path))
 
     def test_override_needs_a_value(self, tmp_path, capsys):
         assert run(tmp_path, "radial", "--set", "tol") == 2
@@ -103,18 +175,20 @@ class TestConfig:
 
 
 @pytest.mark.parametrize("command, setting, message", [
-    ("radial", "n_dim=1", "need n_dim >= 2"),
-    ("radial", "radius=0", "need radius > 0"),
-    ("radial", "f0=-1", "constant source must be nonnegative"),
-    ("overdetermined", "n_dim=1", "need n_dim >= 2"),
-    # rejected by principal_eigenvalue_ball, before any grid is built
-    ("eigen", "radius=0", "need a finite, positive radius"),
-    ("properties", "trials=0", "need trials >= 1"),
-    ("sector", "deltas=[0.1]", "need at least two deltas"),
-    ("sector", "epsilon=NaN", "need a finite epsilon >= 0"),
-    ("sector", "epsilon=Infinity", "need a finite epsilon >= 0"),
+    ("radial", "n_dim=1", "n_dim must be >= 2, got 1"),
+    ("radial", "radius=0", "radius must be > 0, got 0"),
+    ("radial", "f0=-1", "f0 must be >= 0, got -1"),
+    ("overdetermined", "n_dim=1", "n_dim must be >= 2, got 1"),
+    ("eigen", "radius=0", "radius must be > 0, got 0"),
+    ("properties", "trials=0", "trials must be >= 1, got 0"),
+    ("sector", "deltas=[0.1]", "deltas must hold >= 2 items, got [0.1]"),
+    ("sector", "epsilon=NaN", "epsilon must be a finite number, got nan"),
+    ("sector", "epsilon=Infinity", "epsilon must be a finite number"),
     # an infinite A used to reach splu as an exactly singular matrix
-    ("sector", "A=Infinity", "need finite 0 < a <= A"),
+    ("sector", "A=Infinity", "A must be a finite number, got inf"),
+    # the library still checks what it states: 0 < a <= A, epsilon >= 0
+    ("sector", "a=2", "need finite 0 < a <= A"),
+    ("sector", "epsilon=-1", "need a finite epsilon >= 0"),
     # int() of an infinite setting raised OverflowError, and of 2.7 ran N = 2
     ("radial", "n_dim=Infinity", "n_dim must be a finite integer"),
     ("sector", "n_dim=Infinity", "n_dim must be a finite integer"),
@@ -125,6 +199,26 @@ class TestConfig:
     ("serrin", "n_planes=2.9", "n_planes must be a finite integer"),
     ("properties", "seed=Infinity", "seed must be a finite integer"),
     ("properties", "trials=Infinity", "trials must be a finite integer"),
+    # these ran: as a = 1, shift 0, the default stencil, a check that
+    # always passes, no planes and no directions
+    ("radial", "a=true", "a must be a finite number, got True"),
+    ("properties", "shift=null", "shift must be a finite number, got None"),
+    ("properties", "break_stencil=null",
+     "break_stencil must be true or false, got None"),
+    ("serrin", "spread_min=-1", "spread_min must be >= 0, got -1"),
+    ("serrin", "n_planes=0", "n_planes must be >= 1, got 0"),
+    ("serrin", "directions=[]", "directions must hold >= 1 items, got []"),
+    ("serrin", "directions=[[0,0]]", "directions must be a list of [x, y]"),
+    ("radial", "tol=NaN", "tol must be a finite number, got nan"),
+    ("radial", "tol=-1", "tol must be >= 0, got -1"),
+    # these raised TypeError or ZeroDivisionError
+    ("radial", "a=x", "a must be a finite number, got 'x'"),
+    ("radial", "tol=null", "tol must be a finite number, got None"),
+    ("serrin", "ellipse=0", "ellipse must be a list of finite numbers"),
+    ("serrin", "ellipse=[2]", "ellipse must hold == 2 items, got [2]"),
+    ("overdetermined", "c_values=true",
+     "c_values must be a list of finite numbers, got True"),
+    ("sector", "spacing_denom=0", "spacing_denom must be > 0, got 0"),
 ])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, setting, message):
     assert run(tmp_path, command, "--set", setting) == 2
@@ -156,19 +250,23 @@ class TestRadialCommand:
         assert rep["parameters"]["radius"] == 0.5
 
     def test_nan_tolerance_writes_standard_json(self, tmp_path):
-        # the report is standard JSON: a bound that is not finite is
-        # written as null, and its check fails
+        # the report is standard JSON: a number that is not finite is
+        # written as null, and a check whose bound is not finite fails;
+        # load_config rejects such a setting, so the report is made here
         def reject(constant):
             raise AssertionError(f"report holds {constant}")
 
-        assert run(tmp_path, "radial", "--set", "tol=NaN") == 1
+        nan = float("nan")
+        checks = [cli._at_most("closed_form_sup_error", 1e-7, nan),
+                  cli._at_most("first_zero_at_radius", 1e-7, 1e-4)]
+        assert cli._finish("radial", {"tol": nan}, {"sup_error": 1e-7},
+                           checks, str(tmp_path), time.perf_counter()) == 1
         text = (tmp_path / "radial.report.json").read_text()
         rep = json.loads(text, parse_constant=reject)
         assert rep["parameters"]["tol"] is None
         assert [(c["name"], c["passed"], c["bound"]) for c in rep["checks"]] \
             == [("closed_form_sup_error", False, None),
-                ("first_zero_at_radius", False, None)]
-        assert rep["results"]["sup_error"] <= 1e-5
+                ("first_zero_at_radius", True, 1e-4)]
         # inf <= inf holds, but an infinite value fails its check too
         assert cli._at_most("gap", float("inf"), float("inf"))["passed"] \
             is False
@@ -333,9 +431,10 @@ class TestReportCommand:
             rows = list(csv.DictReader(fh))
         assert {r["command"] for r in rows} == {"radial", "overdetermined"}
 
-    def test_empty_directory_errors(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["report", "--out", str(tmp_path)])
+    def test_empty_directory_errors(self, tmp_path, capsys):
+        assert run(tmp_path, "report") == 2
+        assert capsys.readouterr().err == \
+            f"error: no *.report.json files under {tmp_path}\n"
 
     def test_failures_propagate(self, tmp_path):
         run(tmp_path, "properties", "--set", "trials=5",
@@ -349,3 +448,18 @@ class TestMeta:
         rep = read_report(tmp_path, "radial")
         text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
         assert text == (tmp_path / "radial.report.json").read_text()
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["radial"], 0, ""),
+    (["serrin", "--set", "ellipse=0"], 2,
+     "error: ellipse must be a list of finite numbers, got 0\n")])
+def test_module_entry_point(tmp_path, args, code, err):
+    # python -m pucci_lab.cli runs main under the module's __main__ guard
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pucci_lab.cli", *args, "--out", str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (code, err)
