@@ -30,9 +30,10 @@ grid cut point, a node beyond the sector box) and gets no entry.
 The policy and eigenpair loops give each frozen matrix once to the
 layer's own ``factor`` and keep no solver from one freeze to the next.
 That ``factor`` is ``splu`` with ``LU_OPTIONS``, except in the grid's
-Dirichlet loop: there a matrix above 1,500 unknowns is solved by BiCGSTAB
-preconditioned with an aggregation multigrid, whose coarsest level is
-such an LU, and a smaller one by the LU itself.
+Dirichlet loop, where it is an aggregation multigrid: BiCGSTAB
+preconditioned with V-cycles whose coarsest level, of at most 1,500
+unknowns, is such an LU.  A smaller matrix is its own coarsest level and
+is solved by that LU alone.
 Convergence is declared on the true nonlinear residual,
 sup|r(u)| <= tol * max(1, sup|u|) (sup|F[phi] + lam*phi| <= tol * lam for
 the eigenpair).

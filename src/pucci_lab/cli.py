@@ -91,6 +91,7 @@ _SETTINGS = {
     "break_stencil": (bool,),
     "c_values": (list, ">=", 1), "deltas": (list, ">=", 2),
     "ellipse": (list, "==", 2), "directions": ("pairs", ">=", 1),
+    "output_dir": (str,),
 }
 
 _EPILOG = "config keys per command:\n" + "".join(
@@ -117,10 +118,11 @@ def load_config(command, path=None, overrides=None):
     """Defaults for the command, updated from a JSON file and overrides.
 
     Unknown keys are rejected up front so typos cannot silently fall back
-    to a default, and every setting is checked against its row of
-    ``_SETTINGS`` and handed back as that kind: int, float, bool or a list
-    of floats.  Each failure raises ValueError, as does a config file that
-    cannot be read or holds no JSON object.
+    to a default, and every setting, ``output_dir`` too when it is set, is
+    checked against its row of ``_SETTINGS`` and handed back as that kind:
+    int, float, bool, str or a list of floats.  Each failure raises
+    ValueError, as does a config file that cannot be read or holds no JSON
+    object.
     """
     cfg = dict(_DEFAULTS[command])
     known = set(cfg) | {"output_dir"}
@@ -142,13 +144,14 @@ def load_config(command, path=None, overrides=None):
             raise ValueError(
                 f"unknown {name} keys for '{command}': {', '.join(unknown)}")
         cfg.update(layer)
-    for key in _DEFAULTS[command]:
+    for key in cfg:
         cfg[key] = _setting(key, cfg[key])
     return cfg
 
 
 _NOUNS = {float: "a finite number", int: "a finite integer",
-          bool: "true or false", list: "a list of finite numbers",
+          bool: "true or false", str: "a string",
+          list: "a list of finite numbers",
           "pairs": "a list of [x, y] pairs of finite numbers, not both 0"}
 _OPS = {">": operator.gt, ">=": operator.ge, "==": operator.eq}
 
@@ -177,8 +180,8 @@ def _setting(key, value):
         item = _number if kind is list else _pair
         got = [item(v) for v in value] if isinstance(value, list) else [None]
         got = None if None in got else got
-    elif kind is bool:
-        got = value if isinstance(value, bool) else None
+    elif kind in (bool, str):
+        got = value if isinstance(value, kind) else None
     else:
         got = _number(value, kind)
     if got is None:

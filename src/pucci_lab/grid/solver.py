@@ -149,20 +149,19 @@ def _resolved_table(params, dom):
     return table
 
 
-def _linearize(params, dom, values, bvals, table, weights=None):
+def _linearize(params, dom, values, bvals, table):
     """The scheme at one iterate, read by the operator and the frozen
     matrix alike.
 
     Holds the arm lengths of the first ``table.k`` directions, which the
     table reads; each cell's maximizer over the candidates, whose values
-    are linear forms in the second differences along those directions
-    (scaled by ``weights``, one per entry of ``DIRECTIONS``, if given), all
-    read from the arm-end values (the arm table indexes cell values
+    are linear forms in the second differences along those directions,
+    all read from the arm-end values (the arm table indexes cell values
     followed by cut data); and the core M_h(D^2 u).  The maximizer is the
-    candidate row ``pick``, with, per cell and row, the phase ``top`` of
-    the angle terms, whether it lies ``inside`` the arc, and whether the
-    arc's low end beats its high end (``lo_wins``).  For alpha != 0 it also holds
-    the centred axis gradients ``grad`` (gx, gy per cell) and
+    candidate row ``pick``, with, per cell at that row, the phase ``top``
+    of the angle terms, whether it lies ``inside`` the arc, and whether
+    the arc's low end beats its high end (``lo_wins``).  For alpha != 0 it
+    also holds the centred axis gradients ``grad`` (gx, gy per cell) and
     g = |grad_h u|.  ``value`` is the operator and ``weight`` the frozen
     matrix's gradient weight.
     """
@@ -170,8 +169,6 @@ def _linearize(params, dom, values, bvals, table, weights=None):
     arms = dom.arm_lengths(table.k)
     (sf, sb), v0 = arms, values[:, None]
     delta = 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
-    if weights is not None:
-        delta *= weights[:table.k]
     # Minus is the max over the candidates of -tr(alpha X)
     sign = 1.0 if params.variant is Variant.PLUS else -1.0
     c0, c1, c2, at_lo, at_hi = (sign * delta) @ table.forms
@@ -181,9 +178,10 @@ def _linearize(params, dom, values, bvals, table, weights=None):
     inside = (table.lo <= top) & (top <= table.hi)
     gain = np.where(inside, c0 + np.hypot(c1, c2), np.maximum(at_lo, at_hi))
     pick = gain.argmax(axis=1)
-    core = sign * gain[np.arange(len(pick)), pick]
-    lin = SimpleNamespace(arms=arms, table=table, pick=pick,
-                          top=top, inside=inside, lo_wins=at_lo >= at_hi,
+    at = np.arange(len(pick)), pick
+    core = sign * gain[at]
+    lin = SimpleNamespace(arms=arms, table=table, pick=pick, top=top[at],
+                          inside=inside[at], lo_wins=at_lo[at] >= at_hi[at],
                           core=core, value=core, weight=1.0)
     if params.alpha != 0.0:
         sf, sb, vf, vb = sf[:, :2], sb[:, :2], vf[:, :2], vb[:, :2]
@@ -201,12 +199,11 @@ def _active_weights(lin):
     ``lin.table.k`` directions at its maximizer (Danskin), shape
     (n_cells, k), clipped at 0 inside the arc and the table's end weights
     at an end."""
-    at = np.arange(len(lin.pick)), lin.pick
-    phi = lin.top[at][:, None]
+    phi = lin.top[:, None]
     p, q, r, at_lo, at_hi = lin.table.forms[:, :, lin.pick].transpose(0, 2, 1)
-    return np.where(lin.inside[at][:, None],
+    return np.where(lin.inside[:, None],
                     np.maximum(p + q * np.cos(phi) + r * np.sin(phi), 0.0),
-                    np.where(lin.lo_wins[at][:, None], at_lo, at_hi))
+                    np.where(lin.lo_wins[:, None], at_lo, at_hi))
 
 
 def discretize_F(params, dom, field, weights=None):
@@ -226,12 +223,13 @@ def discretize_F(params, dom, field, weights=None):
             f"the domain has {len(dom.cut_xy)} cut points in the "
             f"{table.k} directions A/a = {params.A / params.a:g} "
             f"reads; sample the field after the domain resolves them")
+    if weights is not None:
+        table.forms = table.forms * weights[:table.k, None]
     return GridField(dom, _linearize(params, dom, field.values,
-                                     field.boundary_values, table,
-                                     weights).value)
+                                     field.boundary_values, table).value)
 
 
-def _policy_matrix(params, dom, lin):
+def _policy_matrix(dom, lin):
     """Frozen matrix of the operator at the maximizer of the iterate.
 
     Freezes at the iterate of the linearization ``lin`` each cell's
@@ -281,12 +279,13 @@ class _Multigrid:
 
     The cells are grouped into 3 x 3 blocks of the lattice, and the blocks
     again on each coarser level, until a level has at most ``_COARSEST``
-    unknowns; that level is factored by ``_factor``.  The prolongator is
-    the piecewise constant one smoothed by one damped Jacobi step, the
-    coarse matrix the Galerkin product P^T A P, and the smoother
-    ``_SWEEPS`` damped Jacobi sweeps before the coarse correction and as
-    many after.  A solve that has not reached a relative residual of
-    ``_KRYLOV_RTOL`` in ``_KRYLOV_CAP`` iterations is made again with a
+    unknowns; that level is factored by ``_factor``.  A matrix of at most
+    ``_COARSEST`` unknowns has no finer level, and its LU is the solve.
+    The prolongator is the piecewise constant one smoothed by one damped
+    Jacobi step, the coarse matrix the Galerkin product P^T A P, and the
+    smoother ``_SWEEPS`` damped Jacobi sweeps before the coarse correction
+    and as many after.  A solve that has not reached a relative residual
+    of ``_KRYLOV_RTOL`` in ``_KRYLOV_CAP`` iterations is made again with a
     whole-matrix ``_factor``.
     """
 
@@ -323,6 +322,8 @@ class _Multigrid:
         return x
 
     def solve(self, rhs):
+        if not self.levels:  # the exact LU; BiCGSTAB could factor again
+            return self.coarse.solve(rhs)
         cycle = spla.LinearOperator(self.mat.shape, matvec=self._cycle,
                                     dtype=float)
         x, info = spla.bicgstab(self.mat, rhs, rtol=_KRYLOV_RTOL, atol=0.0,
@@ -330,23 +331,15 @@ class _Multigrid:
         return x if info == 0 else _factor(self.mat).solve(rhs)
 
 
-def _newton_solver(cells, mat):
-    """The ``factor`` of the Dirichlet policy loop: ``_factor`` on a matrix
-    of at most ``_COARSEST`` unknowns, ``_Multigrid`` above."""
-    if mat.shape[0] <= _COARSEST:
-        return _factor(mat)
-    return _Multigrid(mat, cells)
-
-
 def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
                     tol=1e-8, max_outer=80, u0=None):
     """Solve F[u] + f(u) = 0 with Dirichlet data g on the cut boundary.
 
-    method="policy" is semismooth Newton with one new linear solver per
-    step: on at most ``_COARSEST`` cells the LU of ``_factor``, and above
-    that BiCGSTAB to a relative residual of 1e-12, preconditioned with an
-    aggregation multigrid whose coarsest level is one such LU
-    (``_Multigrid``; a step whose BiCGSTAB stalls takes the whole-matrix LU).
+    method="policy" is semismooth Newton with one new ``_Multigrid`` per
+    step, which solves a step of at most ``_COARSEST`` cells by its LU and
+    a larger one by BiCGSTAB to a relative residual of 1e-12 (the
+    whole-matrix LU if that stalls), preconditioned with an aggregation
+    multigrid whose coarsest level is such an LU.
     At alpha = 0 a step linearizes the candidate extremum at the current
     iterate (Danskin: the weights of each cell's maximizer), which is
     Howard's policy update when f is linear; its matrix
@@ -377,7 +370,7 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         lin = _linearize(params, dom, v, bvals, table)
 
         def freeze():
-            mat = _policy_matrix(params, dom, lin)
+            mat = _policy_matrix(dom, lin)
             if params.alpha != 0.0:
                 mat = mat + _gradient_matrix(params, dom, lin)
             return mat + sp.diags(source.evaluate_deriv(v, params.alpha))
@@ -391,7 +384,7 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     else:
         # the Jacobian is an M-matrix only at alpha = 0, where Howard's
         # full steps converge unguarded
-        u = policy_iterate(linearize, partial(_newton_solver, dom.cells), u,
+        u = policy_iterate(linearize, partial(_Multigrid, cells=dom.cells), u,
                            tol=tol, max_steps=max_outer,
                            line_search=params.alpha != 0.0)
     return GridField(dom, u, bvals)
@@ -417,7 +410,7 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
 
     def linearize(v):
         lin = _linearize(params, dom, v, bvals, table)
-        return lin.value, lambda: _policy_matrix(params, dom, lin)
+        return lin.value, lambda: _policy_matrix(dom, lin)
 
     lam, phi = policy_eigen(linearize, _factor, np.ones(dom.n_cells),
                             tol=tol, eig_tol=inner_tol, max_steps=max_power)

@@ -81,7 +81,9 @@ class TestConfig:
             == want
 
     def test_every_setting_has_a_row(self):
-        assert set(cli._SETTINGS) == set().union(*_DEFAULTS.values())
+        # output_dir has no default, and --out overrides it
+        assert set(cli._SETTINGS) == set().union(*_DEFAULTS.values(),
+                                                 {"output_dir"})
 
     @pytest.mark.parametrize("command", [c for c, keys in _DEFAULTS.items()
                                          if keys])
@@ -219,6 +221,8 @@ class TestConfig:
     ("overdetermined", "c_values=true",
      "c_values must be a list of finite numbers, got True"),
     ("sector", "spacing_denom=0", "spacing_denom must be > 0, got 0"),
+    # reached os.makedirs as a bool and raised TypeError
+    ("radial", "output_dir=true", "output_dir must be a string, got True"),
 ])
 def test_invalid_setting_exits_2(tmp_path, capsys, command, setting, message):
     assert run(tmp_path, command, "--set", setting) == 2

@@ -510,7 +510,7 @@ class TestOperator:
         params = PucciParams(0.5, 2.0, variant, alpha)
         u = np.random.default_rng(5).standard_normal(disk_coarse.n_cells)
         zero = np.zeros(len(disk_coarse.cut_xy))
-        got = _policy_matrix(params, disk_coarse,
+        got = _policy_matrix(disk_coarse,
                              linearized(params, disk_coarse, u, zero)) @ u
         want = discretize_F(params, disk_coarse,
                             GridField(disk_coarse, u, zero)).values
@@ -528,7 +528,7 @@ class TestOperator:
         def frozen(a, A):
             params = PucciParams(a, A, variant)
             lin = linearized(params, disk_coarse, zero_u, zero)
-            return _policy_matrix(params, disk_coarse, lin)
+            return _policy_matrix(disk_coarse, lin)
 
         assert (frozen(0.5, 2.0) != frozen(tie, tie)).nnz == 0
 
@@ -542,8 +542,8 @@ class TestOperator:
         lin = linearized(params, disk_coarse, u, b)
         assert_array_equal(lin.value, discretize_F(
             params, disk_coarse, GridField(disk_coarse, u, b)).values)
-        got = _policy_matrix(params, disk_coarse, lin)
-        want = _policy_matrix(params, disk_coarse,
+        got = _policy_matrix(disk_coarse, lin)
+        want = _policy_matrix(disk_coarse,
                               linearized(params, disk_coarse, u, b))
         for part in ("data", "indices", "indptr"):
             assert_array_equal(getattr(got, part), getattr(want, part))
@@ -559,7 +559,7 @@ class TestOperator:
         rng = np.random.default_rng(5)
         lin = linearized(params, dom, rng.standard_normal(dom.n_cells),
                          rng.standard_normal(len(dom.cut_xy)))
-        mat = _policy_matrix(params, dom, lin).tocoo()
+        mat = _policy_matrix(dom, lin).tocoo()
         off = mat.row != mat.col
         assert np.all(mat.data[off] > 0.0)
         diag = mat.diagonal()
@@ -604,7 +604,7 @@ class TestOperator:
         assert np.abs(linearize(u)[1]() @ v - fd).max() <= 1e-6 * scale
         # the frozen matrix alone, which drops the weight's derivative,
         # is far from it
-        howard = _policy_matrix(params, disk_coarse, lin) @ v \
+        howard = _policy_matrix(disk_coarse, lin) @ v \
             + source.evaluate_deriv(u, alpha) * v
         assert np.abs(howard - fd).max() > 1e-2 * scale
 
@@ -616,6 +616,8 @@ class TestOperator:
         bad = discretize_F(LAP, disk_coarse, fld, broken_weights()).values
         assert np.abs(good + 1.0).max() < 1e-10
         assert np.abs(bad + 1.0).max() > 0.5
+        # the weights break one call's candidate table, not the next call's
+        assert_array_equal(discretize_F(LAP, disk_coarse, fld).values, good)
 
     def test_requires_boundary_values(self, disk_coarse):
         fld = GridField(disk_coarse, np.zeros(disk_coarse.n_cells))
@@ -871,11 +873,27 @@ class TestNewtonMultigrid:
         assert 1 < len(count_splu) == len(count_freezes)
         assert max(n for n, _ in count_splu) <= solver_module._COARSEST
 
-    def test_small_matrix_takes_the_lu(self, disk_dom, count_splu):
-        # at most _COARSEST unknowns: one whole-matrix factor per step
+    def test_small_matrix_takes_the_lu(self, monkeypatch, disk_dom,
+                                       count_splu):
+        # at most _COARSEST unknowns: the hierarchy is empty, and each step
+        # is one whole-matrix factor that solves it alone
         assert disk_dom.n_cells <= solver_module._COARSEST
+
+        def no_krylov(*args, **kwargs):
+            raise AssertionError("BiCGSTAB ran on a matrix with no levels")
+
+        monkeypatch.setattr(spla, "bicgstab", no_krylov)
         solve_dirichlet(WIDE, disk_dom, Constant(1.0), _oscillating)
         assert set(count_splu) == {(disk_dom.n_cells,) * 2}
+        rng = np.random.default_rng(3)
+        mat = _policy_matrix(disk_dom, linearized(
+            WIDE, disk_dom, rng.standard_normal(disk_dom.n_cells),
+            rng.standard_normal(len(disk_dom.cut_xy))))
+        grid = solver_module._Multigrid(mat, disk_dom.cells)
+        assert grid.levels == []
+        rhs = rng.standard_normal(disk_dom.n_cells)
+        assert_array_equal(grid.solve(rhs),
+                           solver_module._factor(mat).solve(rhs))
 
 
 class TestEigenvalue:
