@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"
 
-from .errors import (BracketFailure, CoefficientBlowup, DegenerateGradient,
-                     IntegrationFailure, InvalidMatrix, InvalidNeumannData,
-                     InvalidShape, IterationLimit, NoZeroCrossing, OutOfDomain,
+from .errors import (BracketFailure, DegenerateGradient, IntegrationFailure,
+                     InvalidMatrix, InvalidNeumannData, InvalidShape,
+                     IterationLimit, NoZeroCrossing, OutOfDomain,
                      PositivityLoss, PucciLabError, ReflectionOutOfDomain,
                      SignBranchFailure)
 from .operators import (EigenDecomp, PucciParams, SymMatrix, Variant,
@@ -27,11 +27,10 @@ __all__ = [
     "critical_plane_position", "discretize_F", "export_field_csv",
     "neumann_trace", "principal_eigenvalue_grid", "reflection_gap",
     "small_domain_check", "solve_dirichlet",
-    "BracketFailure", "CoefficientBlowup", "DegenerateGradient",
-    "IntegrationFailure", "InvalidMatrix", "InvalidNeumannData",
-    "InvalidShape", "IterationLimit", "NoZeroCrossing", "OutOfDomain",
-    "PositivityLoss", "PucciLabError", "ReflectionOutOfDomain",
-    "SignBranchFailure",
+    "BracketFailure", "DegenerateGradient", "IntegrationFailure",
+    "InvalidMatrix", "InvalidNeumannData", "InvalidShape", "IterationLimit",
+    "NoZeroCrossing", "OutOfDomain", "PositivityLoss", "PucciLabError",
+    "ReflectionOutOfDomain", "SignBranchFailure",
     "EigenDecomp", "PucciParams", "SymMatrix", "Variant", "boundary_hessian",
     "eigen_sym", "f_operator", "pucci",
     "Constant", "EigenPower", "PowerPair", "RadialProfile", "Source",

@@ -67,7 +67,3 @@ class PositivityLoss(PucciLabError):
 
 class ReflectionOutOfDomain(PucciLabError):
     """A reflected cap leaves the domain: the plane moved past critical."""
-
-
-class CoefficientBlowup(PucciLabError):
-    """Sector coefficients evaluated at an angle where they are singular."""

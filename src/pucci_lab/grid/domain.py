@@ -205,8 +205,8 @@ class GridDomain:
     The domain stores no arm lengths:
     an arm along d has length |d| h, times ``cut_frac`` where it is cut, and
     ``arm_lengths(k)`` reads those of the first k directions through the
-    arm table, as arm-end values are read; the solver asks once per
-    linearization.
+    arm table, as arm-end values are read; a solve asks once, with its
+    candidate table.
     """
 
     def __init__(self, shape, h, origin, nx, ny):

@@ -38,7 +38,8 @@ from .domain import DIRECTIONS, GridField, _resolve, boundary_data
 # for alpha < 0 only, where the weight is singular; for alpha > 0 it is
 # 0^alpha * core = 0, the degenerate operator itself.  The frozen matrix
 # floors g for every alpha != 0, so that no row vanishes: at u0 = 0 every
-# gradient is 0.
+# gradient is 0.  For alpha < 0 the source's f' ~ |u|^alpha is infinite
+# at u = 0 too, and the Dirichlet matrix reads it at max(|u|, floor).
 _GRAD_FLOOR = 1e-8
 _MAX_DAMPED = 400_000
 # alpha(-pi) = diag(a, A), for which the superbase (1, 0), (0, 1), (-1, -1)
@@ -143,21 +144,25 @@ def _candidate_table(params):
 
 def _resolved_table(params, dom):
     """The candidate table of ``params``, with ``dom`` resolved to the
-    directions it reads."""
+    directions it reads, and the stencil those directions span on it: the
+    arm table ``nb = dom.nb[:, :, :k]`` and its arm lengths ``arms``, read
+    once here for every linearization of a solve."""
     table = _candidate_table(params)
     _resolve(dom, table.k)
+    table.nb = dom.nb[:, :, :table.k]
+    table.arms = dom.arm_lengths(table.k)
     return table
 
 
-def _linearize(params, dom, values, bvals, table):
+def _linearize(params, values, bvals, table):
     """The scheme at one iterate, read by the operator and the frozen
     matrix alike.
 
-    Holds the arm lengths of the first ``table.k`` directions, which the
-    table reads; each cell's maximizer over the candidates, whose values
-    are linear forms in the second differences along those directions,
-    all read from the arm-end values (the arm table indexes cell values
-    followed by cut data); and the core M_h(D^2 u).  The maximizer is the
+    Holds each cell's maximizer over the candidates of ``table``, whose
+    values are linear forms in the second differences along the first
+    ``table.k`` directions, read from the arm-end values (the arm table
+    ``table.nb`` indexes cell values followed by cut data) and the arm
+    lengths ``table.arms``; and the core M_h(D^2 u).  The maximizer is the
     candidate row ``pick``, with, per cell at that row, the phase ``top``
     of the angle terms, whether it lies ``inside`` the arc, and whether
     the arc's low end beats its high end (``lo_wins``).  For alpha != 0 it
@@ -165,9 +170,8 @@ def _linearize(params, dom, values, bvals, table):
     g = |grad_h u|.  ``value`` is the operator and ``weight`` the frozen
     matrix's gradient weight.
     """
-    vf, vb = np.concatenate([values, bvals]).take(dom.nb[:, :, :table.k])
-    arms = dom.arm_lengths(table.k)
-    (sf, sb), v0 = arms, values[:, None]
+    vf, vb = np.concatenate([values, bvals]).take(table.nb)
+    (sf, sb), v0 = table.arms, values[:, None]
     delta = 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
     # Minus is the max over the candidates of -tr(alpha X)
     sign = 1.0 if params.variant is Variant.PLUS else -1.0
@@ -180,7 +184,7 @@ def _linearize(params, dom, values, bvals, table):
     pick = gain.argmax(axis=1)
     at = np.arange(len(pick)), pick
     core = sign * gain[at]
-    lin = SimpleNamespace(arms=arms, table=table, pick=pick, top=top[at],
+    lin = SimpleNamespace(table=table, pick=pick, top=top[at],
                           inside=inside[at], lo_wins=at_lo[at] >= at_hi[at],
                           core=core, value=core, weight=1.0)
     if params.alpha != 0.0:
@@ -225,11 +229,11 @@ def discretize_F(params, dom, field, weights=None):
             f"reads; sample the field after the domain resolves them")
     if weights is not None:
         table.forms = table.forms * weights[:table.k, None]
-    return GridField(dom, _linearize(params, dom, field.values,
+    return GridField(dom, _linearize(params, field.values,
                                      field.boundary_values, table).value)
 
 
-def _policy_matrix(dom, lin):
+def _policy_matrix(lin):
     """Frozen matrix of the operator at the maximizer of the iterate.
 
     Freezes at the iterate of the linearization ``lin`` each cell's
@@ -241,13 +245,12 @@ def _policy_matrix(dom, lin):
     since b enters through the residual).
     """
     coef = _active_weights(lin) * np.reshape(lin.weight, (-1, 1))
-    sf, sb = lin.arms
+    sf, sb = arms = lin.table.arms
     return stencil_matrix((coef * (-2.0) / (sf * sb)).sum(axis=1),
-                          dom.nb[:, :, :lin.table.k],
-                          coef * 2.0 / (lin.arms * (sf + sb)))
+                          lin.table.nb, coef * 2.0 / (arms * (sf + sb)))
 
 
-def _gradient_matrix(params, dom, lin):
+def _gradient_matrix(params, lin):
     """The weight's part of the Jacobian, which the frozen matrix drops.
 
     At the iterate of ``lin`` the operator is w(g) * core with
@@ -258,13 +261,13 @@ def _gradient_matrix(params, dom, lin):
     has no column.
     """
     above = lin.g > _GRAD_FLOOR
-    c = np.zeros(dom.n_cells)
+    c = np.zeros(len(lin.g))
     c[above] = (params.alpha * lin.g[above] ** (params.alpha - 2.0)
                 * lin.core[above])
-    sf, sb = lin.arms[:, :, :2]
+    sf, sb = lin.table.arms[:, :, :2]
     coef = c[:, None] * lin.grad / (sf * sb * (sf + sb))
     diag = coef * (sf ** 2 - sb ** 2)
-    return stencil_matrix(diag[:, 0] + diag[:, 1], dom.nb[:, :, :2],
+    return stencil_matrix(diag[:, 0] + diag[:, 1], lin.table.nb[:, :, :2],
                           np.stack([coef * sb ** 2, -coef * sf ** 2]))
 
 
@@ -367,17 +370,19 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     u = np.zeros(dom.n_cells) if u0 is None else GridField(dom, u0).values
 
     def linearize(v):
-        lin = _linearize(params, dom, v, bvals, table)
+        lin = _linearize(params, v, bvals, table)
 
         def freeze():
-            mat = _policy_matrix(dom, lin)
+            mat = _policy_matrix(lin)
             if params.alpha != 0.0:
-                mat = mat + _gradient_matrix(params, dom, lin)
-            return mat + sp.diags(source.evaluate_deriv(v, params.alpha))
+                mat = mat + _gradient_matrix(params, lin)
+            at = np.maximum(np.abs(v), _GRAD_FLOOR) if params.alpha < 0.0 \
+                else v
+            return mat + sp.diags(source.evaluate_deriv(at, params.alpha))
         return lin.value + source.evaluate(v, params.alpha), freeze
 
     if method == "damped":
-        sf, sb = dom.arm_lengths(table.k)
+        sf, sb = table.arms
         u = relax(lambda v: linearize(v)[0], u,
                   0.45 / (params.A * (2.0 / (sf * sb)).max()), tol=tol,
                   max_steps=_MAX_DAMPED)
@@ -409,8 +414,8 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     bvals = np.zeros(len(dom.cut_xy))
 
     def linearize(v):
-        lin = _linearize(params, dom, v, bvals, table)
-        return lin.value, lambda: _policy_matrix(dom, lin)
+        lin = _linearize(params, v, bvals, table)
+        return lin.value, lambda: _policy_matrix(lin)
 
     lam, phi = policy_eigen(linearize, _factor, np.ones(dom.n_cells),
                             tol=tol, eig_tol=inner_tol, max_steps=max_power)

@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from ._iterate import (LU_OPTIONS, _check_cap, inverse_power, policy_eigen,
                        relax, stencil_matrix)
-from .errors import CoefficientBlowup, IterationLimit, OutOfDomain
+from .errors import IterationLimit, OutOfDomain
 from .grid.domain import _INDEX
 from .operators import Variant, _coef
 
@@ -93,7 +93,11 @@ class SectorMesh:
     ``nb`` is the arm table in the grid domain's layout, int32 (2, n_nodes,
     k) with the forward side first: node i's arm along ``_ARMS[n_dim][j]``
     (against it) ends at node nb[0, i, j] (nb[1, i, j]), nodes numbered in
-    C order, or at n_nodes beyond the box, where the field is 0.
+    C order, or at n_nodes beyond the box, where the field is 0.  ``q1``
+    and ``tan2`` are the operator's per-node geometry, flat in that order:
+    with r_i/r = prod_{k=i}^{N-1} cos(theta_k), q1 = r/r_2 = 1/cos(theta2)
+    and tan2 = tan(theta2) for N = 3; N = 2 is the equator theta2 = 0,
+    where q1 = 1 and tan2 = 0.
     """
 
     def __init__(self, n_dim, delta, spacing):
@@ -121,6 +125,8 @@ class SectorMesh:
         self.nb = np.where(inside, np.ravel_multi_index(
             np.moveaxis(ends, -1, 0), self.shape, mode="clip"),
             self.n_nodes).astype(_INDEX)
+        lat = np.broadcast_to((*self.axes, np.zeros(1))[1], self.shape).ravel()
+        self.q1, self.tan2 = 1.0 / np.cos(lat), np.tan(lat)
 
     @property
     def shape(self):
@@ -147,30 +153,12 @@ class SectorField:
             raise ValueError("sector field has non-finite values")
 
 
-def coefficients(mesh):
-    """Per-node angular ratio q1 = r/r_2 and the connection factor tan2.
-
-    With r_i/r = prod_{k=i}^{N-1} cos(theta_k) and r_N = r these are
-    functions of the angles alone: q1 = 1/cos(theta2) and tan2 = tan(theta2)
-    for N = 3.  N = 2 is the equator theta2 = 0, where q1 = 1 and tan2 = 0.
-    """
-    lat = (*mesh.axes, np.zeros(1))[1]
-    c2 = np.cos(lat)
-    if np.any(c2 <= 1e-12):
-        raise CoefficientBlowup("node at or beyond the latitude poles")
-    if any(ax.min() <= lo or ax.max() >= hi
-           for ax, (lo, hi) in zip(mesh.axes, mesh.bounds)):
-        raise CoefficientBlowup("mesh node outside the open angular box")
-    return {"q1": np.broadcast_to(1.0 / c2, mesh.shape),
-            "tan2": np.broadcast_to(np.tan(lat), mesh.shape)}
-
-
 def _diffs(vals, mesh):
-    """Central differences d1_1, d1_2, d2_11, d2_22, d2_12 of vals, which
-    are zero beyond the box; those along an absent theta2 axis are 0."""
-    # the arm-end values, per side and arm, shaped like the mesh
-    fwd, bwd = np.append(vals, 0.0).take(mesh.nb.transpose(0, 2, 1)) \
-        .reshape(2, -1, *mesh.shape)
+    """Central differences d1_1, d1_2, d2_11, d2_22, d2_12 of the flat node
+    values vals, which are zero beyond the box; those along an absent
+    theta2 axis are 0."""
+    # the arm-end values, per side and arm
+    fwd, bwd = np.append(vals, 0.0).take(mesh.nb.transpose(0, 2, 1))
     d1, d2 = [0.0, 0.0], [0.0, 0.0]
     for k, h in enumerate(mesh.spacings):
         d1[k] = (fwd[k] - bwd[k]) / (2.0 * h)
@@ -196,8 +184,8 @@ def _sym2_eigen(g11, g12, g22):
 
 
 def _linearize(params, mesh, vals):
-    """The sector operator at vals as one linear form, read by H and its
-    frozen matrix alike.
+    """The sector operator at the flat node values vals as one linear
+    form, read by H and its frozen matrix alike.
 
     ``coef`` holds the weights of d1_1, d1_2, d2_11, d2_22 and d2_12 at
     the choices M-minus makes at vals: e_p lam_p + e_m lam_m of the scaled
@@ -207,8 +195,7 @@ def _linearize(params, mesh, vals):
     coefficient e_mu of its argument mu = -d1_2 * tan2.  ``value`` is
     H(vals), the form applied to the differences.
     """
-    co = coefficients(mesh)
-    q1, tan2 = co["q1"], co["tan2"]
+    q1, tan2 = mesh.q1, mesh.tan2
     d1_1, d1_2, d2_11, d2_22, d2_12 = diffs = _diffs(vals, mesh)
     lam_p, lam_m, (r11, r12) = _sym2_eigen(q1 ** 2 * d2_11, q1 * d2_12, d2_22)
     e_p, e_m, e_mu = (_coef(params, x) for x in (lam_p, lam_m, -d1_2 * tan2))
@@ -225,7 +212,8 @@ def assemble_H(params, mesh, psi):
     """Nodewise value of the sector operator H applied to psi."""
     if psi.mesh is not mesh and psi.mesh.shape != mesh.shape:
         raise ValueError("field and mesh disagree")
-    return SectorField(mesh, _linearize(params, mesh, psi.values).value)
+    return SectorField(mesh, _linearize(params, mesh, psi.values.ravel())
+                       .value.reshape(mesh.shape))
 
 
 def _frozen_matrix(mesh, lin):
@@ -242,11 +230,11 @@ def _frozen_matrix(mesh, lin):
     # the arms of ``mesh.nb``, per side; for N = 3 the diagonals follow,
     # where the cross difference reads +-cx
     h = np.array(mesh.spacings)
-    c = np.stack(d2[:len(h)], axis=-1).reshape(-1, len(h)) / h ** 2
-    f = np.stack(d1[:len(h)], axis=-1).reshape(-1, len(h)) / (2.0 * h)
+    c = np.stack(d2[:len(h)], axis=-1) / h ** 2
+    f = np.stack(d1[:len(h)], axis=-1) / (2.0 * h)
     weights = [c + f, c - f]
     if len(h) == 2:
-        cx = (d2_12 / (4.0 * h.prod())).reshape(-1, 1)
+        cx = (d2_12 / (4.0 * h.prod()))[:, None]
         weights = [np.hstack([w, cx, -cx]) for w in weights]
     return stencil_matrix((-2.0 * c).sum(axis=1), mesh.nb, np.stack(weights))
 
@@ -256,7 +244,7 @@ def _factor(mat):
 
 
 def _laplace_beltrami_mode(mesh):
-    """Perron vector of the a = A frozen matrix, mesh-shaped, at sup 1.
+    """Perron vector of the a = A frozen matrix, flat, at sup 1.
 
     At a = A that matrix is A (q1^2 T1 + T2 - tan2 D1), T the second and D
     the first central difference along an axis.  q1 and tan2 depend on
@@ -273,8 +261,9 @@ def _laplace_beltrami_mode(mesh):
     if mesh.n_dim == 2:
         return mode
     kappa = (2.0 / h1 * np.sin(0.5 * np.pi / (n1 + 1))) ** 2
-    co = coefficients(mesh)
-    q1, tan2, h2 = co["q1"][0], co["tan2"][0], mesh.spacings[1]
+    # q1 and tan2 along theta_2: the first row of nodes
+    n2, h2 = mesh.shape[1], mesh.spacings[1]
+    q1, tan2 = mesh.q1[:n2], mesh.tan2[:n2]
     # the row i entries at theta_2 nodes i + 1 and i - 1
     up = -1.0 / h2 ** 2 + tan2[:-1] / (2.0 * h2)
     down = -1.0 / h2 ** 2 - tan2[1:] / (2.0 * h2)
@@ -285,7 +274,7 @@ def _laplace_beltrami_mode(mesh):
                               select_range=(0, 0))
     lat = vec[:, 0] / d
     lat /= lat[np.argmax(np.abs(lat))]
-    return np.outer(mode, lat)
+    return np.outer(mode, lat).ravel()
 
 
 def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
@@ -310,12 +299,12 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
         raise ValueError(f"unknown method {method!r}")
 
     def linearize(v):
-        lin = _linearize(params, mesh, v.reshape(mesh.shape))
-        return lin.value.ravel(), lambda: _frozen_matrix(mesh, lin)
+        lin = _linearize(params, mesh, v)
+        return lin.value, lambda: _frozen_matrix(mesh, lin)
 
     if method == "policy":
         lam, psi = policy_eigen(linearize, _factor,
-                                _laplace_beltrami_mode(mesh).ravel(),
+                                _laplace_beltrami_mode(mesh),
                                 tol=tol, eig_tol=inner_tol,
                                 max_steps=max_power)
     else:
@@ -342,6 +331,8 @@ def extrapolate_to_zero(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two matching samples")
+    if len(np.unique(xs)) < len(xs):
+        raise ValueError(f"need distinct sample points, got {xs.tolist()}")
     coef = np.polyfit(xs, ys, len(xs) - 1)
     return float(np.polyval(coef, 0.0))
 
@@ -421,8 +412,8 @@ def barrier_eval(gamma, psi, r, theta):
     t = np.atleast_1d(theta)[:len(mesh.axes)]
     # frame scales q1 = 1/cos(theta2) and 1; the arc is the equator
     scales = (1.0 / np.cos((*t, 0.0)[1]), 1.0)
-    grads = _diffs(psi.values, mesh)[:len(mesh.axes)]
-    ang_sq = sum((q * _interp_field(mesh, g, theta)) ** 2
+    grads = _diffs(psi.values.ravel(), mesh)[:len(mesh.axes)]
+    ang_sq = sum((q * _interp_field(mesh, g.reshape(mesh.shape), theta)) ** 2
                  for q, g in zip(scales, grads))
     w = r ** gamma * val
     grad = r ** (gamma - 1.0) * np.sqrt(gamma * gamma * val * val + ang_sq)

@@ -221,6 +221,8 @@ class TestConfig:
     ("overdetermined", "c_values=true",
      "c_values must be a list of finite numbers, got True"),
     ("sector", "spacing_denom=0", "spacing_denom must be > 0, got 0"),
+    # numpy warned of a rank-deficient fit, and the anchor check failed
+    ("sector", "deltas=[0.1,0.1]", "need distinct sample points"),
     # reached os.makedirs as a bool and raised TypeError
     ("radial", "output_dir=true", "output_dir must be a string, got True"),
 ])

@@ -73,6 +73,21 @@ def count_freezes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def count_arm_lengths(monkeypatch):
+    """The ``GridDomain.arm_lengths`` calls made from now on, one k per
+    call."""
+    calls = []
+    real = domain_module.GridDomain.arm_lengths
+
+    def recording(self, k=None):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(domain_module.GridDomain, "arm_lengths", recording)
+    return calls
+
+
 def resolved(shape, h, k=len(DIRECTIONS)):
     """A domain whose arm table holds the first k directions."""
     dom = build_domain(shape, h)
@@ -81,7 +96,7 @@ def resolved(shape, h, k=len(DIRECTIONS)):
 
 
 def linearized(params, dom, values, bvals):
-    return _linearize(params, dom, values, bvals, _candidate_table(params))
+    return _linearize(params, values, bvals, _resolved_table(params, dom))
 
 
 def rotated_hessian(deg, lam):
@@ -510,8 +525,7 @@ class TestOperator:
         params = PucciParams(0.5, 2.0, variant, alpha)
         u = np.random.default_rng(5).standard_normal(disk_coarse.n_cells)
         zero = np.zeros(len(disk_coarse.cut_xy))
-        got = _policy_matrix(disk_coarse,
-                             linearized(params, disk_coarse, u, zero)) @ u
+        got = _policy_matrix(linearized(params, disk_coarse, u, zero)) @ u
         want = discretize_F(params, disk_coarse,
                             GridField(disk_coarse, u, zero)).values
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
@@ -528,7 +542,7 @@ class TestOperator:
         def frozen(a, A):
             params = PucciParams(a, A, variant)
             lin = linearized(params, disk_coarse, zero_u, zero)
-            return _policy_matrix(disk_coarse, lin)
+            return _policy_matrix(lin)
 
         assert (frozen(0.5, 2.0) != frozen(tie, tie)).nnz == 0
 
@@ -542,9 +556,8 @@ class TestOperator:
         lin = linearized(params, disk_coarse, u, b)
         assert_array_equal(lin.value, discretize_F(
             params, disk_coarse, GridField(disk_coarse, u, b)).values)
-        got = _policy_matrix(disk_coarse, lin)
-        want = _policy_matrix(disk_coarse,
-                              linearized(params, disk_coarse, u, b))
+        got = _policy_matrix(lin)
+        want = _policy_matrix(linearized(params, disk_coarse, u, b))
         for part in ("data", "indices", "indptr"):
             assert_array_equal(getattr(got, part), getattr(want, part))
 
@@ -559,7 +572,7 @@ class TestOperator:
         rng = np.random.default_rng(5)
         lin = linearized(params, dom, rng.standard_normal(dom.n_cells),
                          rng.standard_normal(len(dom.cut_xy)))
-        mat = _policy_matrix(dom, lin).tocoo()
+        mat = _policy_matrix(lin).tocoo()
         off = mat.row != mat.col
         assert np.all(mat.data[off] > 0.0)
         diag = mat.diagonal()
@@ -604,7 +617,7 @@ class TestOperator:
         assert np.abs(linearize(u)[1]() @ v - fd).max() <= 1e-6 * scale
         # the frozen matrix alone, which drops the weight's derivative,
         # is far from it
-        howard = _policy_matrix(disk_coarse, lin) @ v \
+        howard = _policy_matrix(lin) @ v \
             + source.evaluate_deriv(u, alpha) * v
         assert np.abs(howard - fd).max() > 1e-2 * scale
 
@@ -673,6 +686,25 @@ class TestDirichlet:
         b = solve_dirichlet(WIDE, dom, Constant(1.0), 0.0, method="damped",
                             tol=1e-9)
         assert np.abs(a.values - b.values).max() < 1e-7
+
+    @pytest.mark.parametrize("method", ["policy", "damped"])
+    def test_arm_lengths_read_once_per_solve(self, monkeypatch,
+                                             count_arm_lengths, method):
+        # every linearization of a solve reads the arm lengths its
+        # candidate table holds
+        dom = build_domain(Disk(1.0), 0.15)
+        count_arm_lengths.clear()
+        lins = []
+        real = solver_module._linearize
+
+        def counting(*args):
+            lins.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "_linearize", counting)
+        solve_dirichlet(WIDE, dom, Constant(1.0), _oscillating, tol=1e-4,
+                        method=method)
+        assert len(lins) > 2 and count_arm_lengths == [4]
 
     def test_residual_criterion(self, disk_coarse):
         sol = solve_dirichlet(WIDE, disk_coarse, EigenPower(2.0), 0.0,
@@ -886,7 +918,7 @@ class TestNewtonMultigrid:
         solve_dirichlet(WIDE, disk_dom, Constant(1.0), _oscillating)
         assert set(count_splu) == {(disk_dom.n_cells,) * 2}
         rng = np.random.default_rng(3)
-        mat = _policy_matrix(disk_dom, linearized(
+        mat = _policy_matrix(linearized(
             WIDE, disk_dom, rng.standard_normal(disk_dom.n_cells),
             rng.standard_normal(len(disk_dom.cut_xy))))
         grid = solver_module._Multigrid(mat, disk_dom.cells)
@@ -970,6 +1002,11 @@ class TestEigenvalue:
         monkeypatch.setattr(solver_module, "_linearize", counting)
         principal_eigenvalue_grid(WIDE, disk_dom)
         assert 0 < len(count_freezes) and len(calls) <= len(count_freezes) + 1
+
+    def test_arm_lengths_read_once(self, disk_dom, count_freezes,
+                                   count_arm_lengths):
+        principal_eigenvalue_grid(WIDE, disk_dom)
+        assert len(count_freezes) == 4 and count_arm_lengths == [4]
 
     def test_limit_carries_history(self, disk_coarse):
         with pytest.raises(IterationLimit) as info:
@@ -1183,6 +1220,16 @@ class TestSmallDomain:
         assert rep.sup_values[0] <= 1e-8 and rep.sup_values[2] <= 1e-8
         assert rep.passed
         assert_allclose(rep.threshold_size, np.sqrt(2) / 4)
+
+    def test_singular_source_derivative_at_zero(self):
+        # at alpha < 0 the probe term's f' = shift (1 + alpha)|w|^alpha is
+        # infinite at the start w = 0; the matrix reads it at the gradient
+        # floor, and Newton leaves w = 0 (every sup read inf before)
+        sq = Polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
+        rep = small_domain_check(PucciParams(1.0, 2.0, Variant.PLUS, -0.5),
+                                 10.0, sq)
+        assert rep.passed and max(rep.sup_values) <= 0.0
+        assert_allclose(rep.threshold_size, np.sqrt(2))
 
     def test_small_shift_all_pass(self):
         sq = Polygon([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])

@@ -4,26 +4,25 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pucci_lab import PucciParams, SymMatrix, Variant, pucci
-from pucci_lab.errors import (CoefficientBlowup, IterationLimit, OutOfDomain,
-                              PositivityLoss)
+from pucci_lab.errors import IterationLimit, OutOfDomain, PositivityLoss
 from pucci_lab.sector import (SectorField, SectorMesh, SectorOperatorParams,
                               assemble_H, barrier_eval, barrier_margin,
-                              coefficients, export_sector_csv,
-                              extrapolate_to_zero, gamma_exponent,
+                              export_sector_csv, extrapolate_to_zero,
+                              gamma_exponent,
                               sector_principal_eigenvalue, shrink_angle)
 from pucci_lab import sector as sector_module
 from pucci_lab._iterate import inverse_power, policy_eigen, policy_iterate
-from pucci_lab.sector import (_MIN_NODES, _frozen_matrix,
+from pucci_lab.sector import (_MIN_NODES, _diffs, _frozen_matrix,
                               _laplace_beltrami_mode, _linearize)
 
 LAP = SectorOperatorParams(1.0, 1.0)
 
 
 def _sector_linearize(params, mesh):
-    """The ``linearize`` of the policy eigen loop, on flat arrays."""
+    """The ``linearize`` of the policy eigen loop."""
     def linearize(v):
-        lin = _linearize(params, mesh, v.reshape(mesh.shape))
-        return lin.value.ravel(), lambda: _frozen_matrix(mesh, lin)
+        lin = _linearize(params, mesh, v)
+        return lin.value, lambda: _frozen_matrix(mesh, lin)
     return linearize
 
 
@@ -130,33 +129,18 @@ class TestGeometry:
             SectorField(mesh, bad)
 
 
-class TestCoefficients:
-    def test_n2_trivial(self):
+class TestMeshGeometry:
+    def test_n2_is_the_equator(self):
         mesh = SectorMesh(2, 0.1, np.pi / 100)
-        co = coefficients(mesh)
-        assert_allclose(co["q1"], 1.0)
-        assert_allclose(co["tan2"], 0.0)
+        assert_array_equal(mesh.q1, np.ones(mesh.n_nodes))
+        assert_array_equal(mesh.tan2, np.zeros(mesh.n_nodes))
 
-    def test_n3_secant_of_latitude(self):
+    def test_n3_secant_and_tangent_of_latitude(self):
+        # one entry per node, flat in the C order of the arm table
         mesh = SectorMesh(3, 0.1, np.pi / 80)
-        co = coefficients(mesh)
-        theta2 = mesh.axes[1]
-        assert_allclose(co["q1"][0], 1.0 / np.cos(theta2), rtol=1e-14)
-        # at the equator row q1 = 1 and the connection factor vanishes
-        j = np.argmin(np.abs(theta2))
-        assert abs(co["tan2"][0, j]) == pytest.approx(abs(np.tan(theta2[j])))
-
-    def test_blowup_outside_box(self):
-        mesh = SectorMesh(3, 0.1, np.pi / 80)
-        mesh.axes[1] = mesh.axes[1].copy()
-        mesh.axes[1][-1] = np.pi / 2 - 1e-15  # pushed to the pole edge
-        with pytest.raises(CoefficientBlowup):
-            coefficients(mesh)
-        mesh = SectorMesh(3, 0.1, np.pi / 80)
-        mesh.axes[0] = mesh.axes[0].copy()
-        mesh.axes[0][0] = mesh.bounds[0][0]  # a theta1 node on its bound
-        with pytest.raises(CoefficientBlowup, match="open angular box"):
-            coefficients(mesh)
+        _, theta2 = np.meshgrid(*mesh.axes, indexing="ij")
+        assert_array_equal(mesh.q1, 1.0 / np.cos(theta2.ravel()))
+        assert_array_equal(mesh.tan2, np.tan(theta2.ravel()))
 
 
 class TestAssemble:
@@ -213,20 +197,20 @@ class TestAssemble:
         p = SectorOperatorParams(0.7, 1.6, gamma=2.4, epsilon=0.0)
         out = assemble_H(p, mesh, SectorField(mesh, vals))
 
-        from pucci_lab.sector import _diffs, coefficients as coeff
-        co = coeff(mesh)
-        d1_1, d1_2, d2_11, d2_22, d2_12 = _diffs(vals, mesh)
+        d1_1, d1_2, d2_11, d2_22, d2_12, q1s, tan2s = (
+            np.reshape(d, mesh.shape)
+            for d in (*_diffs(vals.ravel(), mesh), mesh.q1, mesh.tan2))
         minus = PucciParams(0.7, 1.6, Variant.MINUS)
         n1, n2 = mesh.shape
         idx = [(3, 4), (n1 // 2, n2 // 2), (n1 - 2, 1), (1, n2 - 3)]
         for i, j in idx:
-            q1 = co["q1"][i, j]
+            q1 = q1s[i, j]
             g = np.array([[q1 ** 2 * d2_11[i, j], q1 * d2_12[i, j]],
                           [q1 * d2_12[i, j], d2_22[i, j]]])
             core = pucci(minus, SymMatrix.from_full(g))
             pen = (0.7 - 1.6) * (abs(d1_1[i, j]) * (2.4 * q1 + q1 ** 2)
                                  + abs(d1_2[i, j]) * (2.4 + 1.0))
-            mu = -d1_2[i, j] * co["tan2"][i, j]
+            mu = -d1_2[i, j] * tan2s[i, j]
             conn = (0.7 if mu >= 0 else 1.6) * mu
             assert out.values[i, j] == pytest.approx(core + pen + conn,
                                                      rel=1e-12, abs=1e-12)
@@ -254,12 +238,12 @@ class TestAssemble:
         # M @ psi = H(psi) at the freeze is what the policy step and the
         # eigenpair freeze rest on
         mesh = SectorMesh(n_dim, 0.2, spacing)
-        vals = np.random.default_rng(4).standard_normal(mesh.shape)
+        vals = np.random.default_rng(4).standard_normal(mesh.n_nodes)
         p = SectorOperatorParams(a, 1.0, gamma=2.4)
         lin = _linearize(p, mesh, vals)
-        want = lin.value.ravel()
+        want = lin.value
         mat = _frozen_matrix(mesh, lin)
-        got = mat @ vals.ravel()
+        got = mat @ vals
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         # no stored zeros: at a = A the cross-derivative entries vanish and
         # each row keeps the 2N - 1 entries of the axis stencil
@@ -274,7 +258,7 @@ class TestAssemble:
         # takes A as on the grid, so the wide window freezes to the
         # (A, A) matrix and not to the (a, a) one
         mesh = SectorMesh(n_dim, 0.2, spacing)
-        zero = np.zeros(mesh.shape)
+        zero = np.zeros(mesh.n_nodes)
 
         def frozen(a, A):
             params = SectorOperatorParams(a, A)
@@ -293,7 +277,7 @@ class TestAssemble:
         # N = 3 and a < A only the cross difference's diagonal arms may
         # carry negative weights
         mesh = SectorMesh(n_dim, 0.2, spacing)
-        vals = np.random.default_rng(4).standard_normal(mesh.shape)
+        vals = np.random.default_rng(4).standard_normal(mesh.n_nodes)
         lin = _linearize(SectorOperatorParams(a, 1.0, gamma=2.4), mesh, vals)
         mat = _frozen_matrix(mesh, lin).tocoo()
         diag = mat.diagonal()
@@ -315,13 +299,12 @@ class TestAssemble:
         # difference gets weight exactly 0
         mesh = SectorMesh(3, 0.2, np.pi / 40)
         rng = np.random.default_rng(6)
-        vals = np.zeros(mesh.shape)
+        vals = np.zeros(mesh.n_nodes)
         if field == "scalar_hessian":
-            q1 = coefficients(mesh)["q1"]
-            d1_1, d1_2, d2_11 = rng.standard_normal((3, *mesh.shape))
+            d1_1, d1_2, d2_11 = rng.standard_normal((3, mesh.n_nodes))
             # G11 = q1^2 d2_11 = G22 and G12 = 0 at every node
             monkeypatch.setattr(sector_module, "_diffs", lambda v, m: (
-                d1_1, d1_2, d2_11, q1 ** 2 * d2_11, np.zeros(mesh.shape)))
+                d1_1, d1_2, d2_11, m.q1 ** 2 * d2_11, np.zeros(m.n_nodes)))
         lin = _linearize(SectorOperatorParams(0.6, 1.0, gamma=2.4), mesh,
                          vals)
         assert all(np.isfinite(c).all() for c in lin.coef)
@@ -422,13 +405,9 @@ class TestEigenvalue:
         mesh = SectorMesh(n_dim, delta, spacing)
         params = SectorOperatorParams(a, 1.0)
 
-        def grid(v):
-            return v.reshape(mesh.shape)
-
         def linearize(v, x):
-            lin = _linearize(params, mesh, grid(v))
-            return (lin.value.ravel() + x,
-                    lambda: _frozen_matrix(mesh, lin))
+            lin = _linearize(params, mesh, v)
+            return lin.value + x, lambda: _frozen_matrix(mesh, lin)
 
         # each inverse-power step solves H(psi) = -x by policy iteration
         def step(x, prev):
@@ -468,13 +447,13 @@ class TestEigenvalue:
                                     np.ones(mesh.n_nodes), tol=1e-10,
                                     eig_tol=1e-14, max_steps=5)
         mode = _laplace_beltrami_mode(mesh)
-        assert mode.shape == mesh.shape
+        assert mode.shape == (mesh.n_nodes,)
         assert mode.min() > 0.0 and mode.max() == 1.0
-        assert np.abs(mode.ravel() - phi_o).max() < 1e-8
+        assert np.abs(mode - phi_o).max() < 1e-8
         # the solver starts from the mode and stops there
         lam, psi = sector_principal_eigenvalue(params, mesh)
         assert lam == pytest.approx(lam_o, rel=1e-10)
-        assert_array_equal(psi.values, mode)
+        assert_array_equal(psi.values.ravel(), mode)
 
     def test_mode_start_saves_a_freeze_below_equal_bounds(self, count_splu):
         mesh = SectorMesh(3, 0.2, np.pi / 40)
@@ -713,6 +692,13 @@ class TestUtilities:
         assert extrapolate_to_zero(xs, ys) == pytest.approx(7.0, abs=1e-12)
         with pytest.raises(ValueError):
             extrapolate_to_zero([0.1], [1.0])
+
+    @pytest.mark.parametrize("xs", [[0.1, 0.1], [0.2, 0.1, 0.1]])
+    def test_extrapolation_rejects_repeated_samples(self, xs):
+        # the fit through repeated points is rank deficient: numpy warned
+        # and an extrapolation came back
+        with pytest.raises(ValueError, match="distinct sample points"):
+            extrapolate_to_zero(xs, [4.1, 4.2, 4.3][:len(xs)])
 
     def test_csv_export(self, tmp_path):
         mesh = SectorMesh(3, 0.2, np.pi / 40)
