@@ -24,9 +24,9 @@ serve both:
   algebra.
 
 Both layers find stencil neighbours in one arm table, int32 of shape
-(2, n, k), and assemble their frozen CSC matrices from it with
-``stencil_matrix``, where a stencil end of index >= n is not an unknown (a
-grid cut point, a node beyond the sector box) and gets no entry.
+(2, n, k), and state each difference once, as weights on the arm
+differences u[end] - u[centre] (Oberman, SIAM J. Numer. Anal. 44, 2006),
+which the operator and its frozen CSC matrix, ``stencil_matrix``, read.
 The policy and eigenpair loops give each frozen matrix once to the
 layer's own ``factor`` and keep no solver from one freeze to the next.
 That ``factor`` is ``splu`` with ``LU_OPTIONS``, except in the grid's
@@ -58,23 +58,25 @@ LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                   options=dict(SymmetricMode=True))
 
 
-def stencil_matrix(centre, ends, weights):
+def stencil_matrix(ends, weights):
     """The n x n CSC matrix of a stencil on n nodes.
 
     ``ends`` is an arm table, shape (2, n, k) with the forward side first,
     as the grid domain and the sector mesh store it, and ``weights`` has
-    its shape.  Row i holds ``centre[i]`` on the diagonal and
-    ``weights[s, i, j]`` at column ``ends[s, i, j]``; an end >= n is not an
-    unknown and makes no entry.  Repeated (row, column) pairs are summed,
-    and entries that come out zero are not stored, so the LU orders and
-    factors only the real pattern.
+    its shape: row i applies ``weights[s, i, j]`` to u[ends[s, i, j]] - u[i],
+    so its diagonal is minus all its weights summed, and an end >= n is
+    not an unknown and makes no other entry.  Repeated (row, column) pairs
+    are summed, and entries that come out zero are not stored, so the LU
+    orders and factors only the real pattern.
     """
-    n = len(centre)
+    n = ends.shape[1]
     # scipy's index type, so the COO-to-CSC conversion copies no index
     idx = np.arange(n, dtype=np.int32)
     own = ends < n
     rows = np.broadcast_to(idx[:, None], ends.shape)[own]
-    mat = sp.csc_matrix((np.concatenate([centre, weights[own]]),
+    # each side over its arms first, so that zero columns keep the bits
+    diag = -weights.sum(axis=2).sum(axis=0)
+    mat = sp.csc_matrix((np.concatenate([diag, weights[own]]),
                          (np.concatenate([idx, rows]),
                           np.concatenate([idx, ends[own]]))), shape=(n, n))
     mat.eliminate_zeros()

@@ -45,10 +45,18 @@ def neumann_trace(field):
     return b["arc"], dn
 
 
+def _unit(direction):
+    """The plane direction at length 1; ValueError if it names no plane."""
+    d = np.asarray(direction, dtype=float)
+    norm = np.hypot(d[0], d[1])
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"need a finite nonzero plane direction, got {d}")
+    return d / norm
+
+
 def reflect_points(pts, direction, t):
     """Mirror points across the plane {x . direction = t}."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.hypot(d[0], d[1])
+    d = _unit(direction)
     proj = pts @ d
     return pts + (2.0 * (t - proj))[:, None] * d
 
@@ -66,8 +74,7 @@ def reflection_gap(field, direction, t):
     direction, and OutOfDomain when the reflected cap contains no cells.
     """
     dom = field.domain
-    d = np.asarray(direction, dtype=float)
-    d = d / np.hypot(d[0], d[1])
+    d = _unit(direction)
     proj = dom.pts @ d
     refl = reflect_points(dom.pts, d, t)
     lev = dom.shape.level(refl)
@@ -90,8 +97,7 @@ def critical_plane_position(shape, direction, *, samples=4096, iters=80):
     Works on the analytic boundary: dense boundary samples are reflected
     and tested against the level function, and the offset is bisected.
     """
-    d = np.asarray(direction, dtype=float)
-    d = d / np.hypot(d[0], d[1])
+    d = _unit(direction)
     bpts = shape.boundary_points(samples)
     proj = bpts @ d
     lo, hi = proj.min(), proj.max()

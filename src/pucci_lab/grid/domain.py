@@ -21,8 +21,8 @@ class Ellipse:
     ay: float
 
     def __post_init__(self):
-        if not (self.ax > 0.0 and self.ay > 0.0):
-            raise InvalidShape("ellipse semi-axes must be positive")
+        if not (0.0 < self.ax < np.inf and 0.0 < self.ay < np.inf):
+            raise InvalidShape("ellipse semi-axes must be finite and positive")
 
     def level(self, pts):
         pts = np.atleast_2d(pts)
@@ -73,6 +73,8 @@ class Polygon:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
             raise InvalidShape("polygon needs at least 3 planar vertices")
+        if not np.isfinite(v).all():
+            raise InvalidShape("polygon vertices must be finite")
         area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
         if abs(area2) < 1e-14:
             raise InvalidShape("polygon has vanishing area")

@@ -144,13 +144,17 @@ def _candidate_table(params):
 
 def _resolved_table(params, dom):
     """The candidate table of ``params``, with ``dom`` resolved to the
-    directions it reads, and the stencil those directions span on it: the
-    arm table ``nb = dom.nb[:, :, :k]`` and its arm lengths ``arms``, read
-    once here for every linearization of a solve."""
+    directions it reads, and the stencil those directions span on it, read
+    once here for every linearization of a solve: the arm table ``nb`` and
+    the weights on its arm differences of the second difference along each
+    direction, ``second``, and (alpha != 0) of the axis gradient, ``first``."""
     table = _candidate_table(params)
     _resolve(dom, table.k)
     table.nb = dom.nb[:, :, :table.k]
-    table.arms = dom.arm_lengths(table.k)
+    sf, sb = arms = dom.arm_lengths(table.k)
+    table.second = 2.0 / (arms * (sf + sb))
+    if params.alpha != 0.0:
+        table.first = (np.stack([sb / sf, -sf / sb]) / (sf + sb))[:, :, :2]
     return table
 
 
@@ -160,19 +164,18 @@ def _linearize(params, values, bvals, table):
 
     Holds each cell's maximizer over the candidates of ``table``, whose
     values are linear forms in the second differences along the first
-    ``table.k`` directions, read from the arm-end values (the arm table
-    ``table.nb`` indexes cell values followed by cut data) and the arm
-    lengths ``table.arms``; and the core M_h(D^2 u).  The maximizer is the
-    candidate row ``pick``, with, per cell at that row, the phase ``top``
-    of the angle terms, whether it lies ``inside`` the arc, and whether
-    the arc's low end beats its high end (``lo_wins``).  For alpha != 0 it
-    also holds the centred axis gradients ``grad`` (gx, gy per cell) and
+    ``table.k`` directions, ``table.second`` applied to the arm differences
+    (the arm table ``table.nb`` indexes cell values followed by cut data);
+    and the core M_h(D^2 u).  The maximizer is the candidate row ``pick``,
+    with, per cell at that row, the phase ``top`` of the angle terms,
+    whether it lies ``inside`` the arc, and whether the arc's low end
+    beats its high end (``lo_wins``).  For alpha != 0 it also holds the
+    axis gradients ``grad`` (gx, gy per cell; ``table.first``) and
     g = |grad_h u|.  ``value`` is the operator and ``weight`` the frozen
     matrix's gradient weight.
     """
-    vf, vb = np.concatenate([values, bvals]).take(table.nb)
-    (sf, sb), v0 = table.arms, values[:, None]
-    delta = 2.0 * (sb * vf + sf * vb - (sf + sb) * v0) / (sf * sb * (sf + sb))
+    diff = np.concatenate([values, bvals]).take(table.nb) - values[:, None]
+    delta = (table.second * diff).sum(axis=0)
     # Minus is the max over the candidates of -tr(alpha X)
     sign = 1.0 if params.variant is Variant.PLUS else -1.0
     c0, c1, c2, at_lo, at_hi = (sign * delta) @ table.forms
@@ -188,9 +191,7 @@ def _linearize(params, values, bvals, table):
                           inside=inside[at], lo_wins=at_lo[at] >= at_hi[at],
                           core=core, value=core, weight=1.0)
     if params.alpha != 0.0:
-        sf, sb, vf, vb = sf[:, :2], sb[:, :2], vf[:, :2], vb[:, :2]
-        num = sb ** 2 * vf - sf ** 2 * vb + (sf ** 2 - sb ** 2) * v0
-        lin.grad = num / (sf * sb * (sf + sb))
+        lin.grad = (table.first * diff[:, :, :2]).sum(axis=0)
         lin.g = np.hypot(*lin.grad.T)
         lin.weight = np.maximum(lin.g, _GRAD_FLOOR) ** params.alpha
         lin.value = (lin.weight if params.alpha < 0.0
@@ -245,9 +246,7 @@ def _policy_matrix(lin):
     since b enters through the residual).
     """
     coef = _active_weights(lin) * np.reshape(lin.weight, (-1, 1))
-    sf, sb = arms = lin.table.arms
-    return stencil_matrix((coef * (-2.0) / (sf * sb)).sum(axis=1),
-                          lin.table.nb, coef * 2.0 / (arms * (sf + sb)))
+    return stencil_matrix(lin.table.nb, coef * lin.table.second)
 
 
 def _gradient_matrix(params, lin):
@@ -257,18 +256,15 @@ def _gradient_matrix(params, lin):
     g = |grad_h u|, so its Jacobian is the frozen matrix plus
     diag(c gx) Gx + diag(c gy) Gy, with c = alpha g^(alpha - 2) core where
     g is above the floor and 0 elsewhere.  Gx and Gy are the centred axis
-    differences of ``_linearize``; a cut end reads boundary data, so it
-    has no column.
+    differences of ``_linearize``, the weights ``table.first``; a cut end
+    reads boundary data, so it has no column.
     """
     above = lin.g > _GRAD_FLOOR
     c = np.zeros(len(lin.g))
     c[above] = (params.alpha * lin.g[above] ** (params.alpha - 2.0)
                 * lin.core[above])
-    sf, sb = lin.table.arms[:, :, :2]
-    coef = c[:, None] * lin.grad / (sf * sb * (sf + sb))
-    diag = coef * (sf ** 2 - sb ** 2)
-    return stencil_matrix(diag[:, 0] + diag[:, 1], lin.table.nb[:, :, :2],
-                          np.stack([coef * sb ** 2, -coef * sf ** 2]))
+    return stencil_matrix(lin.table.nb[:, :, :2],
+                          c[:, None] * lin.grad * lin.table.first)
 
 
 def _factor(mat):
@@ -382,10 +378,9 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
         return lin.value + source.evaluate(v, params.alpha), freeze
 
     if method == "damped":
-        sf, sb = table.arms
         u = relax(lambda v: linearize(v)[0], u,
-                  0.45 / (params.A * (2.0 / (sf * sb)).max()), tol=tol,
-                  max_steps=_MAX_DAMPED)
+                  0.45 / (params.A * table.second.sum(axis=0).max()),
+                  tol=tol, max_steps=_MAX_DAMPED)
     else:
         # the Jacobian is an M-matrix only at alpha = 0, where Howard's
         # full steps converge unguarded

@@ -67,8 +67,8 @@ def shrink_angle(n_dim, delta):
     N = 3 the removed measure on the quarter sphere is
     pi - (pi/2 - 2*dp) * 2*cos(dp), inverted by Brent's method.
     """
-    if delta < 0.0:
-        raise ValueError(f"need delta >= 0, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"need a finite delta >= 0, got {delta}")
     if n_dim == 2:
         dp = 0.5 * delta
         if dp >= np.pi / 4:
@@ -93,8 +93,10 @@ class SectorMesh:
     ``nb`` is the arm table in the grid domain's layout, int32 (2, n_nodes,
     k) with the forward side first: node i's arm along ``_ARMS[n_dim][j]``
     (against it) ends at node nb[0, i, j] (nb[1, i, j]), nodes numbered in
-    C order, or at n_nodes beyond the box, where the field is 0.  ``q1``
-    and ``tan2`` are the operator's per-node geometry, flat in that order:
+    C order, or at n_nodes beyond the box, where the field is 0.  ``weights``
+    (5, 2, k) are those of d1_1, d1_2, d2_11, d2_22 and d2_12 on the arm
+    differences (0 along an absent theta2 axis).  ``q1`` and ``tan2`` are
+    the operator's per-node geometry, flat in that order:
     with r_i/r = prod_{k=i}^{N-1} cos(theta_k), q1 = r/r_2 = 1/cos(theta2)
     and tan2 = tan(theta2) for N = 3; N = 2 is the equator theta2 = 0,
     where q1 = 1 and tan2 = 0.
@@ -103,8 +105,8 @@ class SectorMesh:
     def __init__(self, n_dim, delta, spacing):
         if n_dim not in (2, 3):
             raise ValueError(f"sector meshes support N = 2 or 3, got N={n_dim}")
-        if spacing <= 0.0:
-            raise ValueError(f"need positive spacing, got {spacing}")
+        if not 0.0 < spacing < np.inf:
+            raise ValueError(f"need a finite positive spacing, got {spacing}")
         self.n_dim = n_dim
         self.delta_prime = dp = shrink_angle(n_dim, delta)
         self.bounds, self.axes, self.spacings = [], [], []
@@ -125,6 +127,12 @@ class SectorMesh:
         self.nb = np.where(inside, np.ravel_multi_index(
             np.moveaxis(ends, -1, 0), self.shape, mode="clip"),
             self.n_nodes).astype(_INDEX)
+        # d1 and d2 on an axis's two arms, d2_12 on the diagonals
+        self.weights = w = np.zeros((5, 2, len(_ARMS[n_dim])))
+        for j, h in enumerate(self.spacings):
+            w[j, :, j], w[2 + j, :, j] = (0.5 / h, -0.5 / h), 1.0 / h ** 2
+        if n_dim == 3:
+            w[4, :, 2:] = np.array([1.0, -1.0]) / (4.0 * np.prod(self.spacings))
         lat = np.broadcast_to((*self.axes, np.zeros(1))[1], self.shape).ravel()
         self.q1, self.tan2 = 1.0 / np.cos(lat), np.tan(lat)
 
@@ -155,19 +163,10 @@ class SectorField:
 
 def _diffs(vals, mesh):
     """Central differences d1_1, d1_2, d2_11, d2_22, d2_12 of the flat node
-    values vals, which are zero beyond the box; those along an absent
-    theta2 axis are 0."""
-    # the arm-end values, per side and arm
-    fwd, bwd = np.append(vals, 0.0).take(mesh.nb.transpose(0, 2, 1))
-    d1, d2 = [0.0, 0.0], [0.0, 0.0]
-    for k, h in enumerate(mesh.spacings):
-        d1[k] = (fwd[k] - bwd[k]) / (2.0 * h)
-        d2[k] = (fwd[k] - 2.0 * vals + bwd[k]) / h ** 2
-    d2_12 = 0.0
-    if len(mesh.spacings) == 2:
-        d2_12 = (fwd[2] - fwd[3] - bwd[3] + bwd[2]) \
-            / (4.0 * mesh.spacings[0] * mesh.spacings[1])
-    return d1[0], d1[1], d2[0], d2[1], d2_12
+    values vals, which are zero beyond the box, as rows of a (5, n) array:
+    ``mesh.weights`` applied to the arm differences."""
+    diff = np.append(vals, 0.0).take(mesh.nb.transpose(0, 2, 1)) - vals
+    return mesh.weights.reshape(5, -1) @ diff.reshape(-1, len(vals))
 
 
 def _sym2_eigen(g11, g12, g22):
@@ -217,7 +216,7 @@ def assemble_H(params, mesh, psi):
 
 
 def _frozen_matrix(mesh, lin):
-    """Sparse matrix of the linear form ``lin.coef`` on the mesh stencil.
+    """Sparse matrix of ``mesh.weights`` contracted with the form ``lin.coef``.
 
     H is positively 1-homogeneous and piecewise linear in the nodal
     values, so M @ vals = H(vals) exactly at the linearization's vals; the
@@ -225,18 +224,9 @@ def _frozen_matrix(mesh, lin):
     ones of a row where G12 = 0 or e_p = e_m, as everywhere at a = A) are
     not stored.
     """
-    d1, d2, d2_12 = lin.coef[:2], lin.coef[2:4], lin.coef[4]
-    # per axis, the weights of the second and of the first difference on
-    # the arms of ``mesh.nb``, per side; for N = 3 the diagonals follow,
-    # where the cross difference reads +-cx
-    h = np.array(mesh.spacings)
-    c = np.stack(d2[:len(h)], axis=-1) / h ** 2
-    f = np.stack(d1[:len(h)], axis=-1) / (2.0 * h)
-    weights = [c + f, c - f]
-    if len(h) == 2:
-        cx = (d2_12 / (4.0 * h.prod()))[:, None]
-        weights = [np.hstack([w, cx, -cx]) for w in weights]
-    return stencil_matrix((-2.0 * c).sum(axis=1), mesh.nb, np.stack(weights))
+    coef = np.array(lin.coef).T
+    weights = (coef @ mesh.weights.reshape(5, -1)).reshape(len(coef), 2, -1)
+    return stencil_matrix(mesh.nb, weights.transpose(1, 0, 2))
 
 
 def _factor(mat):
@@ -331,6 +321,8 @@ def extrapolate_to_zero(xs, ys):
     ys = np.asarray(ys, dtype=float)
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two matching samples")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError(f"need finite samples, got {xs.tolist()} {ys.tolist()}")
     if len(np.unique(xs)) < len(xs):
         raise ValueError(f"need distinct sample points, got {xs.tolist()}")
     coef = np.polyfit(xs, ys, len(xs) - 1)

@@ -355,6 +355,17 @@ class TestDomain:
         with pytest.raises(InvalidShape, match=r"repeats the vertex \(0, 0\)"):
             Polygon([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
 
+    @pytest.mark.parametrize("make", [
+        lambda: Polygon([(0, 0), (1, 0), (np.nan, 1)]),
+        lambda: Polygon([(0, 0), (1, 0), (np.inf, 1)]),
+        lambda: Ellipse(np.inf, 1.0), lambda: Ellipse(1.0, np.nan)],
+        ids=["polygon-nan", "polygon-inf", "ellipse-inf", "ellipse-nan"])
+    def test_rejects_nonfinite_shapes(self, make):
+        # a nan vertex failed in build_domain, an inf one warned, and an
+        # infinite ellipse overflowed in its build
+        with pytest.raises(InvalidShape, match="finite"):
+            make()
+
     def test_polygon_level_sign(self):
         tri = Polygon([(0, 0), (2, 0), (0, 2)])
         lev = tri.level(np.array([[0.3, 0.3], [1.5, 1.5], [0.1, 0.1]]))
@@ -1095,6 +1106,17 @@ class TestReflection:
         sol = solve_dirichlet(LAP, disk_dom, Constant(1.0), 0.0)
         with pytest.raises(OutOfDomain):
             reflection_gap(sol, (1, 0), -2.0)
+
+    @pytest.mark.parametrize("direction", [(0, 0), (np.nan, 1.0),
+                                           (np.inf, 0.0)])
+    def test_rejects_a_direction_naming_no_plane(self, disk_dom, direction):
+        # a zero direction warned in a 0/0 and came back as nan
+        sol = solve_dirichlet(LAP, disk_dom, Constant(1.0), 0.0)
+        for call in (lambda: critical_plane_position(Disk(1.0), direction),
+                     lambda: reflect_points(disk_dom.pts, direction, 0.0),
+                     lambda: reflection_gap(sol, direction, 0.0)):
+            with pytest.raises(ValueError, match="plane direction"):
+                call()
 
     def test_critical_plane_symmetric_shapes(self):
         assert abs(critical_plane_position(Disk(1.0), (0.3, 1.0))) < 1e-6

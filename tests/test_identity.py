@@ -15,7 +15,9 @@ and regenerates the records in the same commit with
     python3 tests/test_identity.py
 
 The runs use a copy of ``bench/`` in a temporary directory, so the bench's
-output directory lands there and not in the checkout.
+output directory lands there and not in the checkout.  They run with
+``-W error``, as the tests' own warning filter does not reach a
+subprocess.
 """
 
 import json
@@ -39,7 +41,8 @@ def run_records(work_dir):
                     ignore=shutil.ignore_patterns("__pycache__"))
     (work_dir / "src").symlink_to(ROOT / "src")
     procs = {w: subprocess.Popen(
-        [sys.executable, "-B", str(work_dir / "bench" / "run.py"),
+        [sys.executable, "-B", "-W", "error",
+         str(work_dir / "bench" / "run.py"),
          "--workload", w, "--seed", "1", "--seconds", "0", "--size", "tiny"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for w in WORKLOADS}

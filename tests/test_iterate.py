@@ -10,31 +10,54 @@ from pucci_lab.errors import IterationLimit, PositivityLoss
 
 
 class TestStencilMatrix:
+    # row i applies weights[s, i, j] to u[ends[s, i, j]] - u[i]
+    ENDS = np.array([[[1, 1, 3], [0, 2, 2], [0, 3, 7]],
+                     [[2, 2, 3], [2, 0, 3], [1, 1, 1]]])
+    WEIGHTS = np.array([[[1.0, 0.5, 9.0], [2.0, 1.0, 0.25], [0.5, 9.0, 9.0]],
+                        [[3.0, 0.0, 0.0], [0.75, 2.0, 4.0], [0.0, 0.125, 1.0]]])
+
     def test_assembly(self):
-        # node 0 names node 1 twice, node 2 names itself and two ends that
-        # are not unknowns (3 = n and 7 > n)
-        centre = np.array([-4.0, -3.0, -2.0])
-        ends = np.array([[1, 1, 3], [0, 2, 2], [2, 3, 7]])
-        weights = np.array([[1.0, 0.5, 9.0],
-                            [2.0, 1.0, 0.25],
-                            [0.5, 9.0, 9.0]])
-        mat = stencil_matrix(centre, ends, weights)
+        # every off-diagonal entry sums repeated (row, column) pairs, and
+        # ends 3 = n and 7 > n are not unknowns
+        mat = stencil_matrix(self.ENDS, self.WEIGHTS)
         # the format splu factors, so no layer converts before factoring
         assert mat.format == "csc"
         assert mat.shape == (3, 3)
-        assert_array_equal(mat.toarray(), [[-4.0, 1.5, 0.0],
-                                           [2.0, -3.0, 1.25],
-                                           [0.0, 0.0, -1.5]])
-        assert mat.nnz == 6
+        assert_array_equal(mat.toarray(), [[-13.5, 1.5, 3.0],
+                                           [4.0, -10.0, 2.0],
+                                           [0.5, 1.125, -19.625]])
 
-    def test_leading_axes_and_zeros(self):
-        # ends[..., i, k] belongs to row i whatever the leading axes; a
-        # sum that comes out zero is not stored
+    def test_diagonal_is_minus_the_row_sum(self):
+        # every arm counts on the diagonal, also one that ends off the
+        # unknowns (a cut point, a node beyond the box), which makes no
+        # other entry; so u = 1 leaves only what those arms carry
+        mat = stencil_matrix(self.ENDS, self.WEIGHTS)
+        assert_array_equal(mat.diagonal(), -self.WEIGHTS.sum(axis=(0, 2)))
+        off = (self.WEIGHTS * (self.ENDS >= 3)).sum(axis=(0, 2))
+        assert_array_equal(mat @ np.ones(3), -off)
+
+    def test_zeros_not_stored(self):
+        # a sum that comes out zero is not stored, nor is a zero weight
         ends = np.array([[[1], [0]], [[1], [2]]])
-        weights = np.array([[[1.0], [2.0]], [[-1.0], [3.0]]])
-        mat = stencil_matrix(np.array([-1.0, -5.0]), ends, weights)
-        assert_array_equal(mat.toarray(), [[-1.0, 0.0], [2.0, -5.0]])
-        assert mat.nnz == 3
+        weights = np.array([[[1.0], [2.0]], [[-1.0], [0.0]]])
+        mat = stencil_matrix(ends, weights)
+        assert_array_equal(mat.toarray(), [[0.0, 0.0], [2.0, -2.0]])
+        assert mat.nnz == 2
+
+    def test_zero_columns_keep_the_bits(self):
+        # a table padded with zero-weight arms, as a grid scheme that reads
+        # fewer directions than its domain resolves, gives the same matrix
+        rng = np.random.default_rng(3)
+        ends = rng.integers(0, 12, size=(2, 10, 3)).astype(np.int32)
+        scale = 10.0 ** rng.integers(-8, 8, size=(2, 10, 3))
+        weights = rng.random((2, 10, 3)) * scale
+        pad = rng.integers(0, 12, size=(2, 10, 2)).astype(np.int32)
+        got = stencil_matrix(np.concatenate([ends, pad], axis=2),
+                             np.concatenate([weights, np.zeros((2, 10, 2))],
+                                            axis=2))
+        want = stencil_matrix(ends, weights)
+        for part in ("data", "indices", "indptr"):
+            assert_array_equal(getattr(got, part), getattr(want, part))
 
 
 class TestPolicyEigenStart:

@@ -52,6 +52,10 @@ class TestGeometry:
             shrink_angle(4, 0.1)
         with pytest.raises(ValueError):
             shrink_angle(2, -0.1)
+        # nan passed delta < 0 and came back as the margin
+        for delta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="need a finite delta"):
+                shrink_angle(2, delta)
 
     def test_mesh_nodes_inside_open_box(self):
         mesh = SectorMesh(3, 0.1, np.pi / 80)
@@ -95,10 +99,16 @@ class TestGeometry:
         with pytest.raises(ValueError):
             SectorMesh(2, 0.1, 1.0)
 
-    @pytest.mark.parametrize("spacing", [0.0, -np.pi / 100])
+    @pytest.mark.parametrize("spacing", [0.0, -np.pi / 100, np.nan, np.inf])
     def test_mesh_rejects_nonpositive_spacing(self, spacing):
         with pytest.raises(ValueError, match="positive spacing"):
             SectorMesh(2, 0.1, spacing)
+
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    def test_mesh_rejects_nan_delta(self, n_dim):
+        # a nan delta failed inside int(round(...))
+        with pytest.raises(ValueError, match="need a finite delta"):
+            SectorMesh(n_dim, np.nan, np.pi / 40)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -187,6 +197,31 @@ class TestAssemble:
         # latitude poles, so compare relative to the exact value there
         rel = np.abs(out.values - 1.3 * beltrami) / (1.0 + np.abs(1.3 * beltrami))
         assert rel.max() < 10.0 * mesh.spacing ** 2
+
+    @pytest.mark.parametrize("n_dim, spacing", [(2, np.pi / 40),
+                                                (3, np.pi / 20)])
+    def test_diffs_exact_on_quadratics(self, n_dim, spacing):
+        # at a node whose arms all stay in the box the central differences
+        # of a quadratic in (theta1, theta2) are its derivatives
+        mesh = SectorMesh(n_dim, 0.2, spacing)
+        nodes = [np.ravel(t) for t in np.meshgrid(*mesh.axes, indexing="ij")]
+        t1, t2 = (*nodes, np.zeros(mesh.n_nodes))[:2]
+        c1, c2, c11, c22, c12 = 0.3, -1.1, 0.7, -0.4, 1.3
+        vals = (2.0 + c1 * t1 + c2 * t2 + c11 * t1 ** 2 + c22 * t2 ** 2
+                + c12 * t1 * t2)
+        one = np.ones(mesh.n_nodes)
+        want = np.array([c1 + 2.0 * c11 * t1 + c12 * t2,
+                         c2 + 2.0 * c22 * t2 + c12 * t1,
+                         2.0 * c11 * one, 2.0 * c22 * one, c12 * one])
+        if n_dim == 2:
+            # N = 2 has no theta2 axis: its differences are 0
+            want[[1, 3, 4]] = 0.0
+        inner = (mesh.nb < mesh.n_nodes).all(axis=(0, 2))
+        assert inner.any() and not inner.all()
+        got = _diffs(vals, mesh)
+        assert got.shape == (5, mesh.n_nodes)
+        assert_allclose(got[:, inner], want[:, inner],
+                        rtol=1e-10, atol=1e-10)
 
     def test_minus_term_matches_dense_pucci(self):
         # the vectorized closed-form 2x2 spectra against the dense
@@ -692,6 +727,14 @@ class TestUtilities:
         assert extrapolate_to_zero(xs, ys) == pytest.approx(7.0, abs=1e-12)
         with pytest.raises(ValueError):
             extrapolate_to_zero([0.1], [1.0])
+
+    @pytest.mark.parametrize("xs, ys", [([0.1, np.nan], [1.0, 2.0]),
+                                        ([0.1, 0.2], [1.0, np.inf])])
+    def test_extrapolation_rejects_nonfinite_samples(self, xs, ys):
+        # a nan sample made LAPACK print DLASCL errors and raise
+        # LinAlgError; an inf one came back as nan
+        with pytest.raises(ValueError, match="need finite samples"):
+            extrapolate_to_zero(xs, ys)
 
     @pytest.mark.parametrize("xs", [[0.1, 0.1], [0.2, 0.1, 0.1]])
     def test_extrapolation_rejects_repeated_samples(self, xs):
