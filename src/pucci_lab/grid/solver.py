@@ -304,18 +304,20 @@ class _Multigrid:
                                  shape=(n, len(cells)))
             dinv = 1.0 / mat.diagonal()
             prol = tent - sp.diags(_PROLONG_OMEGA * dinv) @ (mat @ tent)
-            self.levels.append((mat, dinv, prol))
-            mat = prol.T @ (mat @ prol)
+            # the restriction P^T, a view of P's arrays, made once per level
+            restrict = prol.T
+            self.levels.append((mat, dinv, prol, restrict))
+            mat = restrict @ (mat @ prol)
         self.coarse = _factor(mat)
 
     def _cycle(self, rhs, depth=0):
         if depth == len(self.levels):
             return self.coarse.solve(rhs)
-        mat, dinv, prol = self.levels[depth]
+        mat, dinv, prol, restrict = self.levels[depth]
         x = _JACOBI_OMEGA * dinv * rhs
         for _ in range(_SWEEPS - 1):
             x += _JACOBI_OMEGA * dinv * (rhs - mat @ x)
-        x += prol @ self._cycle(prol.T @ (rhs - mat @ x), depth + 1)
+        x += prol @ self._cycle(restrict @ (rhs - mat @ x), depth + 1)
         for _ in range(_SWEEPS):
             x += _JACOBI_OMEGA * dinv * (rhs - mat @ x)
         return x

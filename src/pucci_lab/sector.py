@@ -8,7 +8,11 @@ selection.  At a = A the whole thing collapses to A times the
 Laplace-Beltrami operator, which anchors every sign convention here.  Its
 discrete Perron vector separates in theta_1 and theta_2
 (``_laplace_beltrami_mode``), and every policy eigen solve starts from it,
-so an a = A solve needs no factorization.
+so an a = A solve needs no factorization.  The box is symmetric about
+theta_1 = pi/4 and theta_2 = 0 and H commutes with both reflections, so
+the principal eigenfunction, unique up to scale, is invariant under them,
+and the policy solve runs on the folded box (``_folded``): one node per
+mirror orbit, a quarter of the nodes for N = 3.
 
 Coordinates: theta_1 is the azimuth in the (x1, x2) plane, restricted to
 (0, pi/2) for the quarter; for N = 3, theta_2 is the latitude in
@@ -267,6 +271,33 @@ def _laplace_beltrami_mode(mesh):
     return np.outer(mode, lat).ravel()
 
 
+def _folded(mesh):
+    """The mesh folded by its two mirrors, as the operator reads it: the
+    lower half of each axis.
+
+    ``keep`` maps a folded node to its full node and ``to_r`` a full node
+    to the folded node of its mirror orbit; ``q1``, ``tan2`` and ``nb`` are
+    the kept nodes', each arm end replaced by its representative (n_r,
+    the folded count, beyond the box).  So an arm that crosses a mirror
+    line ends at its end's image, ``stencil_matrix`` sums two arms that
+    end at one node, and H(v[to_r])[keep] = H_folded(v) exactly.  A box
+    that would fold below 3 nodes, fewer than ARPACK's one pair needs, is
+    not folded.
+    """
+    shape = mesh.shape
+    half = tuple((n + 1) // 2 for n in shape)
+    if np.prod(half) < 3:
+        half = shape
+    # each node's representative: itself, or its mirror image in the kept half
+    rep = [np.where(i < h, i, n - 1 - i)
+           for i, h, n in zip(np.indices(shape), half, shape)]
+    to_r = np.ravel_multi_index(rep, half).ravel().astype(_INDEX)
+    keep = np.ravel_multi_index(np.indices(half), shape).ravel()
+    nb = np.append(to_r, _INDEX(len(keep)))[mesh.nb[:, keep, :]]
+    return SimpleNamespace(keep=keep, to_r=to_r, nb=nb, weights=mesh.weights,
+                           q1=mesh.q1[keep], tan2=mesh.tan2[keep])
+
+
 def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
                                 inner_tol=1e-10, method="policy"):
     """Principal eigenvalue of -H on the sector, with its eigenfield.
@@ -275,28 +306,34 @@ def sector_principal_eigenvalue(params, mesh, *, tol=1e-6, max_power=500,
     frames at psi, take the principal eigenpair of the frozen matrix with
     one ``eigs`` call of relative tolerance ``inner_tol``, refreeze, and
     stop when sup|H(psi) + lambda*psi| <= tol * lambda, with psi scaled to
-    sup 1; at most ``max_power`` freezes.  It starts from the a = A Perron
-    vector ``_laplace_beltrami_mode``, which at a = A meets the stopping
-    rule before any freeze and for a < A saves about one; the relax oracle
-    starts from ones.  method="relax" is the slow
-    oracle: inverse power iteration (solve H(psi_next) = -psi by relax
-    sweeps to ``inner_tol``, normalize in sup norm, read lambda from the
-    norm) until the relative eigenvalue change is at most tol, in at most
-    ``max_power`` steps.  The eigenfield must stay positive; a dip below
-    -1e-12 after normalization raises PositivityLoss.
+    sup 1; at most ``max_power`` freezes.  It runs on the mirror-folded
+    box of ``_folded``, exact for the mirror-invariant principal
+    eigenfield, and returns that field mirrored back onto the whole mesh.
+    It starts from the a = A Perron vector ``_laplace_beltrami_mode``,
+    which at a = A meets the stopping rule before any freeze and for
+    a < A saves about one; the relax oracle starts from ones on the whole
+    box.  method="relax" is the slow oracle: inverse power iteration
+    (solve H(psi_next) = -psi by relax sweeps to ``inner_tol``, normalize
+    in sup norm, read lambda from the norm) until the relative eigenvalue
+    change is at most tol, in at most ``max_power`` steps.  The eigenfield
+    must stay positive; a dip below -1e-12 after normalization raises
+    PositivityLoss.
     """
     if method not in ("policy", "relax"):
         raise ValueError(f"unknown method {method!r}")
 
+    box = _folded(mesh) if method == "policy" else mesh
+
     def linearize(v):
-        lin = _linearize(params, mesh, v)
-        return lin.value, lambda: _frozen_matrix(mesh, lin)
+        lin = _linearize(params, box, v)
+        return lin.value, lambda: _frozen_matrix(box, lin)
 
     if method == "policy":
         lam, psi = policy_eigen(linearize, _factor,
-                                _laplace_beltrami_mode(mesh),
+                                _laplace_beltrami_mode(mesh)[box.keep],
                                 tol=tol, eig_tol=inner_tol,
                                 max_steps=max_power)
+        psi = psi[box.to_r]
     else:
         # step of the relax sweeps that solve H(psi) = -x
         tau = 0.5 * min(mesh.spacings) ** 2

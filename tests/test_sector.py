@@ -12,7 +12,7 @@ from pucci_lab.sector import (SectorField, SectorMesh, SectorOperatorParams,
                               sector_principal_eigenvalue, shrink_angle)
 from pucci_lab import sector as sector_module
 from pucci_lab._iterate import inverse_power, policy_eigen, policy_iterate
-from pucci_lab.sector import (_MIN_NODES, _diffs, _frozen_matrix,
+from pucci_lab.sector import (_MIN_NODES, _diffs, _folded, _frozen_matrix,
                               _laplace_beltrami_mode, _linearize)
 
 LAP = SectorOperatorParams(1.0, 1.0)
@@ -485,10 +485,61 @@ class TestEigenvalue:
         assert mode.shape == (mesh.n_nodes,)
         assert mode.min() > 0.0 and mode.max() == 1.0
         assert np.abs(mode - phi_o).max() < 1e-8
-        # the solver starts from the mode and stops there
+        # the solver starts from the mode on the folded box and stops there
         lam, psi = sector_principal_eigenvalue(params, mesh)
         assert lam == pytest.approx(lam_o, rel=1e-10)
-        assert_array_equal(psi.values.ravel(), mode)
+        fold = _folded(mesh)
+        assert_array_equal(psi.values.ravel(), mode[fold.keep][fold.to_r])
+
+    @pytest.mark.parametrize("a, gamma", [(1.0, 2.0), (0.6, 2.0), (0.6, 2.4)])
+    @pytest.mark.parametrize("n_dim, spacing, shape", [
+        (2, np.pi / 60, (25,)), (2, np.pi / 61, (26,)),
+        (3, np.pi / 20, (8, 18)), (3, np.pi / 21, (9, 19)),
+        (3, np.pi / 22, (9, 20)), (3, np.pi / 23, (10, 21))])
+    def test_folded_solve_matches_full_box(self, n_dim, spacing, shape, a,
+                                           gamma, count_splu):
+        # odd and even node counts on each axis
+        mesh = SectorMesh(n_dim, 0.2, spacing)
+        assert mesh.shape == shape
+        params = SectorOperatorParams(a, 1.0, gamma=gamma)
+        lam_o, psi_o = policy_eigen(_sector_linearize(params, mesh),
+                                    sector_module._factor,
+                                    _laplace_beltrami_mode(mesh), tol=1e-6,
+                                    eig_tol=1e-14, max_steps=500)
+        count_splu.clear()
+        lam, psi = sector_principal_eigenvalue(params, mesh, inner_tol=1e-14)
+        assert lam == pytest.approx(lam_o, rel=1e-12)
+        assert np.abs(psi.values.ravel() - psi_o).max() <= 1e-12
+        # the eigenfield is invariant under each mirror, bit for bit
+        for axis in range(n_dim - 1):
+            assert_array_equal(psi.values, np.flip(psi.values, axis))
+        # and meets the stopping rule on the full box
+        vals = psi.values.ravel()
+        res = _linearize(params, mesh, vals).value + lam * vals
+        assert np.abs(res).max() <= 1e-6 * lam
+        # only the folded box, a quarter (N = 3) or half (N = 2), is factored
+        n_r = int(np.prod([(n + 1) // 2 for n in shape]))
+        assert len(_folded(mesh).keep) == n_r
+        assert set(count_splu) == ({(n_r, n_r)} if a < 1.0 else set())
+
+    @pytest.mark.parametrize("nodes, lam_full", [
+        (3, 5.891038026817035), (4, 6.471575490636035)])
+    def test_tiny_box_is_not_folded(self, nodes, lam_full, count_splu):
+        # either box would fold to 2 nodes, below the 3 ARPACK's one pair
+        # needs, so the whole box is solved, to the whole-box lambda
+        # (pytest turns warnings into errors: scipy's fallback to a dense
+        # eig warns)
+        width = np.pi / 2 - 2.0 * shrink_angle(2, 0.1)
+        mesh = SectorMesh(2, 0.1, width / (nodes + 1))
+        assert mesh.shape == (nodes,)
+        fold = _folded(mesh)
+        assert_array_equal(fold.keep, np.arange(nodes))
+        assert_array_equal(fold.to_r, np.arange(nodes))
+        lam, psi = sector_principal_eigenvalue(SectorOperatorParams(0.5, 1.0),
+                                               mesh)
+        assert lam == pytest.approx(lam_full, rel=1e-12)
+        assert psi.values.min() > 0.0
+        assert count_splu and set(count_splu) == {(nodes, nodes)}
 
     def test_mode_start_saves_a_freeze_below_equal_bounds(self, count_splu):
         mesh = SectorMesh(3, 0.2, np.pi / 40)
