@@ -34,6 +34,11 @@ Dirichlet loop, where it is an aggregation multigrid: BiCGSTAB
 preconditioned with V-cycles whose coarsest level, of at most 1,500
 unknowns, is such an LU.  A smaller matrix is its own coarsest level and
 is solved by that LU alone.
+Each layer may hand these loops a problem folded by its mirrors, one
+unknown per mirror orbit, and mirror the result back: the sector box by
+its two reflections, a grid domain by each lattice axis mirror that maps
+it and its data onto themselves.  The loops see only the folded
+unknowns; ``stencil_matrix`` sums the arms that meet at one of them.
 Convergence is declared on the true nonlinear residual,
 sup|r(u)| <= tol * max(1, sup|u|) (sup|F[phi] + lam*phi| <= tol * lam for
 the eigenpair).

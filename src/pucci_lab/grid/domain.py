@@ -211,10 +211,10 @@ class GridDomain:
     candidate table.
     """
 
-    def __init__(self, shape, h, origin, nx, ny):
+    def __init__(self, shape, h, centre, nx, ny):
         self.shape = shape
         self.h = float(h)
-        self.x0, self.y0 = origin
+        self.cx, self.cy = centre
         self.nx, self.ny = nx, ny
 
     # filled by build_domain
@@ -231,6 +231,13 @@ class GridDomain:
     def n_cells(self):
         return len(self.pts)
 
+    def axes(self):
+        """The lattice's centre coordinates along x and along y, placed
+        about the centre (cx, cy) as c + (i - (n - 1)/2) h: a lattice centred
+        at 0 is mirror-symmetric in the last bit."""
+        return tuple(c + (np.arange(n) - 0.5 * (n - 1)) * self.h
+                     for c, n in ((self.cx, self.nx), (self.cy, self.ny)))
+
     def arm_lengths(self, k=None):
         """Arm lengths shaped like ``nb[:, :, :k]``: |d| h for an arm
         along d, times the cut fraction where the arm is cut."""
@@ -246,8 +253,7 @@ class GridDomain:
         boundary data, where extending by zero is O(h) accurate); points
         beyond the lattice take the value at its nearest edge.
         """
-        xs = self.x0 + (np.arange(self.nx) + 0.5) * self.h
-        ys = self.y0 + (np.arange(self.ny) + 0.5) * self.h
+        xs, ys = self.axes()
         clamped = np.clip(np.atleast_2d(pts), (xs[0], ys[0]), (xs[-1], ys[-1]))
         full = np.zeros((self.nx, self.ny))
         full[self.cells[:, 0], self.cells[:, 1]] = values
@@ -273,13 +279,11 @@ def build_domain(shape, h):
     nx = int(np.ceil((xmax - xmin + 2.0 * margin) / h))
     ny = int(np.ceil((ymax - ymin + 2.0 * margin) / h))
     # centre the lattice on the bbox midpoint so symmetric shapes get
-    # symmetric cell sets (the rotation-invariance checks rely on it)
-    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
-    x0, y0 = cx - 0.5 * nx * h, cy - 0.5 * ny * h
-
-    dom = GridDomain(shape, h, (x0, y0), nx, ny)
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    centers = np.stack([x0 + (ii + 0.5) * h, y0 + (jj + 0.5) * h], axis=-1)
+    # symmetric cell sets (the rotation-invariance checks and the solver's
+    # mirror fold rely on it)
+    dom = GridDomain(shape, h, (0.5 * (xmin + xmax), 0.5 * (ymin + ymax)),
+                     nx, ny)
+    centers = np.stack(np.meshgrid(*dom.axes(), indexing="ij"), axis=-1)
     level = shape.level(centers.reshape(-1, 2)).reshape(nx, ny)
     # a centre on the boundary up to rounding would get a zero-length arm
     mask = level < -1e-12 * h

@@ -20,8 +20,17 @@ built; up to 17.94 it reads 8 and below 37.97 the 12 lattice directions of
 ``DIRECTIONS``, and from there on it raises ValueError.  ``solve_dirichlet``,
 ``principal_eigenvalue_grid`` and ``discretize_F`` resolve the directions
 their table reads on the domain before they sample or read cut data.
+
+The scheme commutes, up to rounding, with each lattice axis mirror that
+maps the domain, its cut arms and the data onto themselves, so the policy
+Dirichlet solve and the eigenpair run on the mirror-folded domain
+(``_folded``): one cell per mirror orbit, a quarter of the cells of a
+disk or an axis-aligned ellipse, and the field mirrored back.  A mirror
+that breaks any condition stays unfolded; with none the fold is the
+identity, so there is one code path.
 """
 
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -32,7 +41,8 @@ import scipy.sparse.linalg as spla
 from .._iterate import (LU_OPTIONS, policy_eigen, policy_iterate, relax,
                         stencil_matrix)
 from ..operators import Variant
-from .domain import DIRECTIONS, GridField, _resolve, boundary_data
+from .domain import (_INDEX, DIRECTIONS, GridField, _resolve,
+                     boundary_data)
 
 # The weight |grad_h u|^alpha meets g = 0 two ways.  The operator floors g
 # for alpha < 0 only, where the weight is singular; for alpha > 0 it is
@@ -267,6 +277,87 @@ def _gradient_matrix(params, lin):
                           c[:, None] * lin.grad * lin.table.first)
 
 
+def _mirror(dom, table, axis, rim):
+    """The lattice mirror along ``axis`` (0 turns x, 1 turns y) as a map of
+    the arm ends, cells then cuts, or None where it does not map the
+    problem that ``table`` reads onto itself, exactly: the mask, and each
+    cut arm onto a cut arm with a bit-equal weight ``table.second``.
+
+    The arm (s, c, j) maps to the arm of the mirrored direction at the
+    image of c, on the other side where the mirror turns the direction
+    round.  A cell's weights read its own arm lengths alone, those of
+    ``table.first`` the same ones as ``table.second``, and an arm that no
+    cut shortens is |d| h long, as is its image, so only the cells
+    ``rim`` with a cut arm are compared.
+    """
+    if not np.array_equal(dom.mask, np.flip(dom.mask, axis)):
+        return None
+    cells = dom.cells.copy()
+    cells[:, axis] = dom.mask.shape[axis] - 1 - cells[:, axis]
+    img = dom.cell_id[cells[:, 0], cells[:, 1]]
+    turned = DIRECTIONS[:table.k] * np.where(np.arange(2) == axis, -1, 1)
+    dirs = np.array([_DIRECTION_ID[tuple(d)] for d in turned])
+    sides = np.arange(2)[:, None] ^ (DIRECTIONS[dirs] != turned).any(axis=1)
+
+    def image(x):
+        # gather the cells first: one index array runs several times faster
+        return x[:, img[rim]][sides, :, dirs].transpose(0, 2, 1)
+
+    n, nb = dom.n_cells, table.nb[:, rim]
+    ends, cut = image(table.nb), nb >= n
+    if not (np.array_equal(cut, ends >= n)
+            and np.array_equal(table.second[:, rim], image(table.second))):
+        return None
+    at_image = np.concatenate([img, np.arange(len(dom.cut_xy))])
+    at_image[nb[cut]] = ends[cut]
+    return at_image
+
+
+def _folded(dom, table, data):
+    """The problem folded by each lattice axis mirror that maps it onto
+    itself, as the scheme reads it.
+
+    A mirror folds where it maps the domain and its stencil onto
+    themselves (``_mirror``) and each array of ``data`` onto itself
+    exactly; ``data`` are arrays over the arm ends, cell values followed
+    by cut data.  The lattice lies symmetrically about the centre of the
+    shape's box (``GridDomain.axes``), so a shape symmetric about its axes
+    folds.  The kept cells are those in the lower half of each folded
+    axis: ``keep`` maps a folded cell to its cell and ``to_r`` a cell to
+    the folded cell of its mirror orbit.  The folded table is the kept
+    cells' rows, each cell end replaced by its representative and each cut
+    end i by n_r + i - n_cells, with n_r the folded count, so cut data
+    stay whole and ``stencil_matrix`` sums two arms that end at one
+    representative.  Then F(v[to_r])[keep] is the folded F(v), and the
+    scheme commutes with the mirrors up to rounding, so a folded solution
+    v gives the whole domain's v[to_r].  With no mirror the fold is the
+    identity.
+    """
+    n, nb = dom.n_cells, table.nb
+    rim = np.flatnonzero((nb >= n).any(axis=2).any(axis=0))
+    rep, keep = np.arange(n), np.ones(n, dtype=bool)
+    for axis in (0, 1):
+        image = _mirror(dom, table, axis, rim)
+        if image is None or not all(np.array_equal(d, d[image])
+                                    for d in data):
+            continue
+        upper = 2 * dom.cells[:, axis] > dom.mask.shape[axis] - 1
+        keep &= ~upper
+        rep = np.where(upper[rep], image[rep], rep)
+    keep = np.flatnonzero(keep)
+    n_r = len(keep)
+    to_r = np.empty(n, dtype=_INDEX)
+    to_r[keep] = np.arange(n_r)
+    to_r = to_r[rep]
+    folded = SimpleNamespace(**vars(table))
+    folded.nb = np.concatenate([to_r, np.arange(
+        n_r, n_r + len(dom.cut_xy), dtype=_INDEX)])[nb[:, keep]]
+    folded.second = table.second[:, keep]
+    if hasattr(table, "first"):
+        folded.first = table.first[:, keep]
+    return SimpleNamespace(keep=keep, to_r=to_r, table=folded)
+
+
 def _factor(mat):
     return spla.splu(mat.tocsc(), **LU_OPTIONS)
 
@@ -357,6 +448,16 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     no linear algebra, but tau shrinks with the smallest cut arm, so it is
     practical only on coarse grids.
 
+    method="policy" solves on the domain folded by each lattice axis
+    mirror that maps the mask, the cut arms with their weights, ``g`` on
+    the cuts, ``u0`` and an array ``source.c`` onto themselves exactly
+    (``_folded``): one cell per mirror orbit, the field mirrored back.
+    The folded solution solves the whole problem, and where the discrete
+    solution is unique (alpha = 0) it is the whole-domain one; an axis
+    whose mirror breaks a condition stays unfolded.  method="damped"
+    always solves the whole domain.  An array ``source.c`` holds one value
+    per cell, or ValueError is raised.
+
     Convergence is declared on the true assembled residual:
     sup |F[u] + f(u)| <= tol * max(1, sup|u|).  IterationLimit carries
     the residual history.
@@ -366,6 +467,19 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     table = _resolved_table(params, dom)
     bvals = boundary_data(dom, g)
     u = np.zeros(dom.n_cells) if u0 is None else GridField(dom, u0).values
+    data = [u]
+    if np.ndim(source.c):
+        c = np.asarray(source.c, dtype=float)
+        if c.shape != u.shape:
+            raise ValueError(f"an array source term c needs one value per "
+                             f"cell, shape ({dom.n_cells},); got {c.shape}")
+        data.append(c)
+    if method == "policy":
+        fold = _folded(dom, table, [np.concatenate([d, bvals])
+                                    for d in data])
+        table, u = fold.table, u[fold.keep]
+        if np.ndim(source.c):
+            source = replace(source, c=c[fold.keep])
 
     def linearize(v):
         lin = _linearize(params, v, bvals, table)
@@ -386,9 +500,10 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     else:
         # the Jacobian is an M-matrix only at alpha = 0, where Howard's
         # full steps converge unguarded
-        u = policy_iterate(linearize, partial(_Multigrid, cells=dom.cells), u,
-                           tol=tol, max_steps=max_outer,
-                           line_search=params.alpha != 0.0)
+        u = policy_iterate(linearize,
+                           partial(_Multigrid, cells=dom.cells[fold.keep]),
+                           u, tol=tol, max_steps=max_outer,
+                           line_search=params.alpha != 0.0)[fold.to_r]
     return GridField(dom, u, bvals)
 
 
@@ -403,17 +518,20 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     phi scaled to sup 1.  Requires alpha = 0, where the operator is
     positively 1-homogeneous.  Raises PositivityLoss if phi dips below
     -1e-12 anywhere, which is the discrete symptom of leaving the
-    principal branch.
+    principal branch.  The principal eigenfunction is unique up to scale,
+    so it is invariant under each mirror of the domain, and the loop runs
+    on the mirror-folded domain of ``_folded`` and mirrors phi back.
     """
     if params.alpha != 0.0:
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
     table = _resolved_table(params, dom)
     bvals = np.zeros(len(dom.cut_xy))
+    fold = _folded(dom, table, [])
 
     def linearize(v):
-        lin = _linearize(params, v, bvals, table)
+        lin = _linearize(params, v, bvals, fold.table)
         return lin.value, lambda: _policy_matrix(lin)
 
-    lam, phi = policy_eigen(linearize, _factor, np.ones(dom.n_cells),
+    lam, phi = policy_eigen(linearize, _factor, np.ones(len(fold.keep)),
                             tol=tol, eig_tol=inner_tol, max_steps=max_power)
-    return lam, GridField(dom, phi, bvals)
+    return lam, GridField(dom, phi[fold.to_r], bvals)

@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg._eigen.arpack import arpack
@@ -44,3 +45,17 @@ def count_splu(monkeypatch):
     monkeypatch.setattr(spla, "splu", counting)
     monkeypatch.setattr(arpack, "splu", counting)
     return calls
+
+
+@pytest.fixture
+def whole_domain(monkeypatch):
+    """Grid solves on the whole domain from now on: the solver's
+    ``_folded`` is swapped for the identity fold, which keeps every cell
+    and the candidate table as it is.  The oracle of the mirror fold."""
+    from pucci_lab.grid import solver
+
+    def identity(dom, table, data):
+        every = np.arange(dom.n_cells)
+        return SimpleNamespace(keep=every, to_r=every, table=table)
+
+    monkeypatch.setattr(solver, "_folded", identity)

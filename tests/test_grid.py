@@ -334,6 +334,22 @@ class TestDomain:
         assert m.shape[0] == m.shape[1]
         assert np.array_equal(m, np.rot90(m))
 
+    @pytest.mark.parametrize("shape, h", [
+        (Disk(1.0), 0.01), (Disk(1.0), 0.02), (Disk(0.7), 0.013),
+        (Ellipse(1.5, 1.0), 0.04)], ids=["disk", "coarse", "odd", "ellipse"])
+    def test_centres_mirror_exactly(self, shape, h):
+        # the lattice lies about the box centre, here 0, so a cell's mirror
+        # image has its centre negated in the last bit; the ellipse has an
+        # odd nx, a lattice column on the mirror line
+        dom = build_domain(shape, h)
+        i, j = dom.cells.T
+        for image, sign in (((dom.nx - 1 - i, j), (-1.0, 1.0)),
+                            ((i, dom.ny - 1 - j), (1.0, -1.0))):
+            assert_array_equal(dom.pts[dom.cell_id[image]], sign * dom.pts)
+        # the centres are read from the axes that the interpolation reads
+        xs, ys = dom.axes()
+        assert_array_equal(dom.pts, np.stack([xs[i], ys[j]], axis=1))
+
     def test_boundary_samples(self, disk_dom):
         b = disk_dom.boundary
         assert len(b["s"]) > 0
@@ -601,10 +617,12 @@ class TestOperator:
     @pytest.mark.parametrize("alpha", [-0.5, 0.5])
     @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
     def test_newton_matrix_is_the_jacobian(self, disk_coarse, monkeypatch,
-                                           variant, alpha):
+                                           whole_domain, variant, alpha):
         # for alpha != 0 the solver's matrix keeps the derivative of the
         # gradient weight; a random u keeps every gradient above the floor
-        # and, along a short enough segment, every policy fixed
+        # and, along a short enough segment, every policy fixed.  A random
+        # u is not mirror-symmetric: the solver's linearization is taken
+        # on the whole domain
         params = PucciParams(0.5, 2.0, variant, alpha)
         source = EigenPower(2.0)
         captured = []
@@ -848,8 +866,10 @@ class TestNewtonMultigrid:
 
     @staticmethod
     def solve_both(monkeypatch, params, dom, g):
-        """solve_dirichlet's field and the LU path's, each with the sizes
-        of the matrices its Newton steps solved."""
+        """The Newton iterate of solve_dirichlet and the LU path's, each
+        with the sizes of the matrices its steps solved, then the first
+        step's matrix and the lattice cells the multigrid aggregates: all
+        on the folded domain, where the domain folds."""
         runs = []
         real = solver_module.policy_iterate
 
@@ -860,22 +880,27 @@ class TestNewtonMultigrid:
             return make
 
         def capture(linearize, factor, u0, **kwargs):
-            runs.append((linearize, u0, kwargs, []))
-            return real(linearize, recording(factor, runs[-1][3]), u0,
-                        **kwargs)
+            steps = []
+            u = real(linearize, recording(factor, steps), u0, **kwargs)
+            runs.append((u, linearize, factor.keywords["cells"], u0, kwargs,
+                         steps))
+            return u
 
         monkeypatch.setattr(solver_module, "policy_iterate", capture)
-        u = solve_dirichlet(params, dom, Constant(1.0), g).values
-        (linearize, u0, kwargs, steps), = runs
+        solve_dirichlet(params, dom, Constant(1.0), g)
+        (u, linearize, cells, u0, kwargs, steps), = runs
         lu_steps = []
         ref = real(linearize, recording(solver_module._factor, lu_steps), u0,
                    **kwargs)
-        return u, ref, steps, lu_steps, linearize(u0)[1]()
+        return u, ref, steps, lu_steps, linearize(u0)[1](), cells
 
     @pytest.mark.parametrize("case", ["square", "singular", "hexagon"])
-    def test_matches_lu(self, monkeypatch, count_splu, square_fine, case):
+    def test_matches_lu(self, request, monkeypatch, count_splu, square_fine,
+                        case):
         # measured at most 1.4e-14 relative, with equal step counts
         if case == "square":
+            # the whole square, which folds to 10,000 cells, one level
+            request.getfixturevalue("whole_domain")
             params, dom, g = WIDE, square_fine, _oscillating
         elif case == "singular":
             params = PucciParams(0.5, 2.0, Variant.PLUS, -0.5)
@@ -886,14 +911,15 @@ class TestNewtonMultigrid:
             t = 0.1 + np.arange(6) * np.pi / 3.0
             dom = build_domain(Polygon(np.stack([np.cos(t), np.sin(t)], 1)),
                                0.02)
-        u, ref, steps, lu_steps, mat = self.solve_both(monkeypatch, params,
-                                                       dom, g)
-        levels = solver_module._Multigrid(mat, dom.cells).levels
+        u, ref, steps, lu_steps, mat, cells = self.solve_both(
+            monkeypatch, params, dom, g)
+        n = len(cells)
+        levels = solver_module._Multigrid(mat, cells).levels
         assert len(levels) == (2 if case == "square" else 1)
-        assert steps == lu_steps == [dom.n_cells] * len(steps)
+        assert steps == lu_steps == [n] * len(steps)
         assert len(steps) > 1
         # no step fell back: the whole-matrix factors are the LU path's
-        assert sum(n == dom.n_cells for n, _ in count_splu) == len(steps)
+        assert sum(m == n for m, _ in count_splu) == len(steps)
         assert np.abs(u - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_fallback_is_the_lu_path(self, monkeypatch, count_splu):
@@ -902,11 +928,11 @@ class TestNewtonMultigrid:
         monkeypatch.setattr(solver_module, "_KRYLOV_CAP", 1)
         params = PucciParams(0.5, 2.0, Variant.PLUS, -0.5)
         dom = build_domain(Disk(1.0), 0.02)
-        u, ref, steps, lu_steps, _ = self.solve_both(monkeypatch, params,
-                                                     dom, 0.0)
+        u, ref, steps, lu_steps, _, cells = self.solve_both(
+            monkeypatch, params, dom, 0.0)
         assert_array_equal(u, ref)
         assert len(steps) == len(lu_steps) > 1
-        coarse = [n for n, _ in count_splu if n < dom.n_cells]
+        coarse = [n for n, _ in count_splu if n < len(cells)]
         assert len(coarse) == len(steps)
         assert len(count_splu) == len(coarse) + 2 * len(steps)
 
@@ -917,7 +943,7 @@ class TestNewtonMultigrid:
         assert max(n for n, _ in count_splu) <= solver_module._COARSEST
 
     def test_small_matrix_takes_the_lu(self, monkeypatch, disk_dom,
-                                       count_splu):
+                                       whole_domain, count_splu):
         # at most _COARSEST unknowns: the hierarchy is empty, and each step
         # is one whole-matrix factor that solves it alone
         assert disk_dom.n_cells <= solver_module._COARSEST
@@ -937,6 +963,163 @@ class TestNewtonMultigrid:
         rhs = rng.standard_normal(disk_dom.n_cells)
         assert_array_equal(grid.solve(rhs),
                            solver_module._factor(mat).solve(rhs))
+
+
+def _captured(monkeypatch, params, dom, source, g=0.0, u0=None):
+    """The fold solve_dirichlet makes and the linearization it hands its
+    Newton loop, with no step taken."""
+    got = {}
+    fold = solver_module._folded
+
+    def folding(*args):
+        got["fold"] = fold(*args)
+        return got["fold"]
+
+    def capture(linearize, factor, u, **kwargs):
+        got["linearize"] = linearize
+        return u
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver_module, "_folded", folding)
+        patch.setattr(solver_module, "policy_iterate", capture)
+        solve_dirichlet(params, dom, source, g, u0=u0)
+    return got["fold"], got["linearize"]
+
+
+def _even(x, y):
+    # even in x and in y to the last bit
+    return x * x * (1.0 - 2.0 * y * y) + 0.5 * y * y
+
+
+def _mirrors(dom):
+    """Each cell's image under the x mirror and under the y mirror."""
+    i, j = dom.cells.T
+    return (dom.cell_id[dom.nx - 1 - i, j], dom.cell_id[i, dom.ny - 1 - j])
+
+
+_FOLD_CASES = {
+    # an even nx, the odd-nx ellipse, 8 directions, the singular weight
+    # and Minus with symmetric data
+    "disk": (WIDE, (Disk(1.0), 0.04), Constant(1.0), _even),
+    "ellipse": (PucciParams(1.0, 4.0), (Ellipse(1.5, 1.0), 0.04),
+                Constant(1.0), _even),
+    "ratio10": (PucciParams(1.0, 10.0), (Disk(1.0), 0.05), Constant(1.0),
+                _even),
+    "singular": (PucciParams(0.5, 2.0, Variant.PLUS, -0.5),
+                 (Disk(1.0), 0.05), Constant(1.0), 0.0),
+    "minus": (PucciParams(0.5, 2.0, Variant.MINUS), (Disk(1.0), 0.05),
+              Constant(-1.0), _even),
+}
+
+
+class TestMirrorFold:
+    """Solves on the mirror-folded domain against the whole domain, the
+    ``whole_domain`` fixture."""
+
+    @pytest.mark.parametrize("case", list(_FOLD_CASES))
+    def test_linearization_is_the_whole_domain_one(self, monkeypatch,
+                                                   request, case):
+        params, (shape, h), source, g = _FOLD_CASES[case]
+        dom = build_domain(shape, h)
+        fold, folded = _captured(monkeypatch, params, dom, source, g)
+        assert len(fold.keep) < dom.n_cells / 3
+        request.getfixturevalue("whole_domain")
+        _, whole = _captured(monkeypatch, params, dom, source, g)
+        # a mirror-symmetric iterate, with every policy in play
+        v = np.random.default_rng(5).standard_normal(len(fold.keep))
+        value, freeze = folded(v)
+        whole_value, whole_freeze = whole(v[fold.to_r])
+        assert_array_equal(value, whole_value[fold.keep])
+        # the folded matrix sums the columns of a mirror orbit
+        w = np.random.default_rng(6).standard_normal(len(fold.keep))
+        ref = (whole_freeze() @ w[fold.to_r])[fold.keep]
+        assert np.abs(freeze() @ w - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", list(_FOLD_CASES))
+    def test_solve_matches_whole_domain(self, request, case):
+        params, (shape, h), source, g = _FOLD_CASES[case]
+        dom = build_domain(shape, h)
+        # the ellipse has a lattice column on its mirror line, the disks not
+        assert dom.nx % 2 == (case == "ellipse")
+        u = solve_dirichlet(params, dom, source, g).values
+        request.getfixturevalue("whole_domain")
+        ref = solve_dirichlet(params, dom, source, g).values
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("params", [LAP, WIDE])
+    def test_eigenpair_matches_whole_domain(self, request, params):
+        dom = build_domain(Ellipse(1.5, 1.0), 0.04)
+        lam, phi = principal_eigenvalue_grid(params, dom)
+        request.getfixturevalue("whole_domain")
+        lam_ref, phi_ref = principal_eigenvalue_grid(params, dom)
+        assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0.0)
+        assert np.abs(phi.values - phi_ref.values).max() <= 1e-12
+
+    def test_folded_field_is_mirror_symmetric(self):
+        dom = build_domain(Ellipse(1.5, 1.0), 0.04)
+        u = solve_dirichlet(WIDE, dom, Constant(1.0), _even).values
+        _, phi = principal_eigenvalue_grid(WIDE, dom)
+        for image in _mirrors(dom):
+            assert_array_equal(u[image], u)
+            assert_array_equal(phi.values[image], phi.values)
+
+    @pytest.mark.parametrize("case", [
+        "rotated hexagon", "last-bit cuts", "data x + y", "start",
+        "array source"])
+    def test_asymmetric_problems_are_not_folded(self, monkeypatch, request,
+                                                case):
+        # each case breaks both mirrors, so the solve is the whole
+        # domain's to the bit
+        t = 0.1 + np.arange(6) * np.pi / 3.0
+        dom = build_domain(
+            Polygon(np.stack([np.cos(t), np.sin(t)], 1)) if case[0] == "r"
+            else Disk(1.0), 0.1)
+        rng = np.random.default_rng(7)
+        kwargs = dict(params=WIDE, dom=dom, source=Constant(1.0), g=0.0)
+        if case == "last-bit cuts":
+            # a symmetric mask whose cut arms' weights differ in the last
+            # bits from their images'
+            dom = kwargs["dom"] = copy.copy(dom)
+            dom.cut_frac = dom.cut_frac * (
+                1.0 + 1e-14 * rng.standard_normal(len(dom.cut_frac)))
+        elif case == "data x + y":
+            kwargs["g"] = lambda x, y: x + y
+        elif case == "start":
+            kwargs["u0"] = rng.uniform(0.0, 0.1, dom.n_cells)
+        elif case == "array source":
+            # as in inverse power, whose iterates are symmetric up to
+            # rounding only
+            c = 1.0 + 1e-15 * rng.standard_normal(dom.n_cells)
+            kwargs["source"] = Constant(c)
+        fold, _ = _captured(monkeypatch, **kwargs)
+        assert_array_equal(fold.keep, np.arange(dom.n_cells))
+        u = solve_dirichlet(**kwargs).values
+        request.getfixturevalue("whole_domain")
+        assert_array_equal(u, solve_dirichlet(**kwargs).values)
+
+    @pytest.mark.parametrize("shape, g, axis", [
+        (Disk(1.0), lambda x, y: x, 1), (Ellipse(1.5, 1.0),
+                                         lambda x, y: y, 0)],
+        ids=["x", "y"])
+    def test_odd_data_folds_the_other_mirror(self, monkeypatch, request,
+                                             shape, g, axis):
+        # data odd in one coordinate break that mirror, and the domain
+        # folds by the other alone: the cells in the lower half of the
+        # folded axis, about half of them
+        dom = build_domain(shape, 0.05)
+        fold, _ = _captured(monkeypatch, WIDE, dom, Constant(1.0), g)
+        half = dom.cells[:, axis] <= (dom.mask.shape[axis] - 1) / 2
+        assert_array_equal(fold.keep, np.flatnonzero(half))
+        assert 2 * len(fold.keep) >= dom.n_cells
+        u = solve_dirichlet(WIDE, dom, Constant(1.0), g).values
+        assert_array_equal(u[_mirrors(dom)[axis]], u)
+        request.getfixturevalue("whole_domain")
+        ref = solve_dirichlet(WIDE, dom, Constant(1.0), g).values
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_array_source_needs_one_value_per_cell(self, disk_coarse):
+        with pytest.raises(ValueError, match=f"{disk_coarse.n_cells},"):
+            solve_dirichlet(WIDE, disk_coarse, Constant(np.ones(5)), 0.0)
 
 
 class TestEigenvalue:
