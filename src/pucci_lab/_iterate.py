@@ -34,11 +34,10 @@ Dirichlet loop, where it is an aggregation multigrid: BiCGSTAB
 preconditioned with V-cycles whose coarsest level, of at most 1,500
 unknowns, is such an LU.  A smaller matrix is its own coarsest level and
 is solved by that LU alone.
-Each layer may hand these loops a problem folded by its mirrors, one
-unknown per mirror orbit, and mirror the result back: the sector box by
-its two reflections, a grid domain by each lattice axis mirror that maps
-it and its data onto themselves.  The loops see only the folded
-unknowns; ``stencil_matrix`` sums the arms that meet at one of them.
+Each layer may hand these loops a problem folded by its mirrors
+(``fold``), one unknown per mirror orbit, and mirror the result back:
+the sector box by its two reflections, a grid domain by each lattice
+axis mirror that maps it and its data onto themselves.
 Convergence is declared on the true nonlinear residual,
 sup|r(u)| <= tol * max(1, sup|u|) (sup|F[phi] + lam*phi| <= tol * lam for
 the eigenpair).
@@ -86,6 +85,25 @@ def stencil_matrix(ends, weights):
                           np.concatenate([idx, ends[own]]))), shape=(n, n))
     mat.eliminate_zeros()
     return mat
+
+
+def fold(nb, rep):
+    """The arm table ``nb`` of n nodes folded onto the orbit
+    representatives ``rep``, a kept node its own: ``keep``, the kept
+    nodes in order; ``to_r``, each node's folded index, its
+    representative's rank in ``keep``; and the kept rows of ``nb``, each
+    node end e replaced by to_r[e] and every other end (a grid cut, the
+    sector's beyond the box) by e - n + n_r, n_r the folded count.
+    ``stencil_matrix`` then sums the arms that end at one representative,
+    so on the kept rows of mirror-invariant weights an operator on the arm
+    differences has F_folded(v) = F(v[to_r])[keep].
+    """
+    n, kept = len(rep), rep == np.arange(len(rep))
+    keep = np.flatnonzero(kept)
+    to_r = (np.cumsum(kept, dtype=nb.dtype) - 1)[rep]
+    ends = nb[:, keep]
+    return keep, to_r, np.concatenate([to_r, np.arange(
+        len(keep), len(keep) + ends.max() + 1 - n, dtype=nb.dtype)])[ends]
 
 
 def _converged(res, u, tol):

@@ -114,6 +114,20 @@ def _parse_overrides(items):
     return out
 
 
+def _read_object(path, name):
+    """The JSON object in the file at ``path``; ValueError, naming the
+    file as ``name``, where it cannot be read or holds no JSON object."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or no JSON
+        raise ValueError(f"{name} {path}: "
+                         f"{getattr(exc, 'strerror', exc)}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} {path} must hold a JSON object")
+    return obj
+
+
 def load_config(command, path=None, overrides=None):
     """Defaults for the command, updated from a JSON file and overrides.
 
@@ -130,15 +144,7 @@ def load_config(command, path=None, overrides=None):
         if not layer:
             continue
         if isinstance(layer, str):
-            try:
-                with open(layer) as fh:
-                    layer = json.load(fh)
-            except (OSError, ValueError) as exc:  # unreadable, or no JSON
-                raise ValueError(f"config file {path}: "
-                                 f"{getattr(exc, 'strerror', exc)}") from None
-            if not isinstance(layer, dict):
-                raise ValueError(f"config file {path} must hold a JSON "
-                                 "object")
+            layer = _read_object(layer, name)
         unknown = sorted(set(layer) - known)
         if unknown:
             raise ValueError(
@@ -581,19 +587,33 @@ def cmd_properties(cfg, out_dir):
     return results, checks
 
 
+def _report_row(path):
+    """The summary row of the report file at ``path``; ValueError naming
+    the file, and the entry too where one that the row reads is missing
+    or of a wrong kind."""
+    rep = _read_object(path, "report")
+    meta, checks = rep.get("meta"), rep.get("checks")
+    wall = meta.get("wall_time_s") if isinstance(meta, dict) else None
+    passed = [c.get("passed") if isinstance(c, dict) else None
+              for c in (checks if isinstance(checks, list) else [])]
+    for key, ok in (("command", isinstance(rep.get("command"), str)),
+                    ("checks", isinstance(checks, list)),
+                    ("checks[].passed", all(isinstance(p, bool)
+                                            for p in passed)),
+                    ("meta.wall_time_s", _number(wall) is not None)):
+        if not ok:
+            raise ValueError(f"report {path}: entry {key} is missing or "
+                             "of the wrong kind")
+    return {"command": rep["command"], "checks": len(passed),
+            "passed": sum(passed), "all_pass": all(passed),
+            "wall_time_s": wall}
+
+
 def cmd_report(cfg, out_dir):
     """Aggregate the other commands' reports into one summary table."""
-    rows = []
-    for name in sorted(os.listdir(out_dir)):
-        if not name.endswith(".report.json") or name == "report.report.json":
-            continue
-        with open(os.path.join(out_dir, name)) as fh:
-            rep = json.load(fh)
-        n_pass = sum(c["passed"] for c in rep["checks"])
-        rows.append({"command": rep["command"], "checks": len(rep["checks"]),
-                     "passed": n_pass,
-                     "all_pass": n_pass == len(rep["checks"]),
-                     "wall_time_s": rep["meta"]["wall_time_s"]})
+    rows = [_report_row(os.path.join(out_dir, name))
+            for name in sorted(os.listdir(out_dir))
+            if name.endswith(".report.json") and name != "report.report.json"]
     if not rows:
         raise ValueError(f"no *.report.json files under {out_dir}")
     results = {"commands": rows}

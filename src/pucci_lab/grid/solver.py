@@ -24,10 +24,10 @@ their table reads on the domain before they sample or read cut data.
 The scheme commutes, up to rounding, with each lattice axis mirror that
 maps the domain, its cut arms and the data onto themselves, so the policy
 Dirichlet solve and the eigenpair run on the mirror-folded domain
-(``_folded``): one cell per mirror orbit, a quarter of the cells of a
-disk or an axis-aligned ellipse, and the field mirrored back.  A mirror
-that breaks any condition stays unfolded; with none the fold is the
-identity, so there is one code path.
+(``_folded``, by ``_iterate.fold``): one cell per mirror orbit, a
+quarter of the cells of a disk or an axis-aligned ellipse, and the field
+mirrored back.  A mirror that breaks any condition stays unfolded; with
+none the fold is the identity, so there is one code path.
 """
 
 from dataclasses import replace
@@ -38,11 +38,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .._iterate import (LU_OPTIONS, policy_eigen, policy_iterate, relax,
-                        stencil_matrix)
+from .._iterate import (LU_OPTIONS, fold, policy_eigen, policy_iterate,
+                        relax, stencil_matrix)
 from ..operators import Variant
-from .domain import (_INDEX, DIRECTIONS, GridField, _resolve,
-                     boundary_data)
+from .domain import DIRECTIONS, GridField, _resolve, boundary_data
 
 # The weight |grad_h u|^alpha meets g = 0 two ways.  The operator floors g
 # for alpha < 0 only, where the weight is singular; for alpha > 0 it is
@@ -315,44 +314,32 @@ def _mirror(dom, table, axis, rim):
 
 def _folded(dom, table, data):
     """The problem folded by each lattice axis mirror that maps it onto
-    itself, as the scheme reads it.
+    itself (``fold``), as the scheme reads it.
 
     A mirror folds where it maps the domain and its stencil onto
     themselves (``_mirror``) and each array of ``data`` onto itself
     exactly; ``data`` are arrays over the arm ends, cell values followed
     by cut data.  The lattice lies symmetrically about the centre of the
     shape's box (``GridDomain.axes``), so a shape symmetric about its axes
-    folds.  The kept cells are those in the lower half of each folded
-    axis: ``keep`` maps a folded cell to its cell and ``to_r`` a cell to
-    the folded cell of its mirror orbit.  The folded table is the kept
-    cells' rows, each cell end replaced by its representative and each cut
-    end i by n_r + i - n_cells, with n_r the folded count, so cut data
-    stay whole and ``stencil_matrix`` sums two arms that end at one
-    representative.  Then F(v[to_r])[keep] is the folded F(v), and the
-    scheme commutes with the mirrors up to rounding, so a folded solution
-    v gives the whole domain's v[to_r].  With no mirror the fold is the
-    identity.
+    folds.  A cell's representative is its image in the lower half of
+    each folded axis, and the folded table is ``table`` with the kept
+    cells' rows.  The scheme commutes with the mirrors up to rounding, so
+    a folded solution v gives the whole domain's v[to_r].  With no mirror
+    the fold is the identity.
     """
-    n, nb = dom.n_cells, table.nb
-    rim = np.flatnonzero((nb >= n).any(axis=2).any(axis=0))
-    rep, keep = np.arange(n), np.ones(n, dtype=bool)
+    n = dom.n_cells
+    rim = np.flatnonzero((table.nb >= n).any(axis=2).any(axis=0))
+    rep = np.arange(n)
     for axis in (0, 1):
         image = _mirror(dom, table, axis, rim)
         if image is None or not all(np.array_equal(d, d[image])
                                     for d in data):
             continue
         upper = 2 * dom.cells[:, axis] > dom.mask.shape[axis] - 1
-        keep &= ~upper
         rep = np.where(upper[rep], image[rep], rep)
-    keep = np.flatnonzero(keep)
-    n_r = len(keep)
-    to_r = np.empty(n, dtype=_INDEX)
-    to_r[keep] = np.arange(n_r)
-    to_r = to_r[rep]
+    keep, to_r, nb = fold(table.nb, rep)
     folded = SimpleNamespace(**vars(table))
-    folded.nb = np.concatenate([to_r, np.arange(
-        n_r, n_r + len(dom.cut_xy), dtype=_INDEX)])[nb[:, keep]]
-    folded.second = table.second[:, keep]
+    folded.nb, folded.second = nb, table.second[:, keep]
     if hasattr(table, "first"):
         folded.first = table.first[:, keep]
     return SimpleNamespace(keep=keep, to_r=to_r, table=folded)

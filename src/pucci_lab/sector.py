@@ -12,7 +12,7 @@ so an a = A solve needs no factorization.  The box is symmetric about
 theta_1 = pi/4 and theta_2 = 0 and H commutes with both reflections, so
 the principal eigenfunction, unique up to scale, is invariant under them,
 and the policy solve runs on the folded box (``_folded``): one node per
-mirror orbit, a quarter of the nodes for N = 3.
+mirror orbit (``_iterate.fold``), a quarter of the nodes for N = 3.
 
 Coordinates: theta_1 is the azimuth in the (x1, x2) plane, restricted to
 (0, pi/2) for the quarter; for N = 3, theta_2 is the latitude in
@@ -29,8 +29,8 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from ._iterate import (LU_OPTIONS, _check_cap, inverse_power, policy_eigen,
-                       relax, stencil_matrix)
+from ._iterate import (LU_OPTIONS, _check_cap, fold, inverse_power,
+                       policy_eigen, relax, stencil_matrix)
 from .errors import IterationLimit, OutOfDomain
 from .grid.domain import _INDEX
 from .operators import Variant, _coef
@@ -272,28 +272,18 @@ def _laplace_beltrami_mode(mesh):
 
 
 def _folded(mesh):
-    """The mesh folded by its two mirrors, as the operator reads it: the
-    lower half of each axis.
-
-    ``keep`` maps a folded node to its full node and ``to_r`` a full node
-    to the folded node of its mirror orbit; ``q1``, ``tan2`` and ``nb`` are
-    the kept nodes', each arm end replaced by its representative (n_r,
-    the folded count, beyond the box).  So an arm that crosses a mirror
-    line ends at its end's image, ``stencil_matrix`` sums two arms that
-    end at one node, and H(v[to_r])[keep] = H_folded(v) exactly.  A box
-    that would fold below 3 nodes, fewer than ARPACK's one pair needs, is
-    not folded.
+    """The mesh folded by its two mirrors (``fold``), as the operator
+    reads it: each node's representative is its image in the lower half
+    of each axis, and ``keep`` is that half box in C order.  A box that
+    would fold below 3 nodes, fewer than ARPACK's one pair needs, is not
+    folded.
     """
     shape = mesh.shape
-    half = tuple((n + 1) // 2 for n in shape)
-    if np.prod(half) < 3:
-        half = shape
-    # each node's representative: itself, or its mirror image in the kept half
-    rep = [np.where(i < h, i, n - 1 - i)
-           for i, h, n in zip(np.indices(shape), half, shape)]
-    to_r = np.ravel_multi_index(rep, half).ravel().astype(_INDEX)
-    keep = np.ravel_multi_index(np.indices(half), shape).ravel()
-    nb = np.append(to_r, _INDEX(len(keep)))[mesh.nb[:, keep, :]]
+    rep = np.ravel_multi_index([np.minimum(i, n - 1 - i) for i, n in
+                                zip(np.indices(shape), shape)], shape).ravel()
+    if np.prod([(n + 1) // 2 for n in shape]) < 3:
+        rep = np.arange(mesh.n_nodes)
+    keep, to_r, nb = fold(mesh.nb, rep)
     return SimpleNamespace(keep=keep, to_r=to_r, nb=nb, weights=mesh.weights,
                            q1=mesh.q1[keep], tan2=mesh.tan2[keep])
 

@@ -1,6 +1,5 @@
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy.sparse.linalg._eigen.arpack import arpack
@@ -49,13 +48,10 @@ def count_splu(monkeypatch):
 
 @pytest.fixture
 def whole_domain(monkeypatch):
-    """Grid solves on the whole domain from now on: the solver's
-    ``_folded`` is swapped for the identity fold, which keeps every cell
-    and the candidate table as it is.  The oracle of the mirror fold."""
+    """Grid solves on the whole domain from now on: no mirror maps a
+    problem onto itself, so every cell is its own representative and the
+    solver's fold keeps the arm table as it is.  The oracle of the mirror
+    fold."""
     from pucci_lab.grid import solver
 
-    def identity(dom, table, data):
-        every = np.arange(dom.n_cells)
-        return SimpleNamespace(keep=every, to_r=every, table=table)
-
-    monkeypatch.setattr(solver, "_folded", identity)
+    monkeypatch.setattr(solver, "_mirror", lambda *args: None)

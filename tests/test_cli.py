@@ -442,6 +442,24 @@ class TestReportCommand:
         assert capsys.readouterr().err == \
             f"error: no *.report.json files under {tmp_path}\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"command": "x", "checks": []}',
+         ": entry meta.wall_time_s is missing or of the wrong kind"),
+        ('[{"command": "x"}]', " must hold a JSON object"),
+        ('{"checks": [], "meta": {"wall_time_s": 1.0}}',
+         ": entry command is missing or of the wrong kind"),
+        ('{"command": "x", "checks": [{}], "meta": {"wall_time_s": 1.0}}',
+         ": entry checks[].passed is missing or of the wrong kind"),
+        ("{", ": Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)")])
+    def test_foreign_report_errors(self, tmp_path, capsys, text, message):
+        # a file that is not a command's report is a usage error, exit 2,
+        # named in the message, and not a failed check
+        path = tmp_path / "foreign.report.json"
+        path.write_text(text)
+        assert run(tmp_path, "report") == 2
+        assert capsys.readouterr().err == f"error: report {path}{message}\n"
+
     def test_failures_propagate(self, tmp_path):
         run(tmp_path, "properties", "--set", "trials=5",
             "--set", "break_stencil=true")

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_array_equal
 
-from pucci_lab._iterate import (inverse_power, policy_eigen, relax,
+from pucci_lab._iterate import (fold, inverse_power, policy_eigen, relax,
                                 stencil_matrix)
 from pucci_lab.errors import IterationLimit, PositivityLoss
 
@@ -58,6 +58,60 @@ class TestStencilMatrix:
         want = stencil_matrix(ends, weights)
         for part in ("data", "indices", "indptr"):
             assert_array_equal(getattr(got, part), getattr(want, part))
+
+
+def _box_lattice(shape):
+    """The arm table of a box lattice, int32, with arms along the axes and
+    the diagonals: an arm that leaves the box ends at an index of its own
+    beyond the nodes, as a grid cut does."""
+    arms = np.array([(1, 0), (0, 1), (1, 1), (1, -1)])
+    ends = (np.indices(shape).reshape(2, -1).T[:, None]
+            + np.multiply.outer([1, -1], arms)[:, None])
+    off = ~((ends >= 0) & (ends < shape)).all(axis=-1)
+    nb = np.ravel_multi_index(np.moveaxis(ends, -1, 0), shape, mode="clip")
+    nb[off] = np.prod(shape) + np.arange(off.sum())
+    return nb.astype(np.int32)
+
+
+def _mirror_rep(shape):
+    """Each node's image in the lower half of each axis of a box."""
+    return np.ravel_multi_index([np.minimum(i, n - 1 - i) for i, n in
+                                 zip(np.indices(shape), shape)],
+                                shape).ravel()
+
+
+class TestFold:
+    def test_identity_is_the_whole_table(self):
+        nb = _box_lattice((3, 4))
+        n = nb.shape[1]
+        keep, to_r, folded = fold(nb, np.arange(n))
+        assert_array_equal(keep, np.arange(n))
+        assert_array_equal(to_r, np.arange(n))
+        assert folded.dtype == to_r.dtype == nb.dtype
+        assert_array_equal(folded, nb)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (5, 5), (4, 6)])
+    def test_folded_matrix_sums_the_orbit_columns(self, shape):
+        # on an odd side both arms of a middle node end at one node, and on
+        # an even side the arms across the mirror end at their own centre
+        nb = _box_lattice(shape)
+        n = nb.shape[1]
+        keep, to_r, folded = fold(nb, _mirror_rep(shape))
+        n_r = len(keep)
+        assert n_r == np.prod([(m + 1) // 2 for m in shape])
+        assert_array_equal(to_r[keep], np.arange(n_r))
+        # ends beyond the nodes stay beyond, shifted down to n_r
+        beyond = nb[:, keep] >= n
+        assert_array_equal(folded >= n_r, beyond)
+        assert_array_equal(folded[beyond], nb[:, keep][beyond] - n + n_r)
+        # dyadic weights, so every sum is exact
+        weights = np.random.default_rng(2).integers(1, 9, nb.shape) / 4.0
+        whole = stencil_matrix(nb, weights).toarray()
+        orbits = np.zeros((n, n_r))
+        orbits[np.arange(n), to_r] = 1.0
+        assert_array_equal(
+            stencil_matrix(folded, weights[:, keep]).toarray(),
+            (whole @ orbits)[keep])
 
 
 class TestPolicyEigenStart:

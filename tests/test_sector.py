@@ -517,10 +517,36 @@ class TestEigenvalue:
         vals = psi.values.ravel()
         res = _linearize(params, mesh, vals).value + lam * vals
         assert np.abs(res).max() <= 1e-6 * lam
-        # only the folded box, a quarter (N = 3) or half (N = 2), is factored
-        n_r = int(np.prod([(n + 1) // 2 for n in shape]))
-        assert len(_folded(mesh).keep) == n_r
+        # only the folded box, a quarter (N = 3) or half (N = 2), the lower
+        # half of each axis in C order, is factored
+        half = tuple((n + 1) // 2 for n in shape)
+        n_r = int(np.prod(half))
+        assert_array_equal(_folded(mesh).keep, np.ravel_multi_index(
+            np.indices(half), shape).ravel())
         assert set(count_splu) == ({(n_r, n_r)} if a < 1.0 else set())
+
+    @pytest.mark.parametrize("n_dim, spacing, shape", [
+        (2, np.pi / 60, (25,)), (2, np.pi / 61, (26,)),
+        (3, np.pi / 20, (8, 18)), (3, np.pi / 21, (9, 19)),
+        (3, np.pi / 23, (10, 21))])
+    def test_linearization_is_the_whole_box_one(self, n_dim, spacing, shape):
+        # odd and even node counts on each axis, at a < A
+        mesh = SectorMesh(n_dim, 0.2, spacing)
+        assert mesh.shape == shape
+        params = SectorOperatorParams(0.6, 1.0, gamma=2.4)
+        box = _folded(mesh)
+        # a mirror-symmetric field, with every policy in play
+        v = np.random.default_rng(5).standard_normal(len(box.keep))
+        lin, whole = _linearize(params, box, v), _linearize(params, mesh,
+                                                             v[box.to_r])
+        assert_array_equal(lin.value, whole.value[box.keep])
+        # the folded matrix sums the columns of a mirror orbit
+        orbits = sp.csr_matrix((np.ones(mesh.n_nodes), (
+            np.arange(mesh.n_nodes), box.to_r)),
+            shape=(mesh.n_nodes, len(box.keep)))
+        ref = (_frozen_matrix(mesh, whole) @ orbits)[box.keep]
+        gap = abs(_frozen_matrix(box, lin) - ref).max()
+        assert gap <= 1e-14 * abs(ref).max()
 
     @pytest.mark.parametrize("nodes, lam_full", [
         (3, 5.891038026817035), (4, 6.471575490636035)])
@@ -535,6 +561,7 @@ class TestEigenvalue:
         fold = _folded(mesh)
         assert_array_equal(fold.keep, np.arange(nodes))
         assert_array_equal(fold.to_r, np.arange(nodes))
+        assert_array_equal(fold.nb, mesh.nb)
         lam, psi = sector_principal_eigenvalue(SectorOperatorParams(0.5, 1.0),
                                                mesh)
         assert lam == pytest.approx(lam_full, rel=1e-12)
