@@ -87,18 +87,28 @@ def stencil_matrix(ends, weights):
     return mat
 
 
-def fold(nb, rep):
-    """The arm table ``nb`` of n nodes folded onto the orbit
-    representatives ``rep``, a kept node its own: ``keep``, the kept
-    nodes in order; ``to_r``, each node's folded index, its
+def fold(nb, maps):
+    """The arm table ``nb`` of n nodes folded by the lattice mirrors
+    ``maps``, each given as its node map: image[i] is node i's image
+    (an array over all arm ends serves; only its first n entries are
+    read).  Each mirror turns round one lattice axis of its own, so the
+    mirrors commute, and node ids rise along every axis, so one pass of
+    rep <- min(rep, image[rep]) over the maps takes each node to the
+    smallest node of its orbit, its representative.  Returns ``keep``,
+    the representatives in order; ``to_r``, each node's folded index, its
     representative's rank in ``keep``; and the kept rows of ``nb``, each
     node end e replaced by to_r[e] and every other end (a grid cut, the
     sector's beyond the box) by e - n + n_r, n_r the folded count.
     ``stencil_matrix`` then sums the arms that end at one representative,
     so on the kept rows of mirror-invariant weights an operator on the arm
-    differences has F_folded(v) = F(v[to_r])[keep].
+    differences has F_folded(v) = F(v[to_r])[keep].  With no map the fold
+    is the identity.
     """
-    n, kept = len(rep), rep == np.arange(len(rep))
+    n = nb.shape[1]
+    rep = np.arange(n)
+    for image in maps:
+        rep = np.minimum(rep, image[rep])
+    kept = rep == np.arange(n)
     keep = np.flatnonzero(kept)
     to_r = (np.cumsum(kept, dtype=nb.dtype) - 1)[rep]
     ends = nb[:, keep]

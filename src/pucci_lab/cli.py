@@ -21,8 +21,7 @@ import time
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j0
+from scipy.special import jn_zeros
 
 from . import __version__
 from .errors import PucciLabError
@@ -42,11 +41,11 @@ from .sector import (SectorMesh, SectorOperatorParams, export_sector_csv,
 
 _DEFAULTS = {
     "radial": {
-        "a": 1.0, "A": 1.0, "alpha": 0.0, "n_dim": 2, "radius": 1.0,
+        "a": 1.0, "alpha": 0.0, "n_dim": 2, "radius": 1.0,
         "f0": 1.0, "step": 5e-4, "tol": 1e-5,
     },
     "overdetermined": {
-        "a": 1.0, "A": 1.0, "alpha": 0.0, "n_dim": 2,
+        "a": 1.0, "alpha": 0.0, "n_dim": 2,
         "c_values": [-0.25, -0.5, -1.0], "step": 2.5e-4, "tol": 1e-5,
     },
     "eigen": {
@@ -271,20 +270,22 @@ def _finish(command, cfg, results, checks, out_dir, started):
 
 
 def cmd_radial(cfg, out_dir):
-    """Shooting against the closed form for constant source on a ball."""
-    params = PucciParams(cfg["a"], cfg["A"], Variant.PLUS, cfg["alpha"])
+    """Shooting against the closed form for constant source on a ball;
+    ``step`` is relative to the radius.  The profile is concave, so Plus
+    reads the lower bound a alone."""
+    params = PucciParams(cfg["a"], cfg["a"], Variant.PLUS, cfg["alpha"])
     n_dim, radius, f0 = cfg["n_dim"], cfg["radius"], cfg["f0"]
+    step = cfg["step"] * radius
     results, checks = {}, []
     if f0 == 0.0:
-        prof = shoot(params, n_dim, Constant(0.0), 1.0, 2.0 * radius,
-                     cfg["step"])
+        prof = shoot(params, n_dim, Constant(0.0), 1.0, 2.0 * radius, step)
         flat = float(np.abs(prof.u - 1.0).max())
         results.update(degenerate=True, flat_deviation=flat)
         checks.append(_at_most("flat_profile", flat, 0.0))
     else:
         scale = f0 ** (1.0 / (1.0 + params.alpha))
         m = scale * closed_form_constant(params, n_dim, radius, 0.0)
-        prof = shoot(params, n_dim, Constant(f0), m, 2.0 * radius, cfg["step"])
+        prof = shoot(params, n_dim, Constant(f0), m, 2.0 * radius, step)
         keep = prof.radii <= radius
         exact = scale * closed_form_constant(params, n_dim, radius,
                                              prof.radii[keep])
@@ -303,15 +304,16 @@ def cmd_radial(cfg, out_dir):
 
 
 def cmd_overdetermined(cfg, out_dir):
-    """Neumann datum to ball radius and back through the shot profile."""
-    params = PucciParams(cfg["a"], cfg["A"], Variant.PLUS, cfg["alpha"])
+    """Neumann datum to ball radius and back through the shot profile,
+    with the window and the step of ``cmd_radial``."""
+    params = PucciParams(cfg["a"], cfg["a"], Variant.PLUS, cfg["alpha"])
     n_dim = cfg["n_dim"]
     rows = []
     for c in cfg["c_values"]:
         radius = overdetermined_radius(params, n_dim, c)
         m = closed_form_constant(params, n_dim, radius, 0.0)
-        step = cfg["step"] * max(radius, 1.0)
-        prof = shoot(params, n_dim, Constant(1.0), m, 2.5 * radius, step)
+        prof = shoot(params, n_dim, Constant(1.0), m, 2.5 * radius,
+                     cfg["step"] * radius)
         c_back = neumann_constant(prof)
         rows.append((c, radius, c_back, abs(c_back - c)))
     residual = max(r[3] for r in rows)
@@ -319,7 +321,7 @@ def cmd_overdetermined(cfg, out_dir):
                          for r in rows],
                "max_residual": residual}
     checks = [_at_most("round_trip_residual", residual, cfg["tol"])]
-    if cfg["a"] == cfg["A"] and cfg["alpha"] == 0.0:
+    if cfg["alpha"] == 0.0:
         # the scale constant degenerates to a*N, so radius 1 pairs with
         # c = -1/(a N) up to round-off
         r1 = overdetermined_radius(params, n_dim, -1.0 / (cfg["a"] * n_dim))
@@ -346,7 +348,7 @@ def cmd_eigen(cfg, out_dir):
     rows = [("ball_shooting", lam_ball), ("disk_grid", lam_grid)]
     checks = []
     if cfg["a"] == cfg["A"]:
-        bessel = (brentq(j0, 2.0, 3.0) ** 2) * cfg["a"] / radius ** 2
+        bessel = jn_zeros(0, 1)[0] ** 2 * cfg["a"] / radius ** 2
         results["bessel_oracle"] = bessel
         rows.append(("bessel_oracle", bessel))
         rel = abs(lam_grid - bessel) / bessel
@@ -580,6 +582,7 @@ def cmd_properties(cfg, out_dir):
                          "consistency": consistency_gap},
                "comparison": {"case1": comp1.case, "case2": comp2.case},
                "small_domain_sizes": list(small.sizes),
+               "small_domain_sups": list(small.sup_values),
                "small_domain_threshold": small.threshold_size}
     _write_csv(os.path.join(out_dir, "properties_worst.csv"),
                ["suite", "worst_value"],

@@ -26,11 +26,11 @@ maps the domain, its cut arms and the data onto themselves, so the policy
 Dirichlet solve and the eigenpair run on the mirror-folded domain
 (``_folded``, by ``_iterate.fold``): one cell per mirror orbit, a
 quarter of the cells of a disk or an axis-aligned ellipse, and the field
-mirrored back.  A mirror that breaks any condition stays unfolded; with
-none the fold is the identity, so there is one code path.
+mirrored back.  A mirror is a lattice map (``_AXIS_MIRRORS``); one that
+breaks any condition stays unfolded, and with none the fold is the
+identity, so there is one code path.
 """
 
-from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -57,6 +57,8 @@ _MAX_DAMPED = 400_000
 _START_BASE = np.array([(1, 0), (0, 1), (-1, -1)])
 _DIRECTION_ID = {tuple(s * d): j for j, d in enumerate(DIRECTIONS)
                  for s in (1, -1)}
+# the lattice axis mirrors, turning x and y round about the lattice centre
+_AXIS_MIRRORS = (np.diag([-1, 1]), np.diag([1, -1]))
 # the multigrid of the Dirichlet steps (``_Multigrid``): the largest level
 # factored whole, the Krylov stop, the damping of the prolongator's and of
 # the smoother's Jacobi steps and the smoother's sweeps on each side
@@ -276,25 +278,26 @@ def _gradient_matrix(params, lin):
                           c[:, None] * lin.grad * lin.table.first)
 
 
-def _mirror(dom, table, axis, rim):
-    """The lattice mirror along ``axis`` (0 turns x, 1 turns y) as a map of
-    the arm ends, cells then cuts, or None where it does not map the
-    problem that ``table`` reads onto itself, exactly: the mask, and each
-    cut arm onto a cut arm with a bit-equal weight ``table.second``.
+def _mirror(dom, table, g, rim):
+    """The lattice map ``g``, an integer matrix about the lattice centre
+    that maps the lattice box onto itself, as a map of the arm ends, cells
+    then cuts, or None where it does not map the problem that ``table``
+    reads onto itself, exactly: every cell's image is a cell, and each
+    cut arm's image is a cut arm with a bit-equal weight ``table.second``.
 
-    The arm (s, c, j) maps to the arm of the mirrored direction at the
-    image of c, on the other side where the mirror turns the direction
+    The arm (s, c, j) maps to the arm of direction g d_j at the image of
+    c, on the other side where g d_j is the column's direction turned
     round.  A cell's weights read its own arm lengths alone, those of
     ``table.first`` the same ones as ``table.second``, and an arm that no
     cut shortens is |d| h long, as is its image, so only the cells
     ``rim`` with a cut arm are compared.
     """
-    if not np.array_equal(dom.mask, np.flip(dom.mask, axis)):
+    top = np.array(dom.mask.shape)[:, None] - 1
+    i, j = (g @ (2 * dom.cells.T - top) + top) // 2
+    img = dom.cell_id[i, j]
+    if (img < 0).any():
         return None
-    cells = dom.cells.copy()
-    cells[:, axis] = dom.mask.shape[axis] - 1 - cells[:, axis]
-    img = dom.cell_id[cells[:, 0], cells[:, 1]]
-    turned = DIRECTIONS[:table.k] * np.where(np.arange(2) == axis, -1, 1)
+    turned = DIRECTIONS[:table.k] @ g.T
     dirs = np.array([_DIRECTION_ID[tuple(d)] for d in turned])
     sides = np.arange(2)[:, None] ^ (DIRECTIONS[dirs] != turned).any(axis=1)
 
@@ -312,32 +315,24 @@ def _mirror(dom, table, axis, rim):
     return at_image
 
 
-def _folded(dom, table, data):
+def _folded(dom, table, data=None):
     """The problem folded by each lattice axis mirror that maps it onto
     itself (``fold``), as the scheme reads it.
 
-    A mirror folds where it maps the domain and its stencil onto
-    themselves (``_mirror``) and each array of ``data`` onto itself
-    exactly; ``data`` are arrays over the arm ends, cell values followed
-    by cut data.  The lattice lies symmetrically about the centre of the
-    shape's box (``GridDomain.axes``), so a shape symmetric about its axes
-    folds.  A cell's representative is its image in the lower half of
-    each folded axis, and the folded table is ``table`` with the kept
-    cells' rows.  The scheme commutes with the mirrors up to rounding, so
-    a folded solution v gives the whole domain's v[to_r].  With no mirror
-    the fold is the identity.
+    A mirror of ``_AXIS_MIRRORS`` folds where it maps the domain and its
+    stencil onto themselves (``_mirror``) and the array ``data`` over the
+    arm ends, cell values followed by cut data, onto itself exactly.  The
+    lattice lies symmetrically about the centre of the shape's box
+    (``GridDomain.axes``), so a shape symmetric about its axes folds.  The
+    folded table is ``table`` with the kept cells' rows.  The scheme
+    commutes with the mirrors up to rounding, so a folded solution v
+    gives the whole domain's v[to_r].
     """
-    n = dom.n_cells
-    rim = np.flatnonzero((table.nb >= n).any(axis=2).any(axis=0))
-    rep = np.arange(n)
-    for axis in (0, 1):
-        image = _mirror(dom, table, axis, rim)
-        if image is None or not all(np.array_equal(d, d[image])
-                                    for d in data):
-            continue
-        upper = 2 * dom.cells[:, axis] > dom.mask.shape[axis] - 1
-        rep = np.where(upper[rep], image[rep], rep)
-    keep, to_r, nb = fold(table.nb, rep)
+    rim = np.flatnonzero((table.nb >= dom.n_cells).any(axis=0).any(axis=1))
+    maps = [m for m in (_mirror(dom, table, g, rim) for g in _AXIS_MIRRORS)
+            if m is not None and (data is None
+                                  or np.array_equal(data, data[m]))]
+    keep, to_r, nb = fold(table.nb, maps)
     folded = SimpleNamespace(**vars(table))
     folded.nb, folded.second = nb, table.second[:, keep]
     if hasattr(table, "first"):
@@ -436,14 +431,14 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     practical only on coarse grids.
 
     method="policy" solves on the domain folded by each lattice axis
-    mirror that maps the mask, the cut arms with their weights, ``g`` on
-    the cuts, ``u0`` and an array ``source.c`` onto themselves exactly
-    (``_folded``): one cell per mirror orbit, the field mirrored back.
-    The folded solution solves the whole problem, and where the discrete
-    solution is unique (alpha = 0) it is the whole-domain one; an axis
-    whose mirror breaks a condition stays unfolded.  method="damped"
-    always solves the whole domain.  An array ``source.c`` holds one value
-    per cell, or ValueError is raised.
+    mirror that maps the mask, the cut arms with their weights, ``u0``
+    and ``g`` on the cuts onto themselves exactly (``_folded``): one cell
+    per mirror orbit, the field mirrored back.  The source f(u) depends
+    on u alone, so it commutes with every mirror.  The folded solution
+    solves the whole problem, and where the discrete solution is unique
+    (alpha = 0) it is the whole-domain one; an axis whose mirror breaks a
+    condition stays unfolded.  method="damped" always solves the whole
+    domain.
 
     Convergence is declared on the true assembled residual:
     sup |F[u] + f(u)| <= tol * max(1, sup|u|).  IterationLimit carries
@@ -454,19 +449,9 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     table = _resolved_table(params, dom)
     bvals = boundary_data(dom, g)
     u = np.zeros(dom.n_cells) if u0 is None else GridField(dom, u0).values
-    data = [u]
-    if np.ndim(source.c):
-        c = np.asarray(source.c, dtype=float)
-        if c.shape != u.shape:
-            raise ValueError(f"an array source term c needs one value per "
-                             f"cell, shape ({dom.n_cells},); got {c.shape}")
-        data.append(c)
     if method == "policy":
-        fold = _folded(dom, table, [np.concatenate([d, bvals])
-                                    for d in data])
+        fold = _folded(dom, table, np.concatenate([u, bvals]))
         table, u = fold.table, u[fold.keep]
-        if np.ndim(source.c):
-            source = replace(source, c=c[fold.keep])
 
     def linearize(v):
         lin = _linearize(params, v, bvals, table)
@@ -513,7 +498,7 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
     table = _resolved_table(params, dom)
     bvals = np.zeros(len(dom.cut_xy))
-    fold = _folded(dom, table, [])
+    fold = _folded(dom, table)
 
     def linearize(v):
         lin = _linearize(params, v, bvals, fold.table)

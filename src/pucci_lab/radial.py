@@ -39,12 +39,13 @@ _RTOL, _ATOL = 1e-11, 1e-14
 class Source:
     """Source f(u) = c + lam |u|^alpha u - mu |u|^(beta-1) u.
 
-    A term whose coefficient is 0 is skipped, so f and f' stay finite where
-    |u|^alpha is not (alpha < 0 at u = 0).  Both methods return arrays
-    shaped like ``u``; ``c`` may itself be an array of that shape.  The
-    absorbing term needs mu >= 0 (checked on construction) and a
-    supercritical exponent, beta > 1 + alpha (checked on evaluation, since
-    alpha is the operator's), for the comparison structure it exercises.
+    f depends on u alone: ``c`` is a number, and an array raises
+    ValueError.  A term whose coefficient is 0 is skipped, so f and f'
+    stay finite where |u|^alpha is not (alpha < 0 at u = 0).  Both methods
+    return arrays shaped like ``u``.  The absorbing term needs mu >= 0
+    (checked on construction) and a supercritical exponent, beta > 1 +
+    alpha (checked on evaluation, since alpha is the operator's), for the
+    comparison structure it exercises.
     """
 
     c: float = 0.0
@@ -53,6 +54,8 @@ class Source:
     beta: float = np.inf  # passes the beta check when there is no mu term
 
     def __post_init__(self):
+        if np.ndim(self.c):
+            raise ValueError(f"need a number c, got shape {np.shape(self.c)}")
         if self.mu < 0.0:
             raise ValueError(f"need mu >= 0, got {self.mu}")
 
@@ -67,9 +70,7 @@ class Source:
         if self.mu:
             g = g - self.mu * np.abs(u) ** self.beta
         f = np.sign(u) * g
-        # a scalar c is tested without a numpy reduction (the shooter calls
-        # this once per stage with a scalar u); an array c is added as is
-        return f + self.c if isinstance(self.c, np.ndarray) or self.c else f
+        return f + self.c if self.c else f
 
     def evaluate_deriv(self, u, alpha):
         d = np.zeros_like(u, dtype=float)

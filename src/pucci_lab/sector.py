@@ -272,18 +272,17 @@ def _laplace_beltrami_mode(mesh):
 
 
 def _folded(mesh):
-    """The mesh folded by its two mirrors (``fold``), as the operator
-    reads it: each node's representative is its image in the lower half
-    of each axis, and ``keep`` is that half box in C order.  A box that
-    would fold below 3 nodes, fewer than ARPACK's one pair needs, is not
+    """The mesh folded by its box flips (``fold``), as the operator reads
+    it: theta_1 -> pi/2 - theta_1, and theta_2 -> -theta_2 for N = 3,
+    each a node map of the C-ordered box.  A box that would fold below 3
+    nodes, fewer than ARPACK's one pair needs, has no map and is not
     folded.
     """
-    shape = mesh.shape
-    rep = np.ravel_multi_index([np.minimum(i, n - 1 - i) for i, n in
-                                zip(np.indices(shape), shape)], shape).ravel()
-    if np.prod([(n + 1) // 2 for n in shape]) < 3:
-        rep = np.arange(mesh.n_nodes)
-    keep, to_r, nb = fold(mesh.nb, rep)
+    ids = np.arange(mesh.n_nodes).reshape(mesh.shape)
+    maps = [np.flip(ids, axis).ravel() for axis in range(ids.ndim)]
+    if np.prod([(n + 1) // 2 for n in mesh.shape]) < 3:
+        maps = []
+    keep, to_r, nb = fold(mesh.nb, maps)
     return SimpleNamespace(keep=keep, to_r=to_r, nb=nb, weights=mesh.weights,
                            q1=mesh.q1[keep], tan2=mesh.tan2[keep])
 

@@ -255,6 +255,20 @@ class TestRadialCommand:
         rep = read_report(tmp_path, "radial")
         assert rep["parameters"]["radius"] == 0.5
 
+    def test_small_radius_resolves(self, tmp_path):
+        # the step is relative to the radius, so a small ball has as
+        # many steps as the unit one
+        assert run(tmp_path, "radial", "--set", "radius=1e-3") == 0
+        rep = read_report(tmp_path, "radial")
+        assert rep["results"]["sup_error"] <= 1e-12
+
+    @pytest.mark.parametrize("command", ["radial", "overdetermined"])
+    def test_upper_bound_is_not_a_setting(self, tmp_path, capsys, command):
+        # the concave profile reads only a, so A would take no effect
+        assert run(tmp_path, command, "--set", "A=3") == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: unknown --set keys for '{command}': A")
+
     def test_nan_tolerance_writes_standard_json(self, tmp_path):
         # the report is standard JSON: a number that is not finite is
         # written as null, and a check whose bound is not finite fails;
@@ -287,6 +301,22 @@ class TestOverdeterminedCommand:
 
     def test_positive_datum_exits_2(self, tmp_path):
         assert run(tmp_path, "overdetermined", "--set", "c_values=[0.5]") == 2
+
+    @pytest.mark.parametrize("alpha", [4.0, 8.0])
+    def test_large_alpha_small_radii_resolve(self, tmp_path, alpha):
+        # the default data give a radius near 1e-3 here, which a step
+        # relative to the radius resolves
+        assert run(tmp_path, "overdetermined", "--set", f"alpha={alpha}") == 0
+        rep = read_report(tmp_path, "overdetermined")
+        assert min(r["radius"] for r in rep["results"]["table"]) < 0.005
+        assert rep["results"]["max_residual"] <= 1e-10
+        # the Laplacian link needs alpha = 0 only
+        assert "laplacian_radius" not in rep["results"]
+
+    def test_laplacian_link_at_any_lower_bound(self, tmp_path):
+        assert run(tmp_path, "overdetermined", "--set", "a=2") == 0
+        rep = read_report(tmp_path, "overdetermined")
+        assert rep["results"]["laplacian_radius"] == pytest.approx(1.0)
 
 
 class TestEigenCommand:
@@ -353,6 +383,16 @@ class TestPropertiesCommand:
         assert run(tmp_path, "properties", "--set", "trials=40") == 0
         rep = read_report(tmp_path, "properties")
         assert all(c["passed"] for c in rep["checks"])
+
+    def test_shift_moves_the_small_domain_sups(self, tmp_path):
+        sups = []
+        for shift in (10.0, 20.0):
+            assert run(tmp_path, "properties", "--set", "trials=5",
+                       "--set", f"shift={shift}") == 0
+            rep = read_report(tmp_path, "properties")
+            sups.append(rep["results"]["small_domain_sups"])
+            assert len(sups[-1]) == len(rep["results"]["small_domain_sizes"])
+        assert sups[0] != sups[1]
 
     def test_broken_stencil_detected(self, tmp_path):
         assert run(tmp_path, "properties", "--set", "trials=5",

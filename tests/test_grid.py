@@ -1016,6 +1016,22 @@ class TestMirrorFold:
     """Solves on the mirror-folded domain against the whole domain, the
     ``whole_domain`` fixture."""
 
+    @pytest.mark.parametrize("k", [2, 4, 8, 12])
+    def test_mirrors_map_the_directions_read(self, k):
+        # a table reads the first k directions, each along both sides: a
+        # mirror takes each to one of them, forward or turned round, and
+        # undoes itself on the (direction, side) pairs
+        dirs = DIRECTIONS[:k]
+        for g in solver_module._AXIS_MIRRORS:
+            turned = dirs @ g.T
+            fwd = (turned[:, None] == dirs).all(axis=2)
+            back = (turned[:, None] == -dirs).all(axis=2)
+            assert_array_equal((fwd | back).sum(axis=1), np.ones(k))
+            col = (fwd | back).argmax(axis=1)
+            flip = back[np.arange(k), col]
+            assert_array_equal(col[col], np.arange(k))
+            assert not (flip ^ flip[col]).any()
+
     @pytest.mark.parametrize("case", list(_FOLD_CASES))
     def test_linearization_is_the_whole_domain_one(self, monkeypatch,
                                                    request, case):
@@ -1064,8 +1080,7 @@ class TestMirrorFold:
             assert_array_equal(phi.values[image], phi.values)
 
     @pytest.mark.parametrize("case", [
-        "rotated hexagon", "last-bit cuts", "data x + y", "start",
-        "array source"])
+        "rotated hexagon", "last-bit cuts", "data x + y", "start"])
     def test_asymmetric_problems_are_not_folded(self, monkeypatch, request,
                                                 case):
         # each case breaks both mirrors, so the solve is the whole
@@ -1086,11 +1101,6 @@ class TestMirrorFold:
             kwargs["g"] = lambda x, y: x + y
         elif case == "start":
             kwargs["u0"] = rng.uniform(0.0, 0.1, dom.n_cells)
-        elif case == "array source":
-            # as in inverse power, whose iterates are symmetric up to
-            # rounding only
-            c = 1.0 + 1e-15 * rng.standard_normal(dom.n_cells)
-            kwargs["source"] = Constant(c)
         fold, _ = _captured(monkeypatch, **kwargs)
         assert_array_equal(fold.keep, np.arange(dom.n_cells))
         u = solve_dirichlet(**kwargs).values
@@ -1116,10 +1126,6 @@ class TestMirrorFold:
         request.getfixturevalue("whole_domain")
         ref = solve_dirichlet(WIDE, dom, Constant(1.0), g).values
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    def test_array_source_needs_one_value_per_cell(self, disk_coarse):
-        with pytest.raises(ValueError, match=f"{disk_coarse.n_cells},"):
-            solve_dirichlet(WIDE, disk_coarse, Constant(np.ones(5)), 0.0)
 
 
 class TestEigenvalue:
@@ -1152,9 +1158,19 @@ class TestEigenvalue:
 
     @pytest.mark.parametrize("params", [LAP, PucciParams(1.0, 1.5)])
     def test_matches_inverse_power(self, disk_dom, params, count_solves):
-        def step(phi, prev):
-            return solve_dirichlet(params, disk_dom, Constant(phi), 0.0,
-                                   tol=1e-12, u0=prev).values
+        table = _resolved_table(params, disk_dom)
+        bvals = np.zeros(len(disk_dom.cut_xy))
+
+        def linearize(v, x):
+            lin = _linearize(params, v, bvals, table)
+            return lin.value + x, lambda: _policy_matrix(lin)
+
+        # each inverse-power step solves F[phi] = -x by policy iteration
+        def step(x, prev):
+            return policy_iterate(lambda v: linearize(v, x),
+                                  solver_module._factor,
+                                  x if prev is None else prev, tol=1e-12,
+                                  max_steps=80)
 
         lam_ip, phi_ip = inverse_power(step, np.ones(disk_dom.n_cells),
                                        tol=1e-10, max_power=400)

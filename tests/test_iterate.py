@@ -80,11 +80,17 @@ def _mirror_rep(shape):
                                 shape).ravel()
 
 
+def _box_flips(shape):
+    """The node maps of a box's axis mirrors, nodes in C order."""
+    ids = np.arange(np.prod(shape)).reshape(shape)
+    return [np.flip(ids, axis).ravel() for axis in range(len(shape))]
+
+
 class TestFold:
     def test_identity_is_the_whole_table(self):
         nb = _box_lattice((3, 4))
         n = nb.shape[1]
-        keep, to_r, folded = fold(nb, np.arange(n))
+        keep, to_r, folded = fold(nb, [])
         assert_array_equal(keep, np.arange(n))
         assert_array_equal(to_r, np.arange(n))
         assert folded.dtype == to_r.dtype == nb.dtype
@@ -96,10 +102,16 @@ class TestFold:
         # an even side the arms across the mirror end at their own centre
         nb = _box_lattice(shape)
         n = nb.shape[1]
-        keep, to_r, folded = fold(nb, _mirror_rep(shape))
+        keep, to_r, folded = fold(nb, _box_flips(shape))
         n_r = len(keep)
         assert n_r == np.prod([(m + 1) // 2 for m in shape])
         assert_array_equal(to_r[keep], np.arange(n_r))
+        # the smallest node of an orbit is its image in the lower halves,
+        # whichever mirror comes first
+        assert_array_equal(keep[to_r], _mirror_rep(shape))
+        for got, want in zip(fold(nb, _box_flips(shape)[::-1]),
+                             (keep, to_r, folded)):
+            assert_array_equal(got, want)
         # ends beyond the nodes stay beyond, shifted down to n_r
         beyond = nb[:, keep] >= n
         assert_array_equal(folded >= n_r, beyond)

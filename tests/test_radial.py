@@ -91,6 +91,11 @@ class TestSource:
         with pytest.raises(ValueError, match="mu >= 0"):
             PowerPair(1.0, -1.0, 3.0)
 
+    def test_source_term_is_a_number(self):
+        # f depends on u alone: no value per node
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            Constant(np.ones(5))
+
 
 class TestClosedForm:
     def test_frozen_values(self):
