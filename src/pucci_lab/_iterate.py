@@ -34,10 +34,10 @@ Dirichlet loop, where it is an aggregation multigrid: BiCGSTAB
 preconditioned with V-cycles whose coarsest level, of at most 1,500
 unknowns, is such an LU.  A smaller matrix is its own coarsest level and
 is solved by that LU alone.
-Each layer may hand these loops a problem folded by its mirrors
-(``fold``), one unknown per mirror orbit, and mirror the result back:
-the sector box by its two reflections, a grid domain by each lattice
-axis mirror that maps it and its data onto themselves.
+Each layer may hand these loops a problem folded by its lattice maps
+(``fold``), one unknown per orbit, and map the result back: the sector
+box by its two reflections, a grid domain by each map of the square's
+symmetry group that maps it and its data onto themselves.
 Convergence is declared on the true nonlinear residual,
 sup|r(u)| <= tol * max(1, sup|u|) (sup|F[phi] + lam*phi| <= tol * lam for
 the eigenpair).
@@ -88,26 +88,32 @@ def stencil_matrix(ends, weights):
 
 
 def fold(nb, maps):
-    """The arm table ``nb`` of n nodes folded by the lattice mirrors
-    ``maps``, each given as its node map: image[i] is node i's image
-    (an array over all arm ends serves; only its first n entries are
-    read).  Each mirror turns round one lattice axis of its own, so the
-    mirrors commute, and node ids rise along every axis, so one pass of
-    rep <- min(rep, image[rep]) over the maps takes each node to the
-    smallest node of its orbit, its representative.  Returns ``keep``,
-    the representatives in order; ``to_r``, each node's folded index, its
-    representative's rank in ``keep``; and the kept rows of ``nb``, each
-    node end e replaced by to_r[e] and every other end (a grid cut, the
-    sector's beyond the box) by e - n + n_r, n_r the folded count.
-    ``stencil_matrix`` then sums the arms that end at one representative,
-    so on the kept rows of mirror-invariant weights an operator on the arm
+    """The arm table ``nb`` of n nodes folded by the lattice maps
+    ``maps``, each given as its node map: image[i] is node i's image (an
+    array over all arm ends serves; only its first n entries are read).
+    A node's representative is the smallest node of its orbit under the
+    group the maps generate.  Passes of rep <- min(rep, rep[image]) over
+    the maps carry the smallest id along each map until rep stops
+    changing.  One pass finds it for mirrors that each turn one axis
+    round, as node ids rise along every axis; a rotation or a diagonal
+    mirror may need more.  Returns ``keep``, the representatives in
+    order; ``to_r``, each node's folded index, its representative's rank
+    in ``keep``; and the kept rows of ``nb``, each node end e replaced by
+    to_r[e] and every other end (a grid cut, the sector's beyond the box)
+    by e - n + n_r, n_r the folded count.  ``stencil_matrix`` then sums
+    the arms that end at one representative, so on the kept rows of
+    weights that the maps leave invariant an operator on the arm
     differences has F_folded(v) = F(v[to_r])[keep].  With no map the fold
     is the identity.
     """
     n = nb.shape[1]
     rep = np.arange(n)
-    for image in maps:
-        rep = np.minimum(rep, image[rep])
+    while True:
+        last = rep
+        for image in maps:
+            rep = np.minimum(rep, rep[image[:n]])
+        if np.array_equal(rep, last):
+            break
     kept = rep == np.arange(n)
     keep = np.flatnonzero(kept)
     to_r = (np.cumsum(kept, dtype=nb.dtype) - 1)[rep]

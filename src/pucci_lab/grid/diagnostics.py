@@ -67,7 +67,13 @@ def reflection_gap(field, direction, t):
     The half-domain swept by the plane is reflected onto the other side;
     the gap is sup over the reflected cap of u(reflected x) - u(x),
     interpolated bilinearly.  Nonpositive gap (up to scheme error) is the
-    discrete form of the reflection inequality.
+    discrete form of the reflection inequality.  A policy solve folds by
+    each lattice map of its problem, so where a lattice mirror maps the
+    problem onto itself the field is mirror-symmetric by construction:
+    on a disk the gaps along (1, 0), (0, 1) and (1, 1) at t ~ 0 are zero
+    up to rounding, whatever the scheme does.  A direction such as
+    (2, -1), or a seeded angle, names no lattice mirror and keeps the
+    check's teeth.
 
     Raises ReflectionOutOfDomain if any swept grid point reflects outside
     the domain, which means t lies beyond the critical position for this

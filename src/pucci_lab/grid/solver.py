@@ -21,14 +21,17 @@ built; up to 17.94 it reads 8 and below 37.97 the 12 lattice directions of
 ``principal_eigenvalue_grid`` and ``discretize_F`` resolve the directions
 their table reads on the domain before they sample or read cut data.
 
-The scheme commutes, up to rounding, with each lattice axis mirror that
-maps the domain, its cut arms and the data onto themselves, so the policy
-Dirichlet solve and the eigenpair run on the mirror-folded domain
-(``_folded``, by ``_iterate.fold``): one cell per mirror orbit, a
-quarter of the cells of a disk or an axis-aligned ellipse, and the field
-mirrored back.  A mirror is a lattice map (``_AXIS_MIRRORS``); one that
-breaks any condition stays unfolded, and with none the fold is the
-identity, so there is one code path.
+The scheme commutes, up to rounding, with each map of the square's
+symmetry group that maps the lattice, the domain, its cut arms and the
+data onto themselves, so the policy Dirichlet solve and the eigenpair run
+on the folded domain (``_folded``, by ``_iterate.fold``): one cell per
+orbit, an eighth of the cells of a disk, a quarter of an axis-aligned
+ellipse or a square, half of a hexagon, and the field mapped back.  The
+maps are the 7 lattice maps ``_LATTICE_MAPS``; the mask and the cut
+pattern must map exactly, the cut weights and the data within the
+relative tolerance ``_FOLD_RTOL``.  A map that breaks any condition does
+not fold, and with none the fold is the identity, so there is one code
+path.
 """
 
 from functools import partial
@@ -57,8 +60,17 @@ _MAX_DAMPED = 400_000
 _START_BASE = np.array([(1, 0), (0, 1), (-1, -1)])
 _DIRECTION_ID = {tuple(s * d): j for j, d in enumerate(DIRECTIONS)
                  for s in (1, -1)}
-# the lattice axis mirrors, turning x and y round about the lattice centre
-_AXIS_MIRRORS = (np.diag([-1, 1]), np.diag([1, -1]))
+# the 7 lattice maps besides the identity of the square's group D4, about
+# the lattice centre: the axis mirrors, the rotations by 90, 180 and 270
+# degrees and the diagonal mirrors, which swap the axes
+_LATTICE_MAPS = (np.diag([-1, 1]), np.diag([1, -1]),
+                 np.array([[0, -1], [1, 0]]), np.diag([-1, -1]),
+                 np.array([[0, 1], [-1, 0]]), np.array([[0, 1], [1, 0]]),
+                 np.array([[0, -1], [-1, 0]]))
+# the relative tolerance within which a lattice map must reproduce the cut
+# weights and the data: a rotated polygon's vertices come from cos and sin,
+# and its images agree to 2e-13 to 1e-11 relative
+_FOLD_RTOL = 1e-10
 # the multigrid of the Dirichlet steps (``_Multigrid``): the largest level
 # factored whole, the Krylov stop, the damping of the prolongator's and of
 # the smoother's Jacobi steps and the smoother's sweeps on each side
@@ -279,11 +291,12 @@ def _gradient_matrix(params, lin):
 
 
 def _mirror(dom, table, g, rim):
-    """The lattice map ``g``, an integer matrix about the lattice centre
-    that maps the lattice box onto itself, as a map of the arm ends, cells
-    then cuts, or None where it does not map the problem that ``table``
-    reads onto itself, exactly: every cell's image is a cell, and each
-    cut arm's image is a cut arm with a bit-equal weight ``table.second``.
+    """The lattice map ``g``, an integer matrix about the lattice centre,
+    as a map of the arm ends, cells then cuts, or None where it does not
+    map the problem that ``table`` reads onto itself: the lattice box onto
+    itself (a map that swaps the axes needs nx = ny), every cell onto a
+    cell and each cut arm onto a cut arm, exactly, with a weight
+    ``table.second`` equal within ``_FOLD_RTOL``.
 
     The arm (s, c, j) maps to the arm of direction g d_j at the image of
     c, on the other side where g d_j is the column's direction turned
@@ -293,6 +306,8 @@ def _mirror(dom, table, g, rim):
     ``rim`` with a cut arm are compared.
     """
     top = np.array(dom.mask.shape)[:, None] - 1
+    if (np.abs(g) @ top != top).any():
+        return None
     i, j = (g @ (2 * dom.cells.T - top) + top) // 2
     img = dom.cell_id[i, j]
     if (img < 0).any():
@@ -308,7 +323,8 @@ def _mirror(dom, table, g, rim):
     n, nb = dom.n_cells, table.nb[:, rim]
     ends, cut = image(table.nb), nb >= n
     if not (np.array_equal(cut, ends >= n)
-            and np.array_equal(table.second[:, rim], image(table.second))):
+            and np.allclose(image(table.second), table.second[:, rim],
+                            rtol=_FOLD_RTOL, atol=0.0)):
         return None
     at_image = np.concatenate([img, np.arange(len(dom.cut_xy))])
     at_image[nb[cut]] = ends[cut]
@@ -316,22 +332,23 @@ def _mirror(dom, table, g, rim):
 
 
 def _folded(dom, table, data=None):
-    """The problem folded by each lattice axis mirror that maps it onto
-    itself (``fold``), as the scheme reads it.
+    """The problem folded by each lattice map that maps it onto itself
+    (``fold``), as the scheme reads it.
 
-    A mirror of ``_AXIS_MIRRORS`` folds where it maps the domain and its
+    A map of ``_LATTICE_MAPS`` folds where it maps the domain and its
     stencil onto themselves (``_mirror``) and the array ``data`` over the
-    arm ends, cell values followed by cut data, onto itself exactly.  The
-    lattice lies symmetrically about the centre of the shape's box
-    (``GridDomain.axes``), so a shape symmetric about its axes folds.  The
-    folded table is ``table`` with the kept cells' rows.  The scheme
-    commutes with the mirrors up to rounding, so a folded solution v
-    gives the whole domain's v[to_r].
+    arm ends, cell values followed by cut data, onto itself within
+    ``_FOLD_RTOL``.  The lattice lies symmetrically about the centre of
+    the shape's box (``GridDomain.axes``), so a shape that a map of the
+    square's group takes onto itself about that centre folds.  The folded
+    table is ``table`` with the kept cells' rows.  The scheme commutes
+    with the maps up to rounding, so a folded solution v gives the whole
+    domain's v[to_r].
     """
     rim = np.flatnonzero((table.nb >= dom.n_cells).any(axis=0).any(axis=1))
-    maps = [m for m in (_mirror(dom, table, g, rim) for g in _AXIS_MIRRORS)
-            if m is not None and (data is None
-                                  or np.array_equal(data, data[m]))]
+    maps = [m for m in (_mirror(dom, table, g, rim) for g in _LATTICE_MAPS)
+            if m is not None and (data is None or np.allclose(
+                data[m], data, rtol=_FOLD_RTOL, atol=0.0))]
     keep, to_r, nb = fold(table.nb, maps)
     folded = SimpleNamespace(**vars(table))
     folded.nb, folded.second = nb, table.second[:, keep]
@@ -430,15 +447,17 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     no linear algebra, but tau shrinks with the smallest cut arm, so it is
     practical only on coarse grids.
 
-    method="policy" solves on the domain folded by each lattice axis
-    mirror that maps the mask, the cut arms with their weights, ``u0``
-    and ``g`` on the cuts onto themselves exactly (``_folded``): one cell
-    per mirror orbit, the field mirrored back.  The source f(u) depends
-    on u alone, so it commutes with every mirror.  The folded solution
-    solves the whole problem, and where the discrete solution is unique
-    (alpha = 0) it is the whole-domain one; an axis whose mirror breaks a
-    condition stays unfolded.  method="damped" always solves the whole
-    domain.
+    method="policy" solves on the domain folded by each lattice map
+    (``_LATTICE_MAPS``: the axis and diagonal mirrors and the rotations by
+    90, 180 and 270 degrees) that maps the mask and the cut arms onto
+    themselves exactly, and their weights, ``u0`` and ``g`` on the cuts
+    within the relative tolerance ``_FOLD_RTOL`` (``_folded``): one cell
+    per orbit, an eighth of a disk, the field mapped back.  The source
+    f(u) depends on u alone, so it commutes with every map.  The folded
+    solution solves the whole problem up to the rounding the tolerance
+    admits, and where the discrete solution is unique (alpha = 0) it is
+    the whole-domain one; a map that breaks a condition does not fold.
+    method="damped" always solves the whole domain.
 
     Convergence is declared on the true assembled residual:
     sup |F[u] + f(u)| <= tol * max(1, sup|u|).  IterationLimit carries
@@ -491,8 +510,8 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     positively 1-homogeneous.  Raises PositivityLoss if phi dips below
     -1e-12 anywhere, which is the discrete symptom of leaving the
     principal branch.  The principal eigenfunction is unique up to scale,
-    so it is invariant under each mirror of the domain, and the loop runs
-    on the mirror-folded domain of ``_folded`` and mirrors phi back.
+    so it is invariant under each lattice map of the domain, and the loop
+    runs on the folded domain of ``_folded`` and maps phi back.
     """
     if params.alpha != 0.0:
         raise ValueError("grid eigenvalue iteration requires alpha = 0")

@@ -9,11 +9,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pucci_lab import Variant, cli
 from pucci_lab.cli import _DEFAULTS, load_config, main
 from pucci_lab.grid import GridField
+from pucci_lab.grid.solver import _LATTICE_MAPS
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,6 +114,19 @@ class TestConfig:
         assert repr(cfg["n_planes"]) == "4"
         assert repr(cfg["directions"][3]) == "[2.0, -1.0]"
         assert repr(load_config("sector")["spacing_denom"]) == "400.0"
+
+    def test_default_directions_keep_one_off_the_lattice_mirrors(self):
+        # a grid solve folds by each lattice map of its problem, so the
+        # reflection gaps near t = 0 along a lattice mirror's normal are 0
+        # by construction; (2, -1) names no lattice mirror and keeps the
+        # reflection check's teeth
+        off = []
+        for d in load_config("serrin")["directions"]:
+            n = np.array(d) / np.hypot(*d)
+            mirror = np.eye(2) - 2.0 * np.outer(n, n)
+            if not any(np.allclose(mirror, g) for g in _LATTICE_MAPS):
+                off.append(d)
+        assert [2.0, -1.0] in off
 
     def test_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -413,9 +428,12 @@ class TestPropertiesCommand:
         assert names["monotone_scheme"] is False
         assert rep["results"]["worst"]["monotone_scheme"] < -1e-3
 
-    def test_stalled_comparison_solve_fails_its_check(self, tmp_path):
-        # at alpha = 1 the g = 0.2 comparison solve stops at its step cap;
-        # the suite still reports all of its checks, in standard JSON
+    def test_stalled_comparison_solve_fails_its_check(self, tmp_path,
+                                                      whole_domain):
+        # at alpha = 1 the g = 0.2 comparison solve on the whole domain
+        # stops at its step cap (folded by the disk's 8 lattice maps it
+        # converges); the suite still reports all of its checks, in
+        # standard JSON
         assert run(tmp_path, "properties", "--set", "alpha=1",
                    "--set", "trials=5") == 1
         rep = read_report(tmp_path, "properties")

@@ -107,6 +107,14 @@ def rotated_hessian(deg, lam):
     return r @ np.diag(lam) @ r.T
 
 
+def regular(n_sides, radius, turn):
+    """The regular polygon of circumradius ``radius``, turned by ``turn``
+    radians off the x axis: its vertices come from cos and sin, so its
+    images under its own lattice maps agree only up to rounding."""
+    t = turn + np.arange(n_sides) * 2.0 * np.pi / n_sides
+    return Polygon(radius * np.stack([np.cos(t), np.sin(t)], 1))
+
+
 def quad_field(dom, hxx, hxy, hyy, gx=0.0, gy=0.0, c0=0.0):
     def fn(x, y):
         return 0.5 * (hxx * x * x + hyy * y * y) + hxy * x * y \
@@ -783,11 +791,12 @@ class TestDirichlet:
         assert len(count_splu) <= 8
 
     def test_newton_steps_stable_under_last_bit_cuts(self, disk_dom,
-                                                     count_splu):
+                                                     count_splu,
+                                                     whole_domain):
         # cut fractions moved in their last bits: Newton takes 7
         # factorizations at each here (10, 9, 9 and 10 on the scheme of 8
         # orthogonal pairs, whose fixed point in the frozen weight took 33,
-        # 30, 31 and 30)
+        # 30, 31 and 30); on the whole domain, as such cuts fold too
         p = PucciParams(1.0, 1.5, Variant.PLUS, -0.5)
         counts = []
         for seed in (None, 1, 2, 3):
@@ -899,18 +908,19 @@ class TestNewtonMultigrid:
                         case):
         # measured at most 1.4e-14 relative, with equal step counts
         if case == "square":
-            # the whole square, which folds to 10,000 cells, one level
+            # the whole square: its data, odd in x, would leave the y
+            # mirror alone to fold it to 20,000 cells
             request.getfixturevalue("whole_domain")
             params, dom, g = WIDE, square_fine, _oscillating
         elif case == "singular":
+            # the disk folds by all 8 maps, to 3,964 cells at h = 0.01
             params = PucciParams(0.5, 2.0, Variant.PLUS, -0.5)
-            dom, g = build_domain(Disk(1.0), 0.02), 0.0
+            dom, g = build_domain(Disk(1.0), 0.01), 0.0
         else:
-            # A/a = 10 reads 8 directions
+            # A/a = 10 reads 8 directions; the data, odd in x, keep the
+            # hexagon's half turn from folding it: 6,494 cells
             params, g = PucciParams(1.0, 10.0), _oscillating
-            t = 0.1 + np.arange(6) * np.pi / 3.0
-            dom = build_domain(Polygon(np.stack([np.cos(t), np.sin(t)], 1)),
-                               0.02)
+            dom = build_domain(regular(6, 1.0, 0.1), 0.02)
         u, ref, steps, lu_steps, mat, cells = self.solve_both(
             monkeypatch, params, dom, g)
         n = len(cells)
@@ -927,7 +937,8 @@ class TestNewtonMultigrid:
         # so every step factors its whole matrix as well as the coarsest
         monkeypatch.setattr(solver_module, "_KRYLOV_CAP", 1)
         params = PucciParams(0.5, 2.0, Variant.PLUS, -0.5)
-        dom = build_domain(Disk(1.0), 0.02)
+        # 3,964 folded cells, above _COARSEST
+        dom = build_domain(Disk(1.0), 0.01)
         u, ref, steps, lu_steps, _, cells = self.solve_both(
             monkeypatch, params, dom, 0.0)
         assert_array_equal(u, ref)
@@ -991,6 +1002,15 @@ def _even(x, y):
     return x * x * (1.0 - 2.0 * y * y) + 0.5 * y * y
 
 
+def _perturbed_cuts(dom, rel, rng):
+    """A copy of ``dom`` whose cut fractions are moved by about ``rel``
+    relative, each its own way."""
+    dom = copy.copy(dom)
+    dom.cut_frac = dom.cut_frac * (
+        1.0 + rel * rng.standard_normal(len(dom.cut_frac)))
+    return dom
+
+
 def _mirrors(dom):
     """Each cell's image under the x mirror and under the y mirror."""
     i, j = dom.cells.T
@@ -999,16 +1019,24 @@ def _mirrors(dom):
 
 _FOLD_CASES = {
     # an even nx, the odd-nx ellipse, 8 directions, the singular weight
-    # and Minus with symmetric data
-    "disk": (WIDE, (Disk(1.0), 0.04), Constant(1.0), _even),
+    # and Minus with data even in x and in y, which breaks the diagonal
+    # mirrors and the quarter turns: 4 maps of the group hold.  The
+    # singular case's zero data keep all 8 maps, the turned square's the
+    # rotations alone and the turned hexagon's the half turn alone; the
+    # last entry is the order of the group that folds
+    "disk": (WIDE, (Disk(1.0), 0.04), Constant(1.0), _even, 4),
     "ellipse": (PucciParams(1.0, 4.0), (Ellipse(1.5, 1.0), 0.04),
-                Constant(1.0), _even),
+                Constant(1.0), _even, 4),
     "ratio10": (PucciParams(1.0, 10.0), (Disk(1.0), 0.05), Constant(1.0),
-                _even),
+                _even, 4),
     "singular": (PucciParams(0.5, 2.0, Variant.PLUS, -0.5),
-                 (Disk(1.0), 0.05), Constant(1.0), 0.0),
+                 (Disk(1.0), 0.05), Constant(1.0), 0.0, 8),
     "minus": (PucciParams(0.5, 2.0, Variant.MINUS), (Disk(1.0), 0.05),
-              Constant(-1.0), _even),
+              Constant(-1.0), _even, 4),
+    "square": (WIDE, (regular(4, np.sqrt(2.0), 0.3), 0.04), Constant(1.0),
+               0.0, 4),
+    "hexagon": (PucciParams(1.0, 10.0), (regular(6, 1.0, 0.1), 0.04),
+                Constant(1.0), _even, 2),
 }
 
 
@@ -1016,29 +1044,82 @@ class TestMirrorFold:
     """Solves on the mirror-folded domain against the whole domain, the
     ``whole_domain`` fixture."""
 
+    def test_lattice_maps_are_the_square_group(self):
+        # the 7 maps and the identity: distinct orthogonal integer
+        # matrices, closed under products
+        group = [np.eye(2, dtype=int), *solver_module._LATTICE_MAPS]
+        keys = {g.tobytes() for g in group}
+        assert len(keys) == 8
+        for g in group:
+            assert_array_equal(g @ g.T, np.eye(2))
+            for f in group:
+                assert (g @ f).tobytes() in keys
+
     @pytest.mark.parametrize("k", [2, 4, 8, 12])
     def test_mirrors_map_the_directions_read(self, k):
-        # a table reads the first k directions, each along both sides: a
-        # mirror takes each to one of them, forward or turned round, and
-        # undoes itself on the (direction, side) pairs
+        # a table reads the first k directions, each along both sides:
+        # every lattice map takes each (direction, side) to one of them,
+        # forward or turned round, and permutes them
+        arms = np.concatenate([DIRECTIONS[:k], -DIRECTIONS[:k]])
+        for g in solver_module._LATTICE_MAPS:
+            hit = ((arms @ g.T)[:, None] == arms).all(axis=2)
+            assert_array_equal(hit.sum(axis=0), np.ones(2 * k))
+            assert_array_equal(hit.sum(axis=1), np.ones(2 * k))
+
+    @pytest.mark.parametrize("variant", [Variant.PLUS, Variant.MINUS])
+    @pytest.mark.parametrize("ratio", [4.0, 10.0, 30.0])
+    def test_candidate_extremum_commutes_with_quarter_turn(self, ratio,
+                                                            variant):
+        # second differences that are no quadratic's, one row per cell:
+        # turning them by 90 degrees moves the maximizing angle by 90
+        # degrees, and the extremum over it stays, up to rounding
+        params = PucciParams(1.0, ratio, variant)
+        table = _candidate_table(params)
+        k, n = table.k, 400
         dirs = DIRECTIONS[:k]
-        for g in solver_module._AXIS_MIRRORS:
-            turned = dirs @ g.T
-            fwd = (turned[:, None] == dirs).all(axis=2)
-            back = (turned[:, None] == -dirs).all(axis=2)
-            assert_array_equal((fwd | back).sum(axis=1), np.ones(k))
-            col = (fwd | back).argmax(axis=1)
-            flip = back[np.arange(k), col]
-            assert_array_equal(col[col], np.arange(k))
-            assert not (flip ^ flip[col]).any()
+        turned = dirs @ np.array([[0, 1], [-1, 0]])
+        col = ((turned[:, None] == dirs).all(axis=2)
+               | (turned[:, None] == -dirs).all(axis=2)).argmax(axis=1)
+        assert sorted(col) == list(range(k))
+        # each arm of a cell of value 0 ends at cut data of half the
+        # difference, with unit weights
+        table.nb = np.arange(n, n + 2 * n * k).reshape(2, n, k)
+        table.second = np.ones((2, n, k))
+
+        def extremum(delta):
+            return _linearize(params, np.zeros(n),
+                              np.tile(0.5 * delta.ravel(), 2), table).core
+
+        delta = np.random.default_rng(11).standard_normal((n, k))
+        ref = extremum(delta)
+        assert np.abs(extremum(delta[:, col]) - ref).max() <= \
+            1e-13 * ratio * np.abs(delta).max()
+
+    def test_axis_swaps_need_a_square_lattice(self):
+        # on an nx != ny lattice the quarter turns and the diagonal
+        # mirrors do not map the box onto itself: no map, and no index
+        # past the box, which these long ellipses' images would reach
+        for shape in (Ellipse(2.0, 0.5), Ellipse(0.5, 2.0)):
+            dom = build_domain(shape, 0.1)
+            assert dom.nx != dom.ny
+            table = _resolved_table(WIDE, dom)
+            rim = np.flatnonzero(
+                (table.nb >= dom.n_cells).any(axis=0).any(axis=1))
+            got = [solver_module._mirror(dom, table, g, rim)
+                   for g in solver_module._LATTICE_MAPS]
+            assert [m is None for m in got] == [
+                g[0, 0] == 0 for g in solver_module._LATTICE_MAPS]
 
     @pytest.mark.parametrize("case", list(_FOLD_CASES))
     def test_linearization_is_the_whole_domain_one(self, monkeypatch,
                                                    request, case):
-        params, (shape, h), source, g = _FOLD_CASES[case]
+        params, (shape, h), source, g, order = _FOLD_CASES[case]
         dom = build_domain(shape, h)
         fold, folded = _captured(monkeypatch, params, dom, source, g)
-        assert len(fold.keep) < dom.n_cells / 3
+        # an orbit has at most ``order`` cells, and the cells that a map
+        # fixes are few
+        assert dom.n_cells / order <= len(fold.keep) < 1.25 * dom.n_cells \
+            / order
         request.getfixturevalue("whole_domain")
         _, whole = _captured(monkeypatch, params, dom, source, g)
         # a mirror-symmetric iterate, with every policy in play
@@ -1053,9 +1134,10 @@ class TestMirrorFold:
 
     @pytest.mark.parametrize("case", list(_FOLD_CASES))
     def test_solve_matches_whole_domain(self, request, case):
-        params, (shape, h), source, g = _FOLD_CASES[case]
+        params, (shape, h), source, g, _ = _FOLD_CASES[case]
         dom = build_domain(shape, h)
-        # the ellipse has a lattice column on its mirror line, the disks not
+        # the ellipse has a lattice column on its mirror line, the others
+        # not
         assert dom.nx % 2 == (case == "ellipse")
         u = solve_dirichlet(params, dom, source, g).values
         request.getfixturevalue("whole_domain")
@@ -1064,12 +1146,15 @@ class TestMirrorFold:
 
     @pytest.mark.parametrize("params", [LAP, WIDE])
     def test_eigenpair_matches_whole_domain(self, request, params):
-        dom = build_domain(Ellipse(1.5, 1.0), 0.04)
-        lam, phi = principal_eigenvalue_grid(params, dom)
+        # the ellipse folds by 4 maps, the disk by all 8
+        doms = [build_domain(shape, 0.04)
+                for shape in (Ellipse(1.5, 1.0), Disk(1.0))]
+        pairs = [principal_eigenvalue_grid(params, dom) for dom in doms]
         request.getfixturevalue("whole_domain")
-        lam_ref, phi_ref = principal_eigenvalue_grid(params, dom)
-        assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0.0)
-        assert np.abs(phi.values - phi_ref.values).max() <= 1e-12
+        for dom, (lam, phi) in zip(doms, pairs):
+            lam_ref, phi_ref = principal_eigenvalue_grid(params, dom)
+            assert lam == pytest.approx(lam_ref, rel=1e-12, abs=0.0)
+            assert np.abs(phi.values - phi_ref.values).max() <= 1e-12
 
     def test_folded_field_is_mirror_symmetric(self):
         dom = build_domain(Ellipse(1.5, 1.0), 0.04)
@@ -1080,25 +1165,22 @@ class TestMirrorFold:
             assert_array_equal(phi.values[image], phi.values)
 
     @pytest.mark.parametrize("case", [
-        "rotated hexagon", "last-bit cuts", "data x + y", "start"])
+        "scalene triangle", "cuts off by 1e-8", "data x + 2y", "start"])
     def test_asymmetric_problems_are_not_folded(self, monkeypatch, request,
                                                 case):
-        # each case breaks both mirrors, so the solve is the whole
+        # each case breaks all 7 lattice maps, so the solve is the whole
         # domain's to the bit
-        t = 0.1 + np.arange(6) * np.pi / 3.0
         dom = build_domain(
-            Polygon(np.stack([np.cos(t), np.sin(t)], 1)) if case[0] == "r"
-            else Disk(1.0), 0.1)
+            Polygon([(-1.0, -0.6), (1.1, -0.4), (-0.2, 0.9)])
+            if case == "scalene triangle" else Disk(1.0), 0.1)
         rng = np.random.default_rng(7)
         kwargs = dict(params=WIDE, dom=dom, source=Constant(1.0), g=0.0)
-        if case == "last-bit cuts":
-            # a symmetric mask whose cut arms' weights differ in the last
-            # bits from their images'
-            dom = kwargs["dom"] = copy.copy(dom)
-            dom.cut_frac = dom.cut_frac * (
-                1.0 + 1e-14 * rng.standard_normal(len(dom.cut_frac)))
-        elif case == "data x + y":
-            kwargs["g"] = lambda x, y: x + y
+        if case == "cuts off by 1e-8":
+            # a symmetric mask whose cut arms' weights differ from their
+            # images' by far more than _FOLD_RTOL
+            dom = kwargs["dom"] = _perturbed_cuts(dom, 1e-8, rng)
+        elif case == "data x + 2y":
+            kwargs["g"] = lambda x, y: x + 2.0 * y
         elif case == "start":
             kwargs["u0"] = rng.uniform(0.0, 0.1, dom.n_cells)
         fold, _ = _captured(monkeypatch, **kwargs)
@@ -1106,6 +1188,37 @@ class TestMirrorFold:
         u = solve_dirichlet(**kwargs).values
         request.getfixturevalue("whole_domain")
         assert_array_equal(u, solve_dirichlet(**kwargs).values)
+
+    def test_folded_alpha_one_solve_solves_the_whole_scheme(self, request):
+        # the g = 0.2 comparison solve of ``properties --set alpha=1``:
+        # folded by all 8 maps it converges, and the field mapped back
+        # solves the whole domain's scheme within tol; the whole domain's
+        # Newton loop stalls at its step cap
+        params = PucciParams(1.0, 2.0, Variant.PLUS, 1.0)
+        dom = build_domain(Disk(1.0), 0.1)
+        source, tol = Constant(1.0), 1e-8
+        u = solve_dirichlet(params, dom, source, 0.2, tol=tol)
+        res = discretize_F(params, dom, u).values \
+            + source.evaluate(u.values, params.alpha)
+        assert np.abs(res).max() <= tol * max(1.0, np.abs(u.values).max())
+        request.getfixturevalue("whole_domain")
+        with pytest.raises(IterationLimit):
+            solve_dirichlet(params, dom, source, 0.2, tol=tol)
+
+    def test_last_bit_cuts_fold(self, monkeypatch, request):
+        # cut weights that differ from their images' in the last bits, as
+        # a turned polygon's do, lie within _FOLD_RTOL: the disk folds by
+        # all 8 maps, and the solve is the whole domain's up to rounding
+        dom = build_domain(Disk(1.0), 0.1)
+        fold, _ = _captured(monkeypatch, WIDE, dom, Constant(1.0))
+        dom = _perturbed_cuts(dom, 1e-14, np.random.default_rng(7))
+        got, _ = _captured(monkeypatch, WIDE, dom, Constant(1.0))
+        assert_array_equal(got.keep, fold.keep)
+        assert len(fold.keep) < dom.n_cells / 6
+        u = solve_dirichlet(WIDE, dom, Constant(1.0)).values
+        request.getfixturevalue("whole_domain")
+        ref = solve_dirichlet(WIDE, dom, Constant(1.0)).values
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("shape, g, axis", [
         (Disk(1.0), lambda x, y: x, 1), (Ellipse(1.5, 1.0),

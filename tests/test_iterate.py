@@ -86,6 +86,16 @@ def _box_flips(shape):
     return [np.flip(ids, axis).ravel() for axis in range(len(shape))]
 
 
+def _square_maps(m):
+    """The node maps of the 7 lattice maps of an m x m box besides the
+    identity, nodes in C order: the axis mirrors, the turns by a quarter,
+    a half and three quarters, and the diagonal mirrors."""
+    ids = np.arange(m * m).reshape(m, m)
+    return [a.ravel() for a in (
+        np.flip(ids, 0), np.flip(ids, 1), np.rot90(ids), np.rot90(ids, 2),
+        np.rot90(ids, 3), ids.T, np.rot90(ids, 2).T)]
+
+
 class TestFold:
     def test_identity_is_the_whole_table(self):
         nb = _box_lattice((3, 4))
@@ -124,6 +134,27 @@ class TestFold:
         assert_array_equal(
             stencil_matrix(folded, weights[:, keep]).toarray(),
             (whole @ orbits)[keep])
+
+    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("pick", [range(7), [3, 5], [2], [6, 0]],
+                             ids=["group", "half turn, diagonal",
+                                  "quarter turn", "diagonal, x mirror"])
+    def test_representative_is_the_orbit_minimum(self, m, pick):
+        # a turn or a diagonal mirror does not turn one axis round, so one
+        # pass of the maps may stop short of an orbit's smallest node;
+        # the fold finds it for the whole group and for maps that only
+        # generate a group, in either order
+        maps = [_square_maps(m)[k] for k in pick]
+        group, grown = {tuple(range(m * m))}, True
+        while grown:
+            new = {tuple(np.array(g)[f]) for g in group for f in maps}
+            grown = not new <= group
+            group |= new
+        smallest = np.array(sorted(group)).min(axis=0)
+        nb = _box_lattice((m, m))
+        for order in (maps, maps[::-1]):
+            keep, to_r, _ = fold(nb, order)
+            assert_array_equal(keep[to_r], smallest)
 
 
 class TestPolicyEigenStart:
