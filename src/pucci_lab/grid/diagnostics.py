@@ -54,11 +54,23 @@ def _unit(direction):
     return d / norm
 
 
+def _offset(t):
+    """The plane offset as a float; ValueError if it is not finite."""
+    t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"need a finite plane offset t, got {t}")
+    return t
+
+
+def _reflect(pts, proj, d, t):
+    # pts reflected across {x . d = t}, given their projections on d
+    return pts + (2.0 * (t - proj))[:, None] * d
+
+
 def reflect_points(pts, direction, t):
     """Mirror points across the plane {x . direction = t}."""
     d = _unit(direction)
-    proj = pts @ d
-    return pts + (2.0 * (t - proj))[:, None] * d
+    return _reflect(pts, pts @ d, d, _offset(t))
 
 
 def reflection_gap(field, direction, t):
@@ -75,14 +87,24 @@ def reflection_gap(field, direction, t):
     (2, -1), or a seeded angle, names no lattice mirror and keeps the
     check's teeth.
 
+    Only the cells the gap reads are reflected: the swept ones, and those
+    whose image can land in the shape's box, projection below 2t - pmin
+    with pmin the box's lowest projection, plus one h against rounding.
+
     Raises ReflectionOutOfDomain if any swept grid point reflects outside
     the domain, which means t lies beyond the critical position for this
-    direction, and OutOfDomain when the reflected cap contains no cells.
+    direction, OutOfDomain when the reflected cap contains no cells, and
+    ValueError for a t that is not finite.
     """
     dom = field.domain
     d = _unit(direction)
+    t = _offset(t)
+    xmin, ymin, xmax, ymax = dom.shape.bbox()
+    pmin = min(xmin * d[0], xmax * d[0]) + min(ymin * d[1], ymax * d[1])
     proj = dom.pts @ d
-    refl = reflect_points(dom.pts, d, t)
+    near = np.flatnonzero(proj < max(t, 2.0 * t - pmin + dom.h))
+    proj = proj[near]
+    refl = _reflect(dom.pts[near], proj, d, t)
     lev = dom.shape.level(refl)
     swept = lev[proj < t]
     bad = swept > 1e-9
@@ -94,31 +116,50 @@ def reflection_gap(field, direction, t):
     if not np.any(cap):
         raise OutOfDomain(f"reflected cap is empty at t={t:.6g}")
     mirrored = dom.interp(field.values, refl[cap])
-    return float((mirrored - field.values[cap]).max())
+    return float((mirrored - field.values[near[cap]]).max())
+
+
+# the critical-plane bisection stops once its bracket is this share of
+# the boundary's extent along the direction
+_PLANE_RTOL = 1e-12
 
 
 def critical_plane_position(shape, direction, *, samples=4096, iters=80):
     """Largest plane offset whose swept region reflects inside the shape.
 
     Works on the analytic boundary: dense boundary samples are reflected
-    and tested against the level function, and the offset is bisected.
+    and tested against the level function, and the offset is bisected
+    until the bracket is at most ``_PLANE_RTOL`` of the samples' extent
+    along the direction, or for ``iters`` steps, whichever comes first.
+    A trial offset reflects only the samples it sweeps, a prefix of the
+    samples sorted by projection.
+
+    Raises ValueError for samples < 3 or iters < 1.
     """
     d = _unit(direction)
+    if samples < 3:
+        raise ValueError(f"need samples >= 3 boundary points, got {samples}")
+    if iters < 1:
+        raise ValueError(f"need iters >= 1 bisection steps, got {iters}")
     bpts = shape.boundary_points(samples)
     proj = bpts @ d
-    lo, hi = proj.min(), proj.max()
+    order = np.argsort(proj, kind="stable")
+    bpts, proj = bpts[order], proj[order]
+    lo, hi = proj[0], proj[-1]
 
     def ok(t):
-        sel = proj < t
-        if not np.any(sel):
+        k = np.searchsorted(proj, t)
+        if k == 0:
             return True
-        refl = reflect_points(bpts[sel], d, t)
+        refl = _reflect(bpts[:k], proj[:k], d, t)
         return shape.level(refl).max() <= 1e-9
 
     if ok(hi):
         return float(hi)
     t_lo, t_hi = lo, hi
     for _ in range(iters):
+        if t_hi - t_lo <= _PLANE_RTOL * (hi - lo):
+            break
         mid = 0.5 * (t_lo + t_hi)
         if ok(mid):
             t_lo = mid

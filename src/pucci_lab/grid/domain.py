@@ -10,7 +10,6 @@ interior scheme, which is what keeps boundary traces usable at O(h^2).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from ..errors import InvalidShape
 
@@ -132,8 +131,11 @@ class Polygon:
         return self._cum_len[nearest] + along
 
     def boundary_points(self, n):
+        """At least n points along the boundary: n evenly spaced in arc
+        length, merged with the vertices, in arc order from vertex 0."""
         total = self._cum_len[-1]
-        s = np.linspace(0.0, total, n, endpoint=False)
+        s = np.union1d(np.linspace(0.0, total, n, endpoint=False),
+                       self._cum_len[:-1])
         idx = np.searchsorted(self._cum_len, s, side="right") - 1
         idx = np.clip(idx, 0, len(self.vertices) - 1)
         frac = (s - self._cum_len[idx]) / self._edge_len[idx]
@@ -251,13 +253,24 @@ class GridDomain:
 
         Outside cells contribute 0 (appropriate for fields with zero
         boundary data, where extending by zero is O(h) accurate); points
-        beyond the lattice take the value at its nearest edge.
+        beyond the lattice take the value at its nearest edge.  Each point
+        reads the four lattice centres about it by index, with weights
+        taken from the lattice coordinates.
         """
-        xs, ys = self.axes()
-        clamped = np.clip(np.atleast_2d(pts), (xs[0], ys[0]), (xs[-1], ys[-1]))
-        full = np.zeros((self.nx, self.ny))
-        full[self.cells[:, 0], self.cells[:, 1]] = values
-        return RegularGridInterpolator((xs, ys), full)(clamped)
+        pts = np.atleast_2d(pts)
+        ends = np.append(values, 0.0)
+        lower, weight = [], []
+        for ax, x in zip(self.axes(), pts.T):
+            x = np.clip(x, ax[0], ax[-1])
+            i = np.minimum(((x - ax[0]) / self.h).astype(int), len(ax) - 2)
+            lower.append(i)
+            weight.append((x - ax[i]) / (ax[i + 1] - ax[i]))
+        (i, j), (wx, wy) = lower, weight
+        cid = self.cell_id
+        return ((1.0 - wx) * ((1.0 - wy) * ends[cid[i, j]]
+                              + wy * ends[cid[i, j + 1]])
+                + wx * ((1.0 - wy) * ends[cid[i + 1, j]]
+                        + wy * ends[cid[i + 1, j + 1]]))
 
 
 def build_domain(shape, h):
@@ -419,8 +432,19 @@ def field_from_function(dom, fn):
     return GridField(dom, vals * np.ones(dom.n_cells), boundary_data(dom, fn))
 
 
+# rows per block of the field export
+_CSV_ROWS = 1024
+
+
 def export_field_csv(field, path):
-    """Write (x, y, value) rows for the interior cells."""
+    """Write (x, y, value) rows for the interior cells, each value as
+    ``%.18e`` under the header ``x,y,value``.  One format call writes a
+    block of rows, so the text in memory stays a block's."""
     dom = field.domain
     data = np.column_stack([dom.pts, field.values])
-    np.savetxt(path, data, delimiter=",", header="x,y,value", comments="")
+    row = "%.18e,%.18e,%.18e\n"
+    with open(path, "w") as f:
+        f.write("x,y,value\n")
+        for at in range(0, len(data), _CSV_ROWS):
+            block = data[at:at + _CSV_ROWS]
+            f.write(row * len(block) % tuple(block.ravel().tolist()))

@@ -1438,11 +1438,127 @@ class TestReflection:
     def test_critical_plane_asymmetric_shape(self):
         tri = Polygon([(0, 0), (1, 0), (0, 1)])
         t = critical_plane_position(tri, (1, 0))
-        # reflecting the left part of this triangle across x = t stays
-        # inside only while t is small; the exact critical offset for the
-        # unit right triangle along x is 1/3 (reflection of the vertical
-        # edge through the hypotenuse constraint)
-        assert 0.0 < t < 0.5
+        # the vertex (0, 1) reflects across x = t to (2t, 1), outside the
+        # triangle for every t > 0, so the exact critical offset is 0; the
+        # level slack of 1e-9 admits a positive t below it
+        assert 0.0 < t < 1e-8
+
+    @pytest.mark.parametrize("direction", [(1, 0), (0, 1)])
+    def test_critical_plane_reaches_polygon_vertices(self, direction):
+        # the vertex (0, 1), or (3, 0), decides the critical offset 0;
+        # sampled between vertices it read 1.9e-4 along both axes
+        tri = Polygon([(0, 0), (3, 0), (0, 1)])
+        assert abs(critical_plane_position(tri, direction)) < 1e-8
+
+    def test_polygon_boundary_points_hold_the_vertices(self):
+        tri = Polygon([(0, 0), (3, 0), (0, 1)])
+        for n in (3, 10, 4096):
+            pts = tri.boundary_points(n)
+            assert len(pts) >= n
+            for v in tri.vertices:
+                assert np.any(np.all(pts == v, axis=1))
+            # in arc order: the arc parameter never falls
+            assert np.all(np.diff(tri.arc_parameter(pts)) >= -1e-12)
+
+    @staticmethod
+    def _bisect(shape, d, samples, iters):
+        # the reference bisection: every step reflects the boolean-masked
+        # samples below the trial offset
+        d = np.asarray(d, float) / np.hypot(*d)
+        bpts = shape.boundary_points(samples)
+        proj = bpts @ d
+        lo, hi = proj.min(), proj.max()
+
+        def ok(t):
+            sel = proj < t
+            return (not np.any(sel)
+                    or shape.level(reflect_points(bpts[sel], d, t)).max()
+                    <= 1e-9)
+
+        t_lo, t_hi = lo, hi
+        for _ in range(iters):
+            mid = 0.5 * (t_lo + t_hi)
+            t_lo, t_hi = (mid, t_hi) if ok(mid) else (t_lo, mid)
+        return t_lo, hi - lo
+
+    @pytest.mark.parametrize("shape, direction", [
+        (Disk(1.0), (np.cos(0.3), np.sin(0.3))),
+        (Ellipse(2.0, 1.0), (1, 2)),
+        (Polygon(L_SHAPE), (1, 0)),
+        (Polygon([(0, 0), (3, 0), (0, 1)]), (1, 1)),
+    ], ids=["disk", "ellipse", "L", "triangle"])
+    def test_critical_plane_stops_at_relative_width(self, shape, direction):
+        rtol = diagnostics_module._PLANE_RTOL
+        ref, width = self._bisect(shape, direction, 4096, 80)
+        got = critical_plane_position(shape, direction, samples=4096,
+                                      iters=80)
+        assert abs(got - ref) <= rtol * width
+        # a cap below the stopping width runs all its steps
+        ref5, _ = self._bisect(shape, direction, 4096, 5)
+        assert critical_plane_position(shape, direction, samples=4096,
+                                       iters=5) == ref5
+
+    @staticmethod
+    def _whole_cell_gap(field, d, t):
+        # the reference gap: every cell reflected and levelled
+        dom = field.domain
+        d = np.asarray(d, float) / np.hypot(*d)
+        proj = dom.pts @ d
+        refl = reflect_points(dom.pts, d, t)
+        lev = dom.shape.level(refl)
+        swept = lev[proj < t]
+        if np.any(swept > 1e-9):
+            raise ReflectionOutOfDomain("reference")
+        cap = (proj > t) & (lev < 0.0)
+        if not np.any(cap):
+            raise OutOfDomain("reference")
+        return float((dom.interp(field.values, refl[cap])
+                      - field.values[cap]).max())
+
+    @pytest.mark.parametrize("fixture", ["disk_dom", "ellipse_dom"])
+    def test_gap_matches_whole_cell_reference(self, request, fixture):
+        dom = request.getfixturevalue(fixture)
+        sol = solve_dirichlet(WIDE, dom, Constant(1.0), 0.0)
+        for d in [(1, 0), (0, 1), (2, -1), (np.cos(2.5), np.sin(2.5))]:
+            t_star = critical_plane_position(dom.shape, d)
+            for t in np.linspace(-2.0, t_star, 7):
+                try:
+                    want = self._whole_cell_gap(sol, d, float(t))
+                except OutOfDomain:
+                    with pytest.raises(OutOfDomain):
+                        reflection_gap(sol, d, float(t))
+                    continue
+                assert reflection_gap(sol, d, float(t)) == want
+            # beyond the critical plane both raise
+            with pytest.raises(ReflectionOutOfDomain):
+                self._whole_cell_gap(sol, d, t_star + 0.3)
+            with pytest.raises(ReflectionOutOfDomain):
+                reflection_gap(sol, d, t_star + 0.3)
+        # a plane before the shape has an empty cap
+        with pytest.raises(OutOfDomain):
+            self._whole_cell_gap(sol, (1, 1), -3.0)
+        with pytest.raises(OutOfDomain, match="cap is empty"):
+            reflection_gap(sol, (1, 1), -3.0)
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    def test_critical_plane_rejects_too_few_samples(self, samples):
+        # samples=1 returned -1.0
+        with pytest.raises(ValueError, match="samples"):
+            critical_plane_position(Disk(1.0), (1, 0), samples=samples)
+
+    def test_critical_plane_rejects_no_steps(self):
+        # iters=0 returned the lowest boundary projection
+        with pytest.raises(ValueError, match="iters"):
+            critical_plane_position(Disk(1.0), (1, 0), iters=0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_an_offset_that_is_not_finite(self, disk_dom, t):
+        # nan read as an empty cap, and inf overflowed in reflect_points
+        sol = GridField(disk_dom, np.zeros(disk_dom.n_cells))
+        for call in (lambda: reflect_points(disk_dom.pts, (1, 0), t),
+                     lambda: reflection_gap(sol, (1, 0), t)):
+            with pytest.raises(ValueError, match="offset t"):
+                call()
 
 
 class TestComparison:
@@ -1580,6 +1696,56 @@ class TestFieldUtilities:
         pts = np.array([[0.1, 0.2], [-0.3, 0.15], [0.0, 0.0]])
         got = disk_coarse.interp(vals, pts)
         assert_allclose(got, 2.0 * pts[:, 0] - pts[:, 1], atol=1e-12)
+
+    @pytest.mark.parametrize("shape, h, parity", [
+        (Disk(1.0), 0.01, 0), (Ellipse(1.004, 0.55), 0.01, 1),
+    ], ids=["even nx", "odd nx"])
+    def test_interp_matches_regular_grid_interpolator(self, shape, h,
+                                                       parity):
+        from scipy.interpolate import RegularGridInterpolator
+        dom = build_domain(shape, h)
+        assert dom.nx % 2 == parity
+        rng = np.random.default_rng(5)
+        # values of unit size, so that 1e-14 is a few roundings; weights
+        # from (x - x0) / h alone were 5e-14 off on these 210-wide lattices
+        vals = rng.uniform(-1.0, 1.0, dom.n_cells)
+        xs, ys = dom.axes()
+        full = np.zeros((dom.nx, dom.ny))
+        full[dom.cells[:, 0], dom.cells[:, 1]] = vals
+        oracle = RegularGridInterpolator((xs, ys), full)
+        grid = np.stack(np.meshgrid(xs, ys, indexing="ij"), -1).reshape(-1, 2)
+        edges = np.concatenate([
+            np.stack([np.full(ys.size, xs[0]), ys], 1),
+            np.stack([np.full(ys.size, xs[-1]), ys], 1),
+            np.stack([xs, np.full(xs.size, ys[0])], 1),
+            np.stack([xs, np.full(xs.size, ys[-1])], 1)])
+        pts = np.concatenate([
+            # random points, beyond the lattice on every side too
+            rng.uniform((xs[0] - 1.0, ys[0] - 1.0),
+                        (xs[-1] + 1.0, ys[-1] + 1.0), (2000, 2)),
+            grid,  # every lattice centre, the outside cells among them
+            edges])
+        clamped = np.clip(pts, (xs[0], ys[0]), (xs[-1], ys[-1]))
+        got = dom.interp(vals, pts)
+        assert_allclose(got, oracle(clamped), rtol=0.0, atol=1e-14)
+        # the outside cells read 0, the inside ones their value
+        at = dom.interp(vals, grid).reshape(dom.nx, dom.ny)
+        assert_allclose(at, full, rtol=0.0, atol=1e-14)
+
+    def test_csv_matches_savetxt(self, tmp_path, disk_dom):
+        from pucci_lab.grid import export_field_csv
+        # a full block of rows and a part one
+        assert domain_module._CSV_ROWS < disk_dom.n_cells \
+            < 2 * domain_module._CSV_ROWS
+        vals = np.random.default_rng(3).standard_normal(disk_dom.n_cells)
+        vals[:3] = (0.0, -0.0, 1e300)
+        fld = GridField(disk_dom, vals)
+        export_field_csv(fld, tmp_path / "field.csv")
+        np.savetxt(tmp_path / "want.csv",
+                   np.column_stack([disk_dom.pts, vals]), delimiter=",",
+                   header="x,y,value", comments="")
+        assert ((tmp_path / "field.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
 
     def test_csv_round_trip(self, tmp_path, disk_coarse):
         from pucci_lab.grid import export_field_csv
