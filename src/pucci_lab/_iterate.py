@@ -62,16 +62,17 @@ LU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                   options=dict(SymmetricMode=True))
 
 
-def stencil_matrix(ends, weights):
-    """The n x n CSC matrix of a stencil on n nodes.
+def stencil_matrix(ends, weights, diag=0.0):
+    """The n x n CSC matrix of a stencil on n nodes, plus ``diag``.
 
     ``ends`` is an arm table, shape (2, n, k) with the forward side first,
     as the grid domain and the sector mesh store it, and ``weights`` has
     its shape: row i applies ``weights[s, i, j]`` to u[ends[s, i, j]] - u[i],
-    so its diagonal is minus all its weights summed, and an end >= n is
-    not an unknown and makes no other entry.  Repeated (row, column) pairs
-    are summed, and entries that come out zero are not stored, so the LU
-    orders and factors only the real pattern.
+    so its diagonal is ``diag[i]`` (a scalar serves all rows) minus all
+    its weights summed, and an end >= n is not an unknown and makes no
+    other entry.  Repeated (row, column) pairs are summed, and entries
+    that come out zero are not stored, so the LU orders and factors only
+    the real pattern.
     """
     n = ends.shape[1]
     # scipy's index type, so the COO-to-CSC conversion copies no index
@@ -79,7 +80,7 @@ def stencil_matrix(ends, weights):
     own = ends < n
     rows = np.broadcast_to(idx[:, None], ends.shape)[own]
     # each side over its arms first, so that zero columns keep the bits
-    diag = -weights.sum(axis=2).sum(axis=0)
+    diag = diag - weights.sum(axis=2).sum(axis=0)
     mat = sp.csc_matrix((np.concatenate([diag, weights[own]]),
                          (np.concatenate([idx, rows]),
                           np.concatenate([idx, ends[own]]))), shape=(n, n))

@@ -208,9 +208,9 @@ class GridDomain:
     boundary data sampled before a resolve no longer covers the cuts.
     The domain stores no arm lengths:
     an arm along d has length |d| h, times ``cut_frac`` where it is cut, and
-    ``arm_lengths(k)`` reads those of the first k directions through the
-    arm table, as arm-end values are read; a solve asks once, with its
-    candidate table.
+    ``arm_lengths(k, rows)`` reads those of the first k directions of the
+    cells ``rows`` through the arm table, as arm-end values are read; a
+    solve asks once for each set of cells it reads.
     """
 
     def __init__(self, shape, h, centre, nx, ny):
@@ -240,10 +240,10 @@ class GridDomain:
         return tuple(c + (np.arange(n) - 0.5 * (n - 1)) * self.h
                      for c, n in ((self.cx, self.nx), (self.cy, self.ny)))
 
-    def arm_lengths(self, k=None):
-        """Arm lengths shaped like ``nb[:, :, :k]``: |d| h for an arm
+    def arm_lengths(self, k=None, rows=slice(None)):
+        """Arm lengths shaped like ``nb[:, rows, :k]``: |d| h for an arm
         along d, times the cut fraction where the arm is cut."""
-        nb = self.nb[:, :, :k]
+        nb = self.nb[:, rows, :k]
         arms = np.concatenate([np.ones(self.n_cells), self.cut_frac]).take(nb)
         arms *= _LENGTHS[:nb.shape[2]] * self.h
         return arms

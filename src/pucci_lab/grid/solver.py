@@ -19,7 +19,9 @@ reach grows with A/a: for A/a <= 5.83 it reads only (1, 0), (0, 1) and
 built; up to 17.94 it reads 8 and below 37.97 the 12 lattice directions of
 ``DIRECTIONS``, and from there on it raises ValueError.  ``solve_dirichlet``,
 ``principal_eigenvalue_grid`` and ``discretize_F`` resolve the directions
-their table reads on the domain before they sample or read cut data.
+their table reads on the domain before they sample or read cut data
+(``_resolved_table``), and weigh the stencil of the cells they read alone
+(``_weigh``).
 
 The scheme commutes, up to rounding, with each map of the square's
 symmetry group that maps the lattice, the domain, its cut arms and the
@@ -29,9 +31,15 @@ orbit, an eighth of the cells of a disk, a quarter of an axis-aligned
 ellipse or a square, half of a hexagon, and the field mapped back.  The
 maps are the 7 lattice maps ``_LATTICE_MAPS``; the mask and the cut
 pattern must map exactly, the cut weights and the data within the
-relative tolerance ``_FOLD_RTOL``.  A map that breaks any condition does
-not fold, and with none the fold is the identity, so there is one code
-path.
+relative tolerance ``_FOLD_RTOL``.  Each map is decided on the lattice
+arrays, the mask and the cell ids read through flips and a transpose
+(``_lattice_view``), and on the rim, the cells with a cut arm, the only
+ones whose weights it compares; the solve then weighs the kept cells
+alone.  A map that breaks any condition does not fold, and with none the
+fold is the identity, so there is one code path.  Each Newton matrix is
+one assembly (``_policy_matrix``): the frozen weights, the derivative of
+the gradient weight on the axis arms and the source's f' on the
+diagonal.
 """
 
 from functools import partial
@@ -167,18 +175,28 @@ def _candidate_table(params):
 
 def _resolved_table(params, dom):
     """The candidate table of ``params``, with ``dom`` resolved to the
-    directions it reads, and the stencil those directions span on it, read
-    once here for every linearization of a solve: the arm table ``nb`` and
-    the weights on its arm differences of the second difference along each
-    direction, ``second``, and (alpha != 0) of the axis gradient, ``first``."""
+    directions it reads, and their arm table ``nb`` on it, a view of
+    ``dom.nb``: all that a solve reads of the whole domain.  The stencil
+    weights are read only for the cells a solve reads (``_weigh``)."""
     table = _candidate_table(params)
     _resolve(dom, table.k)
     table.nb = dom.nb[:, :, :table.k]
-    sf, sb = arms = dom.arm_lengths(table.k)
-    table.second = 2.0 / (arms * (sf + sb))
-    if params.alpha != 0.0:
-        table.first = (np.stack([sb / sf, -sf / sb]) / (sf + sb))[:, :, :2]
     return table
+
+
+def _weigh(params, dom, table, rows=slice(None)):
+    """A copy of ``table`` with the stencil weights of the cells ``rows``
+    of ``dom``, read once here for every linearization of a solve: the
+    weights on the arm differences of the second difference along each
+    direction, ``second``, and (alpha != 0) of the centred gradient along
+    each axis, ``first``.  A policy solve weighs the rim for its fold's
+    check and then the cells the fold keeps; ``discretize_F`` and the
+    damped sweep weigh every cell."""
+    sf, sb = arms = dom.arm_lengths(table.k, rows)
+    weighed = SimpleNamespace(**vars(table), second=2.0 / (arms * (sf + sb)))
+    if params.alpha != 0.0:
+        weighed.first = (np.stack([sb / sf, -sf / sb]) / (sf + sb))[:, :, :2]
+    return weighed
 
 
 def _linearize(params, values, bvals, table):
@@ -244,7 +262,7 @@ def discretize_F(params, dom, field, weights=None):
     """
     if field.boundary_values is None:
         raise ValueError("field needs boundary_values to apply the operator")
-    table = _resolved_table(params, dom)
+    table = _weigh(params, dom, _resolved_table(params, dom))
     if len(field.boundary_values) != len(dom.cut_xy):
         raise ValueError(
             f"field has {len(field.boundary_values)} boundary values but "
@@ -257,103 +275,113 @@ def discretize_F(params, dom, field, weights=None):
                                      field.boundary_values, table).value)
 
 
-def _policy_matrix(lin):
-    """Frozen matrix of the operator at the maximizer of the iterate.
+def _policy_matrix(lin, alpha=0.0, diag=0.0):
+    """The matrix of a policy step at the iterate of ``lin``, assembled
+    once: the frozen matrix, with alpha != 0 the derivative of the
+    gradient weight, and ``diag`` on the diagonal.
 
-    Freezes at the iterate of the linearization ``lin`` each cell's
-    maximizing candidate, its weights (``_active_weights``) and the floored
-    gradient weight.  The operator is positively 1-homogeneous in the
-    values and the cut data, so F(u) = M u + b holds exactly wherever the
-    gradient is above the floor, with b carrying the cut-arm boundary
-    values; M is an M-matrix.  Returns M (the Newton step needs only M,
-    since b enters through the residual).
+    The frozen matrix M freezes each cell's maximizing candidate, its
+    weights (``_active_weights``) and the floored gradient weight.  The
+    operator is positively 1-homogeneous in the values and the cut data,
+    so F(u) = M u + b holds exactly wherever the gradient is above the
+    floor, with b carrying the cut-arm boundary values; M is an M-matrix.
+    At alpha = 0, the default, the matrix is M (a step needs only the
+    matrix, since b enters through the residual).  Otherwise the operator
+    is w(g) * core with g = |grad_h u|, and the matrix is its Jacobian,
+    M + diag(c gx) Gx + diag(c gy) Gy with c = alpha g^(alpha - 2) core
+    where g is above the floor and 0 elsewhere: Gx and Gy are the centred
+    axis differences of ``_linearize``, so that part adds c g_i
+    ``table.first`` to the weights of the axis arms.  A Dirichlet step
+    passes the source's f' as ``diag``.
     """
-    coef = _active_weights(lin) * np.reshape(lin.weight, (-1, 1))
-    return stencil_matrix(lin.table.nb, coef * lin.table.second)
+    weights = (_active_weights(lin) * np.reshape(lin.weight, (-1, 1))
+               * lin.table.second)
+    if alpha != 0.0:
+        above = lin.g > _GRAD_FLOOR
+        c = np.zeros(len(lin.g))
+        c[above] = alpha * lin.g[above] ** (alpha - 2.0) * lin.core[above]
+        weights[:, :, :2] += c[:, None] * lin.grad * lin.table.first
+    return stencil_matrix(lin.table.nb, weights, diag)
 
 
-def _gradient_matrix(params, lin):
-    """The weight's part of the Jacobian, which the frozen matrix drops.
-
-    At the iterate of ``lin`` the operator is w(g) * core with
-    g = |grad_h u|, so its Jacobian is the frozen matrix plus
-    diag(c gx) Gx + diag(c gy) Gy, with c = alpha g^(alpha - 2) core where
-    g is above the floor and 0 elsewhere.  Gx and Gy are the centred axis
-    differences of ``_linearize``, the weights ``table.first``; a cut end
-    reads boundary data, so it has no column.
-    """
-    above = lin.g > _GRAD_FLOOR
-    c = np.zeros(len(lin.g))
-    c[above] = (params.alpha * lin.g[above] ** (params.alpha - 2.0)
-                * lin.core[above])
-    return stencil_matrix(lin.table.nb[:, :, :2],
-                          c[:, None] * lin.grad * lin.table.first)
+def _lattice_view(a, g):
+    """The lattice array ``a``, (nx, ny), read at the image of each
+    lattice point under the lattice map ``g`` about the lattice centre:
+    a view, flipped along the axes that g turns round and transposed where
+    g swaps them.  On an nx != ny lattice a swap's view is (ny, nx): g
+    does not map the lattice box onto itself."""
+    return a[::g[0].sum(), ::g[1].sum()].transpose(np.abs(g) @ (0, 1))
 
 
-def _mirror(dom, table, g, rim):
-    """The lattice map ``g``, an integer matrix about the lattice centre,
-    as a map of the arm ends, cells then cuts, or None where it does not
-    map the problem that ``table`` reads onto itself: the lattice box onto
-    itself (a map that swaps the axes needs nx = ny), every cell onto a
-    cell and each cut arm onto a cut arm, exactly, with a weight
-    ``table.second`` equal within ``_FOLD_RTOL``.
+def _mirror(dom, nb, g, rim, second):
+    """The lattice map ``g`` as a map of the arm ends of the arm table
+    ``nb``, cells then cuts, or None where it does not map the problem
+    that ``nb`` spans onto itself: the mask onto itself, read as its view
+    under g (``_lattice_view``; a map that swaps the axes needs nx = ny),
+    and each cut arm onto a cut arm, exactly, with a weight ``second``
+    equal within ``_FOLD_RTOL``.
 
-    The arm (s, c, j) maps to the arm of direction g d_j at the image of
-    c, on the other side where g d_j is the column's direction turned
-    round.  A cell's weights read its own arm lengths alone, those of
-    ``table.first`` the same ones as ``table.second``, and an arm that no
+    A cell's image is the view of ``dom.cell_id`` read at the mask.  The
+    arm (s, c, j) maps to the arm of direction g d_j at the image of c,
+    on the other side where g d_j is the column's direction turned round.
+    A cell's weights read its own arm lengths alone, and an arm that no
     cut shortens is |d| h long, as is its image, so only the cells
-    ``rim`` with a cut arm are compared.
+    ``rim`` with a cut arm are compared: ``second`` holds their weights
+    (``_weigh``).  Where the cut arms map, the rim maps onto itself.  A
+    cut that no arm of ``nb`` reaches (a direction the table does not
+    read) is its own image, so its data never break the map.
     """
-    top = np.array(dom.mask.shape)[:, None] - 1
-    if (np.abs(g) @ top != top).any():
+    if not np.array_equal(_lattice_view(dom.mask, g), dom.mask):
         return None
-    i, j = (g @ (2 * dom.cells.T - top) + top) // 2
-    img = dom.cell_id[i, j]
-    if (img < 0).any():
-        return None
-    turned = DIRECTIONS[:table.k] @ g.T
+    img = _lattice_view(dom.cell_id, g)[dom.mask]
+    turned = DIRECTIONS[:nb.shape[2]] @ g.T
     dirs = np.array([_DIRECTION_ID[tuple(d)] for d in turned])
     sides = np.arange(2)[:, None] ^ (DIRECTIONS[dirs] != turned).any(axis=1)
 
-    def image(x):
+    def image(x, at):
         # gather the cells first: one index array runs several times faster
-        return x[:, img[rim]][sides, :, dirs].transpose(0, 2, 1)
+        return x[:, at][sides, :, dirs].transpose(0, 2, 1)
 
-    n, nb = dom.n_cells, table.nb[:, rim]
-    ends, cut = image(table.nb), nb >= n
+    n, own = dom.n_cells, nb[:, rim]
+    ends, cut = image(nb, img[rim]), own >= n
     if not (np.array_equal(cut, ends >= n)
-            and np.allclose(image(table.second), table.second[:, rim],
-                            rtol=_FOLD_RTOL, atol=0.0)):
+            and np.allclose(image(second, np.searchsorted(rim, img[rim])),
+                            second, rtol=_FOLD_RTOL, atol=0.0)):
         return None
-    at_image = np.concatenate([img, np.arange(len(dom.cut_xy))])
-    at_image[nb[cut]] = ends[cut]
+    at_image = np.concatenate([img, n + np.arange(len(dom.cut_xy))])
+    at_image[own[cut]] = ends[cut]
     return at_image
 
 
-def _folded(dom, table, data=None):
+def _folded(params, dom, table, data=None):
     """The problem folded by each lattice map that maps it onto itself
     (``fold``), as the scheme reads it.
 
     A map of ``_LATTICE_MAPS`` folds where it maps the domain and its
-    stencil onto themselves (``_mirror``) and the array ``data`` over the
-    arm ends, cell values followed by cut data, onto itself within
-    ``_FOLD_RTOL``.  The lattice lies symmetrically about the centre of
-    the shape's box (``GridDomain.axes``), so a shape that a map of the
-    square's group takes onto itself about that centre folds.  The folded
-    table is ``table`` with the kept cells' rows.  The scheme commutes
-    with the maps up to rounding, so a folded solution v gives the whole
-    domain's v[to_r].
+    stencil onto themselves (``_mirror``, which compares the weights of
+    the rim alone, the cells with a cut arm) and the array ``data`` over
+    the arm ends, cell values followed by cut data, onto itself within
+    ``_FOLD_RTOL``; data that are all zero map onto themselves exactly.
+    The rim is read by one any() across the cells per arm column, a
+    quarter of the time of an any() over each cell's few arms.  The
+    lattice lies symmetrically about the centre of the shape's box
+    (``GridDomain.axes``), so a shape that a map of the square's group
+    takes onto itself about that centre folds.  The folded table is
+    ``table`` with the folded arm table and the weights of the kept cells
+    alone (``_weigh``).  The scheme commutes with the maps up to rounding,
+    so a folded solution v gives the whole domain's v[to_r].
     """
-    rim = np.flatnonzero((table.nb >= dom.n_cells).any(axis=0).any(axis=1))
-    maps = [m for m in (_mirror(dom, table, g, rim) for g in _LATTICE_MAPS)
+    rim = np.flatnonzero((table.nb.transpose(0, 2, 1) >= dom.n_cells)
+                         .reshape(-1, dom.n_cells).any(axis=0))
+    second = _weigh(params, dom, table, rim).second
+    data = None if data is None or not data.any() else data
+    maps = [m for m in (_mirror(dom, table.nb, g, rim, second)
+                        for g in _LATTICE_MAPS)
             if m is not None and (data is None or np.allclose(
                 data[m], data, rtol=_FOLD_RTOL, atol=0.0))]
     keep, to_r, nb = fold(table.nb, maps)
-    folded = SimpleNamespace(**vars(table))
-    folded.nb, folded.second = nb, table.second[:, keep]
-    if hasattr(table, "first"):
-        folded.first = table.first[:, keep]
+    folded = _weigh(params, dom, table, keep)
+    folded.nb = nb
     return SimpleNamespace(keep=keep, to_r=to_r, table=folded)
 
 
@@ -439,7 +467,8 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     |grad_h u|^alpha, where the gradient is above the floor, so the step
     is Newton's in the weight too and not a fixed point in it.  That
     Jacobian is not an M-matrix, so each step is halved until sup|r|
-    falls, down to a fixed shortest step.
+    falls, down to a fixed shortest step.  A step's matrix, with the
+    source's f' on its diagonal, is one ``_policy_matrix`` assembly.
     method="damped" is the explicit fixed-point iteration
     u <- u + tau*(F[u] + f(u)) with tau = 0.45 / (A * max 2/(s_f s_b)),
     the max over the arms the scheme reads (a candidate's weights sum to
@@ -452,7 +481,9 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     90, 180 and 270 degrees) that maps the mask and the cut arms onto
     themselves exactly, and their weights, ``u0`` and ``g`` on the cuts
     within the relative tolerance ``_FOLD_RTOL`` (``_folded``): one cell
-    per orbit, an eighth of a disk, the field mapped back.  The source
+    per orbit, an eighth of a disk, the field mapped back.  Only the
+    rim's weights are read to decide the maps, and only the kept cells'
+    for the solve; the damped sweep weighs every cell.  The source
     f(u) depends on u alone, so it commutes with every map.  The folded
     solution solves the whole problem up to the rounding the tolerance
     admits, and where the discrete solution is unique (alpha = 0) it is
@@ -469,19 +500,19 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     bvals = boundary_data(dom, g)
     u = np.zeros(dom.n_cells) if u0 is None else GridField(dom, u0).values
     if method == "policy":
-        fold = _folded(dom, table, np.concatenate([u, bvals]))
+        fold = _folded(params, dom, table, np.concatenate([u, bvals]))
         table, u = fold.table, u[fold.keep]
+    else:
+        table = _weigh(params, dom, table)
 
     def linearize(v):
         lin = _linearize(params, v, bvals, table)
 
         def freeze():
-            mat = _policy_matrix(lin)
-            if params.alpha != 0.0:
-                mat = mat + _gradient_matrix(params, lin)
             at = np.maximum(np.abs(v), _GRAD_FLOOR) if params.alpha < 0.0 \
                 else v
-            return mat + sp.diags(source.evaluate_deriv(at, params.alpha))
+            return _policy_matrix(lin, params.alpha,
+                                  source.evaluate_deriv(at, params.alpha))
         return lin.value + source.evaluate(v, params.alpha), freeze
 
     if method == "damped":
@@ -515,9 +546,8 @@ def principal_eigenvalue_grid(params, dom, *, tol=1e-6, max_power=400,
     """
     if params.alpha != 0.0:
         raise ValueError("grid eigenvalue iteration requires alpha = 0")
-    table = _resolved_table(params, dom)
+    fold = _folded(params, dom, _resolved_table(params, dom))
     bvals = np.zeros(len(dom.cut_xy))
-    fold = _folded(dom, table)
 
     def linearize(v):
         lin = _linearize(params, v, bvals, fold.table)

@@ -28,7 +28,7 @@ from pucci_lab.grid import solver as solver_module
 from pucci_lab.grid.diagnostics import _comparison_case
 from pucci_lab.grid.solver import (_GRAD_FLOOR, _active_weights,
                                    _candidate_table, _linearize,
-                                   _policy_matrix, _resolved_table)
+                                   _policy_matrix, _resolved_table, _weigh)
 
 DISK_LAPLACE_EIG = brentq(j0, 2.0, 3.0) ** 2
 L_SHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -59,13 +59,14 @@ def ellipse_dom():
 
 @pytest.fixture
 def count_freezes(monkeypatch):
-    """The shapes of the frozen grid matrices made from now on, one entry
-    per matrix."""
+    """The shapes of the grid matrices made from now on, one entry per
+    matrix: ``_policy_matrix`` is the one assembly of a Dirichlet step's
+    Newton matrix and of an eigenpair freeze."""
     calls = []
     real = solver_module._policy_matrix
 
-    def recording(*args):
-        mat = real(*args)
+    def recording(*args, **kwargs):
+        mat = real(*args, **kwargs)
         calls.append(mat.shape)
         return mat
 
@@ -75,14 +76,15 @@ def count_freezes(monkeypatch):
 
 @pytest.fixture
 def count_arm_lengths(monkeypatch):
-    """The ``GridDomain.arm_lengths`` calls made from now on, one k per
-    call."""
+    """The ``GridDomain.arm_lengths`` calls made from now on, the one read
+    of the stencil weights: per call, k and the cells read, as an index
+    array."""
     calls = []
     real = domain_module.GridDomain.arm_lengths
 
-    def recording(self, k=None):
-        calls.append(k)
-        return real(self, k)
+    def recording(self, k=None, rows=slice(None)):
+        calls.append((k, np.arange(self.n_cells)[rows]))
+        return real(self, k, rows)
 
     monkeypatch.setattr(domain_module.GridDomain, "arm_lengths", recording)
     return calls
@@ -95,8 +97,26 @@ def resolved(shape, h, k=len(DIRECTIONS)):
     return dom
 
 
+def weighed(params, dom):
+    """The whole domain's table, every cell weighed."""
+    return _weigh(params, dom, _resolved_table(params, dom))
+
+
 def linearized(params, dom, values, bvals):
-    return _linearize(params, values, bvals, _resolved_table(params, dom))
+    return _linearize(params, values, bvals, weighed(params, dom))
+
+
+def rim(dom, k):
+    """The cells with a cut arm among the first k directions."""
+    return np.flatnonzero((dom.nb[:, :, :k] >= dom.n_cells).any(axis=(0, 2)))
+
+
+def assert_weighed_once(calls, k, *row_sets):
+    """``count_arm_lengths`` holds one call per set of cells, in order,
+    each reading the first k directions of its cells once."""
+    assert [kk for kk, _ in calls] == [k] * len(row_sets)
+    for (_, rows), want in zip(calls, row_sets):
+        assert_array_equal(rows, want)
 
 
 def rotated_hessian(deg, lam):
@@ -727,8 +747,10 @@ class TestDirichlet:
     @pytest.mark.parametrize("method", ["policy", "damped"])
     def test_arm_lengths_read_once_per_solve(self, monkeypatch,
                                              count_arm_lengths, method):
-        # every linearization of a solve reads the arm lengths its
-        # candidate table holds
+        # no linearization reads the arm lengths: a solve weighs each set
+        # of cells it reads once, every cell for the damped sweep, and for
+        # a policy solve the rim, whose weights the fold compares, then
+        # the cells its fold keeps (about half: the data are odd in x)
         dom = build_domain(Disk(1.0), 0.15)
         count_arm_lengths.clear()
         lins = []
@@ -741,7 +763,15 @@ class TestDirichlet:
         monkeypatch.setattr(solver_module, "_linearize", counting)
         solve_dirichlet(WIDE, dom, Constant(1.0), _oscillating, tol=1e-4,
                         method=method)
-        assert len(lins) > 2 and count_arm_lengths == [4]
+        assert len(lins) > 2
+        if method == "damped":
+            assert_weighed_once(count_arm_lengths, 4, np.arange(dom.n_cells))
+        else:
+            calls = list(count_arm_lengths)
+            fold, _ = _captured(monkeypatch, WIDE, dom, Constant(1.0),
+                                _oscillating)
+            assert 2 * len(fold.keep) < 1.2 * dom.n_cells
+            assert_weighed_once(calls, 4, rim(dom, 4), fold.keep)
 
     def test_residual_criterion(self, disk_coarse):
         sol = solve_dirichlet(WIDE, disk_coarse, EigenPower(2.0), 0.0,
@@ -1097,18 +1127,22 @@ class TestMirrorFold:
 
     def test_axis_swaps_need_a_square_lattice(self):
         # on an nx != ny lattice the quarter turns and the diagonal
-        # mirrors do not map the box onto itself: no map, and no index
-        # past the box, which these long ellipses' images would reach
+        # mirrors do not map the box onto itself: no lattice view, no map,
+        # and no index past the box, which these long ellipses' images
+        # would reach; the axis mirrors and the half turn hold
         for shape in (Ellipse(2.0, 0.5), Ellipse(0.5, 2.0)):
             dom = build_domain(shape, 0.1)
             assert dom.nx != dom.ny
             table = _resolved_table(WIDE, dom)
-            rim = np.flatnonzero(
-                (table.nb >= dom.n_cells).any(axis=0).any(axis=1))
-            got = [solver_module._mirror(dom, table, g, rim)
+            edge = rim(dom, table.k)
+            second = _weigh(WIDE, dom, table, edge).second
+            swaps = [g[0, 0] == 0 for g in solver_module._LATTICE_MAPS]
+            assert [solver_module._lattice_view(dom.mask, g).shape
+                    != dom.mask.shape
+                    for g in solver_module._LATTICE_MAPS] == swaps
+            got = [solver_module._mirror(dom, table.nb, g, edge, second)
                    for g in solver_module._LATTICE_MAPS]
-            assert [m is None for m in got] == [
-                g[0, 0] == 0 for g in solver_module._LATTICE_MAPS]
+            assert [m is None for m in got] == swaps
 
     @pytest.mark.parametrize("case", list(_FOLD_CASES))
     def test_linearization_is_the_whole_domain_one(self, monkeypatch,
@@ -1205,6 +1239,23 @@ class TestMirrorFold:
         with pytest.raises(IterationLimit):
             solve_dirichlet(params, dom, source, 0.2, tol=tol)
 
+    def test_unread_cuts_keep_the_fold(self, request):
+        # the Laplacian reads the axes alone, and the domain holds the
+        # diagonals' cuts too: no arm reads their data, so each is its own
+        # image, and constant data fold by all 8 maps
+        dom = build_domain(Disk(1.0), 0.15)
+        table = _resolved_table(LAP, dom)
+        read = np.unique(table.nb[table.nb >= dom.n_cells])
+        assert len(read) < len(dom.cut_xy)
+        data = np.concatenate([np.zeros(dom.n_cells),
+                               domain_module.boundary_data(dom, 0.2)])
+        fold = solver_module._folded(LAP, dom, table, data)
+        assert len(fold.keep) < dom.n_cells / 6
+        u = solve_dirichlet(LAP, dom, Constant(1.0), 0.2).values
+        request.getfixturevalue("whole_domain")
+        ref = solve_dirichlet(LAP, dom, Constant(1.0), 0.2).values
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
     def test_last_bit_cuts_fold(self, monkeypatch, request):
         # cut weights that differ from their images' in the last bits, as
         # a turned polygon's do, lie within _FOLD_RTOL: the disk folds by
@@ -1241,6 +1292,189 @@ class TestMirrorFold:
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+# The fold decision and the Newton matrix as the solver made them before it
+# read the lattice maps on the lattice arrays and the rim, weighed only the
+# kept cells and assembled each matrix once: the oracles of ``_folded``,
+# ``_mirror`` and ``_policy_matrix``.  The oracle's mirror maps each cut
+# that no arm reaches to itself, as the solver's does; before, it mapped
+# such a cut to a cell, so any nonzero data broke every map.
+
+def _whole_table(params, dom):
+    """The table with every cell weighed, as the oracles read it."""
+    table = _resolved_table(params, dom)
+    sf, sb = arms = dom.arm_lengths(table.k)
+    table.second = 2.0 / (arms * (sf + sb))
+    if params.alpha != 0.0:
+        table.first = (np.stack([sb / sf, -sf / sb]) / (sf + sb))[:, :, :2]
+    return table
+
+
+def _whole_mirror(dom, table, g, rim):
+    top = np.array(dom.mask.shape)[:, None] - 1
+    if (np.abs(g) @ top != top).any():
+        return None
+    i, j = (g @ (2 * dom.cells.T - top) + top) // 2
+    img = dom.cell_id[i, j]
+    if (img < 0).any():
+        return None
+    turned = DIRECTIONS[:table.k] @ g.T
+    dirs = np.array([solver_module._DIRECTION_ID[tuple(d)] for d in turned])
+    sides = np.arange(2)[:, None] ^ (DIRECTIONS[dirs] != turned).any(axis=1)
+
+    def image(x):
+        return x[:, img[rim]][sides, :, dirs].transpose(0, 2, 1)
+
+    n, nb = dom.n_cells, table.nb[:, rim]
+    ends, cut = image(table.nb), nb >= n
+    if not (np.array_equal(cut, ends >= n)
+            and np.allclose(image(table.second), table.second[:, rim],
+                            rtol=solver_module._FOLD_RTOL, atol=0.0)):
+        return None
+    at_image = np.concatenate([img, n + np.arange(len(dom.cut_xy))])
+    at_image[nb[cut]] = ends[cut]
+    return at_image
+
+
+def _whole_folded(dom, table, data=None):
+    rim = np.flatnonzero((table.nb >= dom.n_cells).any(axis=0).any(axis=1))
+    maps = [m for m in (_whole_mirror(dom, table, g, rim)
+                        for g in solver_module._LATTICE_MAPS)
+            if m is not None and (data is None or np.allclose(
+                data[m], data, rtol=solver_module._FOLD_RTOL, atol=0.0))]
+    keep, to_r, nb = solver_module.fold(table.nb, maps)
+    folded = copy.copy(table)
+    folded.nb, folded.second = nb, table.second[:, keep]
+    if hasattr(table, "first"):
+        folded.first = table.first[:, keep]
+    return keep, to_r, folded
+
+
+def _summed_newton_matrix(params, lin, deriv):
+    """The frozen matrix, plus the weight's part of the Jacobian for
+    alpha != 0, plus diag(f'), as three assemblies and two sums."""
+    coef = _active_weights(lin) * np.reshape(lin.weight, (-1, 1))
+    mat = solver_module.stencil_matrix(lin.table.nb, coef * lin.table.second)
+    if params.alpha != 0.0:
+        above = lin.g > _GRAD_FLOOR
+        c = np.zeros(len(lin.g))
+        c[above] = (params.alpha * lin.g[above] ** (params.alpha - 2.0)
+                    * lin.core[above])
+        mat = mat + solver_module.stencil_matrix(
+            lin.table.nb[:, :, :2], c[:, None] * lin.grad * lin.table.first)
+    return mat + sp.diags(deriv)
+
+
+def _tilted(x, y):
+    return x + 2.0 * y
+
+
+# a scalene triangle with a square box, so that every lattice map has a view
+_SCALENE = Polygon([(-1.0, -1.0), (1.0, -0.6), (0.2, 1.0)])
+
+
+def _fold_inputs(case):
+    """The parameters, domain and fold data (cell values, then cut data)
+    of a fold case: each of ``_FOLD_CASES`` and four that break maps."""
+    if case in _FOLD_CASES:
+        params, (shape, h), _, g, _ = _FOLD_CASES[case]
+        dom = build_domain(shape, h)
+    else:
+        params, g = WIDE, 0.0
+        dom = build_domain(Polygon([(-1.0, -0.6), (1.1, -0.4), (-0.2, 0.9)])
+                           if case == "scalene triangle" else Disk(1.0), 0.1)
+        if case == "cuts off by 1e-8":
+            dom = _perturbed_cuts(dom, 1e-8, np.random.default_rng(7))
+        elif case == "data x + 2y":
+            g = _tilted
+    _resolved_table(params, dom)
+    data = np.concatenate([np.zeros(dom.n_cells),
+                           domain_module.boundary_data(dom, g)])
+    if case == "NaN data":
+        data[dom.n_cells + 3] = np.nan
+    return params, dom, data
+
+
+class TestFoldDecision:
+    """``_folded`` and ``_mirror``, which read the lattice maps on the
+    lattice arrays and weigh the rim and the kept cells alone, against
+    the oracle that weighs every cell and maps the cells by integer
+    matrices."""
+
+    @pytest.mark.parametrize("shape", [Disk(1.0), _SCALENE],
+                             ids=["disk", "scalene"])
+    @pytest.mark.parametrize("h", [0.1, 0.09], ids=["even", "odd"])
+    def test_lattice_view_is_the_integer_map(self, shape, h):
+        # the view reads each lattice point's image g (2 p - top) + top
+        # over 2; read at the mask, the cell map of the integer matrices,
+        # -1 where an image is no cell (the scalene triangle's)
+        dom = build_domain(shape, h)
+        assert dom.nx == dom.ny and dom.nx % 2 == (h == 0.09)
+        top = np.array(dom.mask.shape)[:, None] - 1
+        lattice = np.indices(dom.mask.shape).reshape(2, -1)
+        for g in solver_module._LATTICE_MAPS:
+            i, j = (g @ (2 * dom.cells.T - top) + top) // 2
+            view = solver_module._lattice_view(dom.cell_id, g)
+            assert_array_equal(view[dom.mask], dom.cell_id[i, j])
+            i, j = (g @ (2 * lattice - top) + top) // 2
+            assert_array_equal(solver_module._lattice_view(dom.mask, g),
+                               dom.mask[i, j].reshape(dom.mask.shape))
+
+    @pytest.mark.parametrize("data", ["solve", "eigenpair"])
+    @pytest.mark.parametrize("case", [*_FOLD_CASES, "scalene triangle",
+                                      "cuts off by 1e-8", "data x + 2y",
+                                      "NaN data"])
+    def test_fold_is_the_whole_table_one(self, case, data):
+        params, dom, values = _fold_inputs(case)
+        if data == "eigenpair":
+            values = None
+        fold = solver_module._folded(params, dom,
+                                     _resolved_table(params, dom), values)
+        keep, to_r, want = _whole_folded(dom, _whole_table(params, dom),
+                                         values)
+        assert_array_equal(fold.keep, keep)
+        assert_array_equal(fold.to_r, to_r)
+        for part in ("nb", "second", "first"):
+            assert hasattr(fold.table, part) == hasattr(want, part)
+            if hasattr(want, part):
+                assert_array_equal(getattr(fold.table, part),
+                                   getattr(want, part))
+        # the cases that break all 7 maps fold to the whole domain
+        if data == "solve" and case not in _FOLD_CASES:
+            assert_array_equal(keep, np.arange(dom.n_cells))
+
+
+class TestNewtonMatrix:
+    """The Dirichlet step's matrix, one ``_policy_matrix`` assembly,
+    against the frozen matrix, the weight's part of the Jacobian and
+    diag(f') assembled and summed apart."""
+
+    @pytest.mark.parametrize("source", [Constant(1.0), EigenPower(2.0),
+                                        PowerPair(2.0, 1.0, 3.0)],
+                             ids=["constant", "eigen", "pair"])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0])
+    def test_one_assembly_is_the_sum(self, monkeypatch, disk_coarse, alpha,
+                                     source):
+        params = PucciParams(0.5, 2.0, Variant.PLUS, alpha)
+        fold, linearize = _captured(monkeypatch, params, disk_coarse, source,
+                                    _even)
+        v = np.random.default_rng(5).standard_normal(len(fold.keep))
+        got = linearize(v)[1]()
+        lin = _linearize(params, v, domain_module.boundary_data(
+            disk_coarse, _even), fold.table)
+        at = np.maximum(np.abs(v), _GRAD_FLOOR) if alpha < 0.0 else v
+        want = _summed_newton_matrix(params, lin,
+                                     source.evaluate_deriv(at, alpha))
+        assert got.format == want.format == "csc"
+        assert_array_equal(got.indptr, want.indptr)
+        assert_array_equal(got.indices, want.indices)
+        # measured at most 7.8e-16 relative, entry by entry
+        if alpha == 0.0 and source.lam == 0.0:
+            assert_array_equal(got.data, want.data)
+        else:
+            assert np.all(np.abs(got.data - want.data)
+                          <= 1e-14 * np.abs(want.data))
+
+
 class TestEigenvalue:
     def test_disk_matches_bessel(self):
         dom = build_domain(Disk(1.0), 0.04)
@@ -1271,7 +1505,7 @@ class TestEigenvalue:
 
     @pytest.mark.parametrize("params", [LAP, PucciParams(1.0, 1.5)])
     def test_matches_inverse_power(self, disk_dom, params, count_solves):
-        table = _resolved_table(params, disk_dom)
+        table = weighed(params, disk_dom)
         bvals = np.zeros(len(disk_dom.cut_xy))
 
         def linearize(v, x):
@@ -1328,8 +1562,15 @@ class TestEigenvalue:
 
     def test_arm_lengths_read_once(self, disk_dom, count_freezes,
                                    count_arm_lengths):
+        # the rim for the fold's check, then the eighth of the disk that
+        # the fold keeps
         principal_eigenvalue_grid(WIDE, disk_dom)
-        assert len(count_freezes) == 4 and count_arm_lengths == [4]
+        calls = list(count_arm_lengths)
+        fold = solver_module._folded(WIDE, disk_dom,
+                                     _resolved_table(WIDE, disk_dom))
+        assert len(fold.keep) < disk_dom.n_cells / 6
+        assert len(count_freezes) == 4
+        assert_weighed_once(calls, 4, rim(disk_dom, 4), fold.keep)
 
     def test_limit_carries_history(self, disk_coarse):
         with pytest.raises(IterationLimit) as info:
@@ -1602,6 +1843,18 @@ class TestComparison:
         with pytest.raises(ValueError, match="not ordered"):
             comparison_check(PucciParams(0.5, 5.0), dom, Constant(1.0),
                              off_nine, 0.0)
+
+    def test_weighs_only_the_cells_the_solves_read(self, disk_coarse,
+                                                   count_arm_lengths):
+        # resolving the domain to order the data weighs no cell; each
+        # solve weighs its rim and the eighth of the disk it keeps
+        comparison_check(LAP, disk_coarse, Constant(1.0), 0.0, 0.2)
+        calls = list(count_arm_lengths)
+        table = _resolved_table(LAP, disk_coarse)
+        keep = solver_module._folded(LAP, disk_coarse, table).keep
+        assert len(keep) < disk_coarse.n_cells / 6
+        edge = rim(disk_coarse, table.k)
+        assert_weighed_once(calls, table.k, edge, keep, edge, keep)
 
     def test_homogeneous_case_needs_zero_data(self, disk_coarse):
         with pytest.raises(ValueError):

@@ -36,6 +36,17 @@ class TestStencilMatrix:
         off = (self.WEIGHTS * (self.ENDS >= 3)).sum(axis=(0, 2))
         assert_array_equal(mat @ np.ones(3), -off)
 
+    def test_diagonal_term(self):
+        # ``diag`` adds to the diagonal alone, a scalar to every row; a
+        # diagonal that comes out zero is not stored
+        diag = np.array([13.5, 0.5, -1.0])
+        got = stencil_matrix(self.ENDS, self.WEIGHTS, diag)
+        want = stencil_matrix(self.ENDS, self.WEIGHTS)
+        assert_array_equal(got.toarray(), want.toarray() + np.diag(diag))
+        assert got.nnz == want.nnz - 1
+        assert_array_equal(stencil_matrix(self.ENDS, self.WEIGHTS, 2.0)
+                           .diagonal(), want.diagonal() + 2.0)
+
     def test_zeros_not_stored(self):
         # a sum that comes out zero is not stored, nor is a zero weight
         ends = np.array([[[1], [0]], [[1], [2]]])
