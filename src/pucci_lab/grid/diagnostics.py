@@ -68,7 +68,8 @@ def _reflect(pts, proj, d, t):
 
 
 def reflect_points(pts, direction, t):
-    """Mirror points across the plane {x . direction = t}."""
+    """Mirror points, rows or one point, across {x . direction = t}."""
+    pts = np.atleast_2d(pts)
     d = _unit(direction)
     return _reflect(pts, pts @ d, d, _offset(t))
 

@@ -210,7 +210,7 @@ class GridDomain:
     an arm along d has length |d| h, times ``cut_frac`` where it is cut, and
     ``arm_lengths(k, rows)`` reads those of the first k directions of the
     cells ``rows`` through the arm table, as arm-end values are read; a
-    solve asks once for each set of cells it reads.
+    solve asks once, for the cells it reads.
     """
 
     def __init__(self, shape, h, centre, nx, ny):
@@ -255,9 +255,12 @@ class GridDomain:
         boundary data, where extending by zero is O(h) accurate); points
         beyond the lattice take the value at its nearest edge.  Each point
         reads the four lattice centres about it by index, with weights
-        taken from the lattice coordinates.
+        taken from the lattice coordinates.  Raises ValueError for a point
+        that is not finite.
         """
         pts = np.atleast_2d(pts)
+        if not np.isfinite(pts).all():
+            raise ValueError("interpolation points must be finite")
         ends = np.append(values, 0.0)
         lower, weight = [], []
         for ax, x in zip(self.axes(), pts.T):
@@ -432,19 +435,23 @@ def field_from_function(dom, fn):
     return GridField(dom, vals * np.ones(dom.n_cells), boundary_data(dom, fn))
 
 
-# rows per block of the field export
+# rows per block of the CSV exports
 _CSV_ROWS = 1024
 
 
-def export_field_csv(field, path):
-    """Write (x, y, value) rows for the interior cells, each value as
-    ``%.18e`` under the header ``x,y,value``.  One format call writes a
-    block of rows, so the text in memory stays a block's."""
-    dom = field.domain
-    data = np.column_stack([dom.pts, field.values])
-    row = "%.18e,%.18e,%.18e\n"
+def _write_csv(path, header, data):
+    """``np.savetxt(path, data, delimiter=",", header=header, comments="")``
+    to the byte, with one format call per block of rows, so that the text
+    in memory stays a block's."""
+    row = ",".join(["%.18e"] * data.shape[1]) + "\n"
     with open(path, "w") as f:
-        f.write("x,y,value\n")
+        f.write(header + "\n")
         for at in range(0, len(data), _CSV_ROWS):
             block = data[at:at + _CSV_ROWS]
             f.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def export_field_csv(field, path):
+    """Write x,y,value rows for the interior cells (``_write_csv``)."""
+    dom = field.domain
+    _write_csv(path, "x,y,value", np.column_stack([dom.pts, field.values]))

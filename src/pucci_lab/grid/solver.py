@@ -20,26 +20,25 @@ built; up to 17.94 it reads 8 and below 37.97 the 12 lattice directions of
 ``DIRECTIONS``, and from there on it raises ValueError.  ``solve_dirichlet``,
 ``principal_eigenvalue_grid`` and ``discretize_F`` resolve the directions
 their table reads on the domain before they sample or read cut data
-(``_resolved_table``), and weigh the stencil of the cells they read alone
-(``_weigh``).
+(``_resolved_table``), and weigh the stencil of the cells they read alone,
+once per solve (``_weigh``).
 
 The scheme commutes, up to rounding, with each map of the square's
 symmetry group that maps the lattice, the domain, its cut arms and the
-data onto themselves, so the policy Dirichlet solve and the eigenpair run
-on the folded domain (``_folded``, by ``_iterate.fold``): one cell per
-orbit, an eighth of the cells of a disk, a quarter of an axis-aligned
-ellipse or a square, half of a hexagon, and the field mapped back.  The
-maps are the 7 lattice maps ``_LATTICE_MAPS``; the mask and the cut
-pattern must map exactly, the cut weights and the data within the
-relative tolerance ``_FOLD_RTOL``.  Each map is decided on the lattice
-arrays, the mask and the cell ids read through flips and a transpose
-(``_lattice_view``), and on the rim, the cells with a cut arm, the only
-ones whose weights it compares; the solve then weighs the kept cells
-alone.  A map that breaks any condition does not fold, and with none the
-fold is the identity, so there is one code path.  Each Newton matrix is
-one assembly (``_policy_matrix``): the frozen weights, the derivative of
-the gradient weight on the axis arms and the source's f' on the
-diagonal.
+data onto themselves, so the policy Dirichlet solve and the eigenpair
+run on the folded domain (``_folded``, by ``_iterate.fold``): one cell
+per orbit, an eighth of the cells of a disk, a quarter of an
+axis-aligned ellipse or a square, half of a hexagon, and the field
+mapped back.  The maps are the 7 lattice maps ``_LATTICE_MAPS``, each
+decided from the domain alone: the mask and the cut pattern of the arm
+table must map exactly (``_mirror``, on the lattice arrays read through
+flips and a transpose, ``_lattice_view``), and the cut fractions and the
+data within the relative tolerance ``_FOLD_RTOL``.  The decision reads
+no weights; the solve then weighs the kept cells alone, once.  A map
+that breaks any condition does not fold, and with none the fold is the
+identity, so there is one code path.  Each Newton matrix is one assembly
+(``_policy_matrix``): the frozen weights, the derivative of the gradient
+weight on the axis arms and the source's f' on the diagonal.
 """
 
 from functools import partial
@@ -76,8 +75,8 @@ _LATTICE_MAPS = (np.diag([-1, 1]), np.diag([1, -1]),
                  np.array([[0, 1], [-1, 0]]), np.array([[0, 1], [1, 0]]),
                  np.array([[0, -1], [-1, 0]]))
 # the relative tolerance within which a lattice map must reproduce the cut
-# weights and the data: a rotated polygon's vertices come from cos and sin,
-# and its images agree to 2e-13 to 1e-11 relative
+# fractions and the data: a rotated polygon's vertices come from cos and
+# sin, and its images agree to 2e-13 to 1e-11 relative
 _FOLD_RTOL = 1e-10
 # the multigrid of the Dirichlet steps (``_Multigrid``): the largest level
 # factored whole, the Krylov stop, the damping of the prolongator's and of
@@ -189,9 +188,9 @@ def _weigh(params, dom, table, rows=slice(None)):
     of ``dom``, read once here for every linearization of a solve: the
     weights on the arm differences of the second difference along each
     direction, ``second``, and (alpha != 0) of the centred gradient along
-    each axis, ``first``.  A policy solve weighs the rim for its fold's
-    check and then the cells the fold keeps; ``discretize_F`` and the
-    damped sweep weigh every cell."""
+    each axis, ``first``.  A policy solve and an eigenpair weigh the cells
+    their fold keeps; ``discretize_F`` and the damped sweep weigh every
+    cell."""
     sf, sb = arms = dom.arm_lengths(table.k, rows)
     weighed = SimpleNamespace(**vars(table), second=2.0 / (arms * (sf + sb)))
     if params.alpha != 0.0:
@@ -313,23 +312,20 @@ def _lattice_view(a, g):
     return a[::g[0].sum(), ::g[1].sum()].transpose(np.abs(g) @ (0, 1))
 
 
-def _mirror(dom, nb, g, rim, second):
+def _mirror(dom, nb, g, arms):
     """The lattice map ``g`` as a map of the arm ends of the arm table
-    ``nb``, cells then cuts, or None where it does not map the problem
-    that ``nb`` spans onto itself: the mask onto itself, read as its view
+    ``nb``, cells then cuts, or None where it does not map the lattice
+    pattern onto itself, exactly: the mask onto itself, read as its view
     under g (``_lattice_view``; a map that swaps the axes needs nx = ny),
-    and each cut arm onto a cut arm, exactly, with a weight ``second``
-    equal within ``_FOLD_RTOL``.
+    and each of the cut arms ``arms``, index arrays (side, cell,
+    direction) into ``nb``, onto a cut arm.  No weight is read.
 
     A cell's image is the view of ``dom.cell_id`` read at the mask.  The
     arm (s, c, j) maps to the arm of direction g d_j at the image of c,
     on the other side where g d_j is the column's direction turned round.
-    A cell's weights read its own arm lengths alone, and an arm that no
-    cut shortens is |d| h long, as is its image, so only the cells
-    ``rim`` with a cut arm are compared: ``second`` holds their weights
-    (``_weigh``).  Where the cut arms map, the rim maps onto itself.  A
-    cut that no arm of ``nb`` reaches (a direction the table does not
-    read) is its own image, so its data never break the map.
+    The map is one-to-one on the arms, so the cut arms then map onto
+    themselves.  A cut that no arm of ``nb`` reaches (a direction the
+    table does not read) is its own image.
     """
     if not np.array_equal(_lattice_view(dom.mask, g), dom.mask):
         return None
@@ -337,19 +333,13 @@ def _mirror(dom, nb, g, rim, second):
     turned = DIRECTIONS[:nb.shape[2]] @ g.T
     dirs = np.array([_DIRECTION_ID[tuple(d)] for d in turned])
     sides = np.arange(2)[:, None] ^ (DIRECTIONS[dirs] != turned).any(axis=1)
-
-    def image(x, at):
-        # gather the cells first: one index array runs several times faster
-        return x[:, at][sides, :, dirs].transpose(0, 2, 1)
-
-    n, own = dom.n_cells, nb[:, rim]
-    ends, cut = image(nb, img[rim]), own >= n
-    if not (np.array_equal(cut, ends >= n)
-            and np.allclose(image(second, np.searchsorted(rim, img[rim])),
-                            second, rtol=_FOLD_RTOL, atol=0.0)):
+    side, cell, j = arms
+    ends = nb[sides[side, j], img[cell], dirs[j]]
+    n = dom.n_cells
+    if (ends < n).any():
         return None
     at_image = np.concatenate([img, n + np.arange(len(dom.cut_xy))])
-    at_image[own[cut]] = ends[cut]
+    at_image[nb[arms]] = ends
     return at_image
 
 
@@ -357,28 +347,28 @@ def _folded(params, dom, table, data=None):
     """The problem folded by each lattice map that maps it onto itself
     (``fold``), as the scheme reads it.
 
-    A map of ``_LATTICE_MAPS`` folds where it maps the domain and its
-    stencil onto themselves (``_mirror``, which compares the weights of
-    the rim alone, the cells with a cut arm) and the array ``data`` over
-    the arm ends, cell values followed by cut data, onto itself within
-    ``_FOLD_RTOL``; data that are all zero map onto themselves exactly.
-    The rim is read by one any() across the cells per arm column, a
-    quarter of the time of an any() over each cell's few arms.  The
-    lattice lies symmetrically about the centre of the shape's box
+    A map of ``_LATTICE_MAPS`` folds where it maps the lattice pattern
+    onto itself (``_mirror``) and leaves two arrays over the arm ends,
+    cells then cuts, invariant within ``_FOLD_RTOL``: the cut fractions,
+    which fix the weights, as an arm along d is |d| h times its fraction
+    and a lattice map keeps |d|; and ``data``.  The lattice lies
+    symmetrically about the centre of the shape's box
     (``GridDomain.axes``), so a shape that a map of the square's group
     takes onto itself about that centre folds.  The folded table is
     ``table`` with the folded arm table and the weights of the kept cells
     alone (``_weigh``).  The scheme commutes with the maps up to rounding,
     so a folded solution v gives the whole domain's v[to_r].
     """
-    rim = np.flatnonzero((table.nb.transpose(0, 2, 1) >= dom.n_cells)
-                         .reshape(-1, dom.n_cells).any(axis=0))
-    second = _weigh(params, dom, table, rim).second
-    data = None if data is None or not data.any() else data
-    maps = [m for m in (_mirror(dom, table.nb, g, rim, second)
+    n = dom.n_cells
+    # one flat scan: a nonzero() per axis took ten times as long
+    arms = np.unravel_index(np.flatnonzero(table.nb >= n), table.nb.shape)
+    ends = np.concatenate([np.ones(n), dom.cut_frac])
+    if data is not None and data.any():  # zero data map exactly
+        ends = np.stack([ends, data])
+    maps = [m for m in (_mirror(dom, table.nb, g, arms)
                         for g in _LATTICE_MAPS)
-            if m is not None and (data is None or np.allclose(
-                data[m], data, rtol=_FOLD_RTOL, atol=0.0))]
+            if m is not None and np.allclose(ends[..., m], ends,
+                                             rtol=_FOLD_RTOL, atol=0.0)]
     keep, to_r, nb = fold(table.nb, maps)
     folded = _weigh(params, dom, table, keep)
     folded.nb = nb
@@ -479,16 +469,16 @@ def solve_dirichlet(params, dom, source, g=0.0, *, method="policy",
     method="policy" solves on the domain folded by each lattice map
     (``_LATTICE_MAPS``: the axis and diagonal mirrors and the rotations by
     90, 180 and 270 degrees) that maps the mask and the cut arms onto
-    themselves exactly, and their weights, ``u0`` and ``g`` on the cuts
-    within the relative tolerance ``_FOLD_RTOL`` (``_folded``): one cell
-    per orbit, an eighth of a disk, the field mapped back.  Only the
-    rim's weights are read to decide the maps, and only the kept cells'
-    for the solve; the damped sweep weighs every cell.  The source
-    f(u) depends on u alone, so it commutes with every map.  The folded
-    solution solves the whole problem up to the rounding the tolerance
-    admits, and where the discrete solution is unique (alpha = 0) it is
-    the whole-domain one; a map that breaks a condition does not fold.
-    method="damped" always solves the whole domain.
+    themselves exactly, and the cut fractions, ``u0`` and ``g`` on the
+    cuts within the relative tolerance ``_FOLD_RTOL`` (``_folded``): one
+    cell per orbit, an eighth of a disk, the field mapped back.  The maps
+    are decided on the mask, the arm table and the cut fractions, and the
+    solve weighs the kept cells once.  The source f(u) depends on u alone,
+    so it commutes with every map.  The folded solution solves the whole
+    problem up to the rounding the tolerance admits, and where the
+    discrete solution is unique (alpha = 0) it is the whole-domain one; a
+    map that breaks a condition does not fold.  method="damped" always
+    solves the whole domain.
 
     Convergence is declared on the true assembled residual:
     sup |F[u] + f(u)| <= tol * max(1, sup|u|).  IterationLimit carries

@@ -207,8 +207,8 @@ def shoot(params, n_dim, source, m, r_max, h):
         ``first_zero`` is None when the profile never crosses zero before
         ``r_max`` (in particular for the degenerate f(m) = 0 flat profile).
     """
-    if r_max <= 0.0 or h <= 0.0 or r_max <= 20.0 * h:
-        raise ValueError("need 0 < h and r_max > 20 h")
+    if not (0.0 < h and 20.0 * h < r_max < np.inf):  # NaN fails too
+        raise ValueError(f"need 0 < h and finite r_max > 20 h: {h}, {r_max}")
     alpha = params.alpha
     fm = float(source.evaluate(m, alpha))
     r0 = 10.0 * h

@@ -32,7 +32,7 @@ from scipy.optimize import brentq
 from ._iterate import (LU_OPTIONS, _check_cap, fold, inverse_power,
                        policy_eigen, relax, stencil_matrix)
 from .errors import IterationLimit, OutOfDomain
-from .grid.domain import _INDEX
+from .grid.domain import _INDEX, _write_csv
 from .operators import Variant, _coef
 
 _MIN_NODES = 3
@@ -511,4 +511,4 @@ def export_sector_csv(field, path):
     nodes = np.meshgrid(*mesh.axes, indexing="ij")
     data = np.column_stack([t.ravel() for t in nodes] + [field.values.ravel()])
     header = ",".join([f"theta{k + 1}" for k in range(len(nodes))] + ["value"])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
+    _write_csv(path, header, data)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -98,7 +99,8 @@ def resolved(shape, h, k=len(DIRECTIONS)):
 
 
 def weighed(params, dom):
-    """The whole domain's table, every cell weighed."""
+    """The whole domain's table, every cell weighed, as ``discretize_F``
+    and the damped sweep weigh it."""
     return _weigh(params, dom, _resolved_table(params, dom))
 
 
@@ -106,14 +108,10 @@ def linearized(params, dom, values, bvals):
     return _linearize(params, values, bvals, weighed(params, dom))
 
 
-def rim(dom, k):
-    """The cells with a cut arm among the first k directions."""
-    return np.flatnonzero((dom.nb[:, :, :k] >= dom.n_cells).any(axis=(0, 2)))
-
-
 def assert_weighed_once(calls, k, *row_sets):
-    """``count_arm_lengths`` holds one call per set of cells, in order,
-    each reading the first k directions of its cells once."""
+    """``count_arm_lengths`` holds one call per solve, in order: the
+    first k directions of the cells that solve reads (its entry of
+    ``row_sets``), read once."""
     assert [kk for kk, _ in calls] == [k] * len(row_sets)
     for (_, rows), want in zip(calls, row_sets):
         assert_array_equal(rows, want)
@@ -747,10 +745,10 @@ class TestDirichlet:
     @pytest.mark.parametrize("method", ["policy", "damped"])
     def test_arm_lengths_read_once_per_solve(self, monkeypatch,
                                              count_arm_lengths, method):
-        # no linearization reads the arm lengths: a solve weighs each set
-        # of cells it reads once, every cell for the damped sweep, and for
-        # a policy solve the rim, whose weights the fold compares, then
-        # the cells its fold keeps (about half: the data are odd in x)
+        # no linearization reads the arm lengths, nor does the fold's
+        # decision: a solve weighs the cells it reads once, every cell for
+        # the damped sweep and the cells its fold keeps for a policy solve
+        # (about half: the data are odd in x)
         dom = build_domain(Disk(1.0), 0.15)
         count_arm_lengths.clear()
         lins = []
@@ -771,7 +769,7 @@ class TestDirichlet:
             fold, _ = _captured(monkeypatch, WIDE, dom, Constant(1.0),
                                 _oscillating)
             assert 2 * len(fold.keep) < 1.2 * dom.n_cells
-            assert_weighed_once(calls, 4, rim(dom, 4), fold.keep)
+            assert_weighed_once(calls, 4, fold.keep)
 
     def test_residual_criterion(self, disk_coarse):
         sol = solve_dirichlet(WIDE, disk_coarse, EigenPower(2.0), 0.0,
@@ -1134,13 +1132,12 @@ class TestMirrorFold:
             dom = build_domain(shape, 0.1)
             assert dom.nx != dom.ny
             table = _resolved_table(WIDE, dom)
-            edge = rim(dom, table.k)
-            second = _weigh(WIDE, dom, table, edge).second
+            arms = np.nonzero(table.nb >= dom.n_cells)
             swaps = [g[0, 0] == 0 for g in solver_module._LATTICE_MAPS]
             assert [solver_module._lattice_view(dom.mask, g).shape
                     != dom.mask.shape
                     for g in solver_module._LATTICE_MAPS] == swaps
-            got = [solver_module._mirror(dom, table.nb, g, edge, second)
+            got = [solver_module._mirror(dom, table.nb, g, arms)
                    for g in solver_module._LATTICE_MAPS]
             assert [m is None for m in got] == swaps
 
@@ -1293,11 +1290,13 @@ class TestMirrorFold:
 
 
 # The fold decision and the Newton matrix as the solver made them before it
-# read the lattice maps on the lattice arrays and the rim, weighed only the
-# kept cells and assembled each matrix once: the oracles of ``_folded``,
-# ``_mirror`` and ``_policy_matrix``.  The oracle's mirror maps each cut
-# that no arm reaches to itself, as the solver's does; before, it mapped
-# such a cut to a cell, so any nonzero data broke every map.
+# read the lattice maps on the lattice arrays, decided them on the lattice
+# pattern and the cut fractions, weighed only the kept cells and assembled
+# each matrix once: the oracles of ``_folded``, ``_mirror`` and
+# ``_policy_matrix``.  The oracle compares the stencil weights of every
+# cell with a cut arm.  Its mirror maps each cut that no arm reaches to
+# itself, as the solver's does; before, it mapped such a cut to a cell,
+# so any nonzero data broke every map.
 
 def _whole_table(params, dom):
     """The table with every cell weighed, as the oracles read it."""
@@ -1372,9 +1371,10 @@ def _tilted(x, y):
 _SCALENE = Polygon([(-1.0, -1.0), (1.0, -0.6), (0.2, 1.0)])
 
 
-def _fold_inputs(case):
+def _fold_inputs(case, ratio=None):
     """The parameters, domain and fold data (cell values, then cut data)
-    of a fold case: each of ``_FOLD_CASES`` and four that break maps."""
+    of a fold case: each of ``_FOLD_CASES`` and four that break maps, at
+    the case's A/a or at A/a = ``ratio``."""
     if case in _FOLD_CASES:
         params, (shape, h), _, g, _ = _FOLD_CASES[case]
         dom = build_domain(shape, h)
@@ -1386,6 +1386,8 @@ def _fold_inputs(case):
             dom = _perturbed_cuts(dom, 1e-8, np.random.default_rng(7))
         elif case == "data x + 2y":
             g = _tilted
+    if ratio is not None:
+        params = dataclasses.replace(params, A=ratio * params.a)
     _resolved_table(params, dom)
     data = np.concatenate([np.zeros(dom.n_cells),
                            domain_module.boundary_data(dom, g)])
@@ -1396,8 +1398,9 @@ def _fold_inputs(case):
 
 class TestFoldDecision:
     """``_folded`` and ``_mirror``, which read the lattice maps on the
-    lattice arrays and weigh the rim and the kept cells alone, against
-    the oracle that weighs every cell and maps the cells by integer
+    lattice arrays, decide them on the lattice pattern and the cut
+    fractions and weigh the kept cells alone, against the oracle that
+    weighs every cell, compares the weights and maps the cells by integer
     matrices."""
 
     @pytest.mark.parametrize("shape", [Disk(1.0), _SCALENE],
@@ -1424,23 +1427,65 @@ class TestFoldDecision:
                                       "cuts off by 1e-8", "data x + 2y",
                                       "NaN data"])
     def test_fold_is_the_whole_table_one(self, case, data):
-        params, dom, values = _fold_inputs(case)
-        if data == "eigenpair":
-            values = None
-        fold = solver_module._folded(params, dom,
-                                     _resolved_table(params, dom), values)
-        keep, to_r, want = _whole_folded(dom, _whole_table(params, dom),
-                                         values)
-        assert_array_equal(fold.keep, keep)
-        assert_array_equal(fold.to_r, to_r)
-        for part in ("nb", "second", "first"):
-            assert hasattr(fold.table, part) == hasattr(want, part)
-            if hasattr(want, part):
-                assert_array_equal(getattr(fold.table, part),
-                                   getattr(want, part))
-        # the cases that break all 7 maps fold to the whole domain
-        if data == "solve" and case not in _FOLD_CASES:
-            assert_array_equal(keep, np.arange(dom.n_cells))
+        # at the case's A/a and at A/a = 10, where the table reads 8
+        # directions
+        for ratio in (None, 10.0):
+            params, dom, values = _fold_inputs(case, ratio)
+            if data == "eigenpair":
+                values = None
+            fold = solver_module._folded(params, dom,
+                                         _resolved_table(params, dom), values)
+            keep, to_r, want = _whole_folded(dom, _whole_table(params, dom),
+                                             values)
+            assert fold.table.k == want.k == (8 if ratio else want.k)
+            assert_array_equal(fold.keep, keep)
+            assert_array_equal(fold.to_r, to_r)
+            for part in ("nb", "second", "first"):
+                assert hasattr(fold.table, part) == hasattr(want, part)
+                if hasattr(want, part):
+                    assert_array_equal(getattr(fold.table, part),
+                                       getattr(want, part))
+            # the cases that break all 7 maps fold to the whole domain
+            if data == "solve" and case not in _FOLD_CASES:
+                assert_array_equal(keep, np.arange(dom.n_cells))
+
+    def test_mirror_applies_no_tolerance(self, monkeypatch):
+        # one cut fraction moved by 1e-8 relative, far beyond _FOLD_RTOL:
+        # the lattice pattern stands, so ``_mirror`` returns every map as
+        # it was, and ``_folded`` drops each map that moves that cut.  The
+        # cut ends the (1, 1) arm of the disk's last diagonal cell, which
+        # the diagonal mirror alone fixes
+        dom = build_domain(Disk(1.0), 0.1)
+        table = _resolved_table(WIDE, dom)
+        n, maps = dom.n_cells, solver_module._LATTICE_MAPS
+        arms = np.nonzero(table.nb >= n)
+        whole = [solver_module._mirror(dom, table.nb, g, arms) for g in maps]
+        corner = np.flatnonzero(dom.cells[:, 0] == dom.cells[:, 1])[-1]
+        cut = table.nb[0, corner, 2] - n
+        assert cut >= 0
+        moved = copy.copy(dom)
+        moved.cut_frac = dom.cut_frac.copy()
+        moved.cut_frac[cut] *= 1.0 + 1e-8
+        got = [solver_module._mirror(moved, table.nb, g, arms) for g in maps]
+        assert all(m is not None for m in got)
+        for m, ref in zip(got, whole):
+            assert_array_equal(m, ref)
+        kept = []
+        real = solver_module.fold
+
+        def folding(nb, images):
+            kept.extend(images)
+            return real(nb, images)
+
+        monkeypatch.setattr(solver_module, "fold", folding)
+        solver_module._folded(WIDE, dom, table)
+        assert len(kept) == len(maps)
+        kept.clear()
+        solver_module._folded(WIDE, moved, table)
+        fixed = [m for m in got if m[n + cut] == n + cut]
+        assert len(fixed) == 1
+        assert len(kept) == 1 and kept[0] is not None
+        assert_array_equal(kept[0], fixed[0])
 
 
 class TestNewtonMatrix:
@@ -1562,15 +1607,15 @@ class TestEigenvalue:
 
     def test_arm_lengths_read_once(self, disk_dom, count_freezes,
                                    count_arm_lengths):
-        # the rim for the fold's check, then the eighth of the disk that
-        # the fold keeps
+        # the eighth of the disk that the fold keeps, once for every
+        # freeze; the fold's decision reads no arm length
         principal_eigenvalue_grid(WIDE, disk_dom)
         calls = list(count_arm_lengths)
         fold = solver_module._folded(WIDE, disk_dom,
                                      _resolved_table(WIDE, disk_dom))
         assert len(fold.keep) < disk_dom.n_cells / 6
         assert len(count_freezes) == 4
-        assert_weighed_once(calls, 4, rim(disk_dom, 4), fold.keep)
+        assert_weighed_once(calls, 4, fold.keep)
 
     def test_limit_carries_history(self, disk_coarse):
         with pytest.raises(IterationLimit) as info:
@@ -1631,6 +1676,14 @@ class TestReflection:
         d = (0.6, -0.8)
         back = reflect_points(reflect_points(pts, d, 0.3), d, 0.3)
         assert_allclose(back, pts, atol=1e-12)
+
+    def test_reflect_points_reads_one_point(self):
+        # as ``Ellipse.level`` and ``GridDomain.interp`` read one point: a
+        # scalar index into the 1-D projection raised IndexError
+        got = reflect_points(np.array([0.5, 0.2]), (1, 0), 0.1)
+        assert_allclose(got, [[-0.3, 0.2]], rtol=0.0, atol=1e-15)
+        assert_array_equal(got, reflect_points(np.array([[0.5, 0.2]]),
+                                               (1, 0), 0.1))
 
     def test_disk_gap_nonpositive_at_center(self, disk_dom):
         sol = solve_dirichlet(LAP, disk_dom, Constant(1.0), 0.0)
@@ -1847,14 +1900,13 @@ class TestComparison:
     def test_weighs_only_the_cells_the_solves_read(self, disk_coarse,
                                                    count_arm_lengths):
         # resolving the domain to order the data weighs no cell; each
-        # solve weighs its rim and the eighth of the disk it keeps
+        # solve weighs the eighth of the disk it keeps, once
         comparison_check(LAP, disk_coarse, Constant(1.0), 0.0, 0.2)
         calls = list(count_arm_lengths)
         table = _resolved_table(LAP, disk_coarse)
         keep = solver_module._folded(LAP, disk_coarse, table).keep
         assert len(keep) < disk_coarse.n_cells / 6
-        edge = rim(disk_coarse, table.k)
-        assert_weighed_once(calls, table.k, edge, keep, edge, keep)
+        assert_weighed_once(calls, table.k, keep, keep)
 
     def test_homogeneous_case_needs_zero_data(self, disk_coarse):
         with pytest.raises(ValueError):
@@ -1950,6 +2002,14 @@ class TestFieldUtilities:
         got = disk_coarse.interp(vals, pts)
         assert_allclose(got, 2.0 * pts[:, 0] - pts[:, 1], atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_interp_rejects_a_point_that_is_not_finite(self, disk_coarse,
+                                                       bad):
+        # a NaN point warned in the int cast and then raised IndexError
+        vals = np.ones(disk_coarse.n_cells)
+        with pytest.raises(ValueError, match="must be finite"):
+            disk_coarse.interp(vals, np.array([[0.1, 0.2], [bad, 0.0]]))
+
     @pytest.mark.parametrize("shape, h, parity", [
         (Disk(1.0), 0.01, 0), (Ellipse(1.004, 0.55), 0.01, 1),
     ], ids=["even nx", "odd nx"])
@@ -1998,6 +2058,29 @@ class TestFieldUtilities:
                    np.column_stack([disk_dom.pts, vals]), delimiter=",",
                    header="x,y,value", comments="")
         assert ((tmp_path / "field.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    @pytest.mark.parametrize("n_dim, spacing", [(2, np.pi / 3000),
+                                                (3, np.pi / 60)])
+    def test_sector_csv_matches_savetxt(self, tmp_path, n_dim, spacing):
+        # the sector export writes through the same block writer, with its
+        # own header and 2 or 3 columns
+        from pucci_lab.sector import SectorField, SectorMesh, \
+            export_sector_csv
+        mesh = SectorMesh(n_dim, 0.2, spacing)
+        assert domain_module._CSV_ROWS < mesh.n_nodes \
+            < 2 * domain_module._CSV_ROWS
+        vals = np.random.default_rng(4).standard_normal(mesh.n_nodes)
+        vals[:3] = (0.0, -0.0, 1e300)
+        export_sector_csv(SectorField(mesh, vals.reshape(mesh.shape)),
+                          tmp_path / "sector.csv")
+        nodes = np.meshgrid(*mesh.axes, indexing="ij")
+        header = ",".join([f"theta{k + 1}" for k in range(n_dim - 1)]
+                          + ["value"])
+        np.savetxt(tmp_path / "want.csv",
+                   np.column_stack([t.ravel() for t in nodes] + [vals]),
+                   delimiter=",", header=header, comments="")
+        assert ((tmp_path / "sector.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 
     def test_csv_round_trip(self, tmp_path, disk_coarse):

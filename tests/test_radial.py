@@ -211,6 +211,14 @@ class TestShoot:
         with pytest.raises(ValueError, match="r_max > 20 h"):
             shoot(PucciParams(1.0, 1.0), 2, Constant(1.0), 0.25, r_max, h)
 
+    @pytest.mark.parametrize("r_max, h", [(np.inf, 1e-3), (1.0, np.nan),
+                                          (np.nan, 1e-3)])
+    def test_rejects_a_range_that_is_not_finite(self, r_max, h):
+        # an infinite r_max made an OverflowError in the node count and a
+        # NaN one numpy's cast error
+        with pytest.raises(ValueError, match="finite r_max > 20 h"):
+            shoot(PucciParams(1.0, 1.0), 2, Constant(1.0), 0.25, r_max, h)
+
     def test_round_trip_radius(self):
         for alpha in (-0.5, 0.0, 1.0):
             p = PucciParams(1.0, 1.0, alpha=alpha)
